@@ -8,6 +8,8 @@
 //! runs a warmup iteration, then `SAMPLES` timed iterations, and reports
 //! min/mean wall-clock per iteration.
 
+#![expect(clippy::disallowed_types, reason = "a benchmark measures host wall time")]
+
 use std::hint::black_box;
 use std::time::Instant;
 

@@ -11,6 +11,8 @@
 //! bit-identical at any width. Wall-clock numbers for the seed-vs-current
 //! comparison live in `BENCH_sim_throughput.json` at the repo root.
 
+#![expect(clippy::disallowed_types, reason = "a benchmark measures host wall time")]
+
 use std::time::Instant;
 
 use coaxial_bench::banner;

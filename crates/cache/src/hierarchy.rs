@@ -332,14 +332,14 @@ pub struct Hierarchy<B: MemoryBackend, T: TelemetrySink = NullTelemetry> {
 
     stride_tables: Vec<StrideTable>,
     /// Lines brought in by a prefetch and not yet touched by demand.
-    /// Keyed membership only — never iterated (lint D01).
+    /// Keyed membership only — never iterated (clippy.toml disallowed-methods).
     prefetched_lines: HashSet<u64>,
     pf_stats: PrefetchStats,
 
     txns: Vec<Option<Txn>>,
     free_txns: Vec<u32>,
     /// Memory request id → transaction (reads only; writes use WRITE_MARK).
-    /// Keyed lookup only — never iterated (lint D01).
+    /// Keyed lookup only — never iterated (clippy.toml disallowed-methods).
     req_map: HashMap<u64, u32>,
     next_req_id: u64,
     next_access_id: AccessId,

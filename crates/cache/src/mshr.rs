@@ -14,7 +14,7 @@ pub struct MshrFull;
 /// MSHR file mapping in-flight line addresses to an opaque transaction id.
 #[derive(Debug, Clone)]
 pub struct Mshr {
-    /// Keyed lookup only — never iterated (lint D01).
+    /// Keyed lookup only — never iterated (clippy.toml disallowed-methods).
     entries: HashMap<u64, u32>,
     capacity: usize,
     /// High-water mark, for reporting.

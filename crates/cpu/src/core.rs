@@ -85,7 +85,7 @@ pub struct Core {
     /// Deterministic-latency completions (cache hits) scheduled ahead.
     scheduled: BinaryHeap<Reverse<(Cycle, u64)>>,
     /// Outstanding hierarchy accesses → entry seq.
-    /// Keyed lookup only — never iterated (lint D01).
+    /// Keyed lookup only — never iterated (clippy.toml disallowed-methods).
     outstanding: HashMap<AccessId, u64>,
 
     /// Retired instructions since the last stats reset.

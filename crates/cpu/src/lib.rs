@@ -16,7 +16,7 @@
 //! stream: each record carries the number of non-memory instructions that
 //! precede a memory operation, plus the operation itself.
 
-// No unsafe anywhere in this crate (lint U01 audit); keep it that way.
+// No unsafe anywhere in this crate; keep it that way (clippy::undocumented_unsafe_blocks).
 #![forbid(unsafe_code)]
 
 pub mod core;

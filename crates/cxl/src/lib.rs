@@ -18,7 +18,7 @@
 //! behind an unmodified DDR5 controller). [`CxlMemory`] aggregates several
 //! channels into a [`coaxial_dram::MemoryBackend`] for the system model.
 
-// No unsafe anywhere in this crate (lint U01 audit); keep it that way.
+// No unsafe anywhere in this crate; keep it that way (clippy::undocumented_unsafe_blocks).
 #![forbid(unsafe_code)]
 
 pub mod channel;

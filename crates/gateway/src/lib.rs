@@ -36,6 +36,12 @@
 //! | `COAXIAL_GATEWAY_RATE`     | per-client tokens/second, 0 = off (default 0)|
 //! | `COAXIAL_GATEWAY_BURST`    | per-client token-bucket burst (default 8)    |
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the gateway measures host time (token buckets, request latency, limiter \
+              eviction); no wall-clock value reaches a simulation or a report"
+)]
+
 pub mod http;
 pub mod json;
 pub mod report;

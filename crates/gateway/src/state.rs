@@ -73,8 +73,8 @@ pub struct Job {
 
 /// Client-side admission control: a classic token bucket refilled by
 /// wall-clock time. The gateway crate is service plumbing, not simulation
-/// model — it is deliberately outside the determinism lint scope, so
-/// `Instant` is fine here.
+/// model, so it opts out of the workspace `Instant` ban (the crate-level
+/// `#[expect]` in lib.rs).
 struct TokenBucket {
     tokens: f64,
     last: Instant,

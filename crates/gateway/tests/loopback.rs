@@ -10,6 +10,8 @@
 //! (d) graceful shutdown drains in-flight work, and `/metrics` exposes
 //!     queue depth, cache and dedup counters, and latency histograms.
 
+#![expect(clippy::disallowed_types, reason = "wall-clock deadlines bound the test's polling")]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,8 +25,12 @@ use coaxial_workloads::Workload;
 /// Start a gateway on an ephemeral port; returns the base URL and the
 /// handle that yields [`GatewayStats`] after shutdown.
 fn start(workers: usize, queue_depth: usize) -> (String, std::thread::JoinHandle<GatewayStats>) {
+    // Tests run in parallel, several with the same shape: a per-call
+    // serial keeps one test's cleanup from deleting another's port file.
+    static SERIAL: AtomicU64 = AtomicU64::new(0);
+    let serial = SERIAL.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir()
-        .join(format!("coaxial-gw-test-{}-{workers}-{queue_depth}", std::process::id()));
+        .join(format!("coaxial-gw-test-{}-{serial}-{workers}-{queue_depth}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let port_file = dir.join("port");

@@ -48,9 +48,9 @@
 //!   must actually be written with that unit at every write site.
 //!
 //! Fixed-point function summaries run over the resolved call graph
-//! ([`crate::resolve`]); under `Linkage::ByName` unresolved call sites
-//! fall back to globally-unique fn names, so resolution only ever
-//! *narrows* (same contract as E05).
+//! ([`crate::resolve`]); unresolved call sites fall back to
+//! globally-unique fn names, so resolution only ever *narrows* (same
+//! contract as E05).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1503,7 +1503,7 @@ struct FnUnit {
 
 struct UnitIndex {
     fields: BTreeMap<String, FieldClaim>,
-    /// Fn name → unique fq (None when ambiguous): the ByName fallback.
+    /// Fn name → unique fq (None when ambiguous): the bare-name fallback.
     by_name: BTreeMap<String, Option<String>>,
 }
 
@@ -2124,7 +2124,7 @@ impl<'x> Interp<'x> {
         let vals: Vec<Abs> = args.iter().map(|a| self.eval(a, env)).collect();
 
         // Resolve: the resolver's call-site edge first, then the
-        // globally-unique-name fallback (ByName linkage).
+        // globally-unique-name fallback.
         let fq = self
             .callmap
             .get(&pos)

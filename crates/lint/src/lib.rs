@@ -1,23 +1,27 @@
 #![forbid(unsafe_code)]
+#![expect(clippy::disallowed_types, reason = "the per-rule wall-time budget measures host time")]
 //! `coaxial-lint` — project-specific static analysis for the COAXIAL
 //! simulator workspace.
 //!
-//! The simulator's core guarantees are behavioral contracts that `rustc`
-//! and clippy cannot see:
+//! The simulator's core guarantees are behavioral contracts. The
+//! token-level ones are clippy lints configured in the root `clippy.toml`
+//! and `scripts/check.sh`: no hash iteration, no wall clock or ambient
+//! entropy, no truncating casts, a `// SAFETY:` comment on every `unsafe`
+//! block. This crate checks the ones clippy cannot express:
 //!
-//! * **determinism** — sweep outputs are bit-identical at any parallel
-//!   runner width, so nothing on a model/report/export path may depend on
-//!   hash-iteration order or ambient entropy;
-//! * **timing arithmetic** — cycle counts are exact `u64`s; silently
-//!   truncating casts and floating-point accumulation corrupt the latency
-//!   ledger in ways no test that happens to use small numbers will catch;
+//! * **timing arithmetic** — cycle counts are exact `u64`s; floating-point
+//!   accumulation corrupts the latency ledger in ways no test that
+//!   happens to use small numbers will catch, and every cycles↔ns
+//!   conversion goes through one blessed helper with units that agree;
 //! * **zero-cost telemetry** — every telemetry stamping site must sit
 //!   behind `if T::ENABLED` so the `NullTelemetry` monomorphization
 //!   compiles back to the pre-telemetry hot path;
 //! * **model fidelity** — a parameter declared in a fidelity-critical
 //!   config struct (DDR5 timings, CXL link transfer costs) but never read
 //!   by the enforcing code — or never varied by any experiment sweep — is
-//!   a silent fidelity bug.
+//!   a silent fidelity bug;
+//! * **CLI and lock hygiene** — every documented subcommand and knob is
+//!   wired, and no gateway lock is held across a simulation.
 //!
 //! This crate encodes those contracts as a catalog of lints (see
 //! [`CATALOG`], or `docs/LINTS.md` for the long-form rule catalog) and
@@ -30,9 +34,9 @@
 //! the module tree from `mod` declarations and file layout, resolves
 //! `use` imports (renames and nested groups included), qualified paths,
 //! and method receivers via lightweight type binding, giving the graph
-//! fully-qualified symbol IDs. Per-file rules run over tokens; the
-//! cross-file rules (C01/E01/E02/E03/E04/E05/M01/L01) run over the
-//! graph. Call and read edges are fq-exact where resolution succeeded
+//! fully-qualified symbol IDs. The per-file rules (T02, Z01) run over
+//! tokens; the cross-file rules (C01/E01–E05/M01/L01) and the unit
+//! dataflow ([`flow`], Q01–Q03) run over the graph. Call and read edges are fq-exact where resolution succeeded
 //! and fall back to name matching for the unresolved remainder, so the
 //! residual imprecision can only hide violations on commonly-named
 //! fields, never invent them — the right failure direction for a gate.
@@ -52,14 +56,13 @@ pub mod resolve;
 pub mod rules;
 pub mod symbols;
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// A lint violation (or suppression-hygiene problem) at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Lint ID, e.g. `"D01"`.
+    /// Lint ID, e.g. `"E01"`.
     pub id: &'static str,
     /// Repo-relative path.
     pub path: String,
@@ -85,36 +88,12 @@ pub struct LintInfo {
     pub rationale: &'static str,
 }
 
-/// The lint catalog. IDs are grouped by contract: D=determinism,
-/// T=timing arithmetic, Z=zero-cost telemetry, U=unsafe hygiene,
-/// C=config/constraint cross-reference, E=experiment/knob coverage,
-/// M=metric hygiene.
+/// The lint catalog. IDs are grouped by contract: T=timing arithmetic,
+/// Z=zero-cost telemetry, C=config/constraint cross-reference,
+/// E=experiment/knob coverage, L=lock discipline, M=metric hygiene,
+/// Q=units of measure. The retired D01/D02/T01/U01 are clippy lints now
+/// (`clippy.toml`, `scripts/check.sh`; see `docs/LINTS.md`).
 pub const CATALOG: &[LintInfo] = &[
-    LintInfo {
-        id: "D01",
-        summary: "no HashMap/HashSet iteration on model/report/export paths",
-        rationale: "std hash iteration order is randomized per process; iterating one on any \
-                    path that feeds simulated state or serialized output breaks bit-identical \
-                    sweeps. Use BTreeMap/BTreeSet, or collect and sort explicitly. Keyed \
-                    lookup (insert/get/remove/contains) is fine. Bindings are resolved \
-                    through the workspace symbol graph, so collections that arrive via a \
-                    function return or method chain are caught too.",
-    },
-    LintInfo {
-        id: "D02",
-        summary: "no wall-clock or ambient entropy in model crates",
-        rationale: "SystemTime/Instant/rand/RandomState inside \
-                    crates/{cpu,cache,dram,cxl,system,workloads} lets host timing or process \
-                    entropy leak into simulation behavior. All model randomness must come \
-                    from coaxial-sim's seeded SplitMix64.",
-    },
-    LintInfo {
-        id: "T01",
-        summary: "no lossy `as` casts on cycle/latency-carrying integers",
-        rationale: "`u64 as u32` on a cycle count silently wraps after ~1.8 s of simulated \
-                    time at 2.4 GHz. Use try_into() (loud at the boundary) or widen the \
-                    destination.",
-    },
     LintInfo {
         id: "T02",
         summary: "no floating-point accumulation in cycle math outside stats/report layers",
@@ -130,12 +109,6 @@ pub const CATALOG: &[LintInfo] = &[
                     held by the telemetry-equivalence test and the sim_throughput bench. The \
                     sink method set is read from the TelemetrySink trait definition itself, \
                     not a hard-coded name list.",
-    },
-    LintInfo {
-        id: "U01",
-        summary: "every `unsafe` needs a `// SAFETY:` comment immediately above",
-        rationale: "the workspace forbids unsafe except where a SAFETY comment states the \
-                    invariant being relied on; unexplained unsafe is unreviewable.",
     },
     LintInfo {
         id: "C01",
@@ -376,20 +349,6 @@ fn json_str(s: &str) -> String {
 /// Lint the workspace rooted at `root` using the suppression list in
 /// `<root>/lint-allow.toml` (if present).
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    lint_workspace_scoped(root, None)
-}
-
-/// Like [`lint_workspace`], optionally scoped to a set of repo-relative
-/// paths (`--changed-only`). The *analysis* always runs over the full
-/// tree — cross-file rules need the whole graph, and a narrowed input
-/// would invent E01/E02 "never read" findings — only the reported
-/// findings are filtered. Scoped runs also skip stale-suppression
-/// reporting, since an entry for an unchanged file legitimately matches
-/// nothing in the filtered view.
-pub fn lint_workspace_scoped(
-    root: &Path,
-    scope: Option<&BTreeSet<String>>,
-) -> Result<Report, String> {
     let allow_path = root.join("lint-allow.toml");
     let allows = if allow_path.exists() {
         let text = std::fs::read_to_string(&allow_path)
@@ -429,14 +388,8 @@ pub fn lint_workspace_scoped(
             None => findings.push(f),
         }
     }
-    if let Some(scope) = scope {
-        findings.retain(|f| scope.contains(&f.path));
-    }
-    let stale_suppressions = if scope.is_some() {
-        Vec::new()
-    } else {
-        allows.into_iter().zip(&used).filter(|(_, &u)| !u).map(|(a, _)| a).collect()
-    };
+    let stale_suppressions =
+        allows.into_iter().zip(&used).filter(|(_, &u)| !u).map(|(a, _)| a).collect();
     let timings = timing_map.into_iter().collect();
     Ok(Report { findings, stale_suppressions, suppressed, files: sources.len(), timings })
 }

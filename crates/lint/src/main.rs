@@ -2,8 +2,8 @@
 //! `coaxial-lint` CLI. Usage:
 //!
 //! ```text
-//! coaxial-lint [--root <dir>] [--format text|json|sarif] [--changed-only]
-//!              [--list] [--explain <ID>]
+//! coaxial-lint [--root <dir>] [--format text|json|sarif] [--list]
+//!              [--explain <ID>]
 //! ```
 //!
 //! With no flags: lint the workspace, print findings as
@@ -14,13 +14,8 @@
 //! the GitHub Actions problem matcher pipeline and editor integrations);
 //! `--format sarif` emits the same findings as a SARIF 2.1.0 log for
 //! code-scanning UIs (uploaded as a CI artifact next to the JSON one).
-//! `--changed-only` restricts *reported* findings to files changed per
-//! git (staged + unstaged + untracked vs. HEAD) for fast local iteration;
-//! the analysis itself still runs over the full tree so cross-file rules
-//! see the whole graph. CI always runs the full scan.
 
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -31,7 +26,6 @@ fn main() -> ExitCode {
     }
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Text;
-    let mut changed_only = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -45,7 +39,6 @@ fn main() -> ExitCode {
                 Some("text") => format = Format::Text,
                 _ => return usage("--format needs `text`, `json`, or `sarif`"),
             },
-            "--changed-only" => changed_only = true,
             "--list" => {
                 for l in coaxial_lint::CATALOG {
                     println!("{}  {}", l.id, l.summary);
@@ -76,12 +69,7 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| PathBuf::from("."))
     });
 
-    let scope = if changed_only { changed_files(&root) } else { None };
-    if changed_only && scope.is_none() {
-        eprintln!("coaxial-lint: --changed-only could not read git state; running full scan");
-    }
-
-    let report = match coaxial_lint::lint_workspace_scoped(&root, scope.as_ref()) {
+    let report = match coaxial_lint::lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("coaxial-lint: {e}");
@@ -105,10 +93,8 @@ fn main() -> ExitCode {
         }
     }
     let status = if report.clean() { "clean" } else { "FAILED" };
-    let scope_note = if scope.is_some() { " (changed-only)" } else { "" };
     eprintln!(
-        "coaxial-lint: {} files, {} findings, {} suppressed, {} stale suppressions — \
-         {status}{scope_note}",
+        "coaxial-lint: {} files, {} findings, {} suppressed, {} stale suppressions — {status}",
         report.files,
         report.findings.len(),
         report.suppressed,
@@ -135,33 +121,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// Repo-relative paths changed vs. HEAD (tracked modifications, staged or
-/// not) plus untracked files. `None` when git is unavailable or errors —
-/// the caller falls back to a full scan rather than silently passing.
-fn changed_files(root: &Path) -> Option<BTreeSet<String>> {
-    let mut out = BTreeSet::new();
-    for extra in
-        [&["diff", "--name-only", "HEAD"][..], &["ls-files", "--others", "--exclude-standard"][..]]
-    {
-        let output =
-            std::process::Command::new("git").arg("-C").arg(root).args(extra).output().ok()?;
-        if !output.status.success() {
-            return None;
-        }
-        for line in String::from_utf8_lossy(&output.stdout).lines() {
-            let line = line.trim();
-            if !line.is_empty() {
-                out.insert(line.to_string());
-            }
-        }
-    }
-    Some(out)
-}
-
 fn usage(err: &str) -> ExitCode {
     eprintln!(
         "coaxial-lint: {err}\nusage: coaxial-lint [--root <dir>] [--format text|json|sarif] \
-         [--changed-only] [--list] [--explain <ID>]"
+         [--list] [--explain <ID>]"
     );
     ExitCode::FAILURE
 }

@@ -24,8 +24,8 @@ pub fn code_toks(src: &str) -> Vec<Tok> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDef {
     pub name: String,
-    /// Type text, tokens joined with spaces (`Vec < u64 >`). Used for
-    /// contains-checks (`HashMap`), not re-parsed.
+    /// Type text, tokens joined with spaces (`Vec < u64 >`); the resolver
+    /// and the unit dataflow read it.
     pub ty: String,
     pub is_pub: bool,
     pub line: u32,
@@ -48,7 +48,7 @@ pub struct FnDef {
     /// chunk's type text. Feeds the resolver's type binding.
     pub param_tys: Vec<String>,
     /// Return-type text up to any `where` clause (`-> Self`, empty if
-    /// none). Used for contains-checks only.
+    /// none); the resolver and the unit dataflow read it.
     pub ret: String,
     /// `(open_brace, close_brace)` indices into the code-token vector the
     /// parser ran over; `None` for bodyless trait methods.

@@ -7,30 +7,21 @@
 //! with the initializing type when it is syntactically visible), and
 //! string-literal metric paths passed to the registry methods.
 //!
-//! The graph carries two linkage layers (see [`Linkage`]):
-//!
-//! - **Bare names** (`calls`, `field_reads`): a `.seed` read anywhere
-//!   counts as a read of every struct field named `seed`. The historical
-//!   over-approximation — it can only *hide* violations, never invent
-//!   false positives.
-//! - **Resolved paths** (`calls_fq`, `reads_typed`, lock regions): a
-//!   [`crate::resolve::Resolver`] walk of the same body tracks a
-//!   lightweight type for the expression chain under the cursor
-//!   (parameter/let/struct-literal bindings, field types, method return
-//!   types) and attributes each site to a fully-qualified symbol. A site
-//!   the tracker cannot prove lands in `calls_unresolved` /
-//!   `reads_unresolved` and falls back to bare-name linking — so the
-//!   precise mode removes false cross-module links without ever losing a
-//!   reference the name-based graph would have seen. In
-//!   [`Linkage::ByName`] mode the fallback sets simply equal the bare
-//!   sets, which makes the old semantics a special case of the new
-//!   helpers.
+//! References are linked through resolved paths (`calls_fq`,
+//! `reads_typed`, lock regions): a [`crate::resolve::Resolver`] walk of
+//! each body tracks a lightweight type for the expression chain under the
+//! cursor (parameter/let/struct-literal bindings, field types, method
+//! return types) and attributes each site to a fully-qualified symbol. A
+//! site the tracker cannot prove lands in `calls_unresolved` /
+//! `reads_unresolved` and falls back to bare-name linking — a `.seed`
+//! read there counts as a read of every field named `seed`. That
+//! over-approximation can only *hide* violations, never invent them.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{Tok, TokKind};
 use crate::parser::{self, Item, ItemKind};
-use crate::resolve::{Linkage, Res, Resolver, TyRes};
+use crate::resolve::{Res, Resolver, TyRes};
 use crate::rules::FileCtx;
 
 /// Registry methods whose first string argument is a metric dot-path.
@@ -46,7 +37,7 @@ pub struct FieldWrite {
     pub type_name: Option<String>,
     /// Resolved fq of the written-to struct when the resolver proved it
     /// (struct literals via the literal head, dot-writes via the receiver
-    /// chain); `None` under bare-name linkage or on resolution failure.
+    /// chain); `None` on resolution failure.
     pub type_fq: Option<String>,
     pub field: String,
     /// The written value mentions a parameter of the enclosing fn — the
@@ -115,7 +106,7 @@ pub struct FnSym {
     pub owner: Option<String>,
     /// Fully-qualified ID: `module::name` for free fns,
     /// `owner_fq::name` for methods (`?::`-prefixed when the impl's
-    /// `Self` type did not resolve). Equals `name` under bare linkage.
+    /// `Self` type did not resolve).
     pub fq: String,
     pub line: u32,
     pub in_test: bool,
@@ -123,29 +114,25 @@ pub struct FnSym {
     /// Body token span in the file's code-token vector.
     pub body: Option<(usize, usize)>,
     pub params: Vec<String>,
-    /// Return type mentions `HashMap`/`HashSet` (feeds lint D01).
-    pub returns_hash: bool,
-    /// Free-fn and method call targets, by final name segment.
-    pub calls: BTreeSet<String>,
-    /// Resolved call targets by fq (resolved linkage only).
+    /// Resolved call targets by fq.
     pub calls_fq: BTreeSet<String>,
     /// Call names with at least one unresolved site — these link by bare
-    /// name. Equals `calls` under bare linkage.
+    /// name.
     pub calls_unresolved: BTreeSet<String>,
     /// Fields read (`.f` not in assignment-target position).
     pub field_reads: BTreeSet<String>,
     /// Reads attributed to a specific struct: `(struct_fq, field)`.
     pub reads_typed: BTreeSet<(String, String)>,
     /// Field names with at least one unresolved read site — these link by
-    /// bare name. Equals `field_reads` under bare linkage.
+    /// bare name.
     pub reads_unresolved: BTreeSet<String>,
     pub writes: Vec<FieldWrite>,
     pub metric_regs: Vec<MetricReg>,
-    /// Every call site in order (resolved linkage only).
+    /// Every call site in order.
     pub call_sites: Vec<CallSite>,
-    /// Spans holding a recognized mutex (resolved linkage only).
+    /// Spans holding a recognized mutex.
     pub lock_regions: Vec<LockRegion>,
-    /// Nested acquisitions observed in this body (resolved linkage only).
+    /// Nested acquisitions observed in this body.
     pub lock_order: Vec<LockEdge>,
 }
 
@@ -180,106 +167,35 @@ pub struct FileSyms {
 #[derive(Debug, Clone)]
 pub struct Workspace {
     pub files: BTreeMap<String, FileSyms>,
-    pub linkage: Linkage,
-    /// Present under [`Linkage::Resolved`].
-    pub resolver: Option<Resolver>,
-}
-
-impl Default for Workspace {
-    fn default() -> Self {
-        Self { files: BTreeMap::new(), linkage: Linkage::Resolved, resolver: None }
-    }
+    pub resolver: Resolver,
 }
 
 impl Workspace {
-    /// Build the graph from already-lexed file contexts (resolved
-    /// linkage — the default everywhere, fixtures included).
+    /// Build the graph from already-lexed file contexts.
     pub fn from_ctxs(ctxs: &[FileCtx]) -> Self {
-        Self::from_ctxs_linked(ctxs, Linkage::Resolved)
-    }
-
-    /// Build with an explicit linkage mode (the precision-differential
-    /// test runs both over the same tree).
-    pub fn from_ctxs_linked(ctxs: &[FileCtx], linkage: Linkage) -> Self {
-        let resolver = match linkage {
-            Linkage::ByName => None,
-            Linkage::Resolved => {
-                let files: Vec<(&str, &[Item])> =
-                    ctxs.iter().map(|c| (c.rel, c.items.as_slice())).collect();
-                Some(Resolver::build(&files))
-            }
-        };
-        let mut files = BTreeMap::new();
-        for ctx in ctxs {
-            files.insert(ctx.rel.to_string(), FileSyms::build(ctx, resolver.as_ref()));
-        }
-        Self { files, linkage, resolver }
+        let items: Vec<(&str, &[Item])> =
+            ctxs.iter().map(|c| (c.rel, c.items.as_slice())).collect();
+        let resolver = Resolver::build(&items);
+        let files =
+            ctxs.iter().map(|ctx| (ctx.rel.to_string(), FileSyms::build(ctx, &resolver))).collect();
+        Self { files, resolver }
     }
 
     /// Build the graph from `(rel, src)` pairs (fixture tests).
     pub fn from_sources(sources: &[(&str, &str)]) -> Self {
-        Self::from_sources_linked(sources, Linkage::Resolved)
-    }
-
-    pub fn from_sources_linked(sources: &[(&str, &str)], linkage: Linkage) -> Self {
         let ctxs: Vec<FileCtx> = sources.iter().map(|(rel, src)| FileCtx::new(rel, src)).collect();
-        Self::from_ctxs_linked(&ctxs, linkage)
-    }
-
-    /// Names of fns (anywhere) whose return type is a hash collection.
-    pub fn hash_returning_fns(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for syms in self.files.values() {
-            for f in &syms.fns {
-                if f.returns_hash {
-                    out.insert(f.name.clone());
-                }
-            }
-        }
-        out
-    }
-
-    /// The hash-returning fn names *visible in `rel`*: the global name
-    /// set, plus import aliases that resolve to hash-returning fns
-    /// (`use crate::index::build_index as bi` taints `bi`), minus names
-    /// that resolve in this file to a specifically non-hash fn.
-    pub fn hash_fn_names_for(&self, rel: &str) -> BTreeSet<String> {
-        let mut out = self.hash_returning_fns();
-        let Some(r) = &self.resolver else { return out };
-        let hash_fqs = r.hash_returning_fqs();
-        for (alias, res) in r.aliases_of(rel) {
-            match res {
-                Res::Fn(fq) if hash_fqs.contains(&fq) => {
-                    out.insert(alias);
-                }
-                // An alias shadowing a global hash-fn name with a
-                // provably different, non-hash target un-taints it.
-                Res::Fn(fq) => {
-                    out.remove(&alias);
-                    let _ = fq;
-                }
-                _ => {}
-            }
-        }
-        if let Some(module) = r.module_of(rel) {
-            out.retain(|name| match r.resolve_path(module, &[name], 8) {
-                Res::Fn(fq) => hash_fqs.contains(&fq),
-                _ => true, // methods/unknowns keep the conservative taint
-            });
-        }
-        out
+        Self::from_ctxs(&ctxs)
     }
 
     /// Method names of the `TelemetrySink`-style trait as seen from
     /// `rel`: resolve the trait name in the file's module when possible,
     /// falling back to the first same-named trait definition anywhere.
     pub fn trait_methods_for(&self, rel: &str, trait_name: &str) -> Option<Vec<String>> {
-        if let Some(r) = &self.resolver {
-            if let Some(module) = r.module_of(rel) {
-                if let Res::Type(fq) = r.resolve_path(module, &[trait_name], 8) {
-                    if let Some(methods) = r.traits.get(&fq) {
-                        return Some(methods.iter().cloned().collect());
-                    }
+        let r = &self.resolver;
+        if let Some(module) = r.module_of(rel) {
+            if let Res::Type(fq) = r.resolve_path(module, &[trait_name], 8) {
+                if let Some(methods) = r.traits.get(&fq) {
+                    return Some(methods.iter().cloned().collect());
                 }
             }
         }
@@ -302,15 +218,15 @@ impl Workspace {
     }
 
     /// The fq of the struct `name` defined in file `rel` (where the rule
-    /// specs point), when resolution is on.
+    /// specs point), if it resolves.
     pub fn struct_fq(&self, rel: &str, name: &str) -> Option<String> {
-        let r = self.resolver.as_ref()?;
+        let r = &self.resolver;
         let module = r.module_of(rel)?;
         let fq = format!("{module}::{name}");
         r.struct_fields.contains_key(&fq).then_some(fq)
     }
 
-    /// Does `f` read `field` of the struct `fq` under the graph's linkage?
+    /// Does `f` read `field` of the struct `fq`?
     /// An unresolved read of the right name always counts (fallback); a
     /// typed read counts only against its own struct.
     pub fn reads_field(&self, f: &FnSym, fq: Option<&str>, field: &str) -> bool {
@@ -326,23 +242,12 @@ impl Workspace {
 }
 
 impl FileSyms {
-    fn build(ctx: &FileCtx, resolver: Option<&Resolver>) -> Self {
+    fn build(ctx: &FileCtx, r: &Resolver) -> Self {
         let idents =
             ctx.code.iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text.clone()).collect();
         let mut out = Self { idents, ..Self::default() };
-        let module = resolver.and_then(|r| r.module_of(ctx.rel)).map(str::to_string);
-        let sem = match (resolver, module) {
-            (Some(r), Some(m)) => Some((r, m)),
-            _ => None,
-        };
-        collect_items(
-            &ctx.items,
-            &ctx.code,
-            None,
-            false,
-            sem.as_ref().map(|(r, m)| (*r, m.as_str())),
-            &mut out,
-        );
+        let module = r.module_of(ctx.rel).expect("Resolver::build registers every file");
+        collect_items(&ctx.items, &ctx.code, None, false, (r, module), &mut out);
         out
     }
 }
@@ -352,7 +257,7 @@ fn collect_items(
     code: &[Tok],
     owner: Option<(&str, &str)>, // (bare name, fq)
     in_test: bool,
-    sem: Option<(&Resolver, &str)>, // (resolver, module)
+    sem: (&Resolver, &str), // (resolver, module)
     out: &mut FileSyms,
 ) {
     for item in items {
@@ -369,12 +274,10 @@ fn collect_items(
             }),
             ItemKind::Fn(def) => out.fns.push(analyze_fn(item, def, code, owner, in_test, sem)),
             ItemKind::Impl { items: inner, .. } => {
-                let owner_fq = match sem {
-                    Some((r, module)) => match r.resolve_path(module, &[&item.name], 16) {
-                        Res::Type(fq) => fq,
-                        _ => format!("?::{module}::{}", item.name),
-                    },
-                    None => item.name.clone(),
+                let (r, module) = sem;
+                let owner_fq = match r.resolve_path(module, &[&item.name], 16) {
+                    Res::Type(fq) => fq,
+                    _ => format!("?::{module}::{}", item.name),
                 };
                 collect_items(inner, code, Some((&item.name, &owner_fq)), in_test, sem, out);
             }
@@ -385,19 +288,12 @@ fn collect_items(
                     .map(|i| i.name.clone())
                     .collect();
                 out.trait_methods.insert(item.name.clone(), methods);
-                let owner_fq = match sem {
-                    Some((_, module)) => format!("{module}::{}", item.name),
-                    None => item.name.clone(),
-                };
+                let owner_fq = format!("{}::{}", sem.1, item.name);
                 collect_items(inner, code, Some((&item.name, &owner_fq)), in_test, sem, out);
             }
             ItemKind::Mod { is_test, items: inner } => {
-                let sub = sem.map(|(_, m)| format!("{m}::{}", item.name));
-                let sem_inner = match (&sem, &sub) {
-                    (Some((r, _)), Some(s)) => Some((*r, s.as_str())),
-                    _ => None,
-                };
-                collect_items(inner, code, owner, in_test || *is_test, sem_inner, out);
+                let sub = format!("{}::{}", sem.1, item.name);
+                collect_items(inner, code, owner, in_test || *is_test, (sem.0, &sub), out);
             }
             ItemKind::Const { .. } | ItemKind::Use { .. } => {}
         }
@@ -843,12 +739,11 @@ fn analyze_fn(
     code: &[Tok],
     owner: Option<(&str, &str)>,
     in_test: bool,
-    sem_ctx: Option<(&Resolver, &str)>,
+    (r, module): (&Resolver, &str),
 ) -> FnSym {
-    let fq = match (sem_ctx, owner) {
-        (Some(_), Some((_, owner_fq))) => format!("{owner_fq}::{}", item.name),
-        (Some((_, module)), None) => format!("{module}::{}", item.name),
-        (None, _) => item.name.clone(),
+    let fq = match owner {
+        Some((_, owner_fq)) => format!("{owner_fq}::{}", item.name),
+        None => format!("{module}::{}", item.name),
     };
     let mut sym = FnSym {
         name: item.name.clone(),
@@ -859,8 +754,6 @@ fn analyze_fn(
         is_pub: item.is_pub,
         body: def.body,
         params: def.params.clone(),
-        returns_hash: def.ret.contains("HashMap") || def.ret.contains("HashSet"),
-        calls: BTreeSet::new(),
         calls_fq: BTreeSet::new(),
         calls_unresolved: BTreeSet::new(),
         field_reads: BTreeSet::new(),
@@ -875,34 +768,32 @@ fn analyze_fn(
     let Some((open, close)) = def.body else { return sym };
     let params: BTreeSet<&str> = def.params.iter().map(String::as_str).collect();
 
-    let mut sem = sem_ctx.map(|(r, module)| {
-        let mut scope = BTreeMap::new();
-        if let Some((_, owner_fq)) = owner {
-            if !owner_fq.starts_with('?') {
-                scope.insert("self".to_string(), Val::Typed(owner_fq.to_string()));
+    let mut scope = BTreeMap::new();
+    if let Some((_, owner_fq)) = owner {
+        if !owner_fq.starts_with('?') {
+            scope.insert("self".to_string(), Val::Typed(owner_fq.to_string()));
+        }
+    }
+    for (p, ty) in def.params.iter().zip(&def.param_tys) {
+        let resolved = r.resolve_type_text(module, ty);
+        if let Some(fq) = resolved.ty {
+            if !resolved.mutex {
+                scope.insert(p.clone(), Val::Typed(fq));
             }
         }
-        for (p, ty) in def.params.iter().zip(&def.param_tys) {
-            let resolved = r.resolve_type_text(module, ty);
-            if let Some(fq) = resolved.ty {
-                if !resolved.mutex {
-                    scope.insert(p.clone(), Val::Typed(fq));
-                }
-            }
-        }
-        SemState {
-            r,
-            module,
-            owner_fq: owner.map(|(_, f)| f.to_string()).filter(|f| !f.starts_with('?')),
-            scopes: vec![scope],
-            blocks: Vec::new(),
-            frames: Vec::new(),
-            cur: Val::None,
-            pending_call: None,
-            pending_let: None,
-            regions: Vec::new(),
-        }
-    });
+    }
+    let mut sem = SemState {
+        r,
+        module,
+        owner_fq: owner.map(|(_, f)| f.to_string()).filter(|f| !f.starts_with('?')),
+        scopes: vec![scope],
+        blocks: Vec::new(),
+        frames: Vec::new(),
+        cur: Val::None,
+        pending_call: None,
+        pending_let: None,
+        regions: Vec::new(),
+    };
 
     let mut j = open + 1;
     while j < close {
@@ -912,7 +803,6 @@ fn analyze_fn(
             && code.get(j + 1).is_some_and(|n| n.is_punct('('))
             && !parser::is_call_keyword(&t.text)
         {
-            sym.calls.insert(t.text.clone());
             sym.call_sites.push(CallSite {
                 pos: j,
                 line: t.line,
@@ -925,9 +815,7 @@ fn analyze_fn(
                     sym.metric_regs.push(reg);
                 }
             }
-            if let Some(s) = sem.as_mut() {
-                s.on_call(code, j, close, &mut sym);
-            }
+            sem.on_call(code, j, close, &mut sym);
         }
         // Field access: `.name` (a following `(` makes it a method call,
         // handled by the call branch when the walk reaches it).
@@ -966,9 +854,7 @@ fn analyze_fn(
             } else {
                 sym.field_reads.insert(name.text.clone());
             }
-            if let Some(s) = sem.as_mut() {
-                s.on_field(&name.text, plain_assign || compound_assign, compound_assign, &mut sym);
-            }
+            sem.on_field(&name.text, plain_assign || compound_assign, compound_assign, &mut sym);
         }
         // Struct literal: `TypeName {` / `Self {` in expression position.
         if t.kind == TokKind::Ident
@@ -982,13 +868,11 @@ fn analyze_fn(
                 Some(t.text.clone())
             };
             if let Some(ty) = ty {
-                let type_fq = sem.as_ref().and_then(|s| {
-                    let head = if t.text == "Self" { "Self" } else { ty.as_str() };
-                    match s.resolve_here(&[head]) {
-                        Res::Type(fq) => Some(fq),
-                        _ => None,
-                    }
-                });
+                let head = if t.text == "Self" { "Self" } else { ty.as_str() };
+                let type_fq = match sem.resolve_here(&[head]) {
+                    Res::Type(fq) => Some(fq),
+                    _ => None,
+                };
                 let lit_close = matching(code, j + 1);
                 collect_literal_inits(
                     code,
@@ -1001,19 +885,10 @@ fn analyze_fn(
                 );
             }
         }
-        if let Some(s) = sem.as_mut() {
-            s.on_token(code, j, close, &mut sym);
-        }
+        sem.on_token(code, j, close, &mut sym);
         j += 1;
     }
-    if let Some(s) = sem {
-        sym.lock_regions = s.regions;
-    } else {
-        // Bare linkage: the fallback sets equal the bare sets, so rules
-        // written against the resolved helpers reproduce old behavior.
-        sym.calls_unresolved = sym.calls.clone();
-        sym.reads_unresolved = sym.field_reads.clone();
-    }
+    sym.lock_regions = sem.regions;
     sym
 }
 
@@ -1282,13 +1157,11 @@ mod tests {
     }
 
     #[test]
-    fn hash_returning_fns_and_trait_methods() {
+    fn trait_method_sets_are_recorded() {
         let ws = Workspace::from_sources(&[(
             "crates/x/src/lib.rs",
-            "pub trait TelemetrySink { fn on_miss(&mut self); fn on_reset(&mut self); }\n\
-             fn build() -> HashMap<u64, u64> { HashMap::new() }",
+            "pub trait TelemetrySink { fn on_miss(&mut self); fn on_reset(&mut self); }",
         )]);
-        assert!(ws.hash_returning_fns().contains("build"));
         let methods = ws.trait_method_names("TelemetrySink").unwrap();
         assert_eq!(methods, ["on_miss", "on_reset"]);
     }
@@ -1384,18 +1257,5 @@ mod tests {
         assert_eq!(both.lock_order.len(), 1);
         assert_eq!(both.lock_order[0].held, "coaxial_system::server::A");
         assert_eq!(both.lock_order[0].acquired, "coaxial_system::server::B");
-    }
-
-    #[test]
-    fn byname_linkage_degenerates_to_bare_sets() {
-        let ws = Workspace::from_sources_linked(
-            &[("crates/dram/src/bank.rs", "fn check(t: &Timings) -> u64 { helper(); t.t_faw }")],
-            Linkage::ByName,
-        );
-        let f = &ws.files["crates/dram/src/bank.rs"].fns[0];
-        assert_eq!(f.calls_unresolved, f.calls);
-        assert_eq!(f.reads_unresolved, f.field_reads);
-        assert!(f.reads_typed.is_empty() && f.calls_fq.is_empty());
-        assert_eq!(f.fq, "check");
     }
 }

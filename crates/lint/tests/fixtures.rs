@@ -36,42 +36,6 @@ fn assert_fires(id: &str, findings: &[Finding], at_least: usize) {
 }
 
 #[test]
-fn d01_bad_fires_good_is_clean() {
-    // `counts.iter()`, `for … in &HashSet`, and two fn-return cases: a
-    // binding initialized from a hash-returning fn and a direct
-    // `build_index().keys()` chain.
-    let hash_fns = |src: &str| {
-        Workspace::from_sources(&[("crates/cache/src/fixture.rs", src)]).hash_returning_fns()
-    };
-    let bad = fixture("d01_bad.rs");
-    let ctx = FileCtx::new("crates/cache/src/fixture.rs", &bad);
-    let findings = rules::check_d01(&ctx, &hash_fns(&bad));
-    assert_fires("D01", &findings, 4);
-    let idents: BTreeSet<&str> = findings.iter().map(|f| f.ident.as_str()).collect();
-    assert!(idents.contains("idx"), "fn-return binding resolved: {findings:#?}");
-    assert!(idents.contains("build_index"), "direct call chain resolved: {findings:#?}");
-
-    let good = fixture("d01_good.rs");
-    let ctx = FileCtx::new("crates/cache/src/fixture.rs", &good);
-    assert_eq!(rules::check_d01(&ctx, &hash_fns(&good)), vec![]);
-}
-
-#[test]
-fn d02_bad_fires_good_is_clean() {
-    // Instant (twice: import + use) and SystemTime.
-    assert_fires("D02", &run(rules::check_d02, "d02_bad.rs"), 2);
-    assert_eq!(run(rules::check_d02, "d02_good.rs"), vec![]);
-}
-
-#[test]
-fn t01_bad_fires_good_is_clean() {
-    // Both `total_cycles as u32` and `latency as u32`.
-    assert_fires("T01", &run(rules::check_t01, "t01_bad.rs"), 2);
-    // try_into and a non-timing `core_id as u8` are fine.
-    assert_eq!(run(rules::check_t01, "t01_good.rs"), vec![]);
-}
-
-#[test]
 fn t02_bad_fires_good_is_clean() {
     // Float storage (`total_latency_cycles: f64`) and float accumulation
     // (`+= latency as f64`).
@@ -89,13 +53,6 @@ fn z01_bad_fires_good_is_clean() {
     assert_fires("Z01", &bad, 1);
     assert!(bad[0].ident == "on_miss", "the unguarded call is the on_miss: {bad:#?}");
     assert_eq!(run(|ctx| rules::check_z01(ctx, &sinks), "z01_good.rs"), vec![]);
-}
-
-#[test]
-fn u01_bad_fires_good_is_clean() {
-    assert_fires("U01", &run(rules::check_u01, "u01_bad.rs"), 1);
-    // SAFETY directly above, and SAFETY above with an attribute between.
-    assert_eq!(run(rules::check_u01, "u01_good.rs"), vec![]);
 }
 
 /// Run the unit dataflow rules on one fixture file as a tiny workspace.
@@ -136,16 +93,25 @@ fn q03_bad_fires_good_is_clean() {
     assert_eq!(good.q03, vec![], "a converted write satisfies the name's claim");
 }
 
+/// C01 over a fixture workspace: the struct's fields against one
+/// enforcing file.
+fn c01_fixture(config: &str) -> Vec<Finding> {
+    let spec = [rules::EnforceSpec {
+        struct_name: "FixtureTimings",
+        config_rel: "crates/dram/src/config.rs",
+        enforce_rels: &["crates/dram/src/constraints.rs"],
+    }];
+    let constraints = fixture("c01/constraints.rs");
+    let ws = Workspace::from_sources(&[
+        ("crates/dram/src/config.rs", &fixture(config)),
+        ("crates/dram/src/constraints.rs", &constraints),
+    ]);
+    rules::lint_cross_reference(&ws, &spec)
+}
+
 #[test]
 fn c01_orphaned_timing_parameter_is_caught() {
-    let config = fixture("c01/config_bad.rs");
-    let constraints = fixture("c01/constraints.rs");
-    let findings = rules::check_c01(
-        "c01/config_bad.rs",
-        &config,
-        "FixtureTimings",
-        &[("constraints.rs", &constraints)],
-    );
+    let findings = c01_fixture("c01/config_bad.rs");
     assert_eq!(findings.len(), 1, "{findings:#?}");
     assert_eq!(findings[0].id, "C01");
     assert_eq!(findings[0].ident, "t_orphan");
@@ -153,83 +119,44 @@ fn c01_orphaned_timing_parameter_is_caught() {
 
 #[test]
 fn c01_fully_enforced_config_is_clean() {
-    let config = fixture("c01/config_good.rs");
-    let constraints = fixture("c01/constraints.rs");
-    let findings = rules::check_c01(
-        "c01/config_good.rs",
-        &config,
-        "FixtureTimings",
-        &[("constraints.rs", &constraints)],
-    );
-    assert_eq!(findings, vec![]);
+    assert_eq!(c01_fixture("c01/config_good.rs"), vec![]);
+}
+
+/// C01 findings on the real tree for one config file.
+fn c01_real(mutate: Option<Mutation>, config_rel: &str) -> Vec<String> {
+    let ws = real_workspace(mutate);
+    rules::lint_cross_reference(&ws, rules::C01_PAIRS)
+        .into_iter()
+        .filter(|f| f.path == config_rel)
+        .map(|f| f.ident)
+        .collect()
 }
 
 /// C01 against the real tree: deliberately orphaning a DRAM timing
-/// parameter must be caught. We simulate "deleting every read of t_faw"
-/// by renaming the identifier in the constraint sources, which is
-/// equivalent to the constraint code no longer reading it.
+/// parameter must be caught. Renaming the identifier in the constraint
+/// source is equivalent to the constraint code no longer reading it.
 #[test]
 fn c01_catches_orphaned_dram_timing_in_real_tree() {
-    let root = repo_root();
-    let read = |rel: &str| std::fs::read_to_string(format!("{root}/{rel}")).unwrap();
-    let config = read("crates/dram/src/config.rs");
-    let bank = read("crates/dram/src/bank.rs");
-    let sub = read("crates/dram/src/subchannel.rs").replace("t_faw", "t_faw_unread");
-    let chan = read("crates/dram/src/channel.rs").replace("t_faw", "t_faw_unread");
-    let bank = bank.replace("t_faw", "t_faw_unread");
-    let findings = rules::check_c01(
-        "crates/dram/src/config.rs",
-        &config,
-        "DramTimings",
-        &[("bank.rs", &bank), ("subchannel.rs", &sub), ("channel.rs", &chan)],
-    );
-    assert_eq!(findings.len(), 1, "only t_faw orphaned: {findings:#?}");
-    assert_eq!(findings[0].ident, "t_faw");
-
+    let config = "crates/dram/src/config.rs";
+    let orphan = |src: &str| src.replace("t_faw", "t_faw_unread");
+    let idents = c01_real(Some(("crates/dram/src/subchannel.rs", &orphan)), config);
+    assert_eq!(idents, ["t_faw"], "only t_faw orphaned");
     // And the untouched tree is fully enforced.
-    let sub = read("crates/dram/src/subchannel.rs");
-    let chan = read("crates/dram/src/channel.rs");
-    let bank = read("crates/dram/src/bank.rs");
-    let clean = rules::check_c01(
-        "crates/dram/src/config.rs",
-        &config,
-        "DramTimings",
-        &[("bank.rs", &bank), ("subchannel.rs", &sub), ("channel.rs", &chan)],
-    );
-    assert_eq!(clean, vec![], "every DramTimings field is read by the constraint code");
+    assert_eq!(c01_real(None, config), Vec::<String>::new());
 }
 
 /// C01 against the real CXL tree: orphaning a link-transfer parameter
 /// (same rename trick as the DRAM test above) must be caught.
 #[test]
 fn c01_catches_orphaned_cxl_link_parameter_in_real_tree() {
-    let root = repo_root();
-    let read = |rel: &str| std::fs::read_to_string(format!("{root}/{rel}")).unwrap();
-    let config = read("crates/cxl/src/config.rs");
-    let chan = read("crates/cxl/src/channel.rs").replace("port_latency", "port_latency_unread");
-    let mem = read("crates/cxl/src/memory.rs").replace("port_latency", "port_latency_unread");
-    let findings = rules::check_c01(
-        "crates/cxl/src/config.rs",
-        &config,
-        "CxlLinkConfig",
-        &[("channel.rs", &chan), ("memory.rs", &mem)],
-    );
-    let idents: Vec<&str> = findings.iter().map(|f| f.ident.as_str()).collect();
-    assert!(idents.contains(&"port_latency"), "orphaned port_latency caught: {findings:#?}");
-
+    let config = "crates/cxl/src/config.rs";
+    let orphan = |src: &str| src.replace("port_latency", "port_latency_unread");
+    let idents = c01_real(Some(("crates/cxl/src/channel.rs", &orphan)), config);
+    assert!(idents.contains(&"port_latency".to_string()), "orphan missed: {idents:?}");
     // The untouched tree flags exactly the report-only `name` tag (the one
     // CxlLinkConfig field the link pipeline legitimately never reads),
     // which lint-allow.toml suppresses with that justification.
-    let chan = read("crates/cxl/src/channel.rs");
-    let mem = read("crates/cxl/src/memory.rs");
-    let clean = rules::check_c01(
-        "crates/cxl/src/config.rs",
-        &config,
-        "CxlLinkConfig",
-        &[("channel.rs", &chan), ("memory.rs", &mem)],
-    );
-    let idents: Vec<&str> = clean.iter().map(|f| f.ident.as_str()).collect();
-    assert_eq!(idents, vec!["name"], "every transfer-cost field is read: {clean:#?}");
+    assert_eq!(c01_real(None, config), ["name"], "every transfer-cost field is read");
 }
 
 // ---------------------------------------------------------------------------
@@ -370,20 +297,32 @@ fn m01_bad_paths_and_unstamped_variant_are_caught_good_is_clean() {
 /// A (relative path, source rewriter) pair for mutation tests.
 type Mutation<'a> = (&'a str, &'a dyn Fn(&str) -> String);
 
-/// Load every workspace source, optionally rewriting one file's text.
-fn real_workspace(mutate: Option<Mutation>) -> Workspace {
+/// Load every workspace source, optionally rewrite one file's text and
+/// append extra files, and build the workspace over the result.
+fn real_tree_with(
+    extra: &[(&str, &str)],
+    rewrite: Option<Mutation>,
+) -> (Vec<(String, String)>, Workspace) {
     let root = repo_root();
     let mut sources =
         coaxial_lint::workspace_sources(std::path::Path::new(&root)).expect("readable tree");
-    if let Some((rel, f)) = mutate {
+    if let Some((rel, f)) = rewrite {
         let entry = sources
             .iter_mut()
             .find(|(r, _)| r == rel)
             .unwrap_or_else(|| panic!("{rel} not in workspace"));
         entry.1 = f(&entry.1);
     }
+    for (rel, src) in extra {
+        sources.push(((*rel).to_string(), (*src).to_string()));
+    }
     let pairs: Vec<(&str, &str)> = sources.iter().map(|(r, s)| (r.as_str(), s.as_str())).collect();
-    Workspace::from_sources(&pairs)
+    let ws = Workspace::from_sources(&pairs);
+    (sources, ws)
+}
+
+fn real_workspace(mutate: Option<Mutation>) -> Workspace {
+    real_tree_with(&[], mutate).1
 }
 
 /// Injecting a phantom pub field into DramTimings must be flagged by both
@@ -452,15 +391,7 @@ fn m01_catches_unstamped_component_in_real_tree() {
 /// Run the unit dataflow battery over the real tree, optionally rewriting
 /// one file, and return just the (id, path, ident) triples of Q findings.
 fn real_tree_units(mutate: Option<Mutation>) -> Vec<(String, String, String)> {
-    let root = repo_root();
-    let mut sources =
-        coaxial_lint::workspace_sources(std::path::Path::new(&root)).expect("readable tree");
-    if let Some((rel, f)) = mutate {
-        let entry = sources.iter_mut().find(|(r, _)| r == rel).expect("rewrite target");
-        entry.1 = f(&entry.1);
-    }
-    let pairs: Vec<(&str, &str)> = sources.iter().map(|(r, s)| (r.as_str(), s.as_str())).collect();
-    let ws = Workspace::from_sources(&pairs);
+    let (sources, ws) = real_tree_with(&[], mutate);
     let ctxs: Vec<FileCtx> = sources.iter().map(|(rel, src)| FileCtx::new(rel, src)).collect();
     let u = coaxial_lint::flow::check_units(&ctxs, &ws);
     u.q01
@@ -607,7 +538,7 @@ fn sarif_report_shape_is_stable() {
 fn malformed_allow_entry_missing_reason_is_rejected() {
     let bad = r#"
 [[allow]]
-lint = "D01"
+lint = "E01"
 path = "crates/sim/src/lru.rs"
 "#;
     let err = coaxial_lint::allow::parse(bad).unwrap_err();
@@ -687,67 +618,8 @@ fn e04_real_tree_is_clean_and_catches_mutations() {
 }
 
 // ---------------------------------------------------------------------------
-// Resolver-era tests: renamed-import taint, L01/E05 self-tests, cross-link
-// precision, and the ByName-vs-Resolved differential.
+// Resolver-era tests: L01/E05 self-tests and cross-link precision.
 // ---------------------------------------------------------------------------
-
-use coaxial_lint::resolve::Linkage;
-
-/// D01 must see hash iteration through a `use … as` renamed import: the
-/// alias `bi` is a hash-returning fn even though no fn of that *name*
-/// exists anywhere. Bare-name linking cannot know that — the false
-/// negative the resolver closes.
-#[test]
-fn d01_taint_flows_through_renamed_imports() {
-    let index = "use std::collections::HashMap;\n\
-                 pub fn build_index() -> HashMap<u64, u32> { HashMap::new() }\n";
-    let user = "use crate::index::build_index as bi;\n\
-                pub fn scan() -> Vec<u64> {\n    let m = bi();\n    m.keys().copied().collect()\n}\n";
-    let sources = [
-        ("crates/cache/src/lib.rs", "pub mod index;\npub mod user;\n"),
-        ("crates/cache/src/index.rs", index),
-        ("crates/cache/src/user.rs", user),
-    ];
-    let ctx = FileCtx::new("crates/cache/src/user.rs", user);
-
-    let ws = Workspace::from_sources(&sources);
-    let findings = rules::check_d01(&ctx, &ws.hash_fn_names_for("crates/cache/src/user.rs"));
-    assert_fires("D01", &findings, 1);
-
-    let old = Workspace::from_sources_linked(&sources, Linkage::ByName);
-    assert_eq!(
-        rules::check_d01(&ctx, &old.hash_fn_names_for("crates/cache/src/user.rs")),
-        vec![],
-        "name-based linking cannot see through the rename; if this starts firing, \
-         the differential below needs updating"
-    );
-}
-
-/// An alias that *shadows* a hash-fn name with a provably different,
-/// non-hash target must be un-tainted — the precision half of the same
-/// mechanism.
-#[test]
-fn d01_shadowing_alias_untaints() {
-    let sources = [
-        ("crates/cache/src/lib.rs", "pub mod index;\npub mod user;\n"),
-        (
-            "crates/cache/src/index.rs",
-            "use std::collections::HashMap;\n\
-             pub fn build_index() -> HashMap<u64, u32> { HashMap::new() }\n\
-             pub fn build_list() -> Vec<u64> { Vec::new() }\n",
-        ),
-        (
-            "crates/cache/src/user.rs",
-            "use crate::index::build_list as build_index;\n\
-             pub fn scan() -> Vec<u64> {\n    let m = build_index();\n    m.iter().copied().collect()\n}\n",
-        ),
-    ];
-    let ws = Workspace::from_sources(&sources);
-    let names = ws.hash_fn_names_for("crates/cache/src/user.rs");
-    assert!(!names.contains("build_index"), "shadowed alias still tainted: {names:?}");
-    let ctx = FileCtx::new("crates/cache/src/user.rs", sources[2].1);
-    assert_eq!(rules::check_d01(&ctx, &names), vec![]);
-}
 
 /// L01 self-test on a synthetic gateway crate: heavy work reachable under
 /// a live guard, interprocedural re-acquisition, intra-body
@@ -911,33 +783,9 @@ fn main() {
     assert_eq!(run(good_bin), vec![], "fully wired twin must be clean");
 }
 
-/// Load the real tree, apply rewrites, append extra files, and build the
-/// workspace under `linkage` (with matching `FileCtx`s for the rules that
-/// want them).
-fn real_tree_with(
-    extra: &[(&str, &str)],
-    rewrite: Option<Mutation>,
-    linkage: Linkage,
-) -> (Vec<(String, String)>, Workspace) {
-    let root = repo_root();
-    let mut sources =
-        coaxial_lint::workspace_sources(std::path::Path::new(&root)).expect("readable tree");
-    if let Some((rel, f)) = rewrite {
-        let entry = sources.iter_mut().find(|(r, _)| r == rel).expect("rewrite target");
-        entry.1 = f(&entry.1);
-    }
-    for (rel, src) in extra {
-        sources.push(((*rel).to_string(), (*src).to_string()));
-    }
-    let pairs: Vec<(&str, &str)> = sources.iter().map(|(r, s)| (r.as_str(), s.as_str())).collect();
-    let ws = Workspace::from_sources_linked(&pairs, linkage);
-    (sources, ws)
-}
-
 /// A same-named `DramTimings` in a different crate whose own field is
 /// read must NOT credit the real `DramTimings` field: E01 keeps flagging
-/// the injected phantom under resolved linkage, while bare-name linkage
-/// is fooled — the cross-link false negative the resolver removes.
+/// the injected phantom.
 #[test]
 fn e01_does_not_cross_link_same_named_structs() {
     let decoy = "pub struct DramTimings { pub t_phantom: u64 }\n\
@@ -945,30 +793,21 @@ fn e01_does_not_cross_link_same_named_structs() {
     let add_field = |src: &str| {
         src.replace("pub t_faw: Cycle,", "pub t_faw: Cycle,\n    pub t_phantom: Cycle,")
     };
-    let run = |linkage| {
-        let (_, ws) = real_tree_with(
-            &[("crates/workloads/src/decoy_timings.rs", decoy)],
-            Some(("crates/dram/src/config.rs", &add_field)),
-            linkage,
-        );
-        let idents: Vec<String> =
-            rules::check_e01(&ws, rules::E01_STRUCTS).into_iter().map(|f| f.ident).collect();
-        idents
-    };
-    assert!(
-        run(Linkage::Resolved).contains(&"t_phantom".to_string()),
-        "resolved linkage let a decoy-crate read credit the real field"
+    let (_, ws) = real_tree_with(
+        &[("crates/workloads/src/decoy_timings.rs", decoy)],
+        Some(("crates/dram/src/config.rs", &add_field)),
     );
+    let idents: Vec<String> =
+        rules::check_e01(&ws, rules::E01_STRUCTS).into_iter().map(|f| f.ident).collect();
     assert!(
-        !run(Linkage::ByName).contains(&"t_phantom".to_string()),
-        "ByName is expected to be fooled by the decoy; if this starts failing the \
-         differential premise changed"
+        idents.contains(&"t_phantom".to_string()),
+        "a decoy-crate read credited the real field"
     );
 }
 
 /// A local struct in the prefill path with a field *named like* a timing
 /// knob must not trip E03: the typed read resolves to the decoy struct,
-/// not the timing config. Bare-name linkage false-positives on it.
+/// not the timing config.
 #[test]
 fn e03_does_not_cross_link_same_named_fields() {
     let inject = |src: &str| {
@@ -979,25 +818,17 @@ fn e03_does_not_cross_link_same_named_fields() {
         );
         format!("{s}\nstruct PrefillDecoy {{ calm_epoch: u64 }}\n")
     };
-    let run = |linkage| {
-        let (_, ws) = real_tree_with(&[], Some(("crates/system/src/server.rs", &inject)), linkage);
-        rules::check_e03(&ws, &rules::E03_SPEC)
-    };
+    let (_, ws) = real_tree_with(&[], Some(("crates/system/src/server.rs", &inject)));
     assert_eq!(
-        run(Linkage::Resolved),
+        rules::check_e03(&ws, &rules::E03_SPEC),
         vec![],
         "a typed read of a non-timing struct must not be flagged"
-    );
-    assert!(
-        run(Linkage::ByName).iter().any(|f| f.ident == "calm_epoch"),
-        "ByName is expected to false-positive on the decoy field name"
     );
 }
 
 /// A different crate's own `TelemetrySink` trait (different methods) must
 /// shadow the telemetry crate's for files in that module: a same-named
-/// inherent method `.on_miss()` there is not a sink call. Bare-name
-/// linkage falls back to the global trait and false-positives.
+/// inherent method `.on_miss()` there is not a sink call.
 #[test]
 fn z01_does_not_cross_link_same_named_traits() {
     let decoy = "pub trait TelemetrySink { fn frobnicate(&mut self); }\n\
@@ -1005,81 +836,12 @@ fn z01_does_not_cross_link_same_named_traits() {
                  impl Probe { pub fn on_miss(&mut self) {} }\n\
                  pub fn poke(p: &mut Probe) { p.on_miss(); }\n";
     let rel = "crates/workloads/src/decoy_sink.rs";
-    let fallback = || ["on_miss", "on_span", "on_reset"].iter().map(|s| (*s).to_string()).collect();
-    let run = |linkage| {
-        let (_, ws) = real_tree_with(&[(rel, decoy)], None, linkage);
-        let sinks = ws.trait_methods_for(rel, "TelemetrySink").unwrap_or_else(fallback);
-        let ctx = FileCtx::new(rel, decoy);
-        rules::check_z01(&ctx, &sinks)
-    };
+    let (_, ws) = real_tree_with(&[(rel, decoy)], None);
+    let sinks = ws.trait_methods_for(rel, "TelemetrySink").expect("the local trait resolves");
+    let ctx = FileCtx::new(rel, decoy);
     assert_eq!(
-        run(Linkage::Resolved),
+        rules::check_z01(&ctx, &sinks),
         vec![],
         "the local trait (no on_miss) must shadow the telemetry crate's"
     );
-    assert!(
-        run(Linkage::ByName).iter().any(|f| f.ident == "on_miss"),
-        "ByName is expected to false-positive via the global trait lookup"
-    );
-}
-
-/// The acceptance differential: run the full rule battery under the old
-/// bare-name linkage and the new resolved linkage over the real tree and
-/// account for every finding-set delta. Resolved-only findings would be
-/// regressions (the tree is kept clean); ByName-only findings must each
-/// be an understood false positive of name-based linking.
-#[test]
-fn precision_differential_old_vs_new_linkage_is_fully_accounted() {
-    let battery = |linkage| -> BTreeSet<(String, String, String)> {
-        let (sources, ws) = real_tree_with(&[], None, linkage);
-        let ctxs: Vec<FileCtx> = sources.iter().map(|(rel, src)| FileCtx::new(rel, src)).collect();
-        let mut timings = std::collections::BTreeMap::new();
-        let mut raw = Vec::new();
-        for ctx in &ctxs {
-            raw.extend(rules::lint_file_timed(ctx, &ws, &mut timings));
-        }
-        raw.extend(rules::lint_cross_file_timed(&ws, &ctxs, &mut timings));
-        raw.into_iter().map(|f| (f.id.to_string(), f.path, f.ident)).collect()
-    };
-    let new = battery(Linkage::Resolved);
-    let old = battery(Linkage::ByName);
-
-    // No new findings appear under resolution: the tree is kept clean and
-    // resolution only ever *narrows* what a reference can mean.
-    let new_only: Vec<_> = new.difference(&old).collect();
-    assert_eq!(new_only, Vec::<&(String, String, String)>::new());
-
-    // ByName-only findings, each an understood bare-name false positive.
-    // Under name linkage every unresolved `.parse()`/`.get()`/`.join()`
-    // call links to every same-named fn workspace-wide, so distinct CLI
-    // arms' library entry sets explode into near-identical unions and
-    // E05's silent-alias check (b) misfires on the second arm of the
-    // colliding pair (`compare`/`sweep-latency`). The `run`/`http` pair
-    // used to collide the same way until the sampled-mode branch gave
-    // `run` entry points (`run_sampled`, `sampled_report_to_json`) that
-    // no bare name in `http`'s arm links to, so even the imprecise union
-    // now tells them apart. The resolver keeps every pair distinct,
-    // which is exactly the precision the rebase bought. Any NEW delta
-    // beyond this one must be re-derived and documented here.
-    let old_only: BTreeSet<_> = old.difference(&new).cloned().collect();
-    let expected: BTreeSet<(String, String, String)> =
-        [("E05".into(), "src/bin/coaxial.rs".into(), "sweep-latency".into())].into_iter().collect();
-    assert_eq!(old_only, expected, "unaccounted linkage delta");
-
-    // The unit dataflow rules (Q01–Q03) honor the precision contract under
-    // both linkages: losing call resolution (ByName) turns summaries into
-    // Unknown, and Unknown only *hides* findings — so on the Q-clean tree
-    // the delta is pinned at exactly zero in both directions.
-    let q = |set: &BTreeSet<(String, String, String)>| -> BTreeSet<_> {
-        set.iter().filter(|(id, _, _)| id.starts_with('Q')).cloned().collect()
-    };
-    assert_eq!(q(&new), BTreeSet::new(), "resolved tree must be Q-clean");
-    assert_eq!(q(&old), BTreeSet::new(), "ByName may only lose Q findings, never invent them");
-
-    // C01's ident-credit scan is deliberately name-based (documented
-    // imprecision): identical findings under both linkages.
-    let c01 = |set: &BTreeSet<(String, String, String)>| -> BTreeSet<_> {
-        set.iter().filter(|(id, _, _)| id == "C01").cloned().collect()
-    };
-    assert_eq!(c01(&new), c01(&old), "C01 must be linkage-independent");
 }

@@ -364,7 +364,7 @@ mod tests {
     }
 
     /// Unique scratch dir per test without wall-clock or randomness
-    /// (lint D02): pid + test label.
+    /// (clippy.toml disallowed-types): pid + test label.
     fn scratch(label: &str) -> PathBuf {
         std::env::temp_dir().join(format!("coaxial-ckpt-{}-{label}", std::process::id()))
     }

@@ -1,7 +1,7 @@
 //! Typed narrowing helpers.
 //!
-//! The workspace gates `clippy::cast_possible_truncation`, and lint T01
-//! forbids bare lossy `as` casts on cycle-carrying integers. Every
+//! The workspace gates `clippy::cast_possible_truncation`, which forbids
+//! bare lossy `as` casts on cycle-carrying integers. Every
 //! intentional narrowing goes through one of these helpers instead, so the
 //! conversion's contract is named at the call site and the unchecked cast
 //! lives in exactly one reviewed place per shape.

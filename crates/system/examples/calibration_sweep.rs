@@ -1,3 +1,5 @@
+#![expect(clippy::disallowed_types, reason = "prints the sweep's host wall time")]
+
 use coaxial_system::experiments::{fig5_main, geomean_speedup, Budget};
 
 fn main() {

@@ -236,8 +236,8 @@ pub fn fig6_mixes_full(count: u64, budget: Budget, weighted: bool) -> Vec<MixRow
 
     // Isolated runs for the weighted metric: one per distinct
     // (workload, system) pair across all mixes, also batched. The map and
-    // the dedup set below are keyed-lookup only — never iterated (lint
-    // D01); report rows come from the ordered `mixes_v` walk.
+    // the dedup set below are keyed-lookup only — never iterated
+    // (clippy.toml disallowed-methods); report rows come from the ordered `mixes_v` walk.
     let alone: HashMap<(&str, bool), f64> = if weighted {
         let mut seen = HashSet::new();
         let mut distinct: Vec<(&'static Workload, bool)> = Vec::new();

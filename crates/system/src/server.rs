@@ -607,6 +607,13 @@ impl Simulation {
         };
         let mut hierarchy = Hierarchy::with_telemetry(hier_cfg, backend, tel);
 
+        #[expect(
+            clippy::disallowed_types,
+            reason = "host-side prefill/loop wall time for the COAXIAL_DEBUG diagnostic and the \
+                      server.prefill.wall_ns/loop_wall_ns registry metrics; it feeds wall-time \
+                      reporting only (excluded from the differential tests) and never touches \
+                      simulated state or figure output"
+        )]
         let dbg_t0 = std::time::Instant::now();
         let restored = self.prefill_hierarchy(&mut hierarchy);
         hierarchy.finish_prefill();

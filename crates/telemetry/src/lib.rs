@@ -29,7 +29,7 @@
 //! can re-export the stats primitives) and therefore defines its own
 //! [`Cycle`] alias; it is the same `u64` cycle count as `coaxial_sim::Cycle`.
 
-// No unsafe anywhere in this crate (lint U01 audit); keep it that way.
+// No unsafe anywhere in this crate; keep it that way (clippy::undocumented_unsafe_blocks).
 #![forbid(unsafe_code)]
 
 pub mod attribution;

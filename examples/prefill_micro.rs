@@ -5,6 +5,8 @@
 //! cargo run --release --example prefill_micro
 //! ```
 
+#![expect(clippy::disallowed_types, reason = "a microbenchmark measures host wall time")]
+
 use std::time::Instant;
 
 use coaxial::cache::{CalmPolicy, Hierarchy, HierarchyConfig};

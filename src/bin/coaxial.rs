@@ -414,6 +414,7 @@ fn main() {
             let o = parse_opts(rest);
             let w = workload(wl);
             let run = || {
+                #[expect(clippy::disallowed_types, reason = "reports each run's host wall time")]
                 let t = std::time::Instant::now();
                 let (_, _, m) = Simulation::new(build_config(&o), w)
                     .instructions_per_core(o.instr)

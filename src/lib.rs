@@ -32,7 +32,7 @@
 //! assert!(coax.ipc > 0.0 && base.ipc > 0.0);
 //! ```
 
-// No unsafe anywhere in this crate (lint U01 audit); keep it that way.
+// No unsafe anywhere in this crate; keep it that way (clippy::undocumented_unsafe_blocks).
 #![forbid(unsafe_code)]
 
 pub use coaxial_cache as cache;
