@@ -11,6 +11,12 @@ use std::net::TcpStream;
 /// anything near this limit is abuse, not simulation.
 const MAX_BODY_BYTES: u64 = 1 << 20;
 
+/// Cap on the request line and on each header line, CRLF included.
+const MAX_LINE_BYTES: u64 = 8 * 1024;
+
+/// Cap on header lines per request.
+const MAX_HEADERS: usize = 64;
+
 /// One parsed HTTP request.
 #[derive(Debug)]
 pub struct Request {
@@ -22,28 +28,47 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
+fn invalid(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// Read one line of at most [`MAX_LINE_BYTES`]; longer is `InvalidData`.
+fn read_capped_line(stream: &mut impl BufRead) -> std::io::Result<String> {
+    let mut line = String::new();
+    stream.take(MAX_LINE_BYTES + 1).read_line(&mut line)?;
+    if line.len() as u64 > MAX_LINE_BYTES {
+        return Err(invalid("request line or header too long"));
+    }
+    Ok(line)
+}
+
 impl Request {
     pub fn header(&self, name: &str) -> Option<&str> {
         self.headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
     }
 
-    /// Read one request from the stream (no keep-alive).
-    pub fn read_from(stream: &mut BufReader<TcpStream>) -> std::io::Result<Request> {
-        let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let mut line = String::new();
-        stream.read_line(&mut line)?;
+    /// Read one request from the stream (no keep-alive). A stream that
+    /// ends before the first byte is `UnexpectedEof`; a request past the
+    /// line, header or body caps is `InvalidData`.
+    pub fn read_from<R: BufRead>(stream: &mut R) -> std::io::Result<Request> {
+        let line = read_capped_line(stream)?;
+        if line.is_empty() {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
         let mut parts = line.split_whitespace();
-        let method = parts.next().ok_or_else(|| bad("empty request line"))?.to_string();
-        let target = parts.next().ok_or_else(|| bad("missing request target"))?;
+        let method = parts.next().ok_or_else(|| invalid("empty request line"))?.to_string();
+        let target = parts.next().ok_or_else(|| invalid("missing request target"))?;
         let path = target.split('?').next().unwrap_or(target).to_string();
 
         let mut headers = Vec::new();
-        loop {
-            let mut h = String::new();
-            stream.read_line(&mut h)?;
+        for n in 0.. {
+            let h = read_capped_line(stream)?;
             let h = h.trim_end();
             if h.is_empty() {
                 break;
+            }
+            if n == MAX_HEADERS {
+                return Err(invalid("too many headers"));
             }
             if let Some((k, v)) = h.split_once(':') {
                 headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
@@ -56,7 +81,7 @@ impl Request {
             .and_then(|(_, v)| v.parse().ok())
             .unwrap_or(0);
         if len > MAX_BODY_BYTES {
-            return Err(bad("request body too large"));
+            return Err(invalid("request body too large"));
         }
         let mut body = vec![0u8; coaxial_sim::idx(len)];
         stream.read_exact(&mut body)?;
@@ -227,4 +252,97 @@ pub fn client_request(method: &str, url: &str, body: &[u8]) -> std::io::Result<C
         out
     };
     Ok(ClientResponse { status, headers, body })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use coaxial_sim::SplitMix64;
+    use std::io::ErrorKind;
+
+    fn parse(bytes: &[u8]) -> std::io::Result<Request> {
+        Request::read_from(&mut &bytes[..])
+    }
+
+    /// `GET` with `n` headers, ended by the blank line.
+    fn with_headers(n: usize) -> Vec<u8> {
+        let mut r = b"GET /healthz HTTP/1.1\r\n".to_vec();
+        for i in 0..n {
+            r.extend_from_slice(format!("x-h{i}: v\r\n").as_bytes());
+        }
+        r.extend_from_slice(b"\r\n");
+        r
+    }
+
+    /// A request line of exactly `len` bytes, CRLF included.
+    fn line_of(len: usize) -> Vec<u8> {
+        let mut r = b"GET /".to_vec();
+        r.resize(len - 2, b'a');
+        r.extend_from_slice(b"\r\n\r\n");
+        r
+    }
+
+    #[test]
+    fn caps_hold_at_their_bounds() {
+        let max_line = coaxial_sim::idx(MAX_LINE_BYTES);
+        assert!(parse(&with_headers(MAX_HEADERS)).is_ok());
+        assert_eq!(
+            parse(&with_headers(MAX_HEADERS + 1)).unwrap_err().kind(),
+            ErrorKind::InvalidData
+        );
+        assert!(parse(&line_of(max_line)).is_ok());
+        assert_eq!(parse(&line_of(max_line + 1)).unwrap_err().kind(), ErrorKind::InvalidData);
+        let body_cap = format!("POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+        assert_eq!(parse(body_cap.as_bytes()).unwrap_err().kind(), ErrorKind::InvalidData);
+        // A client that hangs up before its first byte sent no request.
+        assert_eq!(parse(b"").unwrap_err().kind(), ErrorKind::UnexpectedEof);
+    }
+
+    /// Seeded byte fuzzer over `read_from`: HTTP-shaped fragments, raw
+    /// bytes and near-cap runs in random order. No input may panic or get
+    /// a body past the cap, and no suffix may rescue an over-long line or
+    /// a 65th header.
+    #[test]
+    fn seeded_fuzz_never_panics_and_never_passes_a_cap() {
+        let mut rng = SplitMix64::new(0x4854_5450);
+        let max_line = coaxial_sim::idx(MAX_LINE_BYTES);
+        let lengths = [0, 1, 3, 8, MAX_BODY_BYTES, MAX_BODY_BYTES + 1, u64::MAX];
+        let (mut parsed, mut with_body) = (0, 0);
+        for case in 0..3000 {
+            let mut input = Vec::new();
+            for _ in 0..=rng.next_below(12) {
+                match rng.next_below(7) {
+                    0 => input.extend_from_slice(b"POST /v1/run?x=1 HTTP/1.1\r\n"),
+                    1 => {
+                        let n = lengths[coaxial_sim::idx(rng.next_below(lengths.len() as u64))];
+                        input.extend_from_slice(format!("Content-Length: {n}\r\n\r\n").as_bytes());
+                    }
+                    2 => input.extend_from_slice(b"x-h: v\r\n"),
+                    3 => input.extend_from_slice(b"\r\n"),
+                    4 => {
+                        let len = max_line - 16 + coaxial_sim::idx(rng.next_below(32));
+                        input.resize(input.len() + len, b'a');
+                    }
+                    _ => {
+                        for _ in 0..rng.next_below(64) {
+                            input.push(rng.next_u64().to_le_bytes()[0]);
+                        }
+                    }
+                }
+            }
+            let tail = &input[coaxial_sim::idx(rng.next_below(input.len() as u64 + 1))..];
+            if let Ok(req) = parse(tail) {
+                assert!(req.body.len() as u64 <= MAX_BODY_BYTES, "case {case}: body over the cap");
+                parsed += 1;
+                with_body += usize::from(!req.body.is_empty());
+            }
+            for mut bad in [line_of(max_line + 1 + case % 64), with_headers(MAX_HEADERS + 1)] {
+                bad.truncate(bad.len() - 2); // the blank line; the caps fire before it
+                bad.extend_from_slice(tail);
+                let err = parse(&bad).expect_err("a suffix rescued a capped request");
+                assert_eq!(err.kind(), ErrorKind::InvalidData, "case {case}");
+            }
+        }
+        assert!(parsed > 0 && with_body > 0, "the fuzzer must reach the body path");
+    }
 }

@@ -1,17 +1,23 @@
 //! The serve loop: listener, worker pool, request routing, and graceful
 //! shutdown.
 //!
-//! One thread accepts connections (non-blocking + short sleep so it can
-//! observe the shutdown flags); each connection is handled on its own
-//! thread (requests block for seconds on simulations, so a handler
+//! One thread blocks in `accept()` and hands each connection to a thread
+//! of its own (requests block for seconds on simulations, so a handler
 //! thread per connection is the simple and correct shape); `workers`
 //! dedicated threads drain the job queue. SIGTERM and `POST /shutdown`
-//! both flip [`Gateway::draining`]: admission starts answering 503, the
-//! queue drains, and the process exits once no work remains — an
-//! accepted job is never dropped.
+//! both flip [`Gateway::draining`]: admission starts answering 503 and the
+//! queue drains — an accepted job is never dropped. One lifecycle thread
+//! decides when the gateway stops: once the drain completes it sets
+//! [`Gateway::stopped`] and wakes the blocked `accept()` with a loopback
+//! connection, so no thread polls on the request path.
+//!
+//! Every input is bounded: request lines and headers are capped in
+//! [`crate::http`], each connection gets read and write timeouts, and
+//! past [`MAX_CONNECTIONS`] live connections the accept thread answers
+//! 503 itself instead of spawning another handler.
 
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,7 +32,19 @@ use crate::request::{parse_run, parse_sweep};
 use crate::state::{Admission, Gateway, Job, JobKind, JobStatus};
 use crate::GatewayConfig;
 
-/// Flipped by the SIGTERM handler; polled by the accept loop.
+/// Live connections (handler threads) before the accept thread answers
+/// new ones with 503 itself.
+pub const MAX_CONNECTIONS: usize = 256;
+
+/// Read and write timeout on every accepted connection, so a client that
+/// connects and never sends (or never reads) cannot pin a handler thread.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How often the lifecycle thread looks at [`SIGTERM_SEEN`]; every other
+/// event it waits for arrives as a `done_cv` notification.
+const SIGTERM_POLL: Duration = Duration::from_millis(100);
+
+/// Flipped by the SIGTERM handler; read by the lifecycle thread.
 static SIGTERM_SEEN: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -63,15 +81,15 @@ pub struct GatewayStats {
 /// return the final counters. Blocks the calling thread.
 pub fn serve(cfg: GatewayConfig) -> std::io::Result<GatewayStats> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
+    // Before the port file appears: a script that reads it may signal us.
+    install_sigterm_handler();
     if let Some(path) = &cfg.port_file {
         // Tmp+rename so a polling reader never sees a half-written line.
         let tmp = path.with_extension(format!("tmp{}", std::process::id()));
         std::fs::write(&tmp, format!("{local}\n"))?;
         std::fs::rename(&tmp, path)?;
     }
-    install_sigterm_handler();
     eprintln!("coaxial-gateway listening on http://{local} ({} workers)", cfg.workers);
 
     let gw = Arc::new(Gateway::new(cfg));
@@ -80,36 +98,25 @@ pub fn serve(cfg: GatewayConfig) -> std::io::Result<GatewayStats> {
             let gw = Arc::clone(&gw);
             scope.spawn(move || worker_loop(&gw));
         }
+        scope.spawn(|| lifecycle(&gw, local));
 
         let mut handlers: Vec<std::thread::ScopedJoinHandle<'_, ()>> = Vec::new();
         loop {
-            if SIGTERM_SEEN.load(Ordering::SeqCst) {
-                begin_drain(&gw);
-            }
+            let accepted = listener.accept();
             if gw.stopped.load(Ordering::SeqCst) {
                 break;
             }
-            // A drain with an empty queue can finish with no further
-            // traffic; check here rather than only on request paths.
-            if gw.draining.load(Ordering::SeqCst) {
-                let inner = gw.inner.lock().expect("gateway lock poisoned");
-                if gw.drained(&inner) {
-                    drop(inner);
-                    gw.stopped.store(true, Ordering::SeqCst);
-                    gw.work_cv.notify_all();
-                    break;
-                }
-            }
-            match listener.accept() {
+            match accepted {
                 Ok((stream, peer)) => {
-                    let gw = Arc::clone(&gw);
                     handlers.retain(|h| !h.is_finished());
+                    if handlers.len() >= MAX_CONNECTIONS {
+                        refuse_connection(&gw, stream);
+                        continue;
+                    }
+                    let gw = Arc::clone(&gw);
                     handlers.push(scope.spawn(move || {
                         handle_connection(&gw, stream, &peer.ip().to_string());
                     }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
                 }
                 Err(e) => {
                     eprintln!("gateway: accept failed: {e}");
@@ -117,9 +124,8 @@ pub fn serve(cfg: GatewayConfig) -> std::io::Result<GatewayStats> {
                 }
             }
         }
-        // Workers exit once drained; handler threads finish their
-        // (already answered or about-to-be-answered) connections.
-        gw.work_cv.notify_all();
+        // Handler threads finish their (already answered or
+        // about-to-be-answered) connections before the scope returns.
     });
 
     Ok(GatewayStats {
@@ -131,17 +137,54 @@ pub fn serve(cfg: GatewayConfig) -> std::io::Result<GatewayStats> {
     })
 }
 
-/// Enter drain mode (idempotent): stop admitting, let the queue empty.
-fn begin_drain(gw: &Gateway) {
-    if !gw.draining.swap(true, Ordering::SeqCst) {
-        eprintln!("coaxial-gateway: draining ({} queued)", {
-            gw.inner.lock().expect("gateway lock poisoned").queue.len()
+/// The one thread that decides when the gateway stops. It starts the
+/// drain on SIGTERM, waits until no work remains, then stops the workers
+/// and wakes the accept loop blocked on `local`.
+fn lifecycle(gw: &Gateway, local: SocketAddr) {
+    loop {
+        if SIGTERM_SEEN.load(Ordering::SeqCst) && !gw.draining.load(Ordering::SeqCst) {
+            begin_drain(gw);
+        }
+        let inner = gw.inner.lock().expect("gateway lock poisoned");
+        if gw.drained(&inner) {
+            break;
+        }
+        // Finished jobs and `begin_drain` notify `done_cv`; the timeout
+        // only bounds how late a SIGTERM is seen.
+        let _ = gw.done_cv.wait_timeout(inner, SIGTERM_POLL).expect("gateway lock poisoned");
+    }
+    gw.stopped.store(true, Ordering::SeqCst);
+    gw.work_cv.notify_all();
+    // An unspecified bind address accepts on loopback of its family.
+    let mut wake = local;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
         });
     }
-    gw.work_cv.notify_all();
+    if let Err(e) = TcpStream::connect(wake) {
+        eprintln!("gateway: could not wake the accept loop at {wake}: {e}");
+    }
 }
 
-/// One simulation worker: pop, execute outside the lock, publish.
+/// Enter drain mode (idempotent): stop admitting, let the queue empty.
+/// The flag flips under the state lock, so a thread that checked it there
+/// is already waiting when the notifications below arrive.
+fn begin_drain(gw: &Gateway) {
+    let queued = {
+        let inner = gw.inner.lock().expect("gateway lock poisoned");
+        (!gw.draining.swap(true, Ordering::SeqCst)).then(|| inner.queue.len())
+    };
+    if let Some(queued) = queued {
+        eprintln!("coaxial-gateway: draining ({queued} queued)");
+    }
+    gw.work_cv.notify_all();
+    gw.done_cv.notify_all();
+}
+
+/// One simulation worker: pop, execute outside the lock, publish. It
+/// exits once a drain finds the queue empty.
 fn worker_loop(gw: &Gateway) {
     loop {
         let (id, kind, trace_requested, progress) = {
@@ -156,7 +199,7 @@ fn worker_loop(gw: &Gateway) {
                     let kind = std::mem::replace(&mut job.kind, JobKind::Sweep(Vec::new()));
                     break (id, kind, job.trace_requested, Arc::clone(&job.progress));
                 }
-                if gw.draining.load(Ordering::SeqCst) || gw.stopped.load(Ordering::SeqCst) {
+                if gw.draining.load(Ordering::SeqCst) {
                     return;
                 }
                 inner = gw.work_cv.wait(inner).expect("gateway lock poisoned");
@@ -237,18 +280,34 @@ fn run_one(spec: &RunSpec, trace: bool) -> (coaxial_system::RunReport, Option<St
 }
 
 /// Parse and answer one connection (one request: `Connection: close`).
+/// A request that breaks the HTTP reader's caps is answered 400.
 fn handle_connection(gw: &Gateway, stream: TcpStream, client: &str) {
     let started = Instant::now();
+    if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
+    {
+        return;
+    }
     let mut reader = BufReader::new(stream);
     let req = match Request::read_from(&mut reader) {
-        Ok(req) => req,
-        Err(_) => return, // client hung up or sent garbage pre-headers
+        Err(e) if e.kind() != std::io::ErrorKind::InvalidData => return, // hung up or timed out
+        req => req,
     };
     let mut stream = reader.into_inner();
     gw.requests_total.fetch_add(1, Ordering::Relaxed);
-    let _ = route(gw, &mut stream, &req, client);
+    let _ = match req {
+        Ok(req) => route(gw, &mut stream, &req, client),
+        Err(e) => respond(&mut stream, 400, "application/json", &[], &err_body(&e.to_string())),
+    };
     let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     gw.latency_us.record(us);
+}
+
+/// Answer a connection past [`MAX_CONNECTIONS`] on the accept thread.
+fn refuse_connection(gw: &Gateway, mut stream: TcpStream) {
+    gw.connections_rejected.fetch_add(1, Ordering::Relaxed);
+    let body = err_body("too many open connections");
+    let _ = respond(&mut stream, 503, "application/json", &[("retry-after", "1")], &body);
 }
 
 fn err_body(msg: &str) -> Vec<u8> {
@@ -296,10 +355,7 @@ fn route(gw: &Gateway, stream: &mut TcpStream, req: &Request, client: &str) -> s
         ("POST", "/shutdown") => {
             begin_drain(gw);
             wait_drained(gw);
-            respond(stream, 200, JSON, &[], b"{\"status\":\"drained\"}\n")?;
-            gw.stopped.store(true, Ordering::SeqCst);
-            gw.work_cv.notify_all();
-            Ok(())
+            respond(stream, 200, JSON, &[], b"{\"status\":\"drained\"}\n")
         }
         ("GET", path) if path.starts_with("/v1/jobs/") => job_endpoint(gw, stream, path),
         (_, "/healthz" | "/metrics" | "/v1/run" | "/v1/sweep" | "/shutdown") => {

@@ -6,8 +6,8 @@
 //! *outside* the lock, so the critical sections are queue/table edits
 //! measured in microseconds. Two condvars signal the two directions:
 //! `work_cv` wakes workers when a job is queued (or a drain begins), and
-//! `done_cv` wakes blocked HTTP handlers when any job reaches a terminal
-//! state.
+//! `done_cv` wakes blocked HTTP handlers and the lifecycle thread when any
+//! job reaches a terminal state (or a drain begins).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -171,16 +171,21 @@ pub struct Gateway {
     pub inner: Mutex<Inner>,
     /// Workers wait here for queue activity or drain.
     pub work_cv: Condvar,
-    /// Blocked request handlers wait here for job completion.
+    /// Blocked request handlers and the lifecycle thread wait here for job
+    /// completion or a drain.
     pub done_cv: Condvar,
-    /// Set on SIGTERM / `POST /shutdown`: refuse new work, finish the rest.
+    /// Set on SIGTERM / `POST /shutdown`, under the `inner` lock: refuse
+    /// new work, finish the rest.
     pub draining: AtomicBool,
-    /// Set once the drain completes; the accept loop exits.
+    /// Set by the lifecycle thread once the drain completes; the accept
+    /// loop exits when it wakes and finds it.
     pub stopped: AtomicBool,
     pub requests_total: AtomicU64,
     pub rate_limited: AtomicU64,
     pub queue_rejected: AtomicU64,
     pub dedup_joins: AtomicU64,
+    /// Connections answered 503 because `MAX_CONNECTIONS` were live.
+    pub connections_rejected: AtomicU64,
     pub jobs_completed: AtomicU64,
     pub jobs_failed: AtomicU64,
     /// Idle per-client limiter buckets dropped by the admission sweep.
@@ -214,6 +219,7 @@ impl Gateway {
             rate_limited: AtomicU64::new(0),
             queue_rejected: AtomicU64::new(0),
             dedup_joins: AtomicU64::new(0),
+            connections_rejected: AtomicU64::new(0),
             jobs_completed: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             limiters_evicted: AtomicU64::new(0),
@@ -327,6 +333,10 @@ impl Gateway {
         reg.set_counter("gateway.requests.total", self.requests_total.load(Ordering::Relaxed));
         reg.set_counter("gateway.requests.rate_limited", self.rate_limited.load(Ordering::Relaxed));
         reg.set_counter("gateway.dedup.joins", self.dedup_joins.load(Ordering::Relaxed));
+        reg.set_counter(
+            "gateway.connections.rejected",
+            self.connections_rejected.load(Ordering::Relaxed),
+        );
         reg.set_counter("gateway.jobs.completed", self.jobs_completed.load(Ordering::Relaxed));
         reg.set_counter("gateway.jobs.failed", self.jobs_failed.load(Ordering::Relaxed));
         reg.set_counter(

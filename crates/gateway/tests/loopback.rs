@@ -8,23 +8,37 @@
 //! (c) queue overflow answers 429 with `Retry-After` and never drops an
 //!     accepted job;
 //! (d) graceful shutdown drains in-flight work, and `/metrics` exposes
-//!     queue depth, cache and dedup counters, and latency histograms.
+//!     queue depth, cache and dedup counters, and latency histograms;
+//! (e) `serve` returns after `POST /shutdown` on any bind address, and
+//!     oversized requests and connection floods get 400 and 503.
 
 #![expect(clippy::disallowed_types, reason = "wall-clock deadlines bound the test's polling")]
 
+use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use coaxial_gateway::http::{client_request, ClientResponse};
+use coaxial_gateway::server::MAX_CONNECTIONS;
 use coaxial_gateway::{report_to_json, serve, GatewayConfig, GatewayStats};
 use coaxial_system::runner::RunSpec;
 use coaxial_system::{EngineKind, SystemConfig};
 use coaxial_workloads::Workload;
 
-/// Start a gateway on an ephemeral port; returns the base URL and the
-/// handle that yields [`GatewayStats`] after shutdown.
+/// Start a gateway on an ephemeral loopback port; returns the base URL and
+/// the handle that yields [`GatewayStats`] after shutdown.
 fn start(workers: usize, queue_depth: usize) -> (String, std::thread::JoinHandle<GatewayStats>) {
+    start_on("127.0.0.1:0", workers, queue_depth)
+}
+
+/// [`start`] on any bind address; an unspecified one is reached through
+/// 127.0.0.1.
+fn start_on(
+    bind: &str,
+    workers: usize,
+    queue_depth: usize,
+) -> (String, std::thread::JoinHandle<GatewayStats>) {
     // Tests run in parallel, several with the same shape: a per-call
     // serial keeps one test's cleanup from deleting another's port file.
     static SERIAL: AtomicU64 = AtomicU64::new(0);
@@ -35,7 +49,7 @@ fn start(workers: usize, queue_depth: usize) -> (String, std::thread::JoinHandle
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let port_file = dir.join("port");
     let cfg = GatewayConfig {
-        addr: "127.0.0.1:0".to_string(),
+        addr: bind.to_string(),
         workers,
         queue_depth,
         cache_mb: 8,
@@ -56,6 +70,7 @@ fn start(workers: usize, queue_depth: usize) -> (String, std::thread::JoinHandle
         std::thread::sleep(Duration::from_millis(10));
     };
     let _ = std::fs::remove_dir_all(&dir);
+    let addr = addr.replace("0.0.0.0:", "127.0.0.1:");
     (format!("http://{addr}"), handle)
 }
 
@@ -67,9 +82,17 @@ fn get(base: &str, path: &str) -> ClientResponse {
     client_request("GET", &format!("{base}{path}"), b"").expect("request")
 }
 
+/// Drain and stop the gateway. `serve` must return within 10 s of the
+/// drained answer, so a lost accept wake-up fails the test instead of
+/// hanging the suite.
 fn shutdown(base: &str, handle: std::thread::JoinHandle<GatewayStats>) -> GatewayStats {
     let resp = post(base, "/shutdown", "");
     assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !handle.is_finished() {
+        assert!(Instant::now() < deadline, "serve did not return after POST /shutdown");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     handle.join().expect("gateway thread")
 }
 
@@ -321,5 +344,68 @@ fn trace_jobs_expose_perfetto_export() {
     let plain = r#"{"workload":"mcf","config":"4x","instructions":2000,"warmup":500}"#;
     assert_eq!(post(&base, "/v1/run", plain).status, 200);
     assert_eq!(get(&base, "/v1/jobs/2/trace").status, 404);
+    shutdown(&base, handle);
+}
+
+#[test]
+fn serve_returns_after_shutdown_with_no_other_traffic() {
+    let (base, handle) = start(1, 4);
+    let stats = shutdown(&base, handle);
+    assert_eq!(stats.requests_total, 1, "only the shutdown request was served");
+}
+
+#[test]
+fn gateway_on_an_unspecified_address_stops_after_shutdown() {
+    // The lifecycle thread wakes the blocked accept through loopback.
+    let (base, handle) = start_on("0.0.0.0:0", 1, 4);
+    assert_eq!(get(&base, "/healthz").status, 200);
+    let stats = shutdown(&base, handle);
+    assert_eq!(stats.requests_total, 2);
+}
+
+#[test]
+fn oversized_header_line_gets_400() {
+    let (base, handle) = start(1, 4);
+    let addr = base.trim_start_matches("http://");
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let long = "a".repeat(9 * 1024);
+    let head = format!("GET /healthz HTTP/1.1\r\nx-long: {long}\r\n\r\n");
+    stream.write_all(head.as_bytes()).expect("send");
+    // Only the status line: the gateway may reset the connection after
+    // answering, since it stops reading at the cap.
+    let mut status = String::new();
+    BufReader::new(stream).read_line(&mut status).expect("read status line");
+    assert!(status.starts_with("HTTP/1.1 400 "), "{status}");
+    shutdown(&base, handle);
+}
+
+#[test]
+fn connections_past_the_cap_get_503_until_they_close() {
+    let (base, handle) = start(1, 4);
+    let addr = base.trim_start_matches("http://");
+    // Idle connections pin a handler each (blocked reading the request
+    // line); accept is FIFO, so all of them are live when the next
+    // request is accepted.
+    let idle: Vec<_> = (0..MAX_CONNECTIONS)
+        .map(|_| std::net::TcpStream::connect(addr).expect("connect idle"))
+        .collect();
+    let refused = get(&base, "/healthz");
+    assert_eq!(refused.status, 503, "{}", refused.body_str());
+    assert_eq!(refused.header("retry-after"), Some("1"));
+    drop(idle);
+    // The handlers see EOF and exit; the accept thread reaps them on its
+    // next accept.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let resp = get(&base, "/healthz");
+        if resp.status == 200 {
+            break;
+        }
+        assert_eq!(resp.status, 503, "{}", resp.body_str());
+        assert!(Instant::now() < deadline, "connections never recovered after closing");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let metrics = get(&base, "/metrics").body_str().into_owned();
+    assert!(metric_value(&metrics, "gateway.connections.rejected") >= 1, "{metrics}");
     shutdown(&base, handle);
 }

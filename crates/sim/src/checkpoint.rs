@@ -299,6 +299,11 @@ impl<V: Snapshot> CheckpointStore<V> {
         }
     }
 
+    /// Drop every memory-tier entry; counters and the disk tier stay.
+    pub fn clear_memory(&mut self) {
+        self.mem.clear();
+    }
+
     #[must_use]
     pub fn counters(&self) -> CheckpointCounters {
         CheckpointCounters {

@@ -110,6 +110,12 @@ impl<K: Ord + Clone, V> ByteBoundedLru<K, V> {
         }
     }
 
+    /// Drop every entry; the hit/miss/eviction counters keep counting.
+    pub fn clear(&mut self) {
+        self.map.clear();
+        self.cur_bytes = 0;
+    }
+
     pub fn len(&self) -> usize {
         self.map.len()
     }

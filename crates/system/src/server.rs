@@ -10,7 +10,7 @@
 //! ChampSim semantics).
 
 use std::path::PathBuf;
-use std::sync::{Arc, LazyLock, Mutex, Once};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, Once};
 
 use coaxial_cache::{CalmStats, HierStats, Hierarchy, HierarchyConfig, PrefillState};
 use coaxial_cpu::{Core, CoreParams, FileTrace, TraceSource};
@@ -107,6 +107,22 @@ static PREFILL_STATE: LazyLock<Mutex<CheckpointStore<PrefillState>>> = LazyLock:
 static PREFILL_STREAMS: LazyLock<Mutex<CheckpointStore<StreamCheckpoint>>> = LazyLock::new(|| {
     Mutex::new(CheckpointStore::new(prefill_cache_budget(), None, "prefill-streams"))
 });
+
+/// Lock one of the process-wide checkpoint stores. A job that panicked
+/// while holding the lock poisoned it; the store is a cache, so recovery
+/// empties its memory tier and clears the poison instead of failing every
+/// later run of a long-lived `coaxial serve`. The disk tier is published
+/// by atomic rename, so it cannot hold a torn entry and stays.
+fn lock_store<V: Snapshot>(
+    store: &Mutex<CheckpointStore<V>>,
+) -> MutexGuard<'_, CheckpointStore<V>> {
+    store.lock().unwrap_or_else(|poisoned| {
+        let mut guard = poisoned.into_inner();
+        guard.clear_memory();
+        store.clear_poison();
+        guard
+    })
+}
 
 /// Above this budget the prefill working set outgrows the host LLC and the
 /// restore path turns memory-bandwidth-bound: the 288-run sweep is flat
@@ -295,8 +311,8 @@ pub fn checkpoint_metrics(reg: &mut MetricsRegistry) {
         reg.set_gauge(&format!("server.checkpoint.{name}.entries"), c.entries as f64);
         reg.set_gauge(&format!("server.checkpoint.{name}.bytes"), c.bytes as f64);
     };
-    export("state", PREFILL_STATE.lock().unwrap().counters());
-    export("streams", PREFILL_STREAMS.lock().unwrap().counters());
+    export("state", lock_store(&PREFILL_STATE).counters());
+    export("streams", lock_store(&PREFILL_STREAMS).counters());
     let over = coaxial_sim::env::prefill_cache_mb() > PREFILL_BUDGET_CLIFF_MB;
     reg.set_gauge("server.checkpoint.budget_over_cliff", f64::from(u8::from(over)));
 }
@@ -483,7 +499,10 @@ impl Simulation {
         let func = &self.config.functional;
         let state_key = self.trace_file.is_none().then(|| prefill_state_key(&names, func));
         if let Some(key) = state_key {
-            if let Some(state) = PREFILL_STATE.lock().unwrap().get(key) {
+            // Its own statement, so the store's guard drops before the
+            // import (an `if let` scrutinee's guard would live through it).
+            let restored = lock_store(&PREFILL_STATE).get(key);
+            if let Some(state) = restored {
                 hierarchy.import_prefill_state(&state);
                 return true;
             }
@@ -510,7 +529,7 @@ impl Simulation {
         // tail this geometry needs beyond the parked prefix.
         let stream_key = self.trace_file.is_none().then(|| prefill_stream_key(names, func));
         let parked: Option<Arc<StreamCheckpoint>> =
-            stream_key.and_then(|k| PREFILL_STREAMS.lock().unwrap().get(k));
+            stream_key.and_then(|k| lock_store(&PREFILL_STREAMS).get(k));
         let mut streams: Vec<CoreStream<'_>> = (0..func.active_cores)
             .map(|i| CoreStream {
                 base: parked.as_ref().and_then(|p| p.streams.get(i)).map_or(&[], Vec::as_slice),
@@ -575,13 +594,13 @@ impl Simulation {
                         .collect(),
                 };
                 let bytes = merged.approx_bytes();
-                PREFILL_STREAMS.lock().unwrap().insert(key, Arc::new(merged), bytes);
+                lock_store(&PREFILL_STREAMS).insert(key, Arc::new(merged), bytes);
             }
         }
         if let Some(key) = state_key {
             let state = Arc::new(hierarchy.export_prefill_state());
             let bytes = state.approx_bytes();
-            PREFILL_STATE.lock().unwrap().insert(key, state, bytes);
+            lock_store(&PREFILL_STATE).insert(key, state, bytes);
         }
     }
 
@@ -749,6 +768,31 @@ mod tests {
     fn quick(config: SystemConfig, wl: &str) -> RunReport {
         let w = Workload::by_name(wl).expect("workload exists");
         Simulation::new(config, w).instructions_per_core(4_000).warmup(1_000).run()
+    }
+
+    #[test]
+    fn poisoned_checkpoint_store_recovers_as_an_empty_cache() {
+        // A local store: poisoning a process-wide one would fail the tests
+        // that run beside this one.
+        let store = Mutex::new(CheckpointStore::new(1 << 20, None, "poison-test"));
+        let entry =
+            || Arc::new(StreamCheckpoint { streams: vec![vec![(64, false)]], cursors: vec![None] });
+        lock_store(&store).insert(1, entry(), 64);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = store.lock().unwrap();
+                panic!("job panicked under the store lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && store.is_poisoned());
+        let mut guard = lock_store(&store);
+        assert_eq!(guard.counters().entries, 0, "the memory tier was emptied");
+        assert!(guard.get(1).is_none());
+        guard.insert(2, entry(), 64);
+        drop(guard);
+        assert!(!store.is_poisoned(), "recovery clears the poison");
+        assert!(lock_store(&store).get(2).is_some(), "the recovered store caches again");
     }
 
     #[test]

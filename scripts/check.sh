@@ -68,23 +68,47 @@ echo "gateway report is byte-identical to the CLI"
 "$BIN" http POST "http://$ADDR/shutdown" ''
 wait "$GWPID"
 cat "$GWDIR/serve.log"
+# A second gateway stops on SIGTERM instead: it must drain, exit 0 and
+# print its stats line. `timeout` relays the TERM and kills a gateway
+# still running 5 s later, so one that ignores the signal fails the gate
+# instead of hanging it.
+timeout -k 5 60 "$BIN" serve --addr 127.0.0.1:0 --port-file "$GWDIR/port2.txt" --workers 1 \
+  > "$GWDIR/serve2.log" 2>&1 &
+GWPID=$!
+for _ in $(seq 1 100); do
+  [ -s "$GWDIR/port2.txt" ] && break
+  sleep 0.1
+done
+"$BIN" http GET "http://$(cat "$GWDIR/port2.txt")/healthz" | grep -q ok
+kill -TERM "$GWPID"
+wait "$GWPID"
+grep -q "gateway stopped:" "$GWDIR/serve2.log"
+echo "gateway stops cleanly on SIGTERM"
 
 echo "== sampling smoke =="
 # SMARTS-style interval sampling (DESIGN.md §5i): a sampled run must cover
 # a 100x longer per-core horizon than a full-detail Budget::quick run in
 # no more than 2x its wall, report a 95% confidence interval in the JSON,
-# and stay run-to-run deterministic (byte-identical reports).
-t0=$(date +%s%N)
-"$BIN" run mcf --config 4x --instr 6000 --warmup 1000 --json > /dev/null
-full_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
-t0=$(date +%s%N)
-"$BIN" run mcf --config 4x --instr 600000 --sampled --json > "$GWDIR/sampled.json"
-sampled_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
-grep -q '"sampling":{' "$GWDIR/sampled.json"
-grep -q '"ipc_ci_half":' "$GWDIR/sampled.json"
-"$BIN" run mcf --config 4x --instr 600000 --sampled --json > "$GWDIR/sampled2.json"
-cmp "$GWDIR/sampled.json" "$GWDIR/sampled2.json"
-echo "sampled 100x horizon: ${sampled_ms} ms vs full-detail quick: ${full_ms} ms"
+# and stay run-to-run deterministic (byte-identical reports). Each side
+# runs three times, interleaved, and the bound compares the minima: one
+# slow run on a busy host says nothing about sampling.
+full_ms=0
+sampled_ms=0
+for i in 1 2 3; do
+  t0=$(date +%s%N)
+  "$BIN" run mcf --config 4x --instr 6000 --warmup 1000 --json > /dev/null
+  ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+  full_ms=$(( i == 1 || ms < full_ms ? ms : full_ms ))
+  t0=$(date +%s%N)
+  "$BIN" run mcf --config 4x --instr 600000 --sampled --json > "$GWDIR/sampled$i.json"
+  ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+  sampled_ms=$(( i == 1 || ms < sampled_ms ? ms : sampled_ms ))
+done
+grep -q '"sampling":{' "$GWDIR/sampled1.json"
+grep -q '"ipc_ci_half":' "$GWDIR/sampled1.json"
+cmp "$GWDIR/sampled1.json" "$GWDIR/sampled2.json"
+cmp "$GWDIR/sampled1.json" "$GWDIR/sampled3.json"
+echo "sampled 100x horizon: ${sampled_ms} ms vs full-detail quick: ${full_ms} ms (min of 3 each)"
 if [ "$sampled_ms" -gt $((2 * full_ms)) ]; then
   echo "sampled run exceeded 2x the full-detail quick wall" >&2
   exit 1
