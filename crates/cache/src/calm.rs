@@ -20,10 +20,9 @@
 //! negative** (serialized latency). Fig. 7b reports both.
 
 use coaxial_sim::{Cycle, SplitMix64};
-use serde::Serialize;
 
 /// Which CALM mechanism the hierarchy uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CalmPolicy {
     /// Serial LLC-then-memory access (no CALM).
     Serial,
@@ -49,7 +48,7 @@ impl CalmPolicy {
 }
 
 /// Decision-quality counters (Fig. 7b).
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CalmStats {
     /// L2 misses that performed CALM and hit in the LLC (wasted bandwidth).
     pub false_pos: u64,

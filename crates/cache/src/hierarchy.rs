@@ -26,7 +26,6 @@ use coaxial_sim::{Cycle, Histogram};
 use coaxial_telemetry::{
     CounterEvent, MetricsRegistry, MissRecord, NullTelemetry, TelemetrySink, TraceEvent,
 };
-use serde::Serialize;
 
 use crate::cache::CacheArray;
 use crate::calm::{CalmEngine, CalmPolicy, CalmStats};
@@ -67,7 +66,7 @@ pub enum AccessResult {
 }
 
 /// Static configuration of the hierarchy (paper Table III).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HierarchyConfig {
     pub cores: usize,
     pub l1_bytes: u64,
@@ -160,7 +159,7 @@ struct Txn {
 }
 
 /// Aggregate hierarchy statistics over the measurement window.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HierStats {
     /// Primary (non-merged) demand L2 misses.
     pub l2_misses: u64,

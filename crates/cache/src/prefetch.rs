@@ -12,10 +12,8 @@
 //! * **IP-stride**: a PC-indexed table learns per-instruction strides and
 //!   issues `degree` prefetches along a confident stride.
 
-use serde::Serialize;
-
 /// Prefetch policy at the L2 (demand-miss triggered).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetchPolicy {
     /// No prefetching (the paper's configuration; default).
     None,
@@ -109,7 +107,7 @@ pub fn candidates(policy: PrefetchPolicy, table: &mut StrideTable, pc: u32, line
 }
 
 /// Prefetch effectiveness counters.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PrefetchStats {
     /// Prefetch fetches issued to memory.
     pub issued: u64,

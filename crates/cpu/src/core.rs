@@ -22,12 +22,11 @@ use coaxial_cache::{AccessId, Hierarchy};
 use coaxial_dram::MemoryBackend;
 use coaxial_sim::Cycle;
 use coaxial_telemetry::TelemetrySink;
-use serde::Serialize;
 
 use crate::trace::{MemKind, TraceSource};
 
 /// Microarchitectural parameters (paper Table III defaults).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CoreParams {
     /// Front-end / retire width, instructions per cycle.
     pub width: u32,

@@ -7,17 +7,15 @@
 //! `depends_on_last_load` bit (true for pointer-chasing loads, which is
 //! the dependency pattern that matters for MLP).
 
-use serde::Serialize;
-
 /// Memory operation kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemKind {
     Load,
     Store,
 }
 
 /// One compressed trace record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceOp {
     /// Non-memory instructions preceding this memory operation.
     pub nonmem_before: u32,

@@ -48,7 +48,11 @@ pub fn capture(path: &Path, source: &mut dyn TraceSource, count: usize) -> io::R
 
 /// Read a whole trace file into memory.
 pub fn read_trace(path: &Path) -> io::Result<Vec<TraceOp>> {
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    // The header's count is untrusted: reserve no more records than the
+    // file can hold, so a lying count ends in `UnexpectedEof` below.
+    let max_records = file.metadata()?.len() / RECORD_BYTES as u64;
+    let mut r = BufReader::new(file);
     let mut header = [0u8; 16];
     r.read_exact(&mut header)?;
     if &header[0..4] != MAGIC {
@@ -61,8 +65,8 @@ pub fn read_trace(path: &Path) -> io::Result<Vec<TraceOp>> {
             format!("unsupported trace version {version}"),
         ));
     }
-    let count = coaxial_sim::idx(u64::from_le_bytes(header[8..16].try_into().unwrap()));
-    let mut ops = Vec::with_capacity(count);
+    let count = u64::from_le_bytes(header[8..16].try_into().unwrap());
+    let mut ops = Vec::with_capacity(coaxial_sim::idx(count.min(max_records)));
     let mut rec = [0u8; RECORD_BYTES];
     for _ in 0..count {
         r.read_exact(&mut rec)?;
@@ -167,8 +171,16 @@ mod tests {
     #[test]
     fn rejects_garbage_files() {
         let path = temp("garbage");
-        std::fs::write(&path, b"not a trace at all").unwrap();
-        assert!(read_trace(&path).is_err());
+        let header =
+            |count: u64| [&MAGIC[..], &VERSION.to_le_bytes(), &count.to_le_bytes()].concat();
+        for (bytes, kind) in [
+            (b"not a trace at all".to_vec(), io::ErrorKind::InvalidData),
+            (header(1 << 40), io::ErrorKind::UnexpectedEof),
+            (header(u64::MAX), io::ErrorKind::UnexpectedEof),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(read_trace(&path).unwrap_err().kind(), kind);
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -7,10 +7,9 @@
 //! repurposes the same 32 pins as 20 RX + 12 TX for 32/10 GB/s goodput.
 
 use coaxial_sim::{ns_to_cycles, Cycle};
-use serde::Serialize;
 
 /// Configuration of one CXL channel (link + controller queues).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CxlLinkConfig {
     /// Unloaded one-way latency of a single CXL port crossing, in cycles.
     /// The paper's default is 12.5 ns; its sensitivity study raises the

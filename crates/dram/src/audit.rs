@@ -10,12 +10,11 @@
 //! with [`SubChannel::take_command_log`](crate::subchannel::SubChannel).
 
 use coaxial_sim::Cycle;
-use serde::Serialize;
 
 use crate::config::DramTimings;
 
 /// A DRAM command kind, as recorded by the sub-channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmdKind {
     Act,
     Pre,
@@ -25,7 +24,7 @@ pub enum CmdKind {
 }
 
 /// One recorded command.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CmdRecord {
     pub cycle: Cycle,
     pub kind: CmdKind,
@@ -37,7 +36,7 @@ pub struct CmdRecord {
 }
 
 /// A detected timing violation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Violation {
     pub at: Cycle,
     pub rule: &'static str,

@@ -3,7 +3,6 @@
 //! (the paper's baseline system).
 
 use coaxial_sim::{Cycle, Histogram, MeanTracker};
-use serde::Serialize;
 
 use crate::config::{DramConfig, LINE_BYTES};
 use crate::request::{MemRequest, MemResponse};
@@ -11,7 +10,7 @@ use crate::subchannel::SubChannel;
 use crate::MemoryBackend;
 
 /// Aggregated channel statistics, harvested after a run.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ChannelStats {
     pub reads: u64,
     pub writes: u64,

@@ -7,7 +7,6 @@
 //! Micron DDR5-4800 (CL40) datasheet the paper cites \[40\], \[41\].
 
 use coaxial_sim::Cycle;
-use serde::Serialize;
 
 /// Cache-line (and DRAM access) granularity in bytes.
 pub const LINE_BYTES: u64 = 64;
@@ -16,7 +15,7 @@ pub const LINE_BYTES: u64 = 64;
 /// the column bits decides whether sequential traffic exploits row
 /// buffers (bank bits above the column) or spreads across banks at line
 /// granularity (bank bits below the column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddressMapping {
     /// `row | bank | bank-group | column` (default): sequential lines walk
     /// a whole row buffer, then move to the next bank group.
@@ -28,7 +27,7 @@ pub enum AddressMapping {
 }
 
 /// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PagePolicy {
     /// Keep rows open; close them only when the controller idles
     /// (open-adaptive — the default, and what the main results use).
@@ -41,7 +40,7 @@ pub enum PagePolicy {
 }
 
 /// Timing parameters for one DDR5 sub-channel, in 2.4 GHz clocks.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DramTimings {
     /// CAS latency (READ command to first data).
     pub cl: Cycle,
@@ -165,7 +164,7 @@ impl DramTimings {
 }
 
 /// Geometry and controller provisioning for one DDR channel.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DramConfig {
     pub timings: DramTimings,
     /// Independent 32-bit sub-channels per DDR5 channel.

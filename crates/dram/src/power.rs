@@ -6,12 +6,10 @@
 //! uses: ACT+PRE pair energy, per-CAS read/write energy (including I/O),
 //! refresh energy, and background (static) power per DIMM.
 
-use serde::Serialize;
-
 use crate::channel::ChannelStats;
 
 /// Per-command energy / background power parameters for one RDIMM.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DramPowerParams {
     /// Energy per ACT+PRE pair, nanojoules.
     pub e_act_pre_nj: f64,
@@ -40,7 +38,7 @@ impl DramPowerParams {
 }
 
 /// Energy totals for one channel over an observation window.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DramEnergy {
     pub act_pre_nj: f64,
     pub rd_nj: f64,

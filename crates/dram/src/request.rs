@@ -1,14 +1,13 @@
 //! Memory request/response types shared by the DRAM and CXL models.
 
 use coaxial_sim::Cycle;
-use serde::Serialize;
 
 /// Opaque request identifier assigned by the requester (cache hierarchy or
 /// traffic generator); responses carry it back.
 pub type ReqId = u64;
 
 /// A 64 B line read or write presented to a memory backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     pub id: ReqId,
     /// Line address (byte address >> 6).
@@ -29,7 +28,7 @@ impl MemRequest {
 }
 
 /// Completion record for a [`MemRequest`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemResponse {
     pub id: ReqId,
     pub line_addr: u64,

@@ -43,7 +43,6 @@
 )]
 
 pub mod http;
-pub mod json;
 pub mod report;
 pub mod request;
 pub mod server;

@@ -8,8 +8,7 @@
 use std::fmt::Write as _;
 
 use coaxial_system::{RunReport, SampledReport};
-
-use crate::json::{emit_f64, escape};
+use coaxial_telemetry::json::{emit_f64, escape};
 
 /// Render one report as a single-line JSON object (no trailing newline;
 /// callers terminate the line).
@@ -131,8 +130,8 @@ mod tests {
         let r = sim.run();
         let a = report_to_json(&r);
         // Parseable by our own parser, and deterministic.
-        let parsed = crate::json::parse(&a).unwrap();
-        let crate::json::Json::Obj(o) = &parsed else { panic!("object") };
+        let parsed = coaxial_telemetry::json::parse(&a).unwrap();
+        let coaxial_telemetry::json::Json::Obj(o) = &parsed else { panic!("object") };
         assert_eq!(o["config"].as_str(), Some("COAXIAL-4x"));
         assert!(o.contains_key("ipc") && o.contains_key("cycles"), "{a}");
         let again = Simulation::new(SystemConfig::coaxial_4x(), w)
@@ -155,6 +154,6 @@ mod tests {
         assert!(r.sampling.ipc_ci_half.is_infinite());
         let j = sampled_report_to_json(&r);
         assert!(j.contains("\"ipc_ci_half\":null"), "degenerate CI must be null: {j}");
-        crate::json::parse(&j).expect("sampled report stays valid JSON");
+        coaxial_telemetry::json::parse(&j).expect("sampled report stays valid JSON");
     }
 }

@@ -14,9 +14,8 @@ use coaxial_sim::KeyHasher;
 use coaxial_system::runner::RunSpec;
 use coaxial_system::server::{DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP};
 use coaxial_system::{EngineKind, SystemConfig};
+use coaxial_telemetry::json::{parse, Json};
 use coaxial_workloads::Workload;
-
-use crate::json::{parse, Json};
 
 /// One validated `POST /v1/run` body.
 #[derive(Clone)]
@@ -255,6 +254,7 @@ pub fn parse_sweep(body: &[u8]) -> Result<SweepRequest, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coaxial_sim::{idx, SplitMix64};
 
     #[test]
     fn field_order_and_whitespace_do_not_change_the_key() {
@@ -287,6 +287,7 @@ mod tests {
 
     #[test]
     fn bad_bodies_are_structured_errors() {
+        let deep = "[".repeat(100_000);
         for (body, needle) in [
             (br#"{"workload":"nope"}"#.as_slice(), "unknown workload"),
             (br#"{"workload":"mcf","config":"9x"}"#.as_slice(), "unknown config"),
@@ -297,6 +298,7 @@ mod tests {
             (br#"{"workload":"mcf","instructions":-5}"#.as_slice(), "integer"),
             (br#"[1,2]"#.as_slice(), "object"),
             (b"not json".as_slice(), "invalid literal"),
+            (deep.as_bytes(), "nesting"),
         ] {
             let Err(err) = parse_run(body).map(|_| ()) else {
                 panic!("{body:?} should be rejected")
@@ -316,5 +318,55 @@ mod tests {
         assert_eq!(s.specs[1].config.name, "COAXIAL-4x");
         assert!(parse_sweep(br#"{"workload":"mcf","configs":[]}"#).is_err());
         assert!(parse_sweep(br#"{"workload":"mcf"}"#).is_err());
+    }
+
+    /// Seeded mutation fuzzer over the JSON parser and both validators:
+    /// valid run and sweep bodies take bit flips, truncations, splices
+    /// from each other, and runs of `[`, `{`, `"` or `\`. Every body must
+    /// come back `Ok` or `Err`; none may panic.
+    #[test]
+    fn seeded_fuzz_never_panics() {
+        let seeds: [&[u8]; 4] = [
+            br#"{"workload":"mcf","config":"4x","instructions":4000,"warmup":1000}"#,
+            br#"{"workload":"lbm","config":"ddr","cores":4,"seed":7,"cxl_ns":70.5,"engine":"lockstep","trace":true}"#,
+            br#"{"workload":"mcf","configs":["ddr","4x"],"instructions":2000,"warmup":500}"#,
+            br#"{ "workload" : "mcf", "configs" : [ "2x" ], "cxl_ns" : 1e2, "async" : true }"#,
+        ];
+        let pick = |rng: &mut SplitMix64, n: usize| idx(rng.next_below(n as u64));
+        let mut rng = SplitMix64::new(0x4a53_4f4e);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..2000 {
+            let mut body = seeds[pick(&mut rng, seeds.len())].to_vec();
+            for _ in 0..=rng.next_below(4) {
+                let at = pick(&mut rng, body.len() + 1);
+                let insert: Vec<u8> = match rng.next_below(4) {
+                    0 => {
+                        if let Some(b) = body.get_mut(at) {
+                            *b ^= 1 << rng.next_below(8);
+                        }
+                        continue;
+                    }
+                    1 => {
+                        body.truncate(at);
+                        continue;
+                    }
+                    2 => {
+                        let other = seeds[pick(&mut rng, seeds.len())];
+                        let from = pick(&mut rng, other.len());
+                        other[from..from + pick(&mut rng, other.len() - from + 1)].to_vec()
+                    }
+                    _ => vec![b"[{\"\\"[pick(&mut rng, 4)]; [1, 8, 200, 20_000][pick(&mut rng, 4)]],
+                };
+                body.splice(at..at, insert);
+            }
+            for outcome in [parse_run(&body).map(|_| ()), parse_sweep(&body).map(|_| ())] {
+                if outcome.is_ok() {
+                    accepted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "the fuzzer must reach both outcomes");
     }
 }

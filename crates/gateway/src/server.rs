@@ -23,10 +23,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use coaxial_system::runner::RunSpec;
+use coaxial_telemetry::json::escape;
 use coaxial_telemetry::TelemetryRecorder;
 
 use crate::http::{respond, ChunkedWriter, Request};
-use crate::json::escape;
 use crate::report::{report_to_json, reports_to_json};
 use crate::request::{parse_run, parse_sweep};
 use crate::state::{Admission, Gateway, Job, JobKind, JobStatus};

@@ -264,6 +264,9 @@ fn error_paths_and_cache_hits() {
     assert_eq!(post(&base, "/v1/run", r#"{"workload":"nope"}"#).status, 400);
     assert_eq!(post(&base, "/v1/run", "garbage").status, 400);
     assert_eq!(post(&base, "/v1/run", r#"{"workload":"mcf","engine":"warp"}"#).status, 400);
+    // Nesting past the codec's bound is a 400, not a stack overflow; the
+    // requests below prove the process survived it.
+    assert_eq!(post(&base, "/v1/run", &"[".repeat(100_000)).status, 400);
     // Unknown routes and methods.
     assert_eq!(get(&base, "/v1/nope").status, 404);
     assert_eq!(get(&base, "/v1/jobs/99").status, 404);

@@ -25,7 +25,7 @@
 //!
 //! ## Seeding (the ground truth)
 //!
-//! * the `Cycle` type alias (sim's and telemetry's) claims `Cycles`;
+//! * the `Cycle` type alias claims `Cycles`;
 //! * `_ns`/`_nanos`, `_cycles`/`_cycle`, `_bytes`, `_instr`/`_instrs`/
 //!   `_instructions`, and `_ratio` suffixes on fields, params, consts, and
 //!   fn names claim their unit — **except** names containing a `per`
@@ -41,9 +41,10 @@
 //! * **Q01** — no mixed-unit `+`/`-`/`%`/comparison, and no cross-unit
 //!   assignment, argument, or return against a *type- or let-claimed*
 //!   slot without a blessed conversion.
-//! * **Q02** — cycles↔ns conversion only through `time.rs`: a bare
-//!   `* 2.4`, `/ CPU_FREQ_GHZ`, or hand-rolled `* NS_PER_CYCLE` outside a
-//!   blessed file is a finding (token-level, so it also sees macro args).
+//! * **Q02** — cycles↔ns conversion only through the clock module
+//!   (`crates/telemetry/src/time.rs`): a bare `* 2.4`, `/ CPU_FREQ_GHZ`, or
+//!   hand-rolled `* NS_PER_CYCLE` anywhere else is a finding (token-level,
+//!   so it also sees macro args).
 //! * **Q03** — every `pub` field/param whose *name* claims a unit suffix
 //!   must actually be written with that unit at every write site.
 //!
@@ -162,10 +163,10 @@ fn slot_claim(name: &str, ty: &str) -> Option<(Unit, Prov)> {
     suffix_unit(name).map(|u| (u, Prov::Suffix))
 }
 
-/// Blessed conversion homes: only `time.rs` may spell out the cycle↔ns
-/// relationship.
+/// The one blessed conversion home: only the workspace clock module may
+/// spell out the cycle↔ns relationship.
 pub fn is_blessed(rel: &str) -> bool {
-    rel.ends_with("/time.rs") || rel == "time.rs"
+    rel == "crates/telemetry/src/time.rs"
 }
 
 /// Unit rules run over library/binary sources, not tests, fixtures, or
@@ -2527,10 +2528,13 @@ mod tests {
     #[test]
     fn q02_is_silent_in_time_rs_and_tests() {
         let src = "pub fn f(c: u64) -> f64 { c as f64 * 2.4 }\n";
-        let ctxs = vec![FileCtx::new("crates/sim/src/time.rs", src)];
-        let ws = Workspace::from_ctxs(&ctxs);
-        let u = check_units(&ctxs, &ws);
-        assert!(u.q02.is_empty());
+        let at = |rel| {
+            let ctxs = vec![FileCtx::new(rel, src)];
+            check_units(&ctxs, &Workspace::from_ctxs(&ctxs)).q02
+        };
+        assert!(at("crates/telemetry/src/time.rs").is_empty());
+        // Only the one clock module is blessed, not every `time.rs`.
+        assert_eq!(at("crates/cache/src/time.rs").len(), 1);
         let test_src =
             "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let _ = 3.0 * 2.4; }\n}\n";
         let u2 = run_units(test_src);

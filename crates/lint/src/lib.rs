@@ -203,8 +203,9 @@ pub const CATALOG: &[LintInfo] = &[
         rationale: "a bare `* 2.4`, `/ CPU_FREQ_GHZ`, or hand-rolled `* NS_PER_CYCLE` \
                     outside time.rs re-derives the clock relationship in place; when the \
                     modeled frequency changes, every such site silently keeps the old \
-                    clock. Route through cycles_to_ns/ns_to_cycles (sim) or the telemetry \
-                    time module, which exist precisely so the factor lives in one file.",
+                    clock. Route through cycles_to_ns/ns_to_cycles in the one clock module \
+                    (crates/telemetry/src/time.rs, re-exported as coaxial_sim::time), which \
+                    exists precisely so the factor lives in one file.",
     },
     LintInfo {
         id: "Q03",
@@ -240,8 +241,8 @@ impl Report {
         self.findings.is_empty() && self.stale_suppressions.is_empty()
     }
 
-    /// Machine-readable report (no serde_json in the offline container, so
-    /// the encoder is hand-rolled; strings are escaped per RFC 8259).
+    /// Machine-readable report; strings are escaped by the workspace JSON
+    /// codec (`coaxial_telemetry::json`).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"findings\":[");
         for (i, f) in self.findings.iter().enumerate() {
@@ -284,8 +285,8 @@ impl Report {
         out
     }
 
-    /// SARIF 2.1.0 rendering (hand-rolled like [`Report::to_json`] — no
-    /// serde in the offline container). One run, the full rule catalog as
+    /// SARIF 2.1.0 rendering (format strings like [`Report::to_json`]).
+    /// One run, the full rule catalog as
     /// the driver's rule table, one `error`-level result per finding.
     /// `scripts/check.sh` writes this next to the JSON artifact so
     /// code-scanning UIs can ingest the findings; the shape is pinned by
@@ -329,21 +330,7 @@ impl Report {
 }
 
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", coaxial_telemetry::json::escape(s))
 }
 
 /// Lint the workspace rooted at `root` using the suppression list in

@@ -18,11 +18,10 @@
 //!   written atomically (temp file + rename), so warmed state survives
 //!   process restarts and is shared between concurrent processes.
 //!
-//! Values implement [`Snapshot`]: a hand-rolled little-endian codec (no
-//! serde — the container is offline and the payloads are flat `u64`/`u8`
-//! arrays that `chunks_exact` decodes at memcpy speed). Disk problems are
-//! never fatal: every I/O error just counts in `disk_errors` and the store
-//! degrades to memory-only behaviour.
+//! Values implement [`Snapshot`]: a hand-rolled little-endian codec (the
+//! payloads are flat `u64`/`u8` arrays that `chunks_exact` decodes at
+//! memcpy speed). Disk problems are never fatal: every I/O error just
+//! counts in `disk_errors` and the store degrades to memory-only behaviour.
 
 use std::fs;
 use std::path::{Path, PathBuf};

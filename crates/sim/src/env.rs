@@ -181,8 +181,8 @@ mod tests {
 
     #[test]
     fn parses_set_values() {
-        // Serialized onto unique var names: tests in one binary share the
-        // process environment.
+        // Unique var names: tests in one binary share the process
+        // environment.
         std::env::set_var("COAXIAL_TEST_ENV_U64", "123");
         assert_eq!(env_u64("COAXIAL_TEST_ENV_U64", 7), 123);
         std::env::set_var("COAXIAL_TEST_ENV_U64", "not-a-number");

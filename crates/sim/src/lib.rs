@@ -7,7 +7,9 @@
 //!
 //! This crate deliberately has no model-specific logic; it provides:
 //!
-//! * [`time`] — the `Cycle` type and ns⇄cycle conversion at the system clock,
+//! * [`time`] and [`narrow`] — the `Cycle` type, ns⇄cycle conversion at the
+//!   system clock, and the typed narrowing casts (re-exported from
+//!   `coaxial-telemetry`, their one home),
 //! * [`rng`] — a tiny, fast, deterministic RNG (`SplitMix64`),
 //! * [`stats`] — counters, running means, and latency histograms with
 //!   percentile queries (re-exported from `coaxial-telemetry`, the
@@ -28,12 +30,12 @@
 pub mod checkpoint;
 pub mod env;
 pub mod lru;
-pub mod narrow;
 pub mod queue;
 pub mod rng;
 pub mod sample;
 pub mod stats;
-pub mod time;
+
+pub use coaxial_telemetry::{narrow, time};
 
 pub use checkpoint::{CheckpointCounters, CheckpointStore, KeyHasher, Snapshot};
 pub use lru::ByteBoundedLru;

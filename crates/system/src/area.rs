@@ -5,10 +5,8 @@
 //! references \[34\], \[58\]). The model reproduces Table II's
 //! relative-area column for the candidate 144-core server designs.
 
-use serde::Serialize;
-
 /// Relative area of processor components, in units of 1 MB LLC (Table I).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AreaModel {
     pub llc_1mb: f64,
     pub zen3_core: f64,
@@ -24,7 +22,7 @@ impl AreaModel {
 }
 
 /// One Table II server design row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ServerDesign {
     pub name: &'static str,
     pub cores: u32,

@@ -31,7 +31,6 @@
 use coaxial_cache::{CalmPolicy, PrefetchPolicy};
 use coaxial_cxl::CxlLinkConfig;
 use coaxial_dram::DramConfig;
-use serde::Serialize;
 
 /// A structurally invalid configuration request.
 ///
@@ -77,7 +76,7 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// What kind of memory system backs the processor.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub enum MemorySystemKind {
     /// Directly attached DDR channels (the baseline).
     DirectDdr { channels: usize },
@@ -87,7 +86,7 @@ pub enum MemorySystemKind {
 
 /// The functional half of a configuration: determines the post-prefill
 /// machine state (and nothing about cycle timing). See the module docs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FunctionalConfig {
     /// Cores on the simulated slice (Table III: 12).
     pub cores: usize,
@@ -103,7 +102,7 @@ pub struct FunctionalConfig {
 
 /// The timing half of a configuration: determines *when* accesses
 /// complete, never *which* accesses happen. See the module docs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TimingConfig {
     pub memory: MemorySystemKind,
     pub calm: CalmPolicy,
@@ -115,7 +114,7 @@ pub struct TimingConfig {
 }
 
 /// A complete simulated server configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Human-readable configuration name (used in reports).
     pub name: String,

@@ -7,8 +7,6 @@
 //! two-DIMMs-per-channel configurations (which cost ~15 % of the channel's
 //! bandwidth).
 
-use serde::Serialize;
-
 /// Relative price of a DIMM by capacity, normalized to a 64 GB RDIMM
 /// (paper §IV-E's quoted superlinear curve, extended linearly below 64 GB
 /// where density is commodity).
@@ -28,7 +26,7 @@ pub fn dimm_relative_price(capacity_gb: u32) -> f64 {
 pub const DPC2_BANDWIDTH_FACTOR: f64 = 0.85;
 
 /// One memory build-out option.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryBuildout {
     pub name: String,
     /// DDR channels available (12 for the baseline, 48 for COAXIAL-4x).

@@ -16,7 +16,6 @@ use coaxial_dram::{Channel, DramConfig, MemoryBackend};
 use coaxial_sim::Cycle;
 use coaxial_telemetry::TelemetryRecorder;
 use coaxial_workloads::{mixes, PoissonTraffic, Workload};
-use serde::Serialize;
 
 use crate::config::SystemConfig;
 use crate::runner::{self, RunSpec};
@@ -62,7 +61,7 @@ impl Budget {
 // ───────────────────────── Fig. 2a ──────────────────────────
 
 /// One point of the load-latency curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LoadLatencyPoint {
     pub target_utilization: f64,
     pub achieved_utilization: f64,
@@ -106,7 +105,7 @@ pub fn fig2a_load_latency(utilizations: &[f64], horizon_cycles: Cycle) -> Vec<Lo
 // ───────────────────────── Fig. 2b / Table IV / Fig. 9 ──────
 
 /// One baseline workload characterization row (Figs. 2b, 9; Table IV).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BaselineRow {
     pub workload: String,
     pub ipc: f64,
@@ -144,7 +143,7 @@ pub fn baseline_characterization(budget: Budget) -> Vec<BaselineRow> {
 // ───────────────────────── Fig. 5 ───────────────────────────
 
 /// One per-workload comparison row (Fig. 5, and reused by Figs. 8/10).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CompareRow {
     pub workload: String,
     pub speedup: f64,
@@ -202,7 +201,7 @@ pub fn geomean(values: impl Iterator<Item = f64>) -> f64 {
 // ───────────────────────── Fig. 6 ───────────────────────────
 
 /// One workload-mix result (Fig. 6).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MixRow {
     pub mix_id: u64,
     pub workloads: Vec<String>,
@@ -311,7 +310,7 @@ pub fn calm_mechanisms() -> Vec<CalmPolicy> {
 }
 
 /// One (system, mechanism) × workload cell of Fig. 7.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CalmRow {
     pub workload: String,
     pub system: String,
@@ -370,7 +369,7 @@ pub fn fig7_calm(workload_names: &[&str], budget: Budget) -> Vec<CalmRow> {
 // ───────────────────────── Fig. 8 ───────────────────────────
 
 /// One workload's speedups across COAXIAL variants (Fig. 8).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VariantRow {
     pub workload: String,
     pub coaxial_2x: f64,
@@ -413,7 +412,7 @@ pub fn fig8_variants(budget: Budget) -> Vec<VariantRow> {
 // ───────────────────────── Fig. 10 ──────────────────────────
 
 /// One workload's speedups for each CXL latency premium (Fig. 10 + §VII).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyRow {
     pub workload: String,
     /// (latency_ns, speedup) in the order requested.
@@ -453,7 +452,7 @@ pub fn fig10_latency_sensitivity(latencies_ns: &[f64], budget: Budget) -> Vec<La
 // ───────────────────────── Fig. 11 ──────────────────────────
 
 /// One workload's speedups as a function of active cores (Fig. 11).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct UtilizationRow {
     pub workload: String,
     /// (active_cores, speedup vs. baseline at same active cores).
@@ -494,7 +493,7 @@ pub fn fig11_core_utilization(active: &[usize], budget: Budget) -> Vec<Utilizati
 /// One system's fine-grained L2-miss latency attribution
 /// (`coaxial breakdown`; the telemetry-subsystem refinement of the
 /// paper's Fig. 2b four-way split).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BreakdownRow {
     pub config_name: String,
     pub workload: String,
@@ -554,7 +553,7 @@ pub fn latency_breakdown(
 // ───────────────────────── Table V ──────────────────────────
 
 /// Table V inputs: the measured average CPIs of both systems.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table5Inputs {
     pub baseline_cpi: f64,
     pub coaxial_cpi: f64,
@@ -583,7 +582,7 @@ fn named_workloads(names: &[&str]) -> Vec<&'static Workload> {
 
 /// One DRAM speed-grade sensitivity row: every [`coaxial_dram::DramTimings`]
 /// parameter scaled together by `factor`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TimingScaleRow {
     pub factor: f64,
     pub base_geomean_ipc: f64,
@@ -625,7 +624,7 @@ pub fn dram_timing_scale(
 }
 
 /// One slice-size scaling row (beyond the paper's fixed 12-core slice).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CoreScalingRow {
     pub cores: usize,
     pub base_geomean_ipc: f64,
@@ -668,7 +667,7 @@ pub fn core_scaling(
 
 /// One prefetch-policy row, normalized to the no-prefetch run of the same
 /// system (the bandwidth-funds-latency-tolerance asymmetry check).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PrefetchRow {
     pub policy: String,
     pub workload: String,
@@ -719,7 +718,7 @@ pub fn prefetch_sweep(
 }
 
 /// One RNG-seed sensitivity row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SeedStabilityRow {
     pub seed: u64,
     pub geomean_ipc: f64,
@@ -755,7 +754,7 @@ pub fn seed_stability(
 // ───────────────────────── Interval sampling ─────────────────
 
 /// One workload's full-detail vs interval-sampled comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SamplingRow {
     pub workload: &'static str,
     /// IPC of the conventional full-detail run at the same budget.

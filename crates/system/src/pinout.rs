@@ -7,10 +7,8 @@
 //! peak; PCIe bandwidths are per direction (the paper notes this makes
 //! the comparison *conservative* for PCIe).
 
-use serde::Serialize;
-
 /// One interface generation's point on Fig. 1.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct InterfacePoint {
     pub name: &'static str,
     pub family: &'static str,

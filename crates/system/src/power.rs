@@ -7,10 +7,8 @@
 //! DIMM power. EDP = power × CPI²; ED²P = power × CPI³ (both lower =
 //! better).
 
-use serde::Serialize;
-
 /// Power-model constants for the 144-core server.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PowerModel {
     /// Cores + L1 + L2 power, W.
     pub common_w: f64,
@@ -41,7 +39,7 @@ impl PowerModel {
 }
 
 /// A server's power composition and efficiency metrics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PowerReport {
     pub name: String,
     pub core_w: f64,

@@ -64,7 +64,6 @@ use coaxial_cxl::CxlMemory;
 use coaxial_dram::{ChannelStats, MemoryBackend, MultiChannel};
 use coaxial_sim::{Cycle, SampleSeries};
 use coaxial_telemetry::{MetricsRegistry, NullTelemetry, TelemetrySink, TraceEvent};
-use serde::Serialize;
 
 use crate::config::MemorySystemKind;
 use crate::engine::{self, EngineKind, RunParams};
@@ -73,7 +72,7 @@ use crate::server::{checkpoint_metrics, RunReport, Simulation};
 /// Shape of one sampled run: how many intervals, and how the per-core
 /// instruction stride splits into fast-forward / detailed warm-up /
 /// measurement. All fields come from `COAXIAL_SAMPLING*` by default.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SamplingConfig {
     /// Planned measurement intervals (≥1). CI-based early stopping may run
     /// fewer; see `ci_target`.
@@ -113,7 +112,7 @@ impl SamplingConfig {
 }
 
 /// Sampling-specific half of a [`SampledReport`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SamplingSummary {
     pub intervals_planned: u64,
     pub intervals_run: u64,
@@ -142,7 +141,7 @@ pub struct SamplingSummary {
 
 /// A [`RunReport`] whose statistics were estimated by interval sampling,
 /// plus the sampling metadata needed to interpret it.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SampledReport {
     pub report: RunReport,
     pub sampling: SamplingSummary,

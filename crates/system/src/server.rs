@@ -20,7 +20,6 @@ use coaxial_sim::checkpoint::codec;
 use coaxial_sim::{CheckpointStore, Cycle, KeyHasher, Snapshot};
 use coaxial_telemetry::{MetricsRegistry, NullTelemetry, TelemetrySink};
 use coaxial_workloads::Workload;
-use serde::Serialize;
 
 use crate::config::{FunctionalConfig, MemorySystemKind, SystemConfig};
 use crate::engine::{self, EngineKind, RunParams};
@@ -32,7 +31,7 @@ pub const DEFAULT_INSTRUCTIONS: u64 = 120_000;
 pub const DEFAULT_WARMUP: u64 = 20_000;
 
 /// Results of one simulation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     pub config_name: String,
     pub workload_names: Vec<String>,

@@ -15,13 +15,11 @@
 //! wait-for-LLC overhang; on serial paths it is zero. The property is
 //! enforced by tests in `coaxial-cache` and `coaxial-system`.
 
-use serde::Serialize;
-
 use crate::stats::Histogram;
-use crate::Cycle;
+use crate::time::Cycle;
 
 /// A latency component of one L2 miss, in causal order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Component {
     /// Mesh traversals: L2 → LLC bank, bank → memory controller, and the
     /// data return crossing back to the core tile.
@@ -86,7 +84,7 @@ impl Component {
 /// Stamped by the cache hierarchy at completion time; all durations are in
 /// system cycles. `t_l2_miss` is the breakdown origin (the cycle the L2
 /// miss was determined), matching the paper's L2-miss latency definition.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MissRecord {
     pub core: u32,
     pub line: u64,
@@ -142,14 +140,14 @@ impl MissRecord {
 }
 
 /// Per-channel component sums (means are derived at report time).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ChannelBreakdown {
     pub requests: u64,
     pub component_cycles: [u64; COMPONENTS.len()],
 }
 
 /// Aggregated latency attribution over a measurement window.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyAttribution {
     /// One latency histogram per component (cycles).
     pub per_component: Vec<Histogram>,

@@ -24,29 +24,25 @@
 //!   over. [`NullTelemetry`] compiles every stamping site to nothing (the
 //!   tier-1 path is bit-identical and within noise of the pre-telemetry
 //!   engine); [`TelemetryRecorder`] records everything.
+//! * [`time`] and [`narrow`] — the 2.4 GHz clock (`Cycle`, cycle↔ns
+//!   conversions) and the typed narrowing casts, and
+//! * [`json`] — the workspace's JSON parser and string escaper.
 //!
-//! This crate sits *below* `coaxial-sim` in the dependency graph (so `sim`
-//! can re-export the stats primitives) and therefore defines its own
-//! [`Cycle`] alias; it is the same `u64` cycle count as `coaxial_sim::Cycle`.
+//! This crate sits *below* `coaxial-sim` in the dependency graph, so `sim`
+//! re-exports the stats primitives, the clock and the narrowing helpers,
+//! and the gateway and `coaxial-lint` share one JSON codec from here.
 
 // No unsafe anywhere in this crate; keep it that way (clippy::undocumented_unsafe_blocks).
 #![forbid(unsafe_code)]
 
 pub mod attribution;
+pub mod json;
+pub mod narrow;
 pub mod registry;
 pub mod sink;
 pub mod stats;
 pub mod time;
 pub mod trace;
-
-/// Simulation timestamp / duration in system clock cycles (2.4 GHz).
-/// Identical to `coaxial_sim::Cycle`; redeclared here because this crate
-/// sits below `coaxial-sim` in the dependency graph.
-pub type Cycle = u64;
-
-/// Duration of one system clock cycle in nanoseconds (2.4 GHz clock);
-/// lives in [`time`] with the rest of the clock relationship.
-pub use time::NS_PER_CYCLE;
 
 pub use attribution::{Component, LatencyAttribution, MissRecord, COMPONENTS};
 pub use registry::{MetricValue, MetricsRegistry, SharedCounter, SharedHistogram};

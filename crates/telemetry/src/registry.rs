@@ -16,12 +16,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use serde::Serialize;
-
 use crate::stats::Histogram;
 
 /// One registered metric value.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub enum MetricValue {
     Counter(u64),
     Gauge(f64),
@@ -33,7 +31,7 @@ pub enum MetricValue {
 /// Paths are ordinary strings with `.`-separated segments; `BTreeMap`
 /// ordering means iteration (and rendering) groups a component's metrics
 /// together naturally.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<String, MetricValue>,
 }

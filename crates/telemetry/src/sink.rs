@@ -13,8 +13,8 @@
 //! [`MissRecord`]s for property tests.
 
 use crate::attribution::{LatencyAttribution, MissRecord};
+use crate::time::Cycle;
 use crate::trace::{CounterEvent, EventTracer, TraceEvent};
-use crate::Cycle;
 
 /// Receiver for simulation telemetry.
 ///

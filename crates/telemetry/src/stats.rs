@@ -9,10 +9,10 @@
 //! `coaxial_sim::stats` re-exports it, and the telemetry pipeline's
 //! per-component aggregation builds directly on [`Histogram`].
 
-use serde::Serialize;
+use crate::narrow::{idx, trunc_u64};
 
 /// Accumulates a running sum and count; reports the mean.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MeanTracker {
     sum: f64,
     count: u64,
@@ -60,7 +60,7 @@ impl MeanTracker {
 /// Buckets have ~2.8 % relative width (32 sub-buckets per octave), so any
 /// percentile query is accurate to within ~3 % — far tighter than the
 /// run-to-run variation of the simulated system itself.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -72,25 +72,6 @@ pub struct Histogram {
 const SUBBUCKETS_LOG2: u32 = 5;
 const SUBBUCKETS: u64 = 1 << SUBBUCKETS_LOG2;
 
-/// Bucket-index narrowing. The telemetry crate sits below `coaxial-sim`
-/// (which re-exports this module), so it cannot use `coaxial_sim::narrow`;
-/// this is the crate's single reviewed `u64 -> usize` cast, bounded by the
-/// bucket-count formula in [`Histogram::bucket_index`].
-#[inline]
-#[allow(clippy::cast_possible_truncation)]
-fn bidx(x: u64) -> usize {
-    debug_assert!(x < 64 * SUBBUCKETS);
-    x as usize
-}
-
-/// Percentile rank truncation: `as`-semantics float-to-integer at the
-/// report boundary (never on the record path).
-#[inline]
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn ceil_count(x: f64) -> u64 {
-    x.ceil().max(1.0) as u64
-}
-
 impl Default for Histogram {
     fn default() -> Self {
         Self::new()
@@ -101,7 +82,7 @@ impl Histogram {
     pub fn new() -> Self {
         Self {
             // 64 octaves × 32 sub-buckets covers all of u64.
-            buckets: vec![0; bidx(64 * SUBBUCKETS - 1) + 1],
+            buckets: vec![0; idx(64 * SUBBUCKETS)],
             count: 0,
             sum: 0.0,
             max: 0,
@@ -111,11 +92,11 @@ impl Histogram {
     #[inline]
     fn bucket_index(value: u64) -> usize {
         if value < SUBBUCKETS {
-            return bidx(value);
+            return idx(value);
         }
         let octave = 63 - value.leading_zeros() as u64; // >= SUBBUCKETS_LOG2
         let sub = (value >> (octave - SUBBUCKETS_LOG2 as u64)) - SUBBUCKETS;
-        bidx((octave - SUBBUCKETS_LOG2 as u64 + 1) * SUBBUCKETS + sub)
+        idx((octave - SUBBUCKETS_LOG2 as u64 + 1) * SUBBUCKETS + sub)
     }
 
     /// Lower edge of the bucket with the given index (used to answer
@@ -165,7 +146,7 @@ impl Histogram {
         if self.count == 0 {
             return 0;
         }
-        let target = ceil_count((p / 100.0) * self.count as f64);
+        let target = trunc_u64(((p / 100.0) * self.count as f64).ceil().max(1.0));
         let mut seen = 0;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;

@@ -9,10 +9,10 @@
 //! Capacity is bounded: once `capacity` events are held, the oldest are
 //! overwritten (ring-buffer semantics) and `dropped()` counts the
 //! casualties, so a long run can never exhaust memory. The export is
-//! written by hand — the vendored `serde` is a marker-only stub — against
-//! the documented schema, and validated by a mini JSON parser in the tests.
+//! written with format strings against the documented schema, and the
+//! tests parse it back through [`crate::json`].
 
-use crate::Cycle;
+use crate::time::Cycle;
 
 /// One complete duration event destined for a Chrome trace.
 ///
@@ -203,6 +203,7 @@ impl EventTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse, Json};
 
     fn ev(start: Cycle, dur: Cycle) -> TraceEvent {
         TraceEvent { name: "dram", cat: "mem", pid: 0, tid: 1, start, dur, line: 0xdead }
@@ -231,145 +232,16 @@ mod tests {
         assert_eq!(t.dropped(), 0);
     }
 
-    /// Minimal JSON parser: enough to validate the exported trace's
-    /// structure (balanced syntax, required keys, numeric fields).
-    mod mini_json {
-        #[derive(Debug, PartialEq)]
-        pub enum Value {
-            Null,
-            Bool(bool),
-            Num(f64),
-            Str(String),
-            Arr(Vec<Value>),
-            Obj(Vec<(String, Value)>),
-        }
-
-        pub fn parse(s: &str) -> Result<Value, String> {
-            let b = s.as_bytes();
-            let mut pos = 0usize;
-            let v = value(b, &mut pos)?;
-            skip_ws(b, &mut pos);
-            if pos != b.len() {
-                return Err(format!("trailing bytes at {pos}"));
-            }
-            Ok(v)
-        }
-
-        fn skip_ws(b: &[u8], pos: &mut usize) {
-            while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-                *pos += 1;
-            }
-        }
-
-        fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b'{') => obj(b, pos),
-                Some(b'[') => arr(b, pos),
-                Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-                Some(b't') => lit(b, pos, "true", Value::Bool(true)),
-                Some(b'f') => lit(b, pos, "false", Value::Bool(false)),
-                Some(b'n') => lit(b, pos, "null", Value::Null),
-                Some(_) => num(b, pos),
-                None => Err("unexpected end".into()),
-            }
-        }
-
-        fn lit(b: &[u8], pos: &mut usize, word: &str, v: Value) -> Result<Value, String> {
-            if b[*pos..].starts_with(word.as_bytes()) {
-                *pos += word.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at {pos}"))
-            }
-        }
-
-        fn num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at {start}"))
-        }
-
-        fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-            *pos += 1; // opening quote
-            let mut s = String::new();
-            while *pos < b.len() {
-                match b[*pos] {
-                    b'"' => {
-                        *pos += 1;
-                        return Ok(s);
-                    }
-                    b'\\' => {
-                        *pos += 2;
-                        s.push('?'); // escapes not needed for our schema
-                    }
-                    c => {
-                        s.push(c as char);
-                        *pos += 1;
-                    }
-                }
-            }
-            Err("unterminated string".into())
-        }
-
-        fn arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("bad array at {pos}")),
-                }
-            }
-        }
-
-        fn obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Obj(items));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at {pos}"));
-                }
-                *pos += 1;
-                items.push((key, value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Obj(items));
-                    }
-                    _ => return Err(format!("bad object at {pos}")),
-                }
-            }
-        }
+    /// The `traceEvents` array of an export, parsed with the workspace
+    /// codec.
+    fn trace_events(json: &str) -> Vec<Json> {
+        let Json::Obj(mut top) = parse(json).expect("export must be valid JSON") else {
+            panic!("top level must be an object")
+        };
+        let Some(Json::Arr(events)) = top.remove("traceEvents") else {
+            panic!("traceEvents must be an array")
+        };
+        events
     }
 
     #[test]
@@ -385,31 +257,19 @@ mod tests {
             dur: 60,
             line: 42,
         });
-        let json = t.export_chrome_json();
-        let v = mini_json::parse(&json).expect("export must be valid JSON");
-
-        let mini_json::Value::Obj(top) = v else { panic!("top level must be an object") };
-        let events = top
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .map(|(_, v)| v)
-            .expect("traceEvents key required");
-        let mini_json::Value::Arr(events) = events else { panic!("traceEvents must be an array") };
+        let events = trace_events(&t.export_chrome_json());
         assert_eq!(events.len(), 2);
-        for e in events {
-            let mini_json::Value::Obj(fields) = e else { panic!("event must be an object") };
-            let get = |k: &str| fields.iter().find(|(f, _)| f == k).map(|(_, v)| v);
-            assert_eq!(get("ph"), Some(&mini_json::Value::Str("X".into())));
-            assert!(matches!(get("ts"), Some(mini_json::Value::Num(_))));
-            assert!(matches!(get("dur"), Some(mini_json::Value::Num(_))));
-            assert!(matches!(get("pid"), Some(mini_json::Value::Num(_))));
-            assert!(matches!(get("tid"), Some(mini_json::Value::Num(_))));
-            assert!(matches!(get("name"), Some(mini_json::Value::Str(_))));
+        for e in &events {
+            let Json::Obj(fields) = e else { panic!("event must be an object") };
+            assert_eq!(fields.get("ph").and_then(Json::as_str), Some("X"));
+            for k in ["ts", "dur", "pid", "tid"] {
+                assert!(fields.get(k).and_then(Json::as_f64).is_some(), "{k} must be a number");
+            }
+            assert!(fields.get("name").and_then(Json::as_str).is_some());
         }
         // Cycle→µs conversion: 240 cycles @2.4 GHz = 0.1 µs.
-        let mini_json::Value::Obj(fields) = &events[0] else { unreachable!() };
-        let ts = fields.iter().find(|(k, _)| k == "ts").map(|(_, v)| v).unwrap();
-        let mini_json::Value::Num(ts) = ts else { panic!() };
+        let Json::Obj(fields) = &events[0] else { unreachable!() };
+        let ts = fields["ts"].as_f64().unwrap();
         assert!((ts - 0.1).abs() < 1e-9, "ts {ts} != 0.1 µs");
     }
 
@@ -418,7 +278,7 @@ mod tests {
         let t = EventTracer::new(4);
         let json = t.export_chrome_json();
         assert!(json.contains("\"traceEvents\":[]"));
-        mini_json::parse(&json).expect("empty export must still be valid JSON");
+        assert!(trace_events(&json).is_empty());
     }
 
     fn ctr(ts: Cycle, value: u64) -> CounterEvent {
@@ -447,31 +307,21 @@ mod tests {
         let mut t = EventTracer::new(8);
         t.record(ev(240, 120));
         t.record_counter(ctr(4096, 640));
-        let json = t.export_chrome_json();
-        let v = mini_json::parse(&json).expect("counter export must be valid JSON");
-        let mini_json::Value::Obj(top) = v else { panic!("top level must be an object") };
-        let (_, mini_json::Value::Arr(events)) =
-            top.iter().find(|(k, _)| k == "traceEvents").expect("traceEvents key required")
-        else {
-            panic!("traceEvents must be an array")
-        };
+        let events = trace_events(&t.export_chrome_json());
         assert_eq!(events.len(), 2, "one span + one counter");
-        let mini_json::Value::Obj(fields) = &events[1] else { panic!("counter must be an object") };
-        let get = |k: &str| fields.iter().find(|(f, _)| f == k).map(|(_, v)| v);
-        assert_eq!(get("ph"), Some(&mini_json::Value::Str("C".into())));
-        assert_eq!(get("name"), Some(&mini_json::Value::Str("mem_read_bytes".into())));
-        assert_eq!(get("pid"), Some(&mini_json::Value::Num(300.0)));
-        let Some(mini_json::Value::Obj(args)) = get("args") else { panic!("args required") };
-        let arg = |k: &str| args.iter().find(|(f, _)| f == k).map(|(_, v)| v);
-        assert_eq!(arg("value"), Some(&mini_json::Value::Num(640.0)));
-        assert_eq!(arg("cycle"), Some(&mini_json::Value::Num(4096.0)));
+        let Json::Obj(fields) = &events[1] else { panic!("counter must be an object") };
+        assert_eq!(fields["ph"].as_str(), Some("C"));
+        assert_eq!(fields["name"].as_str(), Some("mem_read_bytes"));
+        assert_eq!(fields["pid"], Json::Int(300));
+        let Json::Obj(args) = &fields["args"] else { panic!("args must be an object") };
+        assert_eq!(args["value"], Json::Int(640));
+        assert_eq!(args["cycle"], Json::Int(4096));
     }
 
     #[test]
     fn counters_alone_export_without_leading_comma() {
         let mut t = EventTracer::new(4);
         t.record_counter(ctr(0, 7));
-        let json = t.export_chrome_json();
-        mini_json::parse(&json).expect("counter-only export must be valid JSON");
+        assert_eq!(trace_events(&t.export_chrome_json()).len(), 1);
     }
 }

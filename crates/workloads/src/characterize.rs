@@ -5,12 +5,11 @@
 use std::collections::HashSet;
 
 use coaxial_cpu::{MemKind, TraceSource};
-use serde::Serialize;
 
 use crate::registry::Workload;
 
 /// Empirical profile of a trace stream.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TraceProfile {
     pub workload: String,
     /// Ops sampled.

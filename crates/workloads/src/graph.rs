@@ -15,12 +15,11 @@
 
 use coaxial_cpu::{TraceOp, TraceSource};
 use coaxial_sim::SplitMix64;
-use serde::Serialize;
 
 use crate::core_base;
 
 /// Shape of a LIGRA-style kernel.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GraphParams {
     /// Vertices in the synthetic graph (per core).
     pub vertices: u64,

@@ -13,14 +13,13 @@
 use std::sync::OnceLock;
 
 use coaxial_cpu::TraceSource;
-use serde::Serialize;
 
 use crate::graph::{GraphParams, GraphTrace};
 use crate::synthetic::{SyntheticParams, SyntheticTrace};
 use crate::tree::{TreeParams, TreeTrace};
 
 /// Benchmark suite a workload belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Suite {
     Spec,
     Ligra,

@@ -2,12 +2,11 @@
 
 use coaxial_cpu::{MemKind, TraceOp, TraceSource};
 use coaxial_sim::SplitMix64;
-use serde::Serialize;
 
 use crate::core_base;
 
 /// Statistical description of one workload's memory behaviour.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SyntheticParams {
     /// Mean non-memory instructions between memory operations.
     pub mean_gap: f64,

@@ -8,12 +8,11 @@
 
 use coaxial_cpu::{TraceOp, TraceSource};
 use coaxial_sim::SplitMix64;
-use serde::Serialize;
 
 use crate::core_base;
 
 /// Shape of the tree workload.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TreeParams {
     /// Tree depth (levels walked per lookup, root inclusive).
     pub depth: u32,
