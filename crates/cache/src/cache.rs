@@ -255,6 +255,12 @@ impl CacheArray {
         let _ = line_addr;
     }
 
+    /// Same sets, ways and index function as `other`.
+    pub fn same_geometry(&self, other: &Self) -> bool {
+        (self.assoc, self.set_shift, self.set_mask)
+            == (other.assoc, other.set_shift, other.set_mask)
+    }
+
     /// Reset hit/miss counters (end of warmup) without touching contents.
     pub fn reset_stats(&mut self) {
         self.hits = 0;

@@ -827,18 +827,22 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         PrefillState { l1: self.l1.clone(), l2: self.l2.clone(), llc: self.llc.clone() }
     }
 
-    /// Restore a snapshot taken by [`Hierarchy::export_prefill_state`] on a
-    /// hierarchy with identical array geometry.
-    pub fn import_prefill_state(&mut self, state: &PrefillState) {
-        assert_eq!(self.l1.len(), state.l1.len(), "prefill state: core count mismatch");
-        assert_eq!(
-            self.llc.first().map(CacheArray::capacity_bytes),
-            state.llc.first().map(CacheArray::capacity_bytes),
-            "prefill state: LLC geometry mismatch"
-        );
+    /// Restore a snapshot taken by [`Hierarchy::export_prefill_state`].
+    /// Returns `false`, changing nothing, unless every array of `state`
+    /// has this hierarchy's geometry (a decoded disk checkpoint may come
+    /// from another build's cache configuration).
+    pub fn import_prefill_state(&mut self, state: &PrefillState) -> bool {
+        let fits = |mine: &[CacheArray], theirs: &[CacheArray]| {
+            mine.len() == theirs.len() && mine.iter().zip(theirs).all(|(a, b)| a.same_geometry(b))
+        };
+        if !(fits(&self.l1, &state.l1) && fits(&self.l2, &state.l2) && fits(&self.llc, &state.llc))
+        {
+            return false;
+        }
         self.l1.clone_from(&state.l1);
         self.l2.clone_from(&state.l2);
         self.llc.clone_from(&state.llc);
+        true
     }
 
     /// Host-prefetch the tag sets [`Hierarchy::prefill_access`] would probe
@@ -1178,6 +1182,58 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
 mod tests {
     use super::*;
     use coaxial_dram::{DramConfig, MultiChannel};
+
+    /// A Table III hierarchy over one DDR channel, `edit`ed.
+    fn hier(cores: usize, edit: impl FnOnce(&mut HierarchyConfig)) -> Hierarchy<MultiChannel> {
+        let mut cfg = HierarchyConfig::table_iii(cores, 1, 2.0, 38.4, CalmPolicy::Serial);
+        edit(&mut cfg);
+        Hierarchy::new(cfg, MultiChannel::new(&DramConfig::ddr5_4800(), 1))
+    }
+
+    /// A decoded `.ckpt` state that does not fit array for array is
+    /// refused and changes nothing: another core count (which used to
+    /// panic) or another L2 size (which used to import silently).
+    #[test]
+    fn prefill_import_refuses_other_geometries() {
+        let mut two = hier(2, |_| {});
+        two.prefill_access(0, 0x40, true);
+        let half_l2 = hier(4, |c| c.l2_bytes = 256 * 1024);
+        let mut four = hier(4, |_| {});
+        four.prefill_access(1, 0x80, false);
+        let before = four.occupancy();
+        assert!(!four.import_prefill_state(&two.export_prefill_state()), "2 cores into 4");
+        assert!(!four.import_prefill_state(&half_l2.export_prefill_state()), "256 KiB L2 into 512");
+        assert_eq!(four.occupancy(), before, "a refused import changes nothing");
+        assert!(four.import_prefill_state(&hier(4, |_| {}).export_prefill_state()));
+        assert_eq!(four.occupancy(), [(0, 0); 3]);
+    }
+
+    /// Seeded corruptions of an encoded prefill state: decoding never
+    /// panics or decodes more ways than the bytes hold, and importing what
+    /// decodes never panics.
+    #[test]
+    fn seeded_fuzz_of_prefill_state_decode_and_import() {
+        use coaxial_sim::Snapshot;
+        let small = |c: &mut HierarchyConfig| {
+            (c.l1_bytes, c.l2_bytes, c.llc_bytes_per_core) = (1024, 4096, 8192);
+        };
+        let mut warm = hier(2, small);
+        for line in 0..300u64 {
+            warm.prefill_access(u32::from(line % 2 == 0), line * 7, line % 3 == 0);
+        }
+        let mut raw = Vec::new();
+        warm.export_prefill_state().encode(&mut raw);
+        let mut rng = coaxial_sim::SplitMix64::new(0x57A7E);
+        let (mut decoded, mut imported) = (0, 0);
+        for _ in 0..400 {
+            let bad = rng.corrupt(&raw);
+            let Some(state) = PrefillState::decode(&bad) else { continue };
+            assert!(state.approx_bytes() <= bad.len() as u64 * 17 / 16, "decoded past the input");
+            decoded += 1;
+            imported += usize::from(hier(2, small).import_prefill_state(&state));
+        }
+        assert!(decoded > 0 && imported > 0, "the fuzzer must reach decode and import");
+    }
 
     /// Test driver keeping simulation time monotonic across operations.
     struct Driver {

@@ -11,6 +11,7 @@
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::trace::{MemKind, TraceOp, TraceSource};
 
@@ -83,19 +84,31 @@ pub fn read_trace(path: &Path) -> io::Result<Vec<TraceOp>> {
 }
 
 /// A [`TraceSource`] replaying a trace file (looping forever, like every
-/// other source in this project).
+/// other source in this project). Cursors over one file share its ops.
 pub struct FileTrace {
-    ops: Vec<TraceOp>,
+    ops: Arc<[TraceOp]>,
     pos: usize,
 }
 
 impl FileTrace {
     pub fn open(path: &Path) -> io::Result<Self> {
+        Ok(Self::shared(Self::load(path)?))
+    }
+
+    /// Read a trace file once for any number of [`FileTrace::shared`]
+    /// cursors; an empty trace is an error (there is nothing to loop).
+    pub fn load(path: &Path) -> io::Result<Arc<[TraceOp]>> {
         let ops = read_trace(path)?;
         if ops.is_empty() {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "empty trace"));
         }
-        Ok(Self { ops, pos: 0 })
+        Ok(ops.into())
+    }
+
+    /// A cursor at the start of `ops` (from [`FileTrace::load`]).
+    pub fn shared(ops: Arc<[TraceOp]>) -> Self {
+        assert!(!ops.is_empty(), "a trace replay needs at least one op");
+        Self { ops, pos: 0 }
     }
 
     pub fn len(&self) -> usize {
@@ -140,6 +153,29 @@ mod tests {
         write_trace(&path, &ops).unwrap();
         let back = read_trace(&path).unwrap();
         assert_eq!(back, ops);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Seeded corruptions of a trace file: `read_trace` and `open` never
+    /// panic, and a parse never yields more records than the file holds.
+    #[test]
+    fn seeded_fuzz_of_trace_files_never_panics() {
+        let path = temp("fuzz");
+        let ops: Vec<TraceOp> = (0..40).map(|i| TraceOp::load(i, u64::from(i) * 64, i)).collect();
+        write_trace(&path, &ops).unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        let mut rng = coaxial_sim::SplitMix64::new(0x7EAC);
+        let mut parsed = 0;
+        for _ in 0..400 {
+            let bad = rng.corrupt(&raw);
+            std::fs::write(&path, &bad).unwrap();
+            if let Ok(back) = read_trace(&path) {
+                assert!(16 + back.len() * RECORD_BYTES <= bad.len(), "more records than bytes");
+                parsed += 1;
+            }
+            let _ = FileTrace::open(&path);
+        }
+        assert!(parsed > 0, "the fuzzer must reach a successful parse");
         std::fs::remove_file(&path).ok();
     }
 

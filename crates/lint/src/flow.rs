@@ -1,12 +1,12 @@
-//! Unit-of-measure dataflow: expression trees, a statement-level CFG, and
-//! an abstract interpreter over a unit lattice.
+//! Unit-of-measure dataflow: a statement-level CFG and an abstract
+//! interpreter over a unit lattice.
 //!
-//! This is the last rung of the static-analysis ladder (lexer → item
-//! parser → symbol graph → resolved paths → **dataflow**). Fn bodies that
-//! [`crate::parser`] left as raw token spans are lowered here into
-//! expression trees and a statement-level control-flow graph, and a
+//! Each fn body's expression tree ([`crate::body`], parsed once with its
+//! file) is lowered here into a statement-level control-flow graph, and a
 //! worklist fixpoint propagates an abstract *unit* per local through
-//! arithmetic, field reads/writes, calls, and returns.
+//! arithmetic, field reads/writes, calls, and returns. Nodes that carry no
+//! unit (strings, macros, ranges, `if let` scrutinees) evaluate to
+//! `Unknown` without being descended into.
 //!
 //! ## The lattice
 //!
@@ -55,10 +55,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{Tok, TokKind};
-use crate::parser::{FnDef, Item, ItemKind};
+use crate::body::{Arm, BinOp, Block, Expr, Stmt};
+use crate::lexer::TokKind;
 use crate::rules::FileCtx;
-use crate::symbols::Workspace;
+use crate::symbols::{FnSym, Workspace};
 use crate::Finding;
 
 // ---------------------------------------------------------------------------
@@ -209,1066 +209,34 @@ const PRESERVE_METHODS: &[&str] = &[
 ];
 
 // ---------------------------------------------------------------------------
-// Expression trees
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Rem,
-    /// `<` `<=` `>` `>=` `==` `!=` — comparing mixed units is as wrong as
-    /// adding them.
-    Cmp,
-    /// Shifts, bitops, `&&`/`||`, ranges — unit-destroying.
-    Other,
-}
-
-impl BinOp {
-    fn sym(self) -> &'static str {
-        match self {
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
-            BinOp::Rem => "%",
-            BinOp::Cmp => "<cmp>",
-            BinOp::Other => "<op>",
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Expr {
-    /// Numeric literal — the lattice bottom.
-    Lit,
-    /// A (possibly `::`-qualified) path; `line` of its last segment.
-    Path(Vec<String>, u32),
-    Field(Box<Expr>, String, u32),
-    Index(Box<Expr>),
-    Call {
-        /// Method receiver (`None` for free calls).
-        recv: Option<Box<Expr>>,
-        name: String,
-        /// Code-token index of the callee ident — the resolver's
-        /// `CallSite::pos` key.
-        pos: usize,
-        line: u32,
-        args: Vec<Expr>,
-    },
-    /// `-x`, `&x`, `*x`, `x?` — unit-preserving.
-    Unary(Box<Expr>),
-    Binary(BinOp, Box<Expr>, Box<Expr>, u32),
-    Assign {
-        target: Box<Expr>,
-        /// `Some(op)` for compound (`+=` …) assignment.
-        op: Option<BinOp>,
-        value: Box<Expr>,
-        line: u32,
-    },
-    /// `x as T` — numeric casts preserve the unit.
-    Cast(Box<Expr>),
-    StructLit {
-        name: String,
-        /// `(field, value, line)` per initializer; `..base` is dropped.
-        inits: Vec<(String, Expr, u32)>,
-    },
-    Tuple(Vec<Expr>),
-    If {
-        cond: Box<Expr>,
-        then_b: Block,
-        else_b: Option<Box<Expr>>,
-    },
-    Match {
-        scrutinee: Box<Expr>,
-        /// `(bound idents, arm body)` — pattern binds go in Unknown.
-        arms: Vec<(Vec<String>, Expr)>,
-    },
-    Loop(Block),
-    While {
-        cond: Box<Expr>,
-        body: Block,
-    },
-    For {
-        var: Vec<String>,
-        iter: Box<Expr>,
-        body: Block,
-    },
-    BlockE(Block),
-    Closure {
-        params: Vec<String>,
-        body: Box<Expr>,
-    },
-    Ret(Option<Box<Expr>>, u32),
-    Break,
-    Continue,
-    /// Anything we don't model (macros, parse bailouts, `[…]` literals,
-    /// strings, bools). Evaluates to `Unknown` — hides, never invents.
-    Opaque,
-}
-
-#[derive(Debug, Clone)]
-struct Block {
-    stmts: Vec<Stmt>,
-    tail: Option<Box<Expr>>,
-}
-
-impl Block {
-    fn empty() -> Self {
-        Block { stmts: Vec::new(), tail: None }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Stmt {
-    Let {
-        /// Idents bound by the pattern.
-        names: Vec<String>,
-        /// Declared type text (space-joined), empty if none.
-        ty: String,
-        init: Option<Expr>,
-        line: u32,
-    },
-    Expr(Expr),
-}
-
-// ---------------------------------------------------------------------------
-// Expression parser (total: degrades to Opaque, never fails)
-// ---------------------------------------------------------------------------
-
-struct P<'a> {
-    t: &'a [Tok],
-    i: usize,
-    end: usize,
-    depth: u32,
-}
-
-const MAX_DEPTH: u32 = 64;
-
-impl<'a> P<'a> {
-    fn new(t: &'a [Tok], start: usize, end: usize) -> Self {
-        P { t, i: start, end: end.min(t.len()), depth: 0 }
-    }
-
-    fn peek(&self, k: usize) -> Option<&Tok> {
-        let j = self.i + k;
-        if j < self.end {
-            Some(&self.t[j])
-        } else {
-            None
-        }
-    }
-
-    fn txt(&self, k: usize) -> &str {
-        self.peek(k).map_or("", |t| t.text.as_str())
-    }
-
-    fn line(&self) -> u32 {
-        self.peek(0).map_or(0, |t| t.line)
-    }
-
-    fn at(&self, s: &str) -> bool {
-        self.txt(0) == s
-    }
-
-    fn at2(&self, a: &str, b: &str) -> bool {
-        self.txt(0) == a && self.txt(1) == b
-    }
-
-    fn bump(&mut self) {
-        self.i += 1;
-    }
-
-    fn eat(&mut self, s: &str) -> bool {
-        if self.at(s) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn is_ident(&self, k: usize) -> bool {
-        self.peek(k).is_some_and(|t| t.kind == TokKind::Ident)
-    }
-
-    /// Skip a balanced `(…)`/`{…}`/`[…]` group, cursor on the opener.
-    fn skip_group(&mut self) {
-        let (open, close) = match self.txt(0) {
-            "(" => ("(", ")"),
-            "{" => ("{", "}"),
-            "[" => ("[", "]"),
-            _ => {
-                self.bump();
-                return;
-            }
-        };
-        let mut d = 0usize;
-        while self.i < self.end {
-            let s = self.txt(0);
-            if s == open {
-                d += 1;
-            } else if s == close {
-                d -= 1;
-                self.bump();
-                if d == 0 {
-                    return;
-                }
-                continue;
-            }
-            self.bump();
-        }
-    }
-
-    /// Skip a turbofish / generic argument list, cursor on `<`.
-    fn skip_angles(&mut self) {
-        let mut d = 0usize;
-        while self.i < self.end {
-            match self.txt(0) {
-                "<" => d += 1,
-                ">" => {
-                    d = d.saturating_sub(1);
-                    if d == 0 {
-                        self.bump();
-                        return;
-                    }
-                }
-                "(" | "{" | "[" => {
-                    self.skip_group();
-                    continue;
-                }
-                ";" => return,
-                _ => {}
-            }
-            self.bump();
-        }
-    }
-
-    /// Consume a type: path segments, generics, refs, tuples, fn-pointers.
-    /// Returns the space-joined text. Stops at `=`, `;`, `,`, `)`, `{` at
-    /// depth 0 (and `>` closing an enclosing angle context).
-    fn take_type(&mut self) -> String {
-        let mut out = Vec::new();
-        let mut angle = 0i32;
-        let mut paren = 0i32;
-        while self.i < self.end {
-            let s = self.txt(0);
-            match s {
-                "<" => angle += 1,
-                ">" => {
-                    if angle == 0 {
-                        break;
-                    }
-                    angle -= 1;
-                }
-                "(" | "[" => paren += 1,
-                ")" | "]" => {
-                    if paren == 0 {
-                        break;
-                    }
-                    paren -= 1;
-                }
-                // `&` stays (reference types); `+`/`-`/`*`/`/`/`.`/`?`
-                // never start a type's tail at depth 0, so they end the
-                // type and hand control back to the expression grammar
-                // (`x as f64 + y`). Trait-object bounds (`dyn A + B`) and
-                // fn-pointer types lose their tail — harmlessly.
-                "=" | ";" | "{" | "," | "+" | "-" | "*" | "/" | "%" | "." | "?" | "|"
-                    if angle == 0 && paren == 0 =>
-                {
-                    break;
-                }
-                _ => {}
-            }
-            out.push(s.to_string());
-            self.bump();
-        }
-        out.join(" ")
-    }
-
-    /// Collect idents bound by a pattern, consuming up to (not including)
-    /// the first `:` `=` `;` or `in` at depth 0. `_`, `mut`, `ref`,
-    /// path-case constructors (`Some`, `Op::Read`) are not binders.
-    fn take_pattern(&mut self) -> Vec<String> {
-        let mut names = Vec::new();
-        let mut d = 0i32;
-        while self.i < self.end {
-            let s = self.txt(0);
-            match s {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => {
-                    if d == 0 {
-                        break;
-                    }
-                    d -= 1;
-                }
-                ":" if d == 0 && self.txt(1) != ":" => break,
-                "=" if d == 0 => break,
-                ";" if d == 0 => break,
-                "in" if d == 0 => break,
-                "else" if d == 0 => break,
-                _ => {
-                    if self.peek(0).is_some_and(|t| t.kind == TokKind::Ident)
-                        && s.chars().next().is_some_and(|c| c.is_ascii_lowercase() || c == '_')
-                        && !matches!(s, "mut" | "ref" | "box" | "_")
-                        && self.txt(1) != ":"
-                    // not a path segment (`core::X`)
-                    {
-                        names.push(s.to_string());
-                    }
-                    if s == ":" && self.txt(1) == ":" {
-                        self.bump(); // consume both colons of `::`
-                    }
-                }
-            }
-            self.bump();
-        }
-        names
-    }
-}
-
-impl<'a> P<'a> {
-    /// Parse the block whose `{` the cursor sits on. Always terminates:
-    /// a malformed body degrades to Opaque statements, never a hang.
-    fn block(&mut self) -> Block {
-        let mut b = Block::empty();
-        if !self.eat("{") {
-            return b;
-        }
-        while self.i < self.end && !self.at("}") {
-            let before = self.i;
-            if self.eat(";") {
-                continue;
-            }
-            match self.txt(0) {
-                "let" => b.stmts.push(self.let_stmt()),
-                "return" => {
-                    self.bump();
-                    let line = self.line();
-                    let e = if self.at(";") || self.at("}") {
-                        None
-                    } else {
-                        Some(Box::new(self.expr(true)))
-                    };
-                    b.stmts.push(Stmt::Expr(Expr::Ret(e, line)));
-                    self.eat(";");
-                }
-                "break" => {
-                    self.bump();
-                    if !self.at(";") && !self.at("}") {
-                        let _ = self.expr(true);
-                    }
-                    b.stmts.push(Stmt::Expr(Expr::Break));
-                    self.eat(";");
-                }
-                "continue" => {
-                    self.bump();
-                    b.stmts.push(Stmt::Expr(Expr::Continue));
-                    self.eat(";");
-                }
-                // Nested items: skip their tokens wholesale.
-                "fn" | "struct" | "enum" | "impl" | "trait" | "mod" | "unsafe" => {
-                    while self.i < self.end && !self.at("{") && !self.at(";") {
-                        self.bump();
-                    }
-                    if self.at("{") {
-                        self.skip_group();
-                    } else {
-                        self.eat(";");
-                    }
-                }
-                "use" | "const" | "static" | "type" => {
-                    while self.i < self.end && !self.at(";") {
-                        if self.at("{") {
-                            self.skip_group();
-                            continue;
-                        }
-                        self.bump();
-                    }
-                    self.eat(";");
-                }
-                "#" => {
-                    // attribute: `#` `[` … `]`
-                    self.bump();
-                    if self.at("[") {
-                        self.skip_group();
-                    }
-                }
-                _ => {
-                    let e = self.expr(true);
-                    if self.eat(";") {
-                        b.stmts.push(Stmt::Expr(e));
-                    } else if self.at("}") {
-                        b.tail = Some(Box::new(e));
-                    } else {
-                        b.stmts.push(Stmt::Expr(e));
-                    }
-                }
-            }
-            if self.i == before {
-                // No progress — drop the token, keep the pass total.
-                self.bump();
-            }
-        }
-        self.eat("}");
-        b
-    }
-
-    fn let_stmt(&mut self) -> Stmt {
-        let line = self.line();
-        self.bump(); // `let`
-        let names = self.take_pattern();
-        let ty = if self.at(":") && self.txt(1) != ":" {
-            self.bump();
-            self.take_type()
-        } else {
-            String::new()
-        };
-        let init = if self.eat("=") { Some(self.expr(true)) } else { None };
-        // let-else: parse (and discard) the diverging block.
-        if self.at("else") {
-            self.bump();
-            if self.at("{") {
-                let _ = self.block();
-            }
-        }
-        self.eat(";");
-        Stmt::Let { names, ty, init, line }
-    }
-
-    /// Full expression, lowest precedence (assignment / ranges).
-    /// `allow_struct` is off inside `if`/`while`/`match`-head positions
-    /// where `Foo {` would swallow the body.
-    fn expr(&mut self, allow_struct: bool) -> Expr {
-        if self.depth >= MAX_DEPTH {
-            // Way past anything the tree contains; bail opaque.
-            self.bump();
-            return Expr::Opaque;
-        }
-        self.depth += 1;
-        let e = self.assign_expr(allow_struct);
-        self.depth -= 1;
-        e
-    }
-
-    fn assign_expr(&mut self, allow_struct: bool) -> Expr {
-        let lhs = self.range_expr(allow_struct);
-        let line = self.line();
-        // `=` (not `==` / `=>` / `<=`-style, those were consumed earlier)
-        if self.at("=") && self.txt(1) != "=" && self.txt(1) != ">" {
-            self.bump();
-            let rhs = self.assign_expr(allow_struct);
-            return Expr::Assign { target: Box::new(lhs), op: None, value: Box::new(rhs), line };
-        }
-        for (a, op) in [
-            ("+", BinOp::Add),
-            ("-", BinOp::Sub),
-            ("*", BinOp::Mul),
-            ("/", BinOp::Div),
-            ("%", BinOp::Rem),
-            ("|", BinOp::Other),
-            ("&", BinOp::Other),
-            ("^", BinOp::Other),
-        ] {
-            if self.at2(a, "=") && self.txt(2) != "=" {
-                self.i += 2;
-                let rhs = self.assign_expr(allow_struct);
-                return Expr::Assign {
-                    target: Box::new(lhs),
-                    op: Some(op),
-                    value: Box::new(rhs),
-                    line,
-                };
-            }
-        }
-        lhs
-    }
-
-    fn range_expr(&mut self, allow_struct: bool) -> Expr {
-        if self.at2(".", ".") {
-            // prefix range `..n`
-            self.i += 2;
-            self.eat("=");
-            if !self.at(")") && !self.at("]") && !self.at("{") && !self.at(",") {
-                let _ = self.or_expr(allow_struct);
-            }
-            return Expr::Opaque;
-        }
-        let lhs = self.or_expr(allow_struct);
-        if self.at2(".", ".") {
-            self.i += 2;
-            self.eat("=");
-            if !self.at(")") && !self.at("]") && !self.at("{") && !self.at(",") && !self.at(";") {
-                let _ = self.or_expr(allow_struct);
-            }
-            return Expr::Opaque;
-        }
-        lhs
-    }
-
-    fn or_expr(&mut self, allow_struct: bool) -> Expr {
-        let mut lhs = self.and_expr(allow_struct);
-        while self.at2("|", "|") && self.txt(2) != "=" {
-            self.i += 2;
-            let rhs = self.and_expr(allow_struct);
-            lhs = Expr::Binary(BinOp::Other, Box::new(lhs), Box::new(rhs), self.line());
-        }
-        lhs
-    }
-
-    fn and_expr(&mut self, allow_struct: bool) -> Expr {
-        let mut lhs = self.cmp_expr(allow_struct);
-        while self.at2("&", "&") {
-            self.i += 2;
-            let rhs = self.cmp_expr(allow_struct);
-            lhs = Expr::Binary(BinOp::Other, Box::new(lhs), Box::new(rhs), self.line());
-        }
-        lhs
-    }
-
-    /// Comparison (non-associative): `== != < <= > >=`.
-    fn cmp_expr(&mut self, allow_struct: bool) -> Expr {
-        let lhs = self.bitor_expr(allow_struct);
-        let line = self.line();
-        let is_cmp = (self.at2("=", "="))
-            || (self.at2("!", "="))
-            || (self.at("<") && self.txt(1) != "<")
-            || (self.at(">") && self.txt(1) != ">");
-        if is_cmp {
-            if self.at2("=", "=") || self.at2("!", "=") {
-                self.i += 2;
-            } else {
-                self.bump();
-                self.eat("=");
-            }
-            let rhs = self.bitor_expr(allow_struct);
-            return Expr::Binary(BinOp::Cmp, Box::new(lhs), Box::new(rhs), line);
-        }
-        lhs
-    }
-
-    fn bitor_expr(&mut self, allow_struct: bool) -> Expr {
-        let mut lhs = self.addsub_expr(allow_struct);
-        loop {
-            let line = self.line();
-            // single `|` `&` `^` and shifts — all unit-destroying
-            if (self.at("|") && self.txt(1) != "|" && self.txt(1) != "=")
-                || (self.at("&") && self.txt(1) != "&" && self.txt(1) != "=")
-                || (self.at("^") && self.txt(1) != "=")
-            {
-                self.bump();
-                let rhs = self.addsub_expr(allow_struct);
-                lhs = Expr::Binary(BinOp::Other, Box::new(lhs), Box::new(rhs), line);
-            } else if (self.at2("<", "<") || self.at2(">", ">")) && self.txt(2) != "=" {
-                self.i += 2;
-                let rhs = self.addsub_expr(allow_struct);
-                lhs = Expr::Binary(BinOp::Other, Box::new(lhs), Box::new(rhs), line);
-            } else {
-                return lhs;
-            }
-        }
-    }
-
-    fn addsub_expr(&mut self, allow_struct: bool) -> Expr {
-        let mut lhs = self.muldiv_expr(allow_struct);
-        loop {
-            let line = self.line();
-            let op = if self.at("+") && self.txt(1) != "=" {
-                BinOp::Add
-            } else if self.at("-") && self.txt(1) != "=" && self.txt(1) != ">" {
-                BinOp::Sub
-            } else {
-                return lhs;
-            };
-            self.bump();
-            let rhs = self.muldiv_expr(allow_struct);
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), line);
-        }
-    }
-
-    fn muldiv_expr(&mut self, allow_struct: bool) -> Expr {
-        let mut lhs = self.cast_expr(allow_struct);
-        loop {
-            let line = self.line();
-            let op = if self.at("*") && self.txt(1) != "=" {
-                BinOp::Mul
-            } else if self.at("/") && self.txt(1) != "=" {
-                BinOp::Div
-            } else if self.at("%") && self.txt(1) != "=" {
-                BinOp::Rem
-            } else {
-                return lhs;
-            };
-            self.bump();
-            let rhs = self.cast_expr(allow_struct);
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), line);
-        }
-    }
-
-    fn cast_expr(&mut self, allow_struct: bool) -> Expr {
-        let mut lhs = self.unary_expr(allow_struct);
-        while self.at("as") {
-            self.bump();
-            let _ty = self.take_type();
-            lhs = Expr::Cast(Box::new(lhs));
-        }
-        lhs
-    }
-
-    fn unary_expr(&mut self, allow_struct: bool) -> Expr {
-        match self.txt(0) {
-            "-" | "*" => {
-                self.bump();
-                Expr::Unary(Box::new(self.unary_expr(allow_struct)))
-            }
-            "&" => {
-                self.bump();
-                self.eat("&"); // `&&x` double-ref
-                self.eat("mut");
-                Expr::Unary(Box::new(self.unary_expr(allow_struct)))
-            }
-            "!" => {
-                self.bump();
-                let _ = self.unary_expr(allow_struct);
-                Expr::Opaque // boolean
-            }
-            _ => self.postfix_expr(allow_struct),
-        }
-    }
-}
-
-impl<'a> P<'a> {
-    fn postfix_expr(&mut self, allow_struct: bool) -> Expr {
-        let mut e = self.primary_expr(allow_struct);
-        loop {
-            if self.at("?") {
-                self.bump();
-                e = Expr::Unary(Box::new(e));
-            } else if self.at2(".", ".") {
-                return e; // range — handled above us
-            } else if self.at(".") {
-                self.bump();
-                if self.peek(0).is_some_and(|t| t.kind == TokKind::Num) {
-                    // tuple index `.0`
-                    self.bump();
-                    e = Expr::Unary(Box::new(e));
-                    continue;
-                }
-                let name = self.txt(0).to_string();
-                let pos = self.i;
-                let line = self.line();
-                if !self.is_ident(0) {
-                    continue;
-                }
-                self.bump();
-                if self.at2(":", ":") {
-                    // turbofish `.collect::<Vec<_>>()`
-                    self.i += 2;
-                    if self.at("<") {
-                        self.skip_angles();
-                    }
-                }
-                if self.at("(") {
-                    let args = self.call_args();
-                    e = Expr::Call { recv: Some(Box::new(e)), name, pos, line, args };
-                } else {
-                    e = Expr::Field(Box::new(e), name, line);
-                }
-            } else if self.at("(") {
-                // call of a non-path callee (closure var, fn-typed field)
-                let args = self.call_args();
-                e = Expr::Call {
-                    recv: Some(Box::new(e)),
-                    name: String::new(),
-                    pos: 0,
-                    line: self.line(),
-                    args,
-                };
-            } else if self.at("[") {
-                let save_end = self.end;
-                self.bump();
-                // index expression runs to the matching `]`
-                let _ = save_end;
-                let idx_start = self.i;
-                let mut d = 1usize;
-                let mut j = self.i;
-                while j < self.end && d > 0 {
-                    match self.t[j].text.as_str() {
-                        "[" => d += 1,
-                        "]" => d -= 1,
-                        _ => {}
-                    }
-                    if d == 0 {
-                        break;
-                    }
-                    j += 1;
-                }
-                let mut inner = P { t: self.t, i: idx_start, end: j, depth: self.depth };
-                let _ = inner.expr(true);
-                self.i = j;
-                self.eat("]");
-                e = Expr::Index(Box::new(e));
-            } else {
-                return e;
-            }
-        }
-    }
-
-    /// Comma-separated argument list; cursor on `(`.
-    fn call_args(&mut self) -> Vec<Expr> {
-        let mut args = Vec::new();
-        if !self.eat("(") {
-            return args;
-        }
-        while self.i < self.end && !self.at(")") {
-            let before = self.i;
-            args.push(self.expr(true));
-            if !self.eat(",") && !self.at(")") {
-                // lost sync inside the arg list: skip to `,` or `)`
-                while self.i < self.end {
-                    match self.txt(0) {
-                        "(" | "[" | "{" => {
-                            self.skip_group();
-                            continue;
-                        }
-                        ")" => break,
-                        "," => {
-                            self.bump();
-                            break;
-                        }
-                        _ => self.bump(),
-                    }
-                }
-            }
-            if self.i == before {
-                self.bump();
-            }
-        }
-        self.eat(")");
-        args
-    }
-
-    fn primary_expr(&mut self, allow_struct: bool) -> Expr {
-        let Some(t) = self.peek(0) else { return Expr::Opaque };
-        match t.kind {
-            TokKind::Num => {
-                self.bump();
-                return Expr::Lit;
-            }
-            TokKind::Str | TokKind::Lifetime | TokKind::Comment => {
-                self.bump();
-                return Expr::Opaque;
-            }
-            _ => {}
-        }
-        match self.txt(0) {
-            "(" => {
-                self.bump();
-                let mut items = Vec::new();
-                while self.i < self.end && !self.at(")") {
-                    let before = self.i;
-                    items.push(self.expr(true));
-                    self.eat(",");
-                    if self.i == before {
-                        self.bump();
-                    }
-                }
-                self.eat(")");
-                if items.len() == 1 {
-                    items.pop().unwrap()
-                } else {
-                    Expr::Tuple(items)
-                }
-            }
-            "[" => {
-                self.skip_group();
-                Expr::Opaque
-            }
-            "{" => Expr::BlockE(self.block()),
-            "if" => self.if_expr(),
-            "match" => self.match_expr(),
-            "loop" => {
-                self.bump();
-                Expr::Loop(self.block())
-            }
-            "while" => {
-                self.bump();
-                let cond = if self.at("let") {
-                    self.bump();
-                    let _ = self.take_pattern();
-                    self.eat("=");
-                    let _ = self.expr(false);
-                    Expr::Opaque
-                } else {
-                    self.expr(false)
-                };
-                Expr::While { cond: Box::new(cond), body: self.block() }
-            }
-            "for" => {
-                self.bump();
-                let var = self.take_pattern();
-                self.eat("in");
-                let iter = self.expr(false);
-                Expr::For { var, iter: Box::new(iter), body: self.block() }
-            }
-            "return" => {
-                self.bump();
-                let line = self.line();
-                let e = if self.at(";") || self.at("}") || self.at(")") || self.at(",") {
-                    None
-                } else {
-                    Some(Box::new(self.expr(true)))
-                };
-                Expr::Ret(e, line)
-            }
-            "break" => {
-                self.bump();
-                if !self.at(";") && !self.at("}") && !self.at(")") {
-                    let _ = self.expr(true);
-                }
-                Expr::Break
-            }
-            "continue" => {
-                self.bump();
-                Expr::Continue
-            }
-            "move" => {
-                self.bump();
-                self.closure_expr()
-            }
-            "|" => self.closure_expr(),
-            "true" | "false" => {
-                self.bump();
-                Expr::Opaque
-            }
-            "self" => {
-                let line = self.line();
-                self.bump();
-                Expr::Path(vec!["self".to_string()], line)
-            }
-            _ if t.kind == TokKind::Ident => self.path_expr(allow_struct),
-            _ => {
-                self.bump();
-                Expr::Opaque
-            }
-        }
-    }
-
-    fn if_expr(&mut self) -> Expr {
-        self.bump(); // `if`
-        let cond = if self.at("let") {
-            self.bump();
-            let _binds = self.take_pattern();
-            self.eat("=");
-            let _ = self.expr(false);
-            Expr::Opaque
-        } else {
-            self.expr(false)
-        };
-        let then_b = self.block();
-        let else_b = if self.eat("else") {
-            if self.at("if") {
-                Some(Box::new(self.if_expr()))
-            } else {
-                Some(Box::new(Expr::BlockE(self.block())))
-            }
-        } else {
-            None
-        };
-        Expr::If { cond: Box::new(cond), then_b, else_b }
-    }
-
-    fn match_expr(&mut self) -> Expr {
-        self.bump(); // `match`
-        let scrutinee = self.expr(false);
-        let mut arms = Vec::new();
-        if !self.eat("{") {
-            return Expr::Match { scrutinee: Box::new(scrutinee), arms };
-        }
-        while self.i < self.end && !self.at("}") {
-            let before = self.i;
-            // pattern: everything to `=>` at depth 0 (guards included)
-            let mut binds = Vec::new();
-            let mut d = 0i32;
-            while self.i < self.end {
-                let s = self.txt(0);
-                match s {
-                    "(" | "[" | "{" => d += 1,
-                    ")" | "]" | "}" => d -= 1,
-                    "=" if d == 0 && self.txt(1) == ">" => {
-                        self.i += 2;
-                        break;
-                    }
-                    _ => {
-                        if self.peek(0).is_some_and(|t| t.kind == TokKind::Ident)
-                            && s.chars().next().is_some_and(|c| c.is_ascii_lowercase() || c == '_')
-                            && !matches!(s, "mut" | "ref" | "box" | "_" | "if")
-                            && self.txt(1) != ":"
-                        {
-                            binds.push(s.to_string());
-                        }
-                    }
-                }
-                self.bump();
-            }
-            let body = if self.at("{") { Expr::BlockE(self.block()) } else { self.expr(true) };
-            arms.push((binds, body));
-            self.eat(",");
-            if self.i == before {
-                self.bump();
-            }
-        }
-        self.eat("}");
-        Expr::Match { scrutinee: Box::new(scrutinee), arms }
-    }
-
-    fn closure_expr(&mut self) -> Expr {
-        let mut params = Vec::new();
-        if self.at2("|", "|") {
-            self.i += 2;
-        } else if self.eat("|") {
-            while self.i < self.end && !self.at("|") {
-                let before = self.i;
-                params.extend(self.take_pattern());
-                if self.at(":") && self.txt(1) != ":" {
-                    self.bump();
-                    let _ = self.take_type();
-                }
-                self.eat(",");
-                if self.i == before {
-                    self.bump();
-                }
-            }
-            self.eat("|");
-        }
-        if self.at2("-", ">") {
-            self.i += 2;
-            let _ = self.take_type();
-        }
-        let body = if self.at("{") { Expr::BlockE(self.block()) } else { self.expr(true) };
-        Expr::Closure { params, body: Box::new(body) }
-    }
-
-    /// A path expression (possibly a call or struct literal).
-    fn path_expr(&mut self, allow_struct: bool) -> Expr {
-        let mut segs = vec![self.txt(0).to_string()];
-        let mut last_pos = self.i;
-        let line = self.line();
-        self.bump();
-        // macro invocation: `name ! ( … )`
-        if self.at("!") && (self.txt(1) == "(" || self.txt(1) == "[" || self.txt(1) == "{") {
-            self.bump();
-            self.skip_group();
-            return Expr::Opaque;
-        }
-        loop {
-            if self.at2(":", ":") {
-                self.i += 2;
-                if self.at("<") {
-                    self.skip_angles(); // turbofish
-                    continue;
-                }
-                if self.is_ident(0) {
-                    segs.push(self.txt(0).to_string());
-                    last_pos = self.i;
-                    self.bump();
-                    continue;
-                }
-            }
-            break;
-        }
-        if self.at("(") {
-            let args = self.call_args();
-            let name = segs.last().cloned().unwrap_or_default();
-            return Expr::Call { recv: None, name, pos: last_pos, line, args };
-        }
-        if self.at("{") && allow_struct && self.struct_lit_ahead() {
-            return self.struct_lit(segs.last().cloned().unwrap_or_default());
-        }
-        Expr::Path(segs, line)
-    }
-
-    /// Lookahead: does the `{` under the cursor open a struct literal?
-    /// Yes if the first tokens inside are `ident :` (not `::`), `..`, or
-    /// an immediate `}` following a plausible path.
-    fn struct_lit_ahead(&self) -> bool {
-        if self.txt(1) == "}" {
-            return true;
-        }
-        if self.txt(1) == "." && self.txt(2) == "." {
-            return true;
-        }
-        self.peek(1).is_some_and(|t| t.kind == TokKind::Ident)
-            && self.txt(2) == ":"
-            && self.txt(3) != ":"
-    }
-
-    fn struct_lit(&mut self, name: String) -> Expr {
-        let mut inits = Vec::new();
-        self.eat("{");
-        while self.i < self.end && !self.at("}") {
-            let before = self.i;
-            if self.at2(".", ".") {
-                // `..base`
-                self.i += 2;
-                let _ = self.expr(true);
-                break;
-            }
-            let fline = self.line();
-            let fname = self.txt(0).to_string();
-            if !self.is_ident(0) {
-                self.bump();
-                continue;
-            }
-            self.bump();
-            let val = if self.at(":") && self.txt(1) != ":" {
-                self.bump();
-                self.expr(true)
-            } else {
-                // shorthand `Foo { bytes }`
-                Expr::Path(vec![fname.clone()], fline)
-            };
-            inits.push((fname, val, fline));
-            self.eat(",");
-            if self.i == before {
-                self.bump();
-            }
-        }
-        self.eat("}");
-        Expr::StructLit { name, inits }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Statement-level CFG
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-enum CStmt {
-    Let { names: Vec<String>, ty: String, init: Option<Expr>, line: u32 },
-    Eval(Expr),
-    Ret(Option<Expr>, u32),
+/// One CFG statement, borrowing the body tree it was lowered from.
+#[derive(Debug, Clone, Copy)]
+enum CStmt<'a> {
+    Let { names: &'a [String], ty: &'a str, init: Option<&'a Expr>, line: u32 },
+    Eval(&'a Expr),
+    Ret(Option<&'a Expr>, u32),
 }
 
 #[derive(Debug, Default)]
-struct CfgBlock {
-    stmts: Vec<CStmt>,
+struct CfgBlock<'a> {
+    stmts: Vec<CStmt<'a>>,
     succs: Vec<usize>,
 }
 
-struct Cfg {
-    blocks: Vec<CfgBlock>,
+struct Cfg<'a> {
+    blocks: Vec<CfgBlock<'a>>,
 }
 
-struct Builder {
-    blocks: Vec<CfgBlock>,
+struct Builder<'a> {
+    blocks: Vec<CfgBlock<'a>>,
     /// `(head, exit)` of each enclosing loop, for continue/break edges.
     loops: Vec<(usize, usize)>,
 }
 
-impl Builder {
+impl<'a> Builder<'a> {
     fn new_block(&mut self) -> usize {
         self.blocks.push(CfgBlock::default());
         self.blocks.len() - 1
@@ -1280,26 +248,23 @@ impl Builder {
         }
     }
 
-    fn lower_stmts(&mut self, stmts: &[Stmt], mut cur: usize) -> usize {
+    fn lower_stmts(&mut self, stmts: &'a [Stmt], mut cur: usize) -> usize {
         for s in stmts {
             cur = match s {
-                Stmt::Let { names, ty, init, line } => {
-                    self.blocks[cur].stmts.push(CStmt::Let {
-                        names: names.clone(),
-                        ty: ty.clone(),
-                        init: init.clone(),
-                        line: *line,
-                    });
+                Stmt::Let { names, ty, init, line, .. } => {
+                    let init = init.as_ref();
+                    self.blocks[cur].stmts.push(CStmt::Let { names, ty, init, line: *line });
                     cur
                 }
-                Stmt::Expr(e) => self.lower_expr_stmt(e, cur),
+                Stmt::Expr(e, _) => self.lower_expr_stmt(e, cur),
+                Stmt::Item(_) => cur,
             };
         }
         cur
     }
 
     /// Lower a nested statement-position block; its tail is a plain eval.
-    fn lower_block(&mut self, b: &Block, cur: usize) -> usize {
+    fn lower_block(&mut self, b: &'a Block, cur: usize) -> usize {
         let cur = self.lower_stmts(&b.stmts, cur);
         if let Some(t) = &b.tail {
             self.lower_expr_stmt(t, cur)
@@ -1310,10 +275,10 @@ impl Builder {
 
     /// Statement-position control flow becomes CFG structure; everything
     /// else is a single `Eval`.
-    fn lower_expr_stmt(&mut self, e: &Expr, cur: usize) -> usize {
+    fn lower_expr_stmt(&mut self, e: &'a Expr, cur: usize) -> usize {
         match e {
             Expr::If { cond, then_b, else_b } => {
-                self.blocks[cur].stmts.push(CStmt::Eval((**cond).clone()));
+                self.blocks[cur].stmts.push(CStmt::Eval(cond));
                 let join = self.new_block();
                 let te = self.new_block();
                 self.edge(cur, te);
@@ -1334,7 +299,7 @@ impl Builder {
             Expr::While { cond, body } => {
                 let head = self.new_block();
                 self.edge(cur, head);
-                self.blocks[head].stmts.push(CStmt::Eval((**cond).clone()));
+                self.blocks[head].stmts.push(CStmt::Eval(cond));
                 let exit = self.new_block();
                 self.edge(head, exit);
                 let be = self.new_block();
@@ -1355,46 +320,37 @@ impl Builder {
                 self.edge(bx, head);
                 exit
             }
-            Expr::For { var, iter, body } => {
-                self.blocks[cur].stmts.push(CStmt::Eval((**iter).clone()));
+            Expr::For { var, iter, body, .. } => {
+                self.blocks[cur].stmts.push(CStmt::Eval(iter));
                 let head = self.new_block();
                 self.edge(cur, head);
                 let exit = self.new_block();
                 self.edge(head, exit);
                 let be = self.new_block();
                 self.edge(head, be);
-                // Bind the loop var to an element of the iterated value —
-                // `Index` preserves the base unit, so iterating a
-                // `Vec<Cycle>` binds Cycles.
-                self.blocks[be].stmts.push(CStmt::Let {
-                    names: var.clone(),
-                    ty: String::new(),
-                    init: Some(Expr::Index(iter.clone())),
-                    line: 0,
-                });
+                // Bind the loop var to an element of the iterated value,
+                // which has its unit: iterating a `Vec<Cycle>` binds Cycles.
+                let init = Some(&**iter);
+                self.blocks[be].stmts.push(CStmt::Let { names: var, ty: "", init, line: 0 });
                 self.loops.push((head, exit));
                 let bx = self.lower_block(body, be);
                 self.loops.pop();
                 self.edge(bx, head);
                 exit
             }
-            Expr::Match { scrutinee, arms } => {
-                self.blocks[cur].stmts.push(CStmt::Eval((**scrutinee).clone()));
+            Expr::Match { scrutinee, arms, .. } => {
+                self.blocks[cur].stmts.push(CStmt::Eval(scrutinee));
                 let join = self.new_block();
                 if arms.is_empty() {
                     self.edge(cur, join);
                 }
-                for (binds, body) in arms {
+                for Arm { binds, body, .. } in arms {
                     let ae = self.new_block();
                     self.edge(cur, ae);
                     if !binds.is_empty() {
                         // pattern binds are Unknown (no init)
-                        self.blocks[ae].stmts.push(CStmt::Let {
-                            names: binds.clone(),
-                            ty: String::new(),
-                            init: None,
-                            line: 0,
-                        });
+                        let bind = CStmt::Let { names: binds, ty: "", init: None, line: 0 };
+                        self.blocks[ae].stmts.push(bind);
                     }
                     let ax = self.lower_expr_stmt(body, ae);
                     self.edge(ax, join);
@@ -1402,10 +358,10 @@ impl Builder {
                 join
             }
             Expr::Ret(v, line) => {
-                self.blocks[cur].stmts.push(CStmt::Ret(v.as_deref().cloned(), *line));
+                self.blocks[cur].stmts.push(CStmt::Ret(v.as_deref(), *line));
                 self.new_block() // unreachable continuation
             }
-            Expr::Break => {
+            Expr::Break(_) => {
                 if let Some(&(_, exit)) = self.loops.last() {
                     self.edge(cur, exit);
                 }
@@ -1418,7 +374,7 @@ impl Builder {
                 self.new_block()
             }
             other => {
-                self.blocks[cur].stmts.push(CStmt::Eval(other.clone()));
+                self.blocks[cur].stmts.push(CStmt::Eval(other));
                 cur
             }
         }
@@ -1427,12 +383,12 @@ impl Builder {
 
 /// Build the CFG of one fn body. The body's tail expression is the
 /// implicit return.
-fn build_cfg(body: &Block) -> Cfg {
+fn build_cfg(body: &Block) -> Cfg<'_> {
     let mut b = Builder { blocks: vec![CfgBlock::default()], loops: Vec::new() };
     let end = b.lower_stmts(&body.stmts, 0);
     if let Some(t) = &body.tail {
         let line = expr_line(t);
-        b.blocks[end].stmts.push(CStmt::Ret(Some((**t).clone()), line));
+        b.blocks[end].stmts.push(CStmt::Ret(Some(t), line));
     }
     Cfg { blocks: b.blocks }
 }
@@ -1440,22 +396,19 @@ fn build_cfg(body: &Block) -> Cfg {
 /// Best-effort source line of an expression, for finding anchors.
 fn expr_line(e: &Expr) -> u32 {
     match e {
-        Expr::Path(_, l) | Expr::Field(_, _, l) | Expr::Binary(_, _, _, l) => *l,
+        Expr::Path { line, .. } | Expr::Field { line, .. } | Expr::Binary(_, _, _, line) => *line,
         Expr::Call { line, .. } | Expr::Assign { line, .. } => *line,
-        Expr::Unary(i) | Expr::Cast(i) | Expr::Index(i) => expr_line(i),
-        Expr::Ret(Some(i), l) => {
-            let il = expr_line(i);
-            if il != 0 {
-                il
-            } else {
-                *l
-            }
-        }
+        Expr::Unary(i)
+        | Expr::TupleField(i)
+        | Expr::Paren(i, _)
+        | Expr::Cast(i)
+        | Expr::Index { base: i, .. } => expr_line(i),
+        Expr::Ret(Some(i), l) => Some(expr_line(i)).filter(|&il| il != 0).unwrap_or(*l),
         Expr::Ret(None, l) => *l,
         Expr::If { cond, .. } | Expr::While { cond, .. } => expr_line(cond),
         Expr::Match { scrutinee, .. } => expr_line(scrutinee),
-        Expr::StructLit { inits, .. } => inits.first().map_or(0, |(_, _, l)| *l),
-        Expr::Tuple(xs) => xs.first().map_or(0, expr_line),
+        Expr::StructLit { inits, .. } => inits.first().map_or(0, |i| i.line),
+        Expr::Tuple(xs, _) => xs.first().map_or(0, expr_line),
         Expr::Closure { body, .. } => expr_line(body),
         Expr::BlockE(b) => b.tail.as_deref().map_or(0, expr_line),
         _ => 0,
@@ -1489,12 +442,10 @@ struct FnSummary {
 }
 
 /// One analyzable fn body, pre-lowered.
-struct FnUnit {
-    ctx_idx: usize,
-    name: String,
-    fq: String,
-    in_test: bool,
-    cfg: Cfg,
+struct FnUnit<'w> {
+    rel: &'w str,
+    sym: &'w FnSym,
+    cfg: Cfg<'w>,
     /// `CallSite::pos` → fully-qualified callee for this body.
     callmap: BTreeMap<usize, String>,
     /// Param claims seed the entry environment.
@@ -1513,87 +464,13 @@ fn is_const_ident(s: &str) -> bool {
         && s.chars().all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
 }
 
-/// Walk one file's item tree, pairing each parsed [`FnDef`] with its
-/// [`crate::symbols::FnSym`] (matched on body start — both index the same
-/// code-token vector) and lowering the body span to a CFG.
-fn collect_fns(ctx_idx: usize, ctx: &FileCtx, ws: &Workspace, out: &mut Vec<FnUnit>) {
-    let empty = Vec::new();
-    let syms = ws.files.get(ctx.rel).map_or(&empty, |f| &f.fns);
-    let by_pos: BTreeMap<usize, &crate::symbols::FnSym> =
-        syms.iter().filter_map(|f| f.body.map(|b| (b.0, f))).collect();
-
-    fn walk(
-        items: &[Item],
-        in_test: bool,
-        ctx_idx: usize,
-        ctx: &FileCtx,
-        by_pos: &BTreeMap<usize, &crate::symbols::FnSym>,
-        out: &mut Vec<FnUnit>,
-    ) {
-        for it in items {
-            match &it.kind {
-                ItemKind::Fn(fd) => {
-                    if let Some(u) = lower_fn(it, fd, in_test, ctx_idx, ctx, by_pos) {
-                        out.push(u);
-                    }
-                }
-                ItemKind::Impl { items, .. } | ItemKind::Trait { items } => {
-                    walk(items, in_test, ctx_idx, ctx, by_pos, out);
-                }
-                ItemKind::Mod { is_test, items } => {
-                    walk(items, in_test || *is_test, ctx_idx, ctx, by_pos, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    walk(&ctx.items, false, ctx_idx, ctx, &by_pos, out);
-}
-
-fn lower_fn(
-    it: &Item,
-    fd: &FnDef,
-    in_test: bool,
-    ctx_idx: usize,
-    ctx: &FileCtx,
-    by_pos: &BTreeMap<usize, &crate::symbols::FnSym>,
-) -> Option<FnUnit> {
-    let (open, close) = fd.body?;
-    let sym = by_pos.get(&open);
-    let mut p = P::new(&ctx.code, open, close + 1);
-    let block = p.block();
-    let cfg = build_cfg(&block);
-    let params: Vec<(String, Option<(Unit, Prov)>)> = fd
-        .params
-        .iter()
-        .zip(fd.param_tys.iter())
-        .map(|(n, ty)| (n.clone(), slot_claim(n, ty)))
-        .collect();
-    let ret_claim = type_unit(&fd.ret)
-        .map(|u| (u, Prov::Type))
-        .or_else(|| suffix_unit(&it.name).map(|u| (u, Prov::Suffix)));
-    let callmap = sym
-        .map(|s| s.call_sites.iter().filter_map(|c| c.fq.clone().map(|fq| (c.pos, fq))).collect())
-        .unwrap_or_default();
-    Some(FnUnit {
-        ctx_idx,
-        name: it.name.clone(),
-        fq: sym.map_or_else(|| it.name.clone(), |s| s.fq.clone()),
-        in_test: in_test || sym.is_some_and(|s| s.in_test),
-        cfg,
-        callmap,
-        params,
-        ret_claim,
-    })
-}
-
 /// Build the workspace unit model: field claims, lowered fns, and the
 /// initial summary table (claimed returns `Known`, everything else `Lit`
 /// pending inference).
-fn build_index(
-    ctxs: &[FileCtx],
-    ws: &Workspace,
-) -> (UnitIndex, Vec<FnUnit>, BTreeMap<String, FnSummary>) {
+fn build_index<'w>(
+    ctxs: &'w [FileCtx],
+    ws: &'w Workspace,
+) -> (UnitIndex, Vec<FnUnit<'w>>, BTreeMap<String, FnSummary>) {
     // Field claims from every struct decl in the workspace.
     let mut decls: BTreeMap<String, (Vec<Option<Unit>>, bool)> = BTreeMap::new();
     for fs in ws.files.values() {
@@ -1616,39 +493,48 @@ fn build_index(
         }
     }
 
+    // Every fn with a body, lowered from the tree its file already parsed.
     let mut fns = Vec::new();
-    for (i, ctx) in ctxs.iter().enumerate() {
-        collect_fns(i, ctx, ws, &mut fns);
+    for ctx in ctxs {
+        for f in ws.files.get(ctx.rel).map_or(&[][..], |s| &s.fns) {
+            let Some(body) = f.body.and_then(|(open, _)| ctx.bodies.get(&open)) else { continue };
+            fns.push(FnUnit {
+                rel: ctx.rel,
+                sym: f,
+                cfg: build_cfg(body),
+                callmap: f
+                    .call_sites
+                    .iter()
+                    .filter_map(|c| c.fq.clone().map(|fq| (c.pos, fq)))
+                    .collect(),
+                params: f
+                    .params
+                    .iter()
+                    .zip(&f.param_tys)
+                    .map(|(n, ty)| (n.clone(), slot_claim(n, ty)))
+                    .collect(),
+                ret_claim: type_unit(&f.ret)
+                    .map(|u| (u, Prov::Type))
+                    .or_else(|| suffix_unit(&f.name).map(|u| (u, Prov::Suffix))),
+            });
+        }
     }
 
     let mut sums: BTreeMap<String, FnSummary> = BTreeMap::new();
     let mut by_name: BTreeMap<String, Option<String>> = BTreeMap::new();
-    let empty = Vec::new();
-    let mut pubness: BTreeMap<&str, bool> = BTreeMap::new();
-    for fsy in ws.files.values().flat_map(|f| f.fns.iter()).chain(empty.iter()) {
-        pubness.insert(fsy.fq.as_str(), fsy.is_pub);
-    }
     for f in &fns {
-        let is_pub = pubness.get(f.fq.as_str()).copied().unwrap_or(false);
-        sums.insert(
-            f.fq.clone(),
-            FnSummary {
-                params: f.params.clone(),
-                ret: match f.ret_claim {
-                    Some((u, _)) => Abs::Known(u),
-                    None => Abs::Lit,
-                },
-                is_pub,
-            },
-        );
+        let (params, is_pub) = (f.params.clone(), f.sym.is_pub);
+        let ret = f.ret_claim.map_or(Abs::Lit, |(u, _)| Abs::Known(u));
+        sums.insert(f.sym.fq.clone(), FnSummary { params, ret, is_pub });
+        let fq = &f.sym.fq;
         by_name
-            .entry(f.name.clone())
+            .entry(f.sym.name.clone())
             .and_modify(|e| {
-                if e.as_deref() != Some(f.fq.as_str()) {
+                if e.as_ref() != Some(fq) {
                     *e = None;
                 }
             })
-            .or_insert_with(|| Some(f.fq.clone()));
+            .or_insert_with(|| Some(fq.clone()));
     }
 
     (UnitIndex { fields, by_name }, fns, sums)
@@ -1696,6 +582,31 @@ impl<'x> Interp<'x> {
         }
     }
 
+    /// Q01 when `a op b` mixes two different known units.
+    fn check_mix(&mut self, line: u32, ident: &str, a: Abs, op: &str, b: Abs) {
+        if let (Some(a), Some(b)) = (a.known(), b.known()) {
+            if a != b {
+                let msg = format!("mixed-unit arithmetic: {} {op} {}", a.name(), b.name());
+                self.push("Q01", line, ident, msg);
+            }
+        }
+    }
+
+    /// `x op= v`: only `+=`, `-=` and `%=` demand matching units.
+    fn check_compound(&mut self, line: u32, ident: &str, cur: Abs, op: BinOp, v: Abs) {
+        if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Rem) {
+            self.check_mix(line, ident, cur, &format!("{}=", op.sym()), v);
+        }
+    }
+
+    /// Q01 when a known unit other than `claim` lands in a claimed local.
+    fn check_claim(&mut self, line: u32, name: &str, claim: Unit, v: Abs) {
+        if let Some(v) = v.known().filter(|v| *v != claim) {
+            let msg = format!("assignment of {} to {}-claimed `{name}`", v.name(), claim.name());
+            self.push("Q01", line, name, msg);
+        }
+    }
+
     fn field_claim(&self, name: &str) -> Option<FieldClaim> {
         self.idx.fields.get(name).copied()
     }
@@ -1730,10 +641,13 @@ impl<'x> Interp<'x> {
 
     fn root_ident(e: &Expr) -> &str {
         match e {
-            Expr::Path(segs, _) => segs.last().map_or("expr", |s| s.as_str()),
-            Expr::Field(_, name, _) => name,
-            Expr::Call { name, .. } => name,
-            Expr::Unary(i) | Expr::Cast(i) | Expr::Index(i) => Self::root_ident(i),
+            Expr::Path { segs, .. } => segs.last().map_or("expr", |s| s.as_str()),
+            Expr::Field { name, .. } | Expr::Call { name, .. } => name,
+            Expr::Unary(i)
+            | Expr::TupleField(i)
+            | Expr::Paren(i, _)
+            | Expr::Cast(i)
+            | Expr::Index { base: i, .. } => Self::root_ident(i),
             Expr::Binary(_, l, _, _) => Self::root_ident(l),
             _ => "expr",
         }
@@ -1745,15 +659,29 @@ impl<'x> Interp<'x> {
         }
         self.fuel -= 1;
         match e {
-            Expr::Lit => Abs::Lit,
-            Expr::Opaque | Expr::Break | Expr::Continue => Abs::Unknown,
-            Expr::Path(segs, _) => self.eval_path(segs, env),
-            Expr::Field(base, name, _) => {
+            Expr::Lit { .. } => Abs::Lit,
+            // Booleans, strings, macros, ranges, arrays, `if let`
+            // scrutinees and `break` values carry no unit.
+            Expr::Opaque
+            | Expr::Str { .. }
+            | Expr::Not(_)
+            | Expr::Macro { .. }
+            | Expr::Range(..)
+            | Expr::Array(..)
+            | Expr::Let { .. }
+            | Expr::Break(_)
+            | Expr::Continue => Abs::Unknown,
+            Expr::Path { segs, .. } => self.eval_path(segs, env),
+            Expr::Field { base, name, .. } => {
                 let _ = self.eval(base, env);
                 self.field_abs(name)
             }
-            Expr::Index(b) | Expr::Unary(b) | Expr::Cast(b) => self.eval(b, env),
-            Expr::Tuple(xs) => {
+            Expr::Index { base: b, .. }
+            | Expr::Unary(b)
+            | Expr::TupleField(b)
+            | Expr::Paren(b, _)
+            | Expr::Cast(b) => self.eval(b, env),
+            Expr::Tuple(xs, _) => {
                 for x in xs {
                     let _ = self.eval(x, env);
                 }
@@ -1764,13 +692,14 @@ impl<'x> Interp<'x> {
                 self.eval_assign(target, *op, value, *line, env);
                 Abs::Unknown
             }
-            Expr::Call { recv, name, pos, line, args } => {
+            Expr::Call { recv, name, pos, line, args, .. } => {
                 self.eval_call(recv.as_deref(), name, *pos, *line, args, env)
             }
-            Expr::StructLit { name, inits } => {
-                for (fname, v, line) in inits {
-                    let va = self.eval(v, env);
-                    self.check_slot_write(fname, va, *line, name);
+            Expr::StructLit { path, inits, .. } => {
+                let name = path.last().map_or("", String::as_str);
+                for i in inits {
+                    let va = self.eval(&i.value, env);
+                    self.check_slot_write(&i.field, va, i.line, name);
                 }
                 Abs::Unknown
             }
@@ -1791,11 +720,11 @@ impl<'x> Interp<'x> {
                     }
                 }
             }
-            Expr::Match { scrutinee, arms } => {
+            Expr::Match { scrutinee, arms, .. } => {
                 let _ = self.eval(scrutinee, env);
                 let mut acc_env: Option<Env> = None;
                 let mut acc_val = Abs::Lit;
-                for (binds, body) in arms {
+                for Arm { binds, body, .. } in arms {
                     let mut ei = env.clone();
                     for b in binds {
                         ei.insert(b.clone(), Abs::Unknown);
@@ -1840,7 +769,7 @@ impl<'x> Interp<'x> {
                 *env = join_env(env, &et);
                 Abs::Unknown
             }
-            Expr::Closure { params, body } => {
+            Expr::Closure { params, body, .. } => {
                 let mut ec = env.clone();
                 for p in params {
                     let v = match suffix_unit(p) {
@@ -1868,12 +797,13 @@ impl<'x> Interp<'x> {
     fn eval_block(&mut self, b: &Block, env: &mut Env) -> Abs {
         for s in &b.stmts {
             match s {
-                Stmt::Let { names, ty, init, line } => {
+                Stmt::Let { names, ty, init, line, .. } => {
                     self.do_let(names, ty, init.as_ref(), *line, env)
                 }
-                Stmt::Expr(e) => {
+                Stmt::Expr(e, _) => {
                     let _ = self.eval(e, env);
                 }
+                Stmt::Item(_) => {}
             }
         }
         match &b.tail {
@@ -1892,7 +822,7 @@ impl<'x> Interp<'x> {
     ) {
         // Tuple destructuring with a literal tuple init binds pairwise.
         if names.len() > 1 {
-            if let Some(Expr::Tuple(xs)) = init {
+            if let Some(Expr::Tuple(xs, _)) = init {
                 if xs.len() == names.len() {
                     let xs = xs.clone();
                     for (n, x) in names.iter().zip(xs.iter()) {
@@ -1922,21 +852,7 @@ impl<'x> Interp<'x> {
         match slot_claim(name, ty) {
             Some((u, prov)) => {
                 self.claims.insert(name.to_string(), (u, prov));
-                if let Some(v) = value.and_then(Abs::known) {
-                    if v != u {
-                        self.push(
-                            "Q01",
-                            line,
-                            name,
-                            format!(
-                                "assignment of {} to {}-claimed `{}`",
-                                v.name(),
-                                u.name(),
-                                name
-                            ),
-                        );
-                    }
-                }
+                self.check_claim(line, name, u, value.unwrap_or(Abs::Unknown));
                 env.insert(name.to_string(), Abs::Known(u));
             }
             None => {
@@ -1950,21 +866,7 @@ impl<'x> Interp<'x> {
         let ra = self.eval(r, env);
         match op {
             BinOp::Add | BinOp::Sub | BinOp::Rem | BinOp::Cmp => {
-                if let (Some(a), Some(b)) = (la.known(), ra.known()) {
-                    if a != b {
-                        self.push(
-                            "Q01",
-                            line,
-                            Self::root_ident(l),
-                            format!(
-                                "mixed-unit arithmetic: {} {} {}",
-                                a.name(),
-                                op.sym(),
-                                b.name()
-                            ),
-                        );
-                    }
-                }
+                self.check_mix(line, Self::root_ident(l), la, op.sym(), ra);
                 if op == BinOp::Cmp {
                     Abs::Unknown
                 } else {
@@ -1994,30 +896,22 @@ impl<'x> Interp<'x> {
         if v == c.unit {
             return;
         }
+        let (v, u) = (v.name(), c.unit.name());
         match c.prov {
             Prov::Type => self.push(
                 "Q01",
                 line,
                 fname,
-                format!(
-                    "write of {} into {}-typed field `{}` (in `{}`)",
-                    v.name(),
-                    c.unit.name(),
-                    fname,
-                    owner
-                ),
+                format!("write of {v} into {u}-typed field `{fname}` (in `{owner}`)"),
             ),
-            Prov::Suffix if c.is_pub => self.push(
-                "Q03",
-                line,
-                fname,
-                format!(
-                    "write of {} into `{}` — the name claims {}",
-                    v.name(),
+            Prov::Suffix if c.is_pub => {
+                self.push(
+                    "Q03",
+                    line,
                     fname,
-                    c.unit.name()
-                ),
-            ),
+                    format!("write of {v} into `{fname}` — the name claims {u}"),
+                );
+            }
             Prov::Suffix => {}
         }
     }
@@ -2032,48 +926,18 @@ impl<'x> Interp<'x> {
     ) {
         let va = self.eval(value, env);
         match target {
-            Expr::Path(segs, _) if segs.len() == 1 => {
+            Expr::Path { segs, .. } if segs.len() == 1 => {
                 let name = &segs[0];
                 let cur = env.get(name).copied().unwrap_or(Abs::Unknown);
                 if let Some(bop) = op {
                     // compound: desugars to `x = x op v`
-                    if matches!(bop, BinOp::Add | BinOp::Sub | BinOp::Rem) {
-                        if let (Some(a), Some(b)) = (cur.known(), va.known()) {
-                            if a != b {
-                                self.push(
-                                    "Q01",
-                                    line,
-                                    name,
-                                    format!(
-                                        "mixed-unit arithmetic: {} {}= {}",
-                                        a.name(),
-                                        bop.sym(),
-                                        b.name()
-                                    ),
-                                );
-                            }
-                        }
-                    }
+                    self.check_compound(line, name, cur, bop, va);
                     env.insert(name.clone(), cur.join(va));
                     return;
                 }
                 match self.claims.get(name.as_str()).copied() {
                     Some((u, _prov)) => {
-                        if let Some(v) = va.known() {
-                            if v != u {
-                                self.push(
-                                    "Q01",
-                                    line,
-                                    name,
-                                    format!(
-                                        "assignment of {} to {}-claimed `{}`",
-                                        v.name(),
-                                        u.name(),
-                                        name
-                                    ),
-                                );
-                            }
-                        }
+                        self.check_claim(line, name, u, va);
                         env.insert(name.clone(), Abs::Known(u));
                     }
                     None => {
@@ -2081,27 +945,11 @@ impl<'x> Interp<'x> {
                     }
                 }
             }
-            Expr::Field(base, fname, _) => {
+            Expr::Field { base, name: fname, .. } => {
                 let _ = self.eval(base, env);
                 if let Some(bop) = op {
-                    if matches!(bop, BinOp::Add | BinOp::Sub | BinOp::Rem) {
-                        let cur = self.field_abs(fname);
-                        if let (Some(a), Some(b)) = (cur.known(), va.known()) {
-                            if a != b {
-                                self.push(
-                                    "Q01",
-                                    line,
-                                    fname,
-                                    format!(
-                                        "mixed-unit arithmetic: {} {}= {}",
-                                        a.name(),
-                                        bop.sym(),
-                                        b.name()
-                                    ),
-                                );
-                            }
-                        }
-                    }
+                    let cur = self.field_abs(fname);
+                    self.check_compound(line, fname, cur, bop, va);
                     return;
                 }
                 self.check_slot_write(fname, va, line, "assignment");
@@ -2140,31 +988,16 @@ impl<'x> Interp<'x> {
                 if v == *u {
                     continue;
                 }
+                let (u, v) = (u.name(), v.name());
                 match prov {
-                    Prov::Type => self.push(
-                        "Q01",
-                        line,
-                        name,
-                        format!(
-                            "argument `{}` of `{}` is {}-typed, got {}",
-                            pname,
-                            name,
-                            u.name(),
-                            v.name()
-                        ),
-                    ),
-                    Prov::Suffix if sum.is_pub => self.push(
-                        "Q03",
-                        line,
-                        name,
-                        format!(
-                            "argument `{}` of `{}` claims {}, got {}",
-                            pname,
-                            name,
-                            u.name(),
-                            v.name()
-                        ),
-                    ),
+                    Prov::Type => {
+                        let msg = format!("argument `{pname}` of `{name}` is {u}-typed, got {v}");
+                        self.push("Q01", line, name, msg);
+                    }
+                    Prov::Suffix if sum.is_pub => {
+                        let msg = format!("argument `{pname}` of `{name}` claims {u}, got {v}");
+                        self.push("Q03", line, name, msg);
+                    }
                     Prov::Suffix => {}
                 }
             }
@@ -2176,16 +1009,7 @@ impl<'x> Interp<'x> {
         if recv.is_some() && PRESERVE_METHODS.contains(&name) {
             let mut acc = ra.unwrap_or(Abs::Unknown);
             for v in &vals {
-                if let (Some(a), Some(b)) = (acc.known(), v.known()) {
-                    if a != b {
-                        self.push(
-                            "Q01",
-                            line,
-                            name,
-                            format!("mixed-unit arithmetic: {} .{}() {}", a.name(), name, b.name()),
-                        );
-                    }
-                }
+                self.check_mix(line, name, acc, &format!(".{name}()"), *v);
                 acc = acc.join(*v);
             }
             return acc;
@@ -2218,7 +1042,7 @@ impl<'x> Interp<'x> {
     /// visible pass over the stable entry environments — findings are
     /// only ever reported from stable states, so a transient `Known` in
     /// an unconverged loop can't invent one.
-    fn run(&mut self, cfg: &Cfg, entry: Env, emit_pass: bool) {
+    fn run(&mut self, cfg: &Cfg<'_>, entry: Env, emit_pass: bool) {
         let n = cfg.blocks.len();
         let mut inenv: Vec<Option<Env>> = vec![None; n];
         inenv[0] = Some(entry);
@@ -2257,21 +1081,16 @@ impl<'x> Interp<'x> {
         }
     }
 
-    fn exec_block(&mut self, b: &CfgBlock, env: &mut Env) {
+    fn exec_block(&mut self, b: &CfgBlock<'_>, env: &mut Env) {
         for s in &b.stmts {
-            match s {
-                CStmt::Let { names, ty, init, line } => {
-                    self.do_let(names, ty, init.as_ref(), *line, env);
-                }
+            match *s {
+                CStmt::Let { names, ty, init, line } => self.do_let(names, ty, init, line, env),
                 CStmt::Eval(e) => {
                     let _ = self.eval(e, env);
                 }
                 CStmt::Ret(v, line) => {
-                    let a = match v {
-                        Some(x) => self.eval(x, env),
-                        None => Abs::Unknown,
-                    };
-                    self.check_return(v.as_ref(), a, *line);
+                    let a = v.map_or(Abs::Unknown, |x| self.eval(x, env));
+                    self.check_return(v, a, line);
                 }
             }
         }
@@ -2290,41 +1109,34 @@ pub struct UnitFindings {
     pub q03: Vec<Finding>,
 }
 
-fn entry_state(f: &FnUnit) -> (Env, BTreeMap<String, (Unit, Prov)>) {
-    let mut env = Env::new();
-    let mut claims = BTreeMap::new();
-    for (name, claim) in &f.params {
-        match claim {
-            Some((u, prov)) => {
-                claims.insert(name.clone(), (*u, *prov));
-                env.insert(name.clone(), Abs::Known(*u));
-            }
-            None => {
-                env.insert(name.clone(), Abs::Unknown);
-            }
-        }
-    }
-    (env, claims)
-}
-
+/// Interpret `f` to a fixpoint from the entry environment its parameter
+/// claims give; `emit_pass` adds the visible pass that records findings.
 fn interp<'x>(
     idx: &'x UnitIndex,
     sums: &'x BTreeMap<String, FnSummary>,
-    f: &'x FnUnit,
-    claims: BTreeMap<String, (Unit, Prov)>,
+    f: &'x FnUnit<'x>,
+    emit_pass: bool,
 ) -> Interp<'x> {
-    Interp {
+    let claims = f.params.iter().filter_map(|(n, c)| c.map(|c| (n.clone(), c))).collect();
+    let env = f
+        .params
+        .iter()
+        .map(|(n, c)| (n.clone(), c.map_or(Abs::Unknown, |(u, _)| Abs::Known(u))))
+        .collect();
+    let mut it = Interp {
         idx,
         sums,
         callmap: &f.callmap,
         claims,
         ret_claim: f.ret_claim,
-        fn_name: f.name.clone(),
+        fn_name: f.sym.name.clone(),
         emit: false,
         out: BTreeSet::new(),
         ret_acc: Abs::Lit,
         fuel: 200_000,
-    }
+    };
+    it.run(&f.cfg, env, emit_pass);
+    it
 }
 
 /// Run the unit dataflow over the whole workspace and return every
@@ -2342,13 +1154,11 @@ pub fn check_units(ctxs: &[FileCtx], ws: &Workspace) -> UnitFindings {
             if f.ret_claim.is_some() {
                 continue;
             }
-            let (env, claims) = entry_state(f);
-            let mut it = interp(&idx, &sums, f, claims);
-            it.run(&f.cfg, env, false);
-            let old = sums.get(&f.fq).map_or(Abs::Unknown, |s| s.ret);
+            let it = interp(&idx, &sums, f, false);
+            let old = sums.get(&f.sym.fq).map_or(Abs::Unknown, |s| s.ret);
             let new = old.join(it.ret_acc);
             if new != old {
-                updates.push((f.fq.clone(), new));
+                updates.push((f.sym.fq.clone(), new));
                 changed = true;
             }
         }
@@ -2365,13 +1175,11 @@ pub fn check_units(ctxs: &[FileCtx], ws: &Workspace) -> UnitFindings {
     // Emit pass: only in-scope, non-test bodies report.
     let mut all: Vec<Finding> = Vec::new();
     for f in &fns {
-        let rel = ctxs[f.ctx_idx].rel;
-        if f.in_test || !in_unit_scope(rel) {
+        let rel = f.rel;
+        if f.sym.in_test || !in_unit_scope(rel) {
             continue;
         }
-        let (env, claims) = entry_state(f);
-        let mut it = interp(&idx, &sums, f, claims);
-        it.run(&f.cfg, env, true);
+        let it = interp(&idx, &sums, f, true);
         for (id, line, ident, message) in it.out {
             all.push(Finding { id, path: rel.to_string(), line, ident, message });
         }
@@ -2577,9 +1385,19 @@ mod tests {
 
     #[test]
     fn blessed_conversion_launders_units() {
-        let u = run_units(
-            "pub fn f(c_cycles: u64) -> f64 {\n    let v_ns = cycles_to_ns(c_cycles);\n    v_ns\n}\nfn cycles_to_ns(cycles: u64) -> f64 { cycles as f64 }\n",
-        );
+        // The conversion lives where the real one does: in the clock
+        // module, whose own body (cycles in, ns out) the rules exempt.
+        let ctxs = vec![
+            FileCtx::new(
+                "crates/x/src/a.rs",
+                "pub fn f(c_cycles: u64) -> f64 {\n    let v_ns = cycles_to_ns(c_cycles);\n    v_ns\n}\n",
+            ),
+            FileCtx::new(
+                "crates/telemetry/src/time.rs",
+                "pub fn cycles_to_ns(cycles: u64) -> f64 { cycles as f64 }\n",
+            ),
+        ];
+        let u = check_units(&ctxs, &Workspace::from_ctxs(&ctxs));
         assert!(u.q01.is_empty(), "{:?}", u.q01);
     }
 

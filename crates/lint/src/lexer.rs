@@ -277,7 +277,7 @@ impl<'a> Lexer<'a> {
     /// like `'a'`.
     fn lifetime_ahead(&self) -> bool {
         match (self.peek(1), self.peek(2)) {
-            (Some(c), Some('\'')) if c.is_ascii_alphanumeric() => false, // 'a'
+            (Some(c), Some('\'')) if c.is_ascii_alphanumeric() || c == '_' => false, // 'a'
             (Some(c), _) if c.is_ascii_alphabetic() || c == '_' => true,
             _ => false,
         }
@@ -334,9 +334,9 @@ mod tests {
 
     #[test]
     fn lifetimes_vs_chars() {
-        let ts = kinds("fn f<'a>(x: &'a u8) { let c = 'z'; let n = '\\n'; }");
+        let ts = kinds("fn f<'a>(x: &'a u8) { let c = 'z'; let n = '\\n'; let u = '_'; }");
         assert_eq!(ts.iter().filter(|t| t.0 == TokKind::Lifetime).count(), 2);
-        assert_eq!(ts.iter().filter(|t| t.0 == TokKind::Str).count(), 2);
+        assert_eq!(ts.iter().filter(|t| t.0 == TokKind::Str).count(), 3);
     }
 
     #[test]

@@ -26,22 +26,26 @@
 //! This crate encodes those contracts as a catalog of lints (see
 //! [`CATALOG`], or `docs/LINTS.md` for the long-form rule catalog) and
 //! runs them over the workspace source. The build environment is offline
-//! (no `syn`), so analysis is hand-rolled in three layers: an exact
-//! lexer ([`lexer`]), a recursive-descent *item* parser over the token
-//! stream ([`parser`]) producing per-file item trees, and a
-//! workspace-wide symbol graph ([`symbols`]) recording definitions and
-//! read/write/call references. A resolution pass ([`resolve`]) builds
-//! the module tree from `mod` declarations and file layout, resolves
-//! `use` imports (renames and nested groups included), qualified paths,
-//! and method receivers via lightweight type binding, giving the graph
-//! fully-qualified symbol IDs. The per-file rules (T02, Z01) run over
-//! tokens; the cross-file rules (C01/E01–E05/M01/L01) and the unit
-//! dataflow ([`flow`], Q01–Q03) run over the graph. Call and read edges are fq-exact where resolution succeeded
-//! and fall back to name matching for the unresolved remainder, so the
-//! residual imprecision can only hide violations on commonly-named
-//! fields, never invent them — the right failure direction for a gate.
-//! Residual false positives are handled by a checked-in suppression
-//! file, `lint-allow.toml`, in which every entry must carry a reason
+//! (no `syn`), so the analysis is hand-rolled in one token tier and one
+//! tree tier:
+//!
+//! * **tokens** — an exact lexer ([`lexer`]) and a recursive-descent item
+//!   parser ([`parser`]) give each file its code tokens and item tree.
+//!   T02, Q02, E04 and C01's identifier set read tokens;
+//! * **one tree per fn body** — [`body`] parses every body once, when the
+//!   file's [`rules::FileCtx`] is built. Everything else reads that tree:
+//!   the workspace symbol graph ([`symbols`]: call sites, field reads and
+//!   writes, metric paths, lock regions), whose references [`resolve`]
+//!   turns into fully-qualified IDs through the module tree, `use`
+//!   imports and lightweight type binding; the unit dataflow ([`flow`],
+//!   Q01–Q03); and Z01 and E05.
+//!
+//! Call and read edges are fq-exact where resolution succeeded and fall
+//! back to name matching for the unresolved remainder, so the residual
+//! imprecision can only hide violations on commonly-named fields, never
+//! invent them — the right failure direction for a gate. Residual false
+//! positives are handled by a checked-in suppression file,
+//! `lint-allow.toml`, in which every entry must carry a reason
 //! ([`allow`]).
 //!
 //! Run as `cargo run -p coaxial-lint --release` (wired into
@@ -49,6 +53,7 @@
 //! stale suppression.
 
 pub mod allow;
+pub mod body;
 pub mod flow;
 pub mod lexer;
 pub mod parser;
@@ -351,16 +356,14 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     let ws = symbols::Workspace::from_ctxs(&ctxs);
 
     let mut raw = Vec::new();
-    let mut timing_map = std::collections::BTreeMap::new();
+    let mut timing_map = rules::Timings::new();
     for ctx in &ctxs {
         raw.extend(rules::lint_file_timed(ctx, &ws, &mut timing_map));
     }
     raw.extend(rules::lint_cross_file_timed(&ws, &ctxs, &mut timing_map));
-    {
-        let t0 = std::time::Instant::now();
-        raw.extend(rules::check_e04(&sources, &rules::E04_SPEC));
-        *timing_map.entry("E04").or_default() += t0.elapsed();
-    }
+    raw.extend(rules::timed(&mut timing_map, "E04", || {
+        rules::check_e04(&sources, &rules::E04_SPEC)
+    }));
     raw.sort_by(|a, b| (&a.path, a.line, a.id).cmp(&(&b.path, b.line, b.id)));
 
     let mut used = vec![false; allows.len()];

@@ -5,8 +5,8 @@
 //! item grammar the lint rules need — structs with fields, enums with
 //! variants, fns with parameter names / return types / body spans, impl
 //! blocks (so methods know their `Self` type), traits, consts, and `use`
-//! paths — and deliberately skips everything else (expressions inside
-//! bodies stay raw token ranges; [`crate::symbols`] walks those).
+//! paths — and leaves each fn body to [`crate::body`], which parses it
+//! from the recorded span.
 //!
 //! Like the lexer, it never fails: malformed or exotic syntax degrades
 //! into skipped tokens, not a parse abort, because a lint pass that dies
@@ -120,36 +120,15 @@ struct Parser<'a> {
     i: usize,
 }
 
-/// Keywords that look like `ident (` call sites but are not.
-const STMT_KEYWORDS: &[&str] = &["if", "while", "match", "for", "return", "in", "let", "else"];
-
 impl<'a> Parser<'a> {
     fn at(&self, j: usize) -> Option<&'a Tok> {
         self.t.get(j)
     }
 
     /// Index of the bracket matching the opener at `open` (`{`/`(`/`[`),
-    /// or the last scanned index if unbalanced.
-    fn matching(&self, open: usize) -> usize {
-        let (o, c) = match self.t[open].text.as_str() {
-            "(" => ('(', ')'),
-            "[" => ('[', ']'),
-            _ => ('{', '}'),
-        };
-        let mut depth = 0usize;
-        let mut j = open;
-        while j < self.t.len() {
-            if self.t[j].is_punct(o) {
-                depth += 1;
-            } else if self.t[j].is_punct(c) {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            j += 1;
-        }
-        self.t.len().saturating_sub(1)
+    /// or the token count if unbalanced.
+    fn group_end(&self, open: usize) -> usize {
+        crate::body::group_end(self.t, open, self.t.len())
     }
 
     /// Skip an attribute starting at index `j` (`#` or `#!`), returning
@@ -162,7 +141,7 @@ impl<'a> Parser<'a> {
         if !self.at(k).is_some_and(|t| t.is_punct('[')) {
             return (k, false);
         }
-        let close = self.matching(k);
+        let close = self.group_end(k);
         let body = &self.t[k..=close.min(self.t.len() - 1)];
         let cfg_test =
             body.iter().any(|t| t.is_ident("cfg")) && body.iter().any(|t| t.is_ident("test"));
@@ -236,7 +215,7 @@ impl<'a> Parser<'a> {
                 self.i += 1;
                 // pub(crate) / pub(in path)
                 if self.at(self.i).is_some_and(|t| t.is_punct('(')) {
-                    self.i = self.matching(self.i) + 1;
+                    self.i = self.group_end(self.i) + 1;
                 }
             } else if t.is_ident("unsafe") || t.is_ident("async") || t.is_ident("default") {
                 self.i += 1; // modifier; keep pub/cfg flags
@@ -300,11 +279,11 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 if self.i < self.t.len() {
-                    self.i = self.matching(self.i) + 1;
+                    self.i = self.group_end(self.i) + 1;
                 }
                 (is_pub, cfg_test) = (false, false);
             } else if t.is_punct('{') {
-                self.i = self.matching(self.i) + 1;
+                self.i = self.group_end(self.i) + 1;
                 (is_pub, cfg_test) = (false, false);
             } else {
                 self.i += 1;
@@ -328,13 +307,13 @@ impl<'a> Parser<'a> {
         let mut fields = Vec::new();
         match self.at(self.i) {
             Some(t) if t.is_punct('{') => {
-                let close = self.matching(self.i);
+                let close = self.group_end(self.i);
                 fields = self.fields_in(self.i + 1, close);
                 self.i = close + 1;
             }
             Some(t) if t.is_punct('(') => {
                 // Tuple struct: unnamed fields carry nothing the rules use.
-                self.i = self.matching(self.i) + 1;
+                self.i = self.group_end(self.i) + 1;
                 self.skip_to_semi();
             }
             _ => self.skip_to_semi(), // unit struct
@@ -356,37 +335,14 @@ impl<'a> Parser<'a> {
                 is_pub = true;
                 j += 1;
                 if self.at(j).is_some_and(|t| t.is_punct('(')) {
-                    j = self.matching(j) + 1;
+                    j = self.group_end(j) + 1;
                 }
             } else if t.kind == TokKind::Ident
                 && self.at(j + 1).is_some_and(|n| n.is_punct(':'))
                 && self.at(j + 2).is_none_or(|n| !n.is_punct(':'))
             {
                 let (name, fline) = (t.text.clone(), t.line);
-                // Type runs to the next comma at depth 0 (generics,
-                // tuples, and fn-pointer types all nest).
-                let mut k = j + 2;
-                let (mut par, mut ang, mut br) = (0i32, 0i32, 0i32);
-                while k < end {
-                    let u = &self.t[k];
-                    if u.is_punct(',') && par == 0 && ang == 0 && br == 0 {
-                        break;
-                    }
-                    if u.is_punct('(') || u.is_punct('[') {
-                        par += 1;
-                    } else if u.is_punct(')') || u.is_punct(']') {
-                        par -= 1;
-                    } else if u.is_punct('<') {
-                        ang += 1;
-                    } else if u.is_punct('>') && !self.t[k - 1].is_punct('-') {
-                        ang -= 1;
-                    } else if u.is_punct('{') {
-                        br += 1;
-                    } else if u.is_punct('}') {
-                        br -= 1;
-                    }
-                    k += 1;
-                }
+                let k = self.comma_end(j + 2, end);
                 let ty = join(&self.t[(j + 2).min(k)..k]);
                 out.push(FieldDef { name, ty, is_pub, line: fline });
                 is_pub = false;
@@ -407,7 +363,7 @@ impl<'a> Parser<'a> {
         }
         let mut variants = Vec::new();
         if self.at(self.i).is_some_and(|t| t.is_punct('{')) {
-            let close = self.matching(self.i);
+            let close = self.group_end(self.i);
             let mut j = self.i + 1;
             while j < close {
                 let t = &self.t[j];
@@ -419,7 +375,7 @@ impl<'a> Parser<'a> {
                     j += 1;
                     // Payload: tuple or struct variant.
                     if self.at(j).is_some_and(|n| n.is_punct('(') || n.is_punct('{')) {
-                        j = self.matching(j) + 1;
+                        j = self.group_end(j) + 1;
                     }
                     // Discriminant: `= expr` up to the comma.
                     if self.at(j).is_some_and(|n| n.is_punct('=')) {
@@ -444,7 +400,7 @@ impl<'a> Parser<'a> {
         self.skip_generics();
         let (mut params, mut param_tys) = (Vec::new(), Vec::new());
         if self.at(self.i).is_some_and(|t| t.is_punct('(')) {
-            let close = self.matching(self.i);
+            let close = self.group_end(self.i);
             (params, param_tys) = self.params_in(self.i + 1, close);
             self.i = close + 1;
         }
@@ -464,7 +420,7 @@ impl<'a> Parser<'a> {
         let ret = join(&self.t[ret_start..ret_end]);
         let body = match self.at(self.i) {
             Some(t) if t.is_punct('{') => {
-                let close = self.matching(self.i);
+                let close = self.group_end(self.i);
                 let span = (self.i, close);
                 self.i = close + 1;
                 Some(span)
@@ -482,55 +438,40 @@ impl<'a> Parser<'a> {
     /// receivers and `mut`/`ref`/`_`), paired with the tokens after that
     /// `:`. Pattern params share their chunk's type.
     fn params_in(&self, start: usize, end: usize) -> (Vec<String>, Vec<String>) {
-        let mut out = Vec::new();
-        let mut tys = Vec::new();
-        let mut chunk: Vec<usize> = Vec::new();
-        let (mut par, mut ang, mut br) = (0i32, 0i32, 0i32);
-        for j in start..=end {
-            let terminal = j == end || (self.t[j].is_punct(',') && par == 0 && ang == 0 && br == 0);
-            if terminal {
-                if !chunk.iter().any(|&k| self.t[k].is_ident("self")) {
-                    let colon = chunk.iter().position(|&k| self.t[k].is_punct(':'));
-                    let ty = colon.map_or(String::new(), |c| {
-                        chunk[c + 1..]
-                            .iter()
-                            .map(|&k| self.t[k].text.as_str())
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    });
-                    for &k in &chunk {
-                        let t = &self.t[k];
-                        if t.is_punct(':') {
-                            break;
-                        }
-                        if t.kind == TokKind::Ident
-                            && !matches!(t.text.as_str(), "mut" | "ref" | "_")
-                        {
-                            out.push(t.text.clone());
-                            tys.push(ty.clone());
-                        }
+        let (mut out, mut tys) = (Vec::new(), Vec::new());
+        let mut j = start;
+        while j < end {
+            let k = self.comma_end(j, end);
+            let chunk = &self.t[j..k];
+            if !chunk.iter().any(|t| t.is_ident("self")) {
+                let colon = chunk.iter().position(|t| t.is_punct(':'));
+                let ty = colon.map_or(String::new(), |c| join(&chunk[c + 1..]));
+                for t in &chunk[..colon.unwrap_or(chunk.len())] {
+                    if t.kind == TokKind::Ident && !matches!(t.text.as_str(), "mut" | "ref" | "_") {
+                        out.push(t.text.clone());
+                        tys.push(ty.clone());
                     }
                 }
-                chunk.clear();
-                continue;
             }
-            let u = &self.t[j];
-            if u.is_punct('(') || u.is_punct('[') {
-                par += 1;
-            } else if u.is_punct(')') || u.is_punct(']') {
-                par -= 1;
-            } else if u.is_punct('<') {
-                ang += 1;
-            } else if u.is_punct('>') && !self.t[j - 1].is_punct('-') {
-                ang -= 1;
-            } else if u.is_punct('{') {
-                br += 1;
-            } else if u.is_punct('}') {
-                br -= 1;
-            }
-            chunk.push(j);
+            j = k + 1;
         }
         (out, tys)
+    }
+
+    /// Index of the first `,` at nesting depth 0 in `[from, end)` —
+    /// brackets, braces and generics nest (`->` closes nothing) — or `end`.
+    fn comma_end(&self, from: usize, end: usize) -> usize {
+        let mut depth = 0i32;
+        for k in from..end {
+            match self.t[k].text.as_str() {
+                "," if depth == 0 => return k,
+                "(" | "[" | "{" | "<" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                ">" if !self.t[k - 1].is_punct('-') => depth -= 1,
+                _ => {}
+            }
+        }
+        end
     }
 
     fn impl_item(&mut self, line: u32) -> Item {
@@ -565,7 +506,7 @@ impl<'a> Parser<'a> {
         };
         let mut items = Vec::new();
         if self.at(self.i).is_some_and(|t| t.is_punct('{')) {
-            let close = self.matching(self.i);
+            let close = self.group_end(self.i);
             self.i += 1;
             items = self.items(close);
             self.i = close + 1;
@@ -582,7 +523,7 @@ impl<'a> Parser<'a> {
         }
         let mut items = Vec::new();
         if self.at(self.i).is_some_and(|t| t.is_punct('{')) {
-            let close = self.matching(self.i);
+            let close = self.group_end(self.i);
             self.i += 1;
             items = self.items(close);
             self.i = close + 1;
@@ -597,7 +538,7 @@ impl<'a> Parser<'a> {
         let mut items = Vec::new();
         match self.at(self.i) {
             Some(t) if t.is_punct('{') => {
-                let close = self.matching(self.i);
+                let close = self.group_end(self.i);
                 self.i += 1;
                 items = self.items(close);
                 self.i = close + 1;
@@ -606,11 +547,6 @@ impl<'a> Parser<'a> {
         }
         Item { name, line, is_pub, kind: ItemKind::Mod { is_test, items } }
     }
-}
-
-/// `ident (` is a call unless the ident is a statement keyword.
-pub fn is_call_keyword(name: &str) -> bool {
-    STMT_KEYWORDS.contains(&name)
 }
 
 /// Flatten one `use` tree (the tokens between `use` and `;`) into leaf

@@ -1,17 +1,19 @@
 //! The lint rules. See [`crate::CATALOG`] for the contract each encodes.
 //!
-//! Per-file rules (T02, Z01) are pure functions over a lexed file
-//! ([`FileCtx`]); cross-file rules (C01/E01–E05/M01/L01/Q01–Q03) run over
-//! the workspace symbol graph ([`Workspace`]). Both layers are driven
+//! Per-file rules are pure functions over a parsed file ([`FileCtx`]): T02
+//! reads its tokens, Z01 its fn-body trees. Cross-file rules
+//! (C01/E01–E05/M01/L01/Q01–Q03) run over the workspace symbol graph
+//! ([`Workspace`]) and the same trees. Both layers are driven
 //! directly by the fixture tests in `tests/fixtures.rs` on seeded good/bad
 //! sources, with rule *specs* (which structs, which files) passed as
 //! parameters so the fixtures can substitute tiny synthetic workspaces
 //! for the real tree.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
+use crate::body::{self, Block, Expr};
 use crate::lexer::{Tok, TokKind};
-use crate::parser::{self, Item};
+use crate::parser::{self, FnDef, Item, ItemKind};
 use crate::symbols::{FnSym, MetricReg, Workspace};
 use crate::Finding;
 
@@ -40,7 +42,7 @@ const TIMING_SEGMENTS: &[&str] = &[
     "cwl",
 ];
 
-/// A lexed + item-parsed file, shared by all per-file rules.
+/// A lexed and parsed file, shared by every rule.
 pub struct FileCtx<'a> {
     pub rel: &'a str,
     pub src: &'a str,
@@ -48,13 +50,31 @@ pub struct FileCtx<'a> {
     pub code: Vec<Tok>,
     /// Parsed item tree (see [`crate::parser`]).
     pub items: Vec<Item>,
+    /// Every fn body's tree (see [`crate::body`]), keyed by the token
+    /// index of its `{`: the only parse of each body.
+    pub bodies: BTreeMap<usize, Block>,
 }
 
 impl<'a> FileCtx<'a> {
     pub fn new(rel: &'a str, src: &'a str) -> Self {
+        fn collect(items: &[Item], code: &[Tok], out: &mut BTreeMap<usize, Block>) {
+            for it in items {
+                match &it.kind {
+                    ItemKind::Fn(FnDef { body: Some((open, close)), .. }) => {
+                        out.insert(*open, body::parse_body(code, *open, *close));
+                    }
+                    ItemKind::Impl { items, .. }
+                    | ItemKind::Trait { items }
+                    | ItemKind::Mod { items, .. } => collect(items, code, out),
+                    _ => {}
+                }
+            }
+        }
         let code = parser::code_toks(src);
         let items = parser::parse_items(&code);
-        Self { rel, src, code, items }
+        let mut bodies = BTreeMap::new();
+        collect(&items, &code, &mut bodies);
+        Self { rel, src, code, items, bodies }
     }
 
     fn finding(&self, id: &'static str, line: u32, ident: &str, message: String) -> Finding {
@@ -84,66 +104,60 @@ fn is_timing_ident(ident: &str) -> bool {
     ident.split('_').any(|seg| TIMING_SEGMENTS.contains(&seg.to_ascii_lowercase().as_str()))
 }
 
-/// Per-file rules (T02, Z01), accumulating wall time per rule ID into
-/// `timings`. The workspace graph supplies the real sink trait's method
-/// set (Z01).
-pub fn lint_file_timed(
-    ctx: &FileCtx,
-    ws: &Workspace,
-    timings: &mut std::collections::BTreeMap<&'static str, std::time::Duration>,
+/// Wall time per rule ID.
+pub type Timings = BTreeMap<&'static str, std::time::Duration>;
+
+/// Run one rule, adding its wall time to `timings[id]`.
+pub fn timed(
+    timings: &mut Timings,
+    id: &'static str,
+    f: impl FnOnce() -> Vec<Finding>,
 ) -> Vec<Finding> {
+    let t0 = std::time::Instant::now();
+    let fs = f();
+    *timings.entry(id).or_default() += t0.elapsed();
+    fs
+}
+
+/// Per-file rules (T02, Z01), timed. The workspace graph supplies the real
+/// sink trait's method set (Z01).
+pub fn lint_file_timed(ctx: &FileCtx, ws: &Workspace, timings: &mut Timings) -> Vec<Finding> {
     let mut out = Vec::new();
-    let mut timed = |id: &'static str, f: &mut dyn FnMut() -> Vec<Finding>| {
-        let t0 = std::time::Instant::now();
-        let fs = f();
-        *timings.entry(id).or_default() += t0.elapsed();
-        fs
-    };
     if in_timing_scope(ctx.rel) && !in_stats_layer(ctx.rel) {
-        out.extend(timed("T02", &mut || check_t02(ctx)));
+        out.extend(timed(timings, "T02", || check_t02(ctx)));
     }
     if in_model_src(ctx.rel) && ctx.src.contains("TelemetrySink") {
         let sinks = ws
             .trait_methods_for(ctx.rel, "TelemetrySink")
             .unwrap_or_else(|| SINK_METHODS.iter().map(|s| (*s).to_string()).collect());
-        out.extend(timed("Z01", &mut || check_z01(ctx, &sinks)));
+        out.extend(timed(timings, "Z01", || check_z01(ctx, &sinks)));
     }
     out
 }
 
-/// Cross-file rules with the real-tree specs, accumulating wall time per
-/// rule ID into `timings`.
+/// Cross-file rules with the real-tree specs, timed.
 pub fn lint_cross_file_timed(
     ws: &Workspace,
     ctxs: &[FileCtx],
-    timings: &mut std::collections::BTreeMap<&'static str, std::time::Duration>,
+    timings: &mut Timings,
 ) -> Vec<Finding> {
     let mut out = Vec::new();
-    let mut timed = |id: &'static str, f: &mut dyn FnMut() -> Vec<Finding>| {
-        let t0 = std::time::Instant::now();
-        let fs = f();
-        *timings.entry(id).or_default() += t0.elapsed();
-        fs
-    };
-    out.extend(timed("C01", &mut || lint_cross_reference(ws, C01_PAIRS)));
-    out.extend(timed("E01", &mut || check_e01(ws, E01_STRUCTS)));
-    out.extend(timed("E02", &mut || check_e02(ws, &E02_SPEC)));
-    out.extend(timed("E03", &mut || check_e03(ws, &E03_SPEC)));
-    out.extend(timed("M01", &mut || check_m01(ws, &M01_SPEC)));
-    out.extend(timed("L01", &mut || check_l01(ws, &L01_SPEC)));
-    out.extend(timed("E05", &mut || check_e05(ws, ctxs, &E05_SPEC)));
+    out.extend(timed(timings, "C01", || lint_cross_reference(ws, C01_PAIRS)));
+    out.extend(timed(timings, "E01", || check_e01(ws, E01_STRUCTS)));
+    out.extend(timed(timings, "E02", || check_e02(ws, &E02_SPEC)));
+    out.extend(timed(timings, "E03", || check_e03(ws, &E03_SPEC)));
+    out.extend(timed(timings, "M01", || check_m01(ws, &M01_SPEC)));
+    out.extend(timed(timings, "L01", || check_l01(ws, &L01_SPEC)));
+    out.extend(timed(timings, "E05", || check_e05(ws, ctxs, &E05_SPEC)));
     // The unit dataflow (Q01/Q02/Q03) runs once; the shared analysis is
     // billed to Q01, the split-out findings to their own IDs.
-    let mut units = None;
-    out.extend(timed("Q01", &mut || {
-        let u = crate::flow::check_units(ctxs, ws);
-        let q01 = u.q01.clone();
-        units = Some(u);
-        q01
+    let mut units = crate::flow::UnitFindings::default();
+    out.extend(timed(timings, "Q01", || {
+        units = crate::flow::check_units(ctxs, ws);
+        std::mem::take(&mut units.q01)
     }));
-    let units = units.unwrap_or_default();
-    out.extend(timed("Q02", &mut || units.q02.clone()));
-    out.extend(timed("Q03", &mut || units.q03.clone()));
+    out.extend(timed(timings, "Q02", || std::mem::take(&mut units.q02)));
+    out.extend(timed(timings, "Q03", || std::mem::take(&mut units.q03)));
     out
 }
 
@@ -269,49 +283,47 @@ pub fn check_t02(ctx: &FileCtx) -> Vec<Finding> {
 const SINK_METHODS: &[&str] = &["on_miss", "on_span", "on_reset"];
 
 pub fn check_z01(ctx: &FileCtx, sink_methods: &[String]) -> Vec<Finding> {
-    let code = &ctx.code;
-    let mut out = Vec::new();
-    // guard[d] = "some enclosing block at depth <= d is `if …::ENABLED`".
-    let mut guard = vec![false];
-    // Start-of-header marker: tokens since the last `{`, `}`, or `;`.
-    let mut header_start = 0usize;
-    for i in 0..code.len() {
-        let t = &code[i];
-        if t.is_punct('{') {
-            let header = &code[header_start..i];
-            let is_guard = header.iter().any(|t| t.is_ident("if"))
-                && header.iter().any(|t| t.is_ident("ENABLED"));
-            let inherited = *guard.last().unwrap();
-            guard.push(inherited || is_guard);
-            header_start = i + 1;
-        } else if t.is_punct('}') {
-            if guard.len() > 1 {
-                guard.pop();
+    let sink = |e: &Expr| match e {
+        Expr::Call { recv: Some(_), name, pos, line, .. } if sink_methods.contains(name) => {
+            Some((*pos, (*line, name.clone())))
+        }
+        _ => None,
+    };
+    let reads_enabled = |e: &Expr| {
+        let mut hit = false;
+        e.walk(&mut |x| {
+            hit |=
+                matches!(x, Expr::Path { segs, .. } if segs.last().is_some_and(|s| s == "ENABLED"));
+        });
+        hit
+    };
+    // Every sink call, less those in the then-block of an `if …ENABLED…`
+    // or the body of a match arm whose guard reads ENABLED.
+    let (mut sinks, mut guarded) = (BTreeMap::new(), Vec::new());
+    for b in ctx.bodies.values() {
+        b.walk(&mut |e| {
+            let mut mark = |s: &Expr| guarded.extend(sink(s).map(|(pos, _)| pos));
+            match e {
+                Expr::If { cond, then_b, .. } if reads_enabled(cond) => then_b.walk(&mut mark),
+                Expr::Match { arms, .. } => arms
+                    .iter()
+                    .filter(|a| a.guard.as_ref().is_some_and(reads_enabled))
+                    .for_each(|a| a.body.walk(&mut mark)),
+                _ => {}
             }
-            header_start = i + 1;
-        } else if t.is_punct(';') {
-            header_start = i + 1;
-        }
-        if t.kind == TokKind::Ident
-            && sink_methods.iter().any(|m| m == &t.text)
-            && i > 0
-            && code[i - 1].is_punct('.')
-            && code.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && !*guard.last().unwrap()
-        {
-            out.push(ctx.finding(
-                "Z01",
-                t.line,
-                &t.text,
-                format!(
-                    "telemetry sink call `.{}(…)` is not dominated by an `if T::ENABLED` \
-                     guard; the NullTelemetry monomorphization would pay for it",
-                    t.text
-                ),
-            ));
-        }
+            sinks.extend(sink(e));
+        });
     }
-    out
+    for pos in guarded {
+        sinks.remove(&pos);
+    }
+    let msg = |name: &str| {
+        format!(
+            "telemetry sink call `.{name}(…)` is not dominated by an `if T::ENABLED` guard; \
+             the NullTelemetry monomorphization would pay for it"
+        )
+    };
+    sinks.into_values().map(|(line, name)| ctx.finding("Z01", line, &name, msg(&name))).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1365,115 +1377,6 @@ pub const E05_SPEC: CliReachSpec<'static> = CliReachSpec {
     experiments_rel: "crates/system/src/experiments.rs",
 };
 
-/// A parsed dispatch arm: its pattern strings and body token span.
-struct CliArm {
-    names: Vec<String>,
-    line: u32,
-    start: usize,
-    end: usize,
-}
-
-/// Parse the first `match` in `main`'s body into string-pattern arms.
-fn cli_arms(code: &[Tok], body: (usize, usize)) -> Vec<CliArm> {
-    let (open, close) = body;
-    let mut i = open;
-    while i < close && !code[i].is_ident("match") {
-        i += 1;
-    }
-    // The `{` opening the match body: first `{` at bracket/paren depth 0
-    // after the scrutinee expression.
-    let mut depth = 0i32;
-    while i < close {
-        match code[i].text.as_str() {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "{" if depth == 0 => break,
-            _ => {}
-        }
-        i += 1;
-    }
-    if i >= close {
-        return Vec::new();
-    }
-    let match_open = i;
-    // Matching close brace.
-    let mut brace = 0i32;
-    let mut match_close = close;
-    for (j, tok) in code.iter().enumerate().take(close).skip(match_open) {
-        match tok.text.as_str() {
-            "{" => brace += 1,
-            "}" => {
-                brace -= 1;
-                if brace == 0 {
-                    match_close = j;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    // Arms: `Str (| Str)* [guard] => body` at depth 1.
-    let mut arms = Vec::new();
-    let mut j = match_open + 1;
-    while j < match_close {
-        // Collect leading string patterns.
-        let mut names = Vec::new();
-        let line = code[j].line;
-        while j < match_close && code[j].kind == TokKind::Str {
-            names.push(code[j].text.trim_matches('"').to_string());
-            j += 1;
-            if j < match_close && code[j].is_punct('|') {
-                j += 1;
-            } else {
-                break;
-            }
-        }
-        // Skip to `=>` at depth 0 relative to the arm.
-        let mut d = 0i32;
-        while j < match_close {
-            let t = &code[j];
-            match t.text.as_str() {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => d -= 1,
-                "=" if d == 0 && code.get(j + 1).is_some_and(|n| n.is_punct('>')) => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        if j >= match_close {
-            break;
-        }
-        j += 2; // past `=>`
-        let body_start = j;
-        // Arm body: a block, or an expression up to `,` at depth 0.
-        let mut d = 0i32;
-        while j < match_close {
-            let t = &code[j];
-            match t.text.as_str() {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => {
-                    d -= 1;
-                    if d == 0 && code[body_start].is_punct('{') {
-                        j += 1;
-                        break;
-                    }
-                }
-                "," if d == 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        let body_end = j;
-        if j < match_close && code[j].is_punct(',') {
-            j += 1;
-        }
-        if !names.is_empty() {
-            arms.push(CliArm { names, line, start: body_start, end: body_end });
-        }
-    }
-    arms
-}
-
 /// `true` when `rel` is library code (not the audited binary, not tests).
 fn is_lib_rel(bin_rel: &str, rel: &str) -> bool {
     if rel == bin_rel || rel.starts_with("src/bin/") {
@@ -1499,42 +1402,56 @@ pub fn check_e05(ws: &Workspace, ctxs: &[FileCtx], spec: &CliReachSpec) -> Vec<F
     let Some(main) = bin.fns.iter().find(|f| f.name == "main" && f.owner.is_none()) else {
         return out;
     };
-    let Some(body) = main.body else { return out };
-
+    let Some(body) = main.body.and_then(|(open, _)| ctx.bodies.get(&open)) else { return out };
+    // The dispatch: the first `match` in `main`, arms with string patterns.
+    let mut dispatch = None;
+    body.walk(&mut |e| {
+        if let (None, Expr::Match { arms, .. }) = (&dispatch, e) {
+            dispatch = Some(arms);
+        }
+    });
     let g = CallGraph::build(ws, |_| true);
-    let arms = cli_arms(&ctx.code, body);
 
     // Per arm: frontier-crossing entry set (first lib node on each path
     // out of the binary) and the full reachable set.
     let mut arm_entries: Vec<(String, u32, BTreeSet<String>)> = Vec::new();
     let mut reach_union: BTreeSet<String> = BTreeSet::new();
-    for arm in &arms {
+    for arm in dispatch.into_iter().flatten() {
+        let names: Vec<(&str, u32)> = arm
+            .pat
+            .iter()
+            .map_while(|p| match p {
+                Expr::Str { text, line } => Some((text.trim_matches('"'), *line)),
+                _ => None,
+            })
+            .collect();
+        let Some(&(_, line)) = names.first() else { continue };
+        let mut in_arm = BTreeSet::new();
+        arm.body.walk(&mut |e| {
+            if let Expr::Call { pos, .. } = e {
+                in_arm.insert(*pos);
+            }
+        });
         let seeds: Vec<usize> = main
             .call_sites
             .iter()
-            .filter(|cs| cs.pos >= arm.start && cs.pos < arm.end)
+            .filter(|cs| in_arm.contains(&cs.pos))
             .flat_map(|cs| g.site_targets(spec.bin_rel, cs))
             .collect();
-        let mut entries: BTreeSet<String> = BTreeSet::new();
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        let mut queue = seeds;
-        while let Some(i) = queue.pop() {
-            if !seen.insert(i) {
-                continue;
-            }
-            let (rel, f) = g.nodes[i];
-            if is_lib_rel(spec.bin_rel, rel) {
-                entries.insert(f.fq.clone());
-            }
-            reach_union.insert(f.fq.clone());
-            queue.extend(g.succs(i, |_| false));
-        }
-        let label = arm.names.join("|");
+        let reach: Vec<(&str, &FnSym)> =
+            g.reach(seeds, |_| false).iter().map(|&i| g.nodes[i]).collect();
+        let entries: BTreeSet<String> = reach
+            .iter()
+            .filter(|(rel, _)| is_lib_rel(spec.bin_rel, rel))
+            .map(|(_, f)| f.fq.clone())
+            .collect();
+        reach_union.extend(reach.iter().map(|(_, f)| f.fq.clone()));
+        let label = names.iter().map(|(n, _)| *n).collect::<Vec<_>>().join("|");
         if entries.is_empty() {
             out.push(Finding {
                 id: "E05",
                 path: spec.bin_rel.to_string(),
-                line: arm.line,
+                line,
                 ident: label.clone(),
                 message: format!(
                     "CLI arm `{label}` reaches no library entry point — the subcommand is \
@@ -1543,7 +1460,7 @@ pub fn check_e05(ws: &Workspace, ctxs: &[FileCtx], spec: &CliReachSpec) -> Vec<F
                 ),
             });
         }
-        arm_entries.push((label, arm.line, entries));
+        arm_entries.push((label, line, entries));
     }
 
     // (b) pairwise-distinct entry sets.

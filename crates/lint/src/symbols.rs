@@ -8,10 +8,11 @@
 //! string-literal metric paths passed to the registry methods.
 //!
 //! References are linked through resolved paths (`calls_fq`,
-//! `reads_typed`, lock regions): a [`crate::resolve::Resolver`] walk of
-//! each body tracks a lightweight type for the expression chain under the
-//! cursor (parameter/let/struct-literal bindings, field types, method
-//! return types) and attributes each site to a fully-qualified symbol. A
+//! `reads_typed`, lock regions): a walk over each body's parsed tree
+//! ([`crate::body`]) evaluates every expression to a lightweight type
+//! (parameter/let/struct-literal bindings, field types, method return
+//! types) and a [`crate::resolve::Resolver`] attributes each site to a
+//! fully-qualified symbol. A
 //! site the tracker cannot prove lands in `calls_unresolved` /
 //! `reads_unresolved` and falls back to bare-name linking — a `.seed`
 //! read there counts as a read of every field named `seed`. That
@@ -19,7 +20,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{Tok, TokKind};
+use crate::body::{Block, Expr, Stmt};
+use crate::lexer::TokKind;
 use crate::parser::{self, Item, ItemKind};
 use crate::resolve::{Res, Resolver, TyRes};
 use crate::rules::FileCtx;
@@ -82,8 +84,8 @@ pub struct LockRegion {
     pub line: u32,
     /// Token span `[start, end)` in the file's code-token vector: from
     /// the `.lock()` call to the end of the enclosing block for let-bound
-    /// guards (shortened by `drop(guard)`), or to the end of the
-    /// statement for temporaries.
+    /// guards (shortened by `drop(guard)`), or to where the temporary dies
+    /// (the end of its statement or of the innermost enclosing group).
     pub start: usize,
     pub end: usize,
     /// Binding name for let-bound guards.
@@ -99,7 +101,7 @@ pub struct LockEdge {
 }
 
 /// Everything the rules need to know about one function body.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FnSym {
     pub name: String,
     /// `Self` type when defined inside an impl (or trait) block.
@@ -114,6 +116,10 @@ pub struct FnSym {
     /// Body token span in the file's code-token vector.
     pub body: Option<(usize, usize)>,
     pub params: Vec<String>,
+    /// Declared type text per entry of `params`.
+    pub param_tys: Vec<String>,
+    /// Return-type text (see [`parser::FnDef::ret`]).
+    pub ret: String,
     /// Resolved call targets by fq.
     pub calls_fq: BTreeSet<String>,
     /// Call names with at least one unresolved site — these link by bare
@@ -247,14 +253,14 @@ impl FileSyms {
             ctx.code.iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text.clone()).collect();
         let mut out = Self { idents, ..Self::default() };
         let module = r.module_of(ctx.rel).expect("Resolver::build registers every file");
-        collect_items(&ctx.items, &ctx.code, None, false, (r, module), &mut out);
+        collect_items(&ctx.items, &ctx.bodies, None, false, (r, module), &mut out);
         out
     }
 }
 
 fn collect_items(
     items: &[Item],
-    code: &[Tok],
+    bodies: &BTreeMap<usize, Block>,
     owner: Option<(&str, &str)>, // (bare name, fq)
     in_test: bool,
     sem: (&Resolver, &str), // (resolver, module)
@@ -272,14 +278,17 @@ fn collect_items(
                 line: item.line,
                 variants: variants.clone(),
             }),
-            ItemKind::Fn(def) => out.fns.push(analyze_fn(item, def, code, owner, in_test, sem)),
+            ItemKind::Fn(def) => {
+                let body = def.body.and_then(|(open, _)| bodies.get(&open));
+                out.fns.push(analyze_fn(item, def, body, owner, in_test, sem));
+            }
             ItemKind::Impl { items: inner, .. } => {
                 let (r, module) = sem;
                 let owner_fq = match r.resolve_path(module, &[&item.name], 16) {
                     Res::Type(fq) => fq,
                     _ => format!("?::{module}::{}", item.name),
                 };
-                collect_items(inner, code, Some((&item.name, &owner_fq)), in_test, sem, out);
+                collect_items(inner, bodies, Some((&item.name, &owner_fq)), in_test, sem, out);
             }
             ItemKind::Trait { items: inner } => {
                 let methods: Vec<String> = inner
@@ -289,19 +298,18 @@ fn collect_items(
                     .collect();
                 out.trait_methods.insert(item.name.clone(), methods);
                 let owner_fq = format!("{}::{}", sem.1, item.name);
-                collect_items(inner, code, Some((&item.name, &owner_fq)), in_test, sem, out);
+                collect_items(inner, bodies, Some((&item.name, &owner_fq)), in_test, sem, out);
             }
             ItemKind::Mod { is_test, items: inner } => {
                 let sub = format!("{}::{}", sem.1, item.name);
-                collect_items(inner, code, owner, in_test || *is_test, (sem.0, &sub), out);
+                collect_items(inner, bodies, owner, in_test || *is_test, (sem.0, &sub), out);
             }
             ItemKind::Const { .. } | ItemKind::Use { .. } => {}
         }
     }
 }
 
-/// The lightweight value the semantic walk tracks for the expression
-/// chain under the cursor.
+/// The lightweight value the semantic walk tracks per expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Val {
     None,
@@ -313,58 +321,64 @@ enum Val {
         id: String,
         inner: Option<String>,
     },
-    /// A live `MutexGuard` over `id`, dereferencing to `inner`.
+    /// A live `MutexGuard` over `id`, dereferencing to `inner`; `region`
+    /// indexes its lock region.
     Guard {
         id: String,
         inner: Option<String>,
+        region: usize,
     },
 }
 
 impl Val {
     fn type_fq(&self) -> Option<&str> {
         match self {
-            Val::Typed(t) => Some(t),
-            Val::Guard { inner: Some(t), .. } => Some(t),
+            Val::Typed(t) | Val::Guard { inner: Some(t), .. } => Some(t),
             _ => None,
         }
     }
-}
 
-/// What to restore for `cur` when a paren/bracket group closes.
-#[derive(Debug, Clone)]
-enum Frame {
-    /// Call arguments: restore the call's result value.
-    Call(Val),
-    /// Grouping parens: keep whatever the inside evaluated to.
-    Keep,
-    /// Indexing: element types are not tracked.
-    Drop,
+    fn of_ty(ty: &TyRes, mutex_id: Option<String>) -> Val {
+        match (ty.mutex, mutex_id) {
+            (true, Some(id)) => Val::Mutex { id, inner: ty.ty.clone() },
+            // A mutex we cannot name (local/parameter) is not tracked.
+            (true, None) => Val::None,
+            (false, _) => ty.ty.clone().map_or(Val::None, Val::Typed),
+        }
+    }
+
+    fn ret(ret: Option<&String>) -> Val {
+        ret.cloned().map_or(Val::None, Val::Typed)
+    }
 }
 
 const DEPTH: usize = 16;
 
-/// Per-body state of the resolved-path walk.
-struct SemState<'a> {
+/// Unresolved methods whose value has the type of their last argument (or
+/// of the closure body it returns).
+const FALLBACK_METHODS: &[&str] = &["or_insert", "or_insert_with", "unwrap_or", "unwrap_or_else"];
+
+/// Per-body state of the walk over the parsed body that fills one
+/// [`FnSym`].
+struct Walk<'a> {
     r: &'a Resolver,
     module: &'a str,
-    owner_fq: Option<String>,
+    /// `(bare name, fq)` of the enclosing impl/trait's `Self` type.
+    owner: Option<(&'a str, &'a str)>,
+    params: BTreeSet<&'a str>,
     scopes: Vec<BTreeMap<String, Val>>,
-    /// Close index of each open `{}` block.
-    blocks: Vec<usize>,
-    frames: Vec<Frame>,
-    cur: Val,
-    /// Result value a just-classified call installs at its `(`.
-    pending_call: Option<Val>,
-    /// Simple `let [mut] name = …` binding awaiting its initializer value.
-    pending_let: Option<String>,
-    regions: Vec<LockRegion>,
+    sym: FnSym,
 }
 
-impl<'a> SemState<'a> {
+impl Walk<'_> {
+    fn owner_fq(&self) -> Option<&str> {
+        self.owner.map(|(_, fq)| fq).filter(|fq| !fq.starts_with('?'))
+    }
+
     fn resolve_here(&self, segs: &[&str]) -> Res {
         if segs.first() == Some(&"Self") {
-            let Some(o) = &self.owner_fq else { return Res::Unknown };
-            let mut cur = Res::Type(o.clone());
+            let Some(o) = self.owner_fq() else { return Res::Unknown };
+            let mut cur = Res::Type(o.to_string());
             for seg in &segs[1..] {
                 cur = match cur {
                     Res::Type(t) => self.r.type_member(&t, seg),
@@ -376,367 +390,345 @@ impl<'a> SemState<'a> {
         self.r.resolve_path(self.module, segs, DEPTH)
     }
 
-    fn bind(&mut self, name: &str, val: Val) {
-        if let Some(scope) = self.scopes.last_mut() {
-            scope.insert(name.to_string(), val);
-        }
-    }
-
-    fn lookup(&self, name: &str) -> Option<&Val> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
-    }
-
-    fn val_of_ty(&self, ty: &TyRes, mutex_id: Option<String>) -> Val {
-        if ty.mutex {
-            match mutex_id {
-                Some(id) => Val::Mutex { id, inner: ty.ty.clone() },
-                // A mutex we cannot name (local/parameter) is not tracked.
-                None => Val::None,
+    fn path_val(&self, segs: &[String]) -> Val {
+        if let [name] = segs {
+            if name == "self" {
+                return self.owner_fq().map_or(Val::None, |o| Val::Typed(o.to_string()));
             }
-        } else {
-            ty.ty.clone().map_or(Val::None, Val::Typed)
+            if let Some(v) = self.scopes.iter().rev().find_map(|s| s.get(name)) {
+                return v.clone();
+            }
         }
-    }
-
-    fn head_val(&self, name: &str) -> Val {
-        if name == "self" {
-            return self.owner_fq.clone().map_or(Val::None, Val::Typed);
-        }
-        if let Some(v) = self.lookup(name) {
-            return v.clone();
-        }
-        match self.resolve_here(&[name]) {
+        let segs: Vec<&str> = segs.iter().map(String::as_str).collect();
+        match self.resolve_here(&segs) {
             Res::Const(fq) => {
                 let ty = self.r.consts.get(&fq).cloned().unwrap_or_default();
-                self.val_of_ty(&ty, Some(fq))
+                Val::of_ty(&ty, Some(fq))
             }
+            Res::Variant { owner, .. } if segs.len() > 1 => Val::Typed(owner),
             _ => Val::None,
         }
     }
 
-    fn ret_val(&self, ret: &Option<String>) -> Val {
-        ret.clone().map_or(Val::None, Val::Typed)
-    }
-
-    /// New mutex acquisition at token `j`: record order edges against the
-    /// still-live regions, then open a region for it.
-    fn lock_event(&mut self, code: &[Tok], j: usize, close: usize, id: String, sym: &mut FnSym) {
-        let line = code[j].line;
-        for reg in &self.regions {
-            if reg.end > j {
-                sym.lock_order.push(LockEdge {
-                    held: reg.mutex.clone(),
-                    acquired: id.clone(),
-                    line,
-                });
-            }
-        }
-        let (end, guard) = match &self.pending_let {
-            Some(name) => (self.blocks.last().copied().unwrap_or(close), Some(name.clone())),
-            None => (rhs_span(code, j, close), None),
-        };
-        self.regions.push(LockRegion { mutex: id, line, start: j, end, guard });
-    }
-
-    /// Classify the call site `code[j] (`, which the bare walk already
-    /// pushed onto `sym.call_sites`.
-    fn on_call(&mut self, code: &[Tok], j: usize, close: usize, sym: &mut FnSym) {
-        let name = code[j].text.clone();
-        let prev_dot = j > 0 && code[j - 1].is_punct('.');
-        let prev_colon = j > 0 && code[j - 1].is_punct(':');
-        let mut fq: Option<String> = None;
-        let mut resolved = false;
-        let mut result = Val::None;
-        if prev_dot {
-            match (&self.cur.clone(), name.as_str()) {
-                (Val::Mutex { id, inner }, "lock") => {
-                    self.lock_event(code, j, close, id.clone(), sym);
-                    result = Val::Guard { id: id.clone(), inner: inner.clone() };
-                    resolved = true;
-                }
-                (g @ Val::Guard { .. }, "unwrap" | "expect") => {
-                    result = (*g).clone();
-                    resolved = true;
-                }
-                (v, "clone" | "to_owned" | "as_ref" | "borrow") => {
-                    result = (*v).clone();
-                    resolved = true;
-                }
-                (v, _) => {
-                    if let Some(t) = v.type_fq().map(str::to_string) {
-                        if let Some(info) = self.r.method(&t, &name) {
-                            fq = Some(format!("{t}::{name}"));
-                            resolved = true;
-                            result = self.ret_val(&info.ret);
-                        }
-                    }
-                }
-            }
-        } else if prev_colon {
-            match self.resolve_here(&path_back(code, j)) {
-                Res::Fn(f) => {
-                    result = self.ret_val(&self.r.fns.get(&f).and_then(|i| i.ret.clone()));
-                    fq = Some(f);
-                    resolved = true;
-                }
-                Res::Method { owner, name: m } => {
-                    let ret = self.r.method(&owner, &m).and_then(|i| i.ret.clone());
-                    result = self.ret_val(&ret);
-                    fq = Some(format!("{owner}::{m}"));
-                    resolved = true;
-                }
-                // Tuple-variant / tuple-struct constructors yield the type.
-                Res::Variant { owner, .. } | Res::Type(owner) => {
-                    result = Val::Typed(owner);
-                    resolved = true;
-                }
-                _ => {}
-            }
-        } else if name == "drop" {
-            if let Some(arg) = code.get(j + 2).filter(|t| {
-                t.kind == TokKind::Ident && code.get(j + 3).is_some_and(|n| n.is_punct(')'))
-            }) {
-                for reg in &mut self.regions {
-                    if reg.guard.as_deref() == Some(arg.text.as_str()) && reg.end > j {
-                        reg.end = j;
-                    }
-                }
-            }
-            resolved = true;
-        } else {
-            match self.resolve_here(&[&name]) {
-                Res::Fn(f) => {
-                    result = self.ret_val(&self.r.fns.get(&f).and_then(|i| i.ret.clone()));
-                    fq = Some(f);
-                    resolved = true;
-                }
-                Res::Type(t) => {
-                    // Tuple-struct constructor.
-                    result = Val::Typed(t);
-                    resolved = true;
-                }
-                _ => {}
-            }
-        }
-        if let Some(fq) = &fq {
-            sym.calls_fq.insert(fq.clone());
-        }
-        if !resolved {
-            sym.calls_unresolved.insert(name);
-        }
-        if let Some(site) = sym.call_sites.last_mut() {
-            site.fq = fq;
-            site.resolved = resolved;
-        }
-        self.pending_call = Some(result);
-        self.cur = Val::None;
-    }
-
-    /// Classify the field site `. name` whose bare read/write the caller
-    /// already recorded.
-    fn on_field(&mut self, name: &str, is_write: bool, compound: bool, sym: &mut FnSym) {
-        let recv = self.cur.type_fq().map(str::to_string);
-        match recv {
-            Some(t) if self.r.struct_has_field(&t, name) => {
-                if is_write {
-                    if let Some(w) = sym.writes.last_mut() {
-                        w.type_fq = Some(t.clone());
-                    }
-                    if compound {
-                        sym.reads_typed.insert((t, name.to_string()));
-                    }
-                    self.cur = Val::None;
-                } else {
-                    sym.reads_typed.insert((t.clone(), name.to_string()));
-                    let ty = self.r.field_ty(&t, name).cloned().unwrap_or_default();
-                    self.cur = self.val_of_ty(&ty, Some(format!("{t}::{name}")));
-                }
+    /// A read of field `name` of a value `recv`.
+    fn read_field(&mut self, recv: &Val, name: &str) -> Val {
+        self.sym.field_reads.insert(name.to_string());
+        match recv.type_fq() {
+            Some(t) if self.r.struct_has_field(t, name) => {
+                self.sym.reads_typed.insert((t.to_string(), name.to_string()));
+                let ty = self.r.field_ty(t, name).cloned().unwrap_or_default();
+                Val::of_ty(&ty, Some(format!("{t}::{name}")))
             }
             _ => {
-                if !is_write || compound {
-                    sym.reads_unresolved.insert(name.to_string());
-                }
-                self.cur = Val::None;
+                self.sym.reads_unresolved.insert(name.to_string());
+                Val::None
             }
         }
     }
 
-    /// The generic per-token step: scopes, frames, `let` headers, chain
-    /// heads, and value resets. Call/field idents are skipped — their
-    /// dedicated hooks already ran.
-    fn on_token(&mut self, code: &[Tok], j: usize, close: usize, sym: &mut FnSym) {
-        let t = &code[j];
-        match t.kind {
-            TokKind::Punct => {
-                match t.text.chars().next().unwrap_or(' ') {
-                    '{' => {
-                        self.blocks.push(matching(code, j).min(close));
-                        self.scopes.push(BTreeMap::new());
-                        self.pending_let = None;
-                        self.cur = Val::None;
-                    }
-                    '}' => {
-                        self.blocks.pop();
-                        self.scopes.pop();
-                        self.cur = Val::None;
-                    }
-                    '(' => {
-                        let f = match self.pending_call.take() {
-                            Some(v) => Frame::Call(v),
-                            None => Frame::Keep,
-                        };
-                        self.frames.push(f);
-                        self.cur = Val::None;
-                    }
-                    ')' => match self.frames.pop() {
-                        Some(Frame::Call(v)) => self.cur = v,
-                        Some(Frame::Drop) => self.cur = Val::None,
-                        Some(Frame::Keep) | None => {}
-                    },
-                    '[' => {
-                        self.frames.push(Frame::Drop);
-                        self.cur = Val::None;
-                    }
-                    ']' => {
-                        self.frames.pop();
-                        self.cur = Val::None;
-                    }
-                    ';' => {
-                        if let Some(name) = self.pending_let.take() {
-                            if self.cur != Val::None {
-                                let v = self.cur.clone();
-                                self.bind(&name, v);
-                            }
+    fn write(
+        &mut self,
+        field: &str,
+        value: &Expr,
+        line: u32,
+        ty: (Option<String>, Option<String>),
+    ) {
+        self.sym.writes.push(FieldWrite {
+            type_name: ty.0,
+            type_fq: ty.1,
+            field: field.to_string(),
+            param_derived: mentions(value, &self.params),
+            zero_literal: matches!(value, Expr::Lit { zero: true }),
+            line,
+        });
+    }
+
+    fn block(&mut self, b: &Block) -> Val {
+        self.scopes.push(BTreeMap::new());
+        for s in &b.stmts {
+            match s {
+                Stmt::Let { pat, ty, init, else_b, end, .. } => {
+                    self.exprs(pat, *end);
+                    let v = init.as_ref().map_or(Val::None, |e| self.expr(e, *end));
+                    // `let [mut] name [: ty] = …` binds; patterns do not.
+                    if let [Expr::Path { segs, .. }] = pat.as_slice() {
+                        if let [name] = segs.as_slice() {
+                            self.let_bind(name, ty, v, b.close);
                         }
-                        self.cur = Val::None;
                     }
-                    // `.`/`?` continue a chain; `:` appears inside paths;
-                    // `&`/`*` are value-transparent enough (the next ident
-                    // re-heads the chain anyway).
-                    '.' | '?' | ':' | '&' | '*' => {}
-                    _ => self.cur = Val::None,
-                }
-            }
-            TokKind::Ident => {
-                let next = code.get(j + 1);
-                let is_call =
-                    next.is_some_and(|n| n.is_punct('(')) && !parser::is_call_keyword(&t.text);
-                let after_dot = j > 0 && code[j - 1].is_punct('.');
-                if is_call || after_dot {
-                    return; // handled by on_call / on_field
-                }
-                if t.text == "let" {
-                    self.on_let(code, j, close);
-                    return;
-                }
-                let mid_path = next.is_some_and(|n| n.is_punct(':'))
-                    && code.get(j + 2).is_some_and(|n| n.is_punct(':'));
-                if mid_path {
-                    return; // the final segment classifies the path
-                }
-                let after_path = j > 1 && code[j - 1].is_punct(':') && code[j - 2].is_punct(':');
-                if after_path {
-                    // Path in value position: `Kind::Variant`, `m::CONST`.
-                    self.cur = match self.resolve_here(&path_back(code, j)) {
-                        Res::Variant { owner, .. } => Val::Typed(owner),
-                        Res::Const(fq) => {
-                            let ty = self.r.consts.get(&fq).cloned().unwrap_or_default();
-                            self.val_of_ty(&ty, Some(fq))
-                        }
-                        _ => Val::None,
-                    };
-                    return;
-                }
-                if next.is_some_and(|n| n.is_punct('{'))
-                    && is_type_like(&t.text)
-                    && !(j > 0 && struct_literal_blockers(&code[j - 1]))
-                {
-                    // Struct literal head: bind a pending let to the type.
-                    if let (Some(name), Res::Type(fq)) =
-                        (self.pending_let.take(), self.resolve_here(&[&t.text]))
-                    {
-                        self.bind(&name, Val::Typed(fq));
+                    if let Some(eb) = else_b {
+                        self.block(eb);
                     }
-                    self.cur = Val::None;
-                    return;
                 }
-                let _ = sym;
-                self.cur = self.head_val(&t.text);
+                Stmt::Expr(e, end) => {
+                    self.expr(e, *end);
+                }
+                Stmt::Item(es) => self.exprs(es, b.close),
             }
-            _ => self.cur = Val::None,
+        }
+        if let Some(t) = &b.tail {
+            self.expr(t, b.close);
+        }
+        self.scopes.pop();
+        Val::None
+    }
+
+    /// `let name [: ty] = <v>`: a declared type wins; a guard keeps its
+    /// lock region open to the end of the block (`close`).
+    fn let_bind(&mut self, name: &str, ty: &str, v: Val, close: usize) {
+        if let Val::Guard { region, .. } = v {
+            if name != "_" {
+                let reg = &mut self.sym.lock_regions[region];
+                reg.end = close;
+                reg.guard = Some(name.to_string());
+            }
+        }
+        let v = if ty.is_empty() {
+            v
+        } else {
+            Val::of_ty(&self.r.resolve_type_text(self.module, ty), None)
+        };
+        if v != Val::None {
+            if let Some(scope) = self.scopes.last_mut() {
+                scope.insert(name.to_string(), v);
+            }
         }
     }
 
-    /// `let [mut] name [: Ty] = …` — bind annotated types immediately;
-    /// otherwise remember the name so the initializer's value (or lock
-    /// acquisition) can bind it. Pattern lets are not tracked.
-    fn on_let(&mut self, code: &[Tok], j: usize, close: usize) {
-        self.pending_let = None;
-        let mut k = j + 1;
-        if code.get(k).is_some_and(|t| t.is_ident("mut")) {
-            k += 1;
+    fn exprs(&mut self, es: &[Expr], tmp_end: usize) {
+        for e in es {
+            self.expr(e, tmp_end);
         }
-        let Some(name_tok) = code.get(k).filter(|t| t.kind == TokKind::Ident) else { return };
-        let name = name_tok.text.clone();
-        // `if let Some(x)` / `let Foo { .. }` / `let Kind::V(..)` are
-        // patterns, not bindings of the scrutinee value.
-        let next = code.get(k + 1);
-        if next.is_some_and(|t| t.is_punct('(') || t.is_punct('{'))
-            || (next.is_some_and(|t| t.is_punct(':'))
-                && code.get(k + 2).is_some_and(|t| t.is_punct(':')))
-        {
-            return;
-        }
-        let has_ty = code.get(k + 1).is_some_and(|t| t.is_punct(':'))
-            && code.get(k + 2).is_none_or(|t| !t.is_punct(':'));
-        if has_ty {
-            let mut ty_toks: Vec<&str> = Vec::new();
-            let mut m = k + 2;
-            let mut depth = 0i32;
-            while m < close {
-                let tt = &code[m];
-                if depth == 0 && (tt.is_punct('=') || tt.is_punct(';')) {
-                    break;
-                }
-                if tt.is_punct('<') {
-                    depth += 1;
-                } else if tt.is_punct('>') {
-                    depth -= 1;
-                }
-                ty_toks.push(&tt.text);
-                m += 1;
+    }
+
+    /// Walk `e`, recording its facts; `tmp_end` is the token where its
+    /// temporaries (an unbound guard among them) are gone. Returns the
+    /// value `e` evaluates to.
+    fn expr(&mut self, e: &Expr, tmp_end: usize) -> Val {
+        match e {
+            Expr::Path { segs, .. } => self.path_val(segs),
+            Expr::Field { base, name, .. } => {
+                let recv = self.expr(base, tmp_end);
+                self.read_field(&recv, name)
             }
-            let ty = self.r.resolve_type_text(self.module, &ty_toks.join(" "));
-            let v = self.val_of_ty(&ty, None);
-            if v != Val::None {
-                self.bind(&name, v);
+            Expr::Unary(x) => self.expr(x, tmp_end),
+            Expr::Paren(x, end) => self.expr(x, *end),
+            Expr::Call { recv, path, name, pos, line, args, end } => {
+                let recv = recv.as_ref().map(|r| self.expr(r, tmp_end));
+                let v = if name.is_empty() {
+                    Val::None
+                } else {
+                    self.call(recv.as_ref(), path, name, (*pos, *line), args, tmp_end)
+                };
+                let last_arg = args.iter().fold(Val::None, |_, a| self.expr(a, *end));
+                // `entry(k).or_insert_with(|| V { … })` and kin return
+                // (a reference to) their fallback's type.
+                match v {
+                    Val::None if recv.is_some() && FALLBACK_METHODS.contains(&name.as_str()) => {
+                        last_arg
+                    }
+                    v => v,
+                }
+            }
+            Expr::Assign { target, op, value, line } => {
+                self.assign(target, op.is_some(), value, *line, tmp_end);
+                Val::None
+            }
+            Expr::StructLit { path, inits, base, end } => {
+                let last = path.last().map_or("", String::as_str);
+                let type_name = if last == "Self" {
+                    self.owner.map(|(o, _)| o.to_string())
+                } else {
+                    Some(last.to_string())
+                };
+                let segs: Vec<&str> = path.iter().map(String::as_str).collect();
+                let type_fq =
+                    [&segs[..], &[last]].iter().find_map(|s| match self.resolve_here(s) {
+                        Res::Type(fq) => Some(fq),
+                        _ => None,
+                    });
+                for i in inits.iter().filter(|_| type_name.is_some()) {
+                    self.write(&i.field, &i.value, i.line, (type_name.clone(), type_fq.clone()));
+                }
+                for x in inits.iter().map(|i| &i.value).chain(base.as_deref()) {
+                    self.expr(x, *end);
+                }
+                type_fq.map_or(Val::None, Val::Typed)
+            }
+            Expr::Index { base, index, end } => {
+                self.expr(base, tmp_end);
+                self.expr(index, *end);
+                Val::None
+            }
+            Expr::Macro { args: xs, end } | Expr::Tuple(xs, end) | Expr::Array(xs, end) => {
+                self.exprs(xs, *end);
+                Val::None
+            }
+            Expr::Match { scrutinee, arms, end } => {
+                self.expr(scrutinee, tmp_end);
+                for a in arms {
+                    self.exprs(&a.pat, *end);
+                    a.guard.iter().chain([&a.body]).for_each(|x| {
+                        self.expr(x, *end);
+                    });
+                }
+                Val::None
+            }
+            Expr::BlockE(b) | Expr::Loop(b) => self.block(b),
+            Expr::If { cond, then_b, else_b } => {
+                self.expr(cond, tmp_end);
+                self.block(then_b);
+                else_b.as_deref().map_or(Val::None, |x| self.expr(x, tmp_end))
+            }
+            Expr::While { cond: x, body } | Expr::For { iter: x, body, .. } => {
+                if let Expr::For { pat, .. } = e {
+                    self.exprs(pat, tmp_end);
+                }
+                self.expr(x, tmp_end);
+                self.block(body)
+            }
+            Expr::Let { pat, init } => {
+                self.exprs(pat, tmp_end);
+                self.expr(init, tmp_end);
+                Val::None
+            }
+            Expr::Binary(_, l, r, _) => {
+                self.expr(l, tmp_end);
+                self.expr(r, tmp_end);
+                Val::None
+            }
+            Expr::Range(lo, hi) => {
+                for x in lo.iter().chain(hi) {
+                    self.expr(x, tmp_end);
+                }
+                Val::None
+            }
+            Expr::Ret(x, _) | Expr::Break(x) => {
+                if let Some(x) = x {
+                    self.expr(x, tmp_end);
+                }
+                Val::None
+            }
+            Expr::Closure { pat, body, .. } => {
+                self.exprs(pat, tmp_end);
+                self.expr(body, tmp_end)
+            }
+            Expr::Not(x) | Expr::TupleField(x) | Expr::Cast(x) => {
+                self.expr(x, tmp_end);
+                Val::None
+            }
+            Expr::Lit { .. } | Expr::Str { .. } | Expr::Continue | Expr::Opaque => Val::None,
+        }
+    }
+
+    /// A write `target [op]= value`: a field target records a write
+    /// (compound ones read the field too).
+    fn assign(&mut self, target: &Expr, compound: bool, value: &Expr, line: u32, tmp_end: usize) {
+        let mut t = target;
+        while let Expr::Unary(x) = t {
+            t = x;
+        }
+        if let Expr::Field { base, name, .. } = t {
+            let recv = self.expr(base, tmp_end);
+            let ty =
+                recv.type_fq().filter(|t| self.r.struct_has_field(t, name)).map(str::to_string);
+            self.write(name, value, line, (None, ty));
+            if compound {
+                self.read_field(&recv, name);
             }
         } else {
-            self.pending_let = Some(name);
+            self.expr(t, tmp_end);
         }
+        self.expr(value, tmp_end);
+    }
+
+    /// Record and classify one call site; returns the call's value.
+    fn call(
+        &mut self,
+        recv: Option<&Val>,
+        path: &[String],
+        name: &str,
+        (pos, line): (usize, u32),
+        args: &[Expr],
+        tmp_end: usize,
+    ) -> Val {
+        if METRIC_METHODS.contains(&name) {
+            if let Some(reg) = metric_path(args) {
+                self.sym.metric_regs.push(reg);
+            }
+        }
+        let path: Vec<&str> = path.iter().map(String::as_str).collect();
+        let (fq, resolved, result) = match recv {
+            Some(Val::Mutex { id, inner }) if name == "lock" => {
+                for reg in &self.sym.lock_regions {
+                    if reg.end > pos {
+                        let (held, acquired) = (reg.mutex.clone(), id.clone());
+                        self.sym.lock_order.push(LockEdge { held, acquired, line });
+                    }
+                }
+                let (mutex, end) = (id.clone(), tmp_end);
+                self.sym.lock_regions.push(LockRegion {
+                    mutex,
+                    line,
+                    start: pos,
+                    end,
+                    guard: None,
+                });
+                let region = self.sym.lock_regions.len() - 1;
+                (None, true, Val::Guard { id: id.clone(), inner: inner.clone(), region })
+            }
+            Some(g @ Val::Guard { .. }) if matches!(name, "unwrap" | "expect") => {
+                (None, true, g.clone())
+            }
+            Some(v) if matches!(name, "clone" | "to_owned" | "as_ref" | "borrow") => {
+                (None, true, v.clone())
+            }
+            Some(v) => match v.type_fq().and_then(|t| Some((t, self.r.method(t, name)?))) {
+                Some((t, info)) => {
+                    (Some(format!("{t}::{name}")), true, Val::ret(info.ret.as_ref()))
+                }
+                None => (None, false, Val::None),
+            },
+            None if path.len() == 1 && name == "drop" => {
+                if let [Expr::Path { segs, .. }] = args {
+                    for reg in &mut self.sym.lock_regions {
+                        if reg.guard.as_deref() == segs.first().map(String::as_str) && reg.end > pos
+                        {
+                            reg.end = pos;
+                        }
+                    }
+                }
+                (None, true, Val::None)
+            }
+            None => match self.resolve_here(&path) {
+                Res::Fn(f) => {
+                    let v = Val::ret(self.r.fns.get(&f).and_then(|i| i.ret.as_ref()));
+                    (Some(f), true, v)
+                }
+                Res::Method { owner, name: m } => {
+                    let v = Val::ret(self.r.method(&owner, &m).and_then(|i| i.ret.as_ref()));
+                    (Some(format!("{owner}::{m}")), true, v)
+                }
+                // Tuple-variant / tuple-struct constructors yield the type.
+                Res::Variant { owner, .. } | Res::Type(owner) => (None, true, Val::Typed(owner)),
+                _ => (None, false, Val::None),
+            },
+        };
+        if let Some(fq) = &fq {
+            self.sym.calls_fq.insert(fq.clone());
+        }
+        if !resolved {
+            self.sym.calls_unresolved.insert(name.to_string());
+        }
+        self.sym.call_sites.push(CallSite { pos, line, name: name.to_string(), fq, resolved });
+        result
     }
 }
 
-/// Walk a `::`-separated path backwards from its final ident at `j`.
-fn path_back(code: &[Tok], j: usize) -> Vec<&str> {
-    let mut segs = vec![code[j].text.as_str()];
-    let mut k = j;
-    while k >= 3
-        && code[k - 1].is_punct(':')
-        && code[k - 2].is_punct(':')
-        && code[k - 3].kind == TokKind::Ident
-    {
-        k -= 3;
-        segs.insert(0, code[k].text.as_str());
-    }
-    segs
-}
-
-#[allow(clippy::too_many_lines)]
 fn analyze_fn(
     item: &Item,
     def: &parser::FnDef,
-    code: &[Tok],
+    body: Option<&Block>,
     owner: Option<(&str, &str)>,
     in_test: bool,
     (r, module): (&Resolver, &str),
@@ -745,7 +737,7 @@ fn analyze_fn(
         Some((_, owner_fq)) => format!("{owner_fq}::{}", item.name),
         None => format!("{module}::{}", item.name),
     };
-    let mut sym = FnSym {
+    let sym = FnSym {
         name: item.name.clone(),
         owner: owner.map(|(o, _)| o.to_string()),
         fq,
@@ -754,314 +746,61 @@ fn analyze_fn(
         is_pub: item.is_pub,
         body: def.body,
         params: def.params.clone(),
-        calls_fq: BTreeSet::new(),
-        calls_unresolved: BTreeSet::new(),
-        field_reads: BTreeSet::new(),
-        reads_typed: BTreeSet::new(),
-        reads_unresolved: BTreeSet::new(),
-        writes: Vec::new(),
-        metric_regs: Vec::new(),
-        call_sites: Vec::new(),
-        lock_regions: Vec::new(),
-        lock_order: Vec::new(),
+        param_tys: def.param_tys.clone(),
+        ret: def.ret.clone(),
+        ..FnSym::default()
     };
-    let Some((open, close)) = def.body else { return sym };
-    let params: BTreeSet<&str> = def.params.iter().map(String::as_str).collect();
-
+    let Some(body) = body else { return sym };
     let mut scope = BTreeMap::new();
-    if let Some((_, owner_fq)) = owner {
-        if !owner_fq.starts_with('?') {
-            scope.insert("self".to_string(), Val::Typed(owner_fq.to_string()));
-        }
+    if let Some((_, owner_fq)) = owner.filter(|(_, fq)| !fq.starts_with('?')) {
+        scope.insert("self".to_string(), Val::Typed(owner_fq.to_string()));
     }
     for (p, ty) in def.params.iter().zip(&def.param_tys) {
         let resolved = r.resolve_type_text(module, ty);
-        if let Some(fq) = resolved.ty {
-            if !resolved.mutex {
-                scope.insert(p.clone(), Val::Typed(fq));
-            }
+        if let (Some(fq), false) = (resolved.ty, resolved.mutex) {
+            scope.insert(p.clone(), Val::Typed(fq));
         }
     }
-    let mut sem = SemState {
-        r,
-        module,
-        owner_fq: owner.map(|(_, f)| f.to_string()).filter(|f| !f.starts_with('?')),
-        scopes: vec![scope],
-        blocks: Vec::new(),
-        frames: Vec::new(),
-        cur: Val::None,
-        pending_call: None,
-        pending_let: None,
-        regions: Vec::new(),
-    };
+    let params = def.params.iter().map(String::as_str).collect();
+    let mut w = Walk { r, module, owner, params, scopes: vec![scope], sym };
+    w.block(body);
+    w.sym
+}
 
-    let mut j = open + 1;
-    while j < close {
-        let t = &code[j];
-        // Call site: `name (` — keywords and macro bangs excluded.
-        if t.kind == TokKind::Ident
-            && code.get(j + 1).is_some_and(|n| n.is_punct('('))
-            && !parser::is_call_keyword(&t.text)
-        {
-            sym.call_sites.push(CallSite {
-                pos: j,
-                line: t.line,
-                name: t.text.clone(),
-                fq: None,
-                resolved: false,
-            });
-            if METRIC_METHODS.contains(&t.text.as_str()) {
-                if let Some(reg) = first_str_arg(code, j + 1, close) {
-                    sym.metric_regs.push(reg);
-                }
+/// Does `e` mention any of `names` (as a path segment, field, callee,
+/// struct-literal field, or closure parameter)?
+fn mentions(e: &Expr, names: &BTreeSet<&str>) -> bool {
+    let mut hit = false;
+    e.walk(&mut |x| {
+        let idents: Vec<&String> = match x {
+            Expr::Path { segs, .. } => segs.iter().collect(),
+            Expr::Field { name, .. } => vec![name],
+            Expr::Call { path, name, .. } => path.iter().chain([name]).collect(),
+            Expr::StructLit { path, inits, .. } => {
+                path.iter().chain(inits.iter().map(|i| &i.field)).collect()
             }
-            sem.on_call(code, j, close, &mut sym);
-        }
-        // Field access: `.name` (a following `(` makes it a method call,
-        // handled by the call branch when the walk reaches it).
-        if t.is_punct('.')
-            && code.get(j + 1).is_some_and(|n| n.kind == TokKind::Ident)
-            && code.get(j + 2).is_none_or(|n| !n.is_punct('('))
-            && !(j > 0 && code[j - 1].is_punct('.'))
-        {
-            let name = &code[j + 1];
-            // Tuple-index access `.0` lexes as Num, so `name` is a real
-            // field here. Classify write vs. read by the next token.
-            let after = j + 2;
-            let plain_assign = code.get(after).is_some_and(|n| n.is_punct('='))
-                && code.get(after + 1).is_none_or(|n| !n.is_punct('='));
-            let compound_assign = code.get(after).is_some_and(|n| {
-                matches!(n.text.as_str(), "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^")
-                    && n.kind == TokKind::Punct
-            }) && code.get(after + 1).is_some_and(|n| n.is_punct('='))
-                // `a.f < b` / `a.f >> 2` are reads, not `<<=`-style
-                // compounds; require the `=` directly after one operator.
-                && code.get(after + 2).is_none_or(|n| !n.is_punct('='));
-            if plain_assign || compound_assign {
-                let rhs_start = if plain_assign { after + 1 } else { after + 2 };
-                let rhs = rhs_span(code, rhs_start, close);
-                sym.writes.push(FieldWrite {
-                    type_name: None,
-                    type_fq: None,
-                    field: name.text.clone(),
-                    param_derived: mentions_any(&code[rhs_start..rhs], &params),
-                    zero_literal: is_zero_literal(&code[rhs_start..rhs]),
-                    line: name.line,
-                });
-                if compound_assign {
-                    sym.field_reads.insert(name.text.clone());
-                }
-            } else {
-                sym.field_reads.insert(name.text.clone());
+            Expr::Closure { params, .. } => params.iter().collect(),
+            _ => Vec::new(),
+        };
+        hit |= idents.iter().any(|s| names.contains(s.as_str()));
+    });
+    hit
+}
+
+/// First string literal among call arguments, normalized into a
+/// [`MetricReg`].
+fn metric_path(args: &[Expr]) -> Option<MetricReg> {
+    let mut first = None;
+    for a in args {
+        a.walk(&mut |x| {
+            if let (None, Expr::Str { text, line }) = (&first, x) {
+                let raw = strip_quotes(text);
+                let constant = !raw.contains('{');
+                first = Some(MetricReg { pattern: normalize_pattern(&raw), constant, line: *line });
             }
-            sem.on_field(&name.text, plain_assign || compound_assign, compound_assign, &mut sym);
-        }
-        // Struct literal: `TypeName {` / `Self {` in expression position.
-        if t.kind == TokKind::Ident
-            && code.get(j + 1).is_some_and(|n| n.is_punct('{'))
-            && is_type_like(&t.text)
-            && !(j > 0 && struct_literal_blockers(&code[j - 1]))
-        {
-            let ty = if t.text == "Self" {
-                owner.map(|(o, _)| o.to_string())
-            } else {
-                Some(t.text.clone())
-            };
-            if let Some(ty) = ty {
-                let head = if t.text == "Self" { "Self" } else { ty.as_str() };
-                let type_fq = match sem.resolve_here(&[head]) {
-                    Res::Type(fq) => Some(fq),
-                    _ => None,
-                };
-                let lit_close = matching(code, j + 1);
-                collect_literal_inits(
-                    code,
-                    j + 2,
-                    lit_close,
-                    &ty,
-                    type_fq.as_deref(),
-                    &params,
-                    &mut sym.writes,
-                );
-            }
-        }
-        sem.on_token(code, j, close, &mut sym);
-        j += 1;
+        });
     }
-    sym.lock_regions = sem.regions;
-    sym
-}
-
-/// `true` for idents that can head a struct literal (CamelCase or `Self`).
-fn is_type_like(name: &str) -> bool {
-    name == "Self" || name.chars().next().is_some_and(char::is_uppercase)
-}
-
-/// Keywords before `Ident {` that make it a block header, not a literal.
-fn struct_literal_blockers(prev: &Tok) -> bool {
-    prev.is_ident("impl")
-        || prev.is_ident("for")
-        || prev.is_ident("trait")
-        || prev.is_ident("mod")
-        || prev.is_ident("struct")
-        || prev.is_ident("enum")
-}
-
-/// Field initializers at depth 1 of a struct literal. Nested literals are
-/// collected when the outer walk reaches them, so only depth-1 fields are
-/// taken here. A `..base` functional update ends the initializer list.
-fn collect_literal_inits(
-    code: &[Tok],
-    start: usize,
-    end: usize,
-    ty: &str,
-    type_fq: Option<&str>,
-    params: &BTreeSet<&str>,
-    writes: &mut Vec<FieldWrite>,
-) {
-    let mut j = start;
-    while j < end {
-        let t = &code[j];
-        if t.is_punct('.') && code.get(j + 1).is_some_and(|n| n.is_punct('.')) {
-            return; // ..rest
-        }
-        if t.is_punct('#') {
-            j += 1;
-            continue;
-        }
-        if t.kind == TokKind::Ident {
-            if code.get(j + 1).is_some_and(|n| n.is_punct(':'))
-                && code.get(j + 2).is_none_or(|n| !n.is_punct(':'))
-            {
-                let value_end = rhs_span_until_comma(code, j + 2, end);
-                writes.push(FieldWrite {
-                    type_name: Some(ty.to_string()),
-                    type_fq: type_fq.map(str::to_string),
-                    field: t.text.clone(),
-                    param_derived: mentions_any(&code[j + 2..value_end], params),
-                    zero_literal: is_zero_literal(&code[j + 2..value_end]),
-                    line: t.line,
-                });
-                j = value_end + 1;
-                continue;
-            }
-            if code.get(j + 1).is_none_or(|n| n.is_punct(',') || n.is_punct('}')) {
-                // Shorthand `field,` — initialized from the binding of the
-                // same name.
-                writes.push(FieldWrite {
-                    type_name: Some(ty.to_string()),
-                    type_fq: type_fq.map(str::to_string),
-                    field: t.text.clone(),
-                    param_derived: params.contains(t.text.as_str()),
-                    zero_literal: false,
-                    line: t.line,
-                });
-                j += 2;
-                continue;
-            }
-        }
-        j += 1;
-    }
-}
-
-/// End of an assignment RHS: the `;` at depth 0, or `end`.
-fn rhs_span(code: &[Tok], start: usize, end: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = start;
-    while j < end {
-        let t = &code[j];
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            if depth == 0 {
-                return j;
-            }
-            depth -= 1;
-        } else if t.is_punct(';') && depth == 0 {
-            return j;
-        }
-        j += 1;
-    }
-    end
-}
-
-/// End of a struct-literal field value: the `,` at depth 0, or `end`.
-fn rhs_span_until_comma(code: &[Tok], start: usize, end: usize) -> usize {
-    let (mut par, mut ang, mut br) = (0i32, 0i32, 0i32);
-    let mut j = start;
-    while j < end {
-        let t = &code[j];
-        if t.is_punct(',') && par == 0 && ang <= 0 && br == 0 {
-            return j;
-        }
-        if t.is_punct('(') || t.is_punct('[') {
-            par += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            par -= 1;
-        } else if t.is_punct('<') {
-            ang += 1;
-        } else if t.is_punct('>') && !(j > 0 && code[j - 1].is_punct('-')) {
-            ang -= 1;
-        } else if t.is_punct('{') {
-            br += 1;
-        } else if t.is_punct('}') {
-            if br == 0 {
-                return j;
-            }
-            br -= 1;
-        }
-        j += 1;
-    }
-    end
-}
-
-fn mentions_any(toks: &[Tok], names: &BTreeSet<&str>) -> bool {
-    toks.iter().any(|t| t.kind == TokKind::Ident && names.contains(t.text.as_str()))
-}
-
-fn is_zero_literal(toks: &[Tok]) -> bool {
-    toks.len() == 1 && toks[0].kind == TokKind::Num && toks[0].text == "0"
-}
-
-fn matching(code: &[Tok], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < code.len() {
-        if code[j].is_punct('{') {
-            depth += 1;
-        } else if code[j].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-        j += 1;
-    }
-    code.len().saturating_sub(1)
-}
-
-/// First string literal inside the argument list opening at `open`,
-/// normalized into a [`MetricReg`].
-fn first_str_arg(code: &[Tok], open: usize, limit: usize) -> Option<MetricReg> {
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < limit {
-        let t = &code[j];
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return None;
-            }
-        } else if t.kind == TokKind::Str {
-            let raw = strip_quotes(&t.text);
-            let constant = !raw.contains('{');
-            return Some(MetricReg { pattern: normalize_pattern(&raw), constant, line: t.line });
-        }
-        j += 1;
-    }
-    None
+    first
 }
 
 /// Drop the quote fence of a string-literal token (plain and raw forms).
@@ -1241,6 +980,21 @@ mod tests {
         assert!(tick
             .reads_typed
             .contains(&("coaxial_gateway::state::Inner".to_string(), "running".to_string())));
+    }
+
+    #[test]
+    fn temporary_guards_end_with_their_statement() {
+        let ws = Workspace::from_sources(&[(
+            "crates/gateway/src/state.rs",
+            "pub struct S { pub n: Vec<u64> }\n\
+             static A: LazyLock<Mutex<S>> = LazyLock::new(mk);\n\
+             fn f() -> usize { let n = A.lock().unwrap().n.len(); let g = A.lock().unwrap(); n }",
+        )]);
+        let f = &ws.files["crates/gateway/src/state.rs"].fns[0];
+        let [tmp, bound] = &f.lock_regions[..] else { panic!("{:?}", f.lock_regions) };
+        assert!(tmp.guard.is_none() && tmp.end < bound.start, "the temporary dies at its `;`");
+        assert_eq!(bound.guard.as_deref(), Some("g"));
+        assert!(f.lock_order.is_empty(), "a dropped temporary is not held: {:?}", f.lock_order);
     }
 
     #[test]

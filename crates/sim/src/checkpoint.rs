@@ -485,6 +485,30 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Seeded corruptions of a disk-tier file, header and payload, read
+    /// through `get`: never a panic, never a value the file cannot hold.
+    #[test]
+    fn seeded_fuzz_of_disk_files_never_panics() {
+        let dir = scratch("fuzz");
+        let _ = fs::remove_dir_all(&dir);
+        let store = || CheckpointStore::<Blob>::new(1 << 20, Some(dir.clone()), "t");
+        store().insert(3, Arc::new(blob(3, 6)), 64);
+        let path = dir.join(format!("t-{:032x}.ckpt", 3u128));
+        let raw = fs::read(&path).expect("checkpoint file written");
+        let mut rng = crate::SplitMix64::new(0xC4E7);
+        let mut decoded = 0;
+        for _ in 0..400 {
+            let bad = rng.corrupt(&raw);
+            fs::write(&path, &bad).unwrap();
+            if let Some(v) = store().get(3) {
+                assert!(v.words.len() * 8 <= bad.len(), "decoded more words than the file holds");
+                decoded += 1;
+            }
+        }
+        assert!(decoded > 0, "the fuzzer must reach a successful decode");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn wrong_key_in_file_is_rejected() {
         let b = blob(9, 3);

@@ -90,6 +90,34 @@ impl SplitMix64 {
     pub fn from_state(state: u64) -> Self {
         Self { state }
     }
+
+    /// A seeded corruption of `bytes` for decoder fuzz tests: one to three
+    /// edits, each a truncation, a bit flip, an inserted random word, or an
+    /// overwrite with a length-like word (0, 3, 2^40, `u64::MAX`).
+    pub fn corrupt(&mut self, bytes: &[u8]) -> Vec<u8> {
+        let mut b = bytes.to_vec();
+        for _ in 0..=self.next_below(3) {
+            let at = crate::idx(self.next_below(b.len() as u64 + 1));
+            match self.next_below(4) {
+                0 => b.truncate(at),
+                1 => {
+                    if let Some(x) = b.get_mut(at) {
+                        *x ^= 1 << self.next_below(8);
+                    }
+                }
+                2 => {
+                    let w = self.next_u64().to_le_bytes();
+                    b.splice(at..at, w);
+                }
+                _ => {
+                    let w = [0, 3, 1 << 40, u64::MAX][crate::idx(self.next_below(4))];
+                    let end = (at + 8).min(b.len());
+                    b.splice(at..end, u64::to_le_bytes(w));
+                }
+            }
+        }
+        b
+    }
 }
 
 #[cfg(test)]

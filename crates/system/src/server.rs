@@ -9,11 +9,12 @@
 //! maintain memory pressure, but its IPC is frozen at its finish line —
 //! ChampSim semantics).
 
+use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard, Once};
 
 use coaxial_cache::{CalmStats, HierStats, Hierarchy, HierarchyConfig, PrefillState};
-use coaxial_cpu::{Core, CoreParams, FileTrace, TraceSource};
+use coaxial_cpu::{Core, CoreParams, FileTrace, TraceOp, TraceSource};
 use coaxial_cxl::CxlMemory;
 use coaxial_dram::{ChannelStats, MemoryBackend, MultiChannel};
 use coaxial_sim::checkpoint::codec;
@@ -324,8 +325,9 @@ pub struct Simulation {
     /// One workload per core (replicated for homogeneous runs).
     pub(crate) workloads: Vec<&'static Workload>,
     /// Replay a captured `.cxtr` trace on every core instead of a
-    /// registry workload (see `coaxial_cpu::tracefile`).
-    pub(crate) trace_file: Option<PathBuf>,
+    /// registry workload (see `coaxial_cpu::tracefile`): its path, for the
+    /// report, and its ops, read once and shared by every core's cursor.
+    pub(crate) trace_file: Option<(PathBuf, Arc<[TraceOp]>)>,
     pub(crate) instructions: u64,
     pub(crate) warmup: u64,
     pub(crate) max_cycles: Cycle,
@@ -381,26 +383,27 @@ impl Simulation {
         }
     }
 
-    /// Replay a captured trace file on every active core.
-    pub fn from_trace_file(config: SystemConfig, path: impl Into<PathBuf>) -> Self {
+    /// Replay a captured trace file on every active core. The file is
+    /// read here, once; a missing, empty or malformed file is an error.
+    pub fn from_trace_file(config: SystemConfig, path: impl Into<PathBuf>) -> io::Result<Self> {
+        let path = path.into();
+        let ops = FileTrace::load(&path)?;
         let mut s = Self::with_workloads(config, Vec::new());
-        s.trace_file = Some(path.into());
-        s
+        s.trace_file = Some((path, ops));
+        Ok(s)
     }
 
     /// Build the trace stream for core `i` (registry workload or file).
     pub(crate) fn trace_for(&self, i: usize, seed: u64) -> Box<dyn TraceSource + Send> {
         match &self.trace_file {
-            Some(path) => Box::new(
-                FileTrace::open(path).unwrap_or_else(|e| panic!("cannot open trace {path:?}: {e}")),
-            ),
+            Some((_, ops)) => Box::new(FileTrace::shared(Arc::clone(ops))),
             None => self.workloads[i].trace(coaxial_sim::small_u32(i), seed),
         }
     }
 
     pub(crate) fn workload_names(&self) -> Vec<String> {
         match &self.trace_file {
-            Some(path) => vec![path.display().to_string()],
+            Some((path, _)) => vec![path.display().to_string()],
             None => self.workloads.iter().map(|w| w.name.to_string()).collect(),
         }
     }
@@ -501,8 +504,9 @@ impl Simulation {
             // Its own statement, so the store's guard drops before the
             // import (an `if let` scrutinee's guard would live through it).
             let restored = lock_store(&PREFILL_STATE).get(key);
-            if let Some(state) = restored {
-                hierarchy.import_prefill_state(&state);
+            // A state that does not fit this geometry (a disk checkpoint
+            // from another build) falls back to the cold replay.
+            if restored.is_some_and(|state| hierarchy.import_prefill_state(&state)) {
                 return true;
             }
         }
@@ -767,6 +771,26 @@ mod tests {
     fn quick(config: SystemConfig, wl: &str) -> RunReport {
         let w = Workload::by_name(wl).expect("workload exists");
         Simulation::new(config, w).instructions_per_core(4_000).warmup(1_000).run()
+    }
+
+    /// Seeded corruptions of an encoded stream checkpoint: decoding never
+    /// panics and never yields more stream words than the bytes hold.
+    #[test]
+    fn seeded_fuzz_of_stream_checkpoint_decode() {
+        let streams = vec![(0..50).map(|i| (i * 64, i % 3 == 0)).collect(), vec![(8, true)]];
+        let mut raw = Vec::new();
+        StreamCheckpoint { streams, cursors: vec![Some(vec![1, 2, 3]), None] }.encode(&mut raw);
+        let mut rng = coaxial_sim::SplitMix64::new(0x5753);
+        let mut decoded = 0;
+        for _ in 0..400 {
+            let bad = rng.corrupt(&raw);
+            let Some(cp) = StreamCheckpoint::decode(&bad) else { continue };
+            let words: usize = cp.streams.iter().map(Vec::len).sum::<usize>()
+                + cp.cursors.iter().flatten().map(Vec::len).sum::<usize>();
+            assert!(words * 8 <= bad.len(), "decoded more words than the bytes hold");
+            decoded += 1;
+        }
+        assert!(decoded > 0, "the fuzzer must reach a successful decode");
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn prefill_state_disk_round_trip_is_exact() {
         hcfg(),
         coaxial_dram::MultiChannel::new(&coaxial_dram::DramConfig::ddr5_4800(), 2),
     );
-    cold.import_prefill_state(&decoded);
+    assert!(cold.import_prefill_state(&decoded), "a same-geometry state imports");
     let mut after_import = Vec::new();
     cold.export_prefill_state().encode(&mut after_import);
     assert_eq!(encoded, after_import, "import/export must be lossless");

@@ -465,11 +465,11 @@ fn main() {
         "replay" => {
             let Some(path) = args.get(1) else { usage() };
             let o = parse_opts(&args[2..]);
-            let r = Simulation::from_trace_file(build_config(&o), path)
-                .instructions_per_core(o.instr)
-                .warmup(o.warmup)
-                .run();
-            print_report(&r);
+            let sim = Simulation::from_trace_file(build_config(&o), path).unwrap_or_else(|e| {
+                eprintln!("cannot read trace {path}: {e}");
+                exit(1)
+            });
+            print_report(&sim.instructions_per_core(o.instr).warmup(o.warmup).run());
         }
         "exp" => {
             let Some(name) = args.get(1) else { usage() };
