@@ -1041,7 +1041,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             // arrival — the CALM wait-for-LLC overhang, 0 when serial — and
             // the queue component is the backend residency on the
             // *hierarchy's* clock net of service and link (the backend's own
-            // `rq` is stamped one cycle earlier, at its last-ticked cycle),
+            // `rq` is stamped one cycle earlier, at `issued_at - 1`),
             // so the components sum exactly to the end-to-end latency.
             let mc = self.mc_of(txn.line);
             let core_mc = self.mesh.tile_to_mc(c, mc);

@@ -79,16 +79,17 @@ pub struct CxlChannel {
     last_credit_change: Cycle,
     now: Cycle,
     window_start: Cycle,
-    /// Cached no-op horizon for the link stages 2–6: they are provably
-    /// idle for every cycle strictly before this (the
-    /// [`Self::link_next_event`] bound, memoized after a tick where no
-    /// stage moved anything). The device DDR channels still tick every
-    /// cycle — their `now` anchors bandwidth windows and enqueue
-    /// timestamps — and the completion harvest still runs every cycle, so
-    /// the horizon deliberately excludes DDR state. Reset on
-    /// [`Self::try_enqueue`] and on any harvested completion, the only two
-    /// events that can create link work.
+    /// Link horizon: stages 2–6 are provably idle for every cycle strictly
+    /// before this (the [`Self::link_next_event`] bound, memoized after a
+    /// tick where no stage moved anything). Reset by [`Self::try_enqueue`]
+    /// and by any harvested completion, the only two events that can
+    /// create link work before it.
     idle_until: Cycle,
+    /// DDR horizon: the device's DDR ticks and completion harvest are
+    /// no-ops for every cycle strictly before this, the earliest
+    /// sub-channel horizon or completion. Recomputed by each DDR stage
+    /// that runs and lowered by the device-side enqueue (stage 6).
+    ddr_idle_until: Cycle,
 }
 
 impl CxlChannel {
@@ -116,6 +117,7 @@ impl CxlChannel {
             now: 0,
             window_start: 0,
             idle_until: 0,
+            ddr_idle_until: 0,
             cfg,
         }
     }
@@ -128,17 +130,20 @@ impl CxlChannel {
     pub fn try_enqueue(&mut self, req: MemRequest) -> Result<(), MemRequest> {
         let was_empty = self.req_queue.is_empty();
         let r = self.req_queue.try_push(req);
+        // The requester enqueues before it ticks the channel in cycle
+        // `issued_at`, so that is the first cycle the request can move,
+        // even when the ticks before it were skipped.
+        let first = self.now.max(req.issued_at.saturating_sub(1)) + 1;
         if r.is_ok() && was_empty {
-            // This request is the new TX head; it can start no earlier
-            // than the next tick (same convention as the idle horizon).
-            self.tx_front_since = self.now + 1;
+            // This request is the new TX head.
+            self.tx_front_since = first;
         }
         if r.is_ok() && self.credits > 0 {
             // The TX serializer may now have work before the cached link
             // horizon; lower it to the serializer-free cycle (O(1)). With
             // no credits in hand the horizon already covers the credit
             // return that must precede any TX start.
-            self.idle_until = self.idle_until.min(self.tx_free_at.max(self.now + 1));
+            self.idle_until = self.idle_until.min(self.tx_free_at.max(first));
         }
         r
     }
@@ -162,26 +167,38 @@ impl CxlChannel {
 
     /// Advance one cycle.
     ///
-    /// The DDR tick and the completion harvest run every cycle (both are
-    /// cheap: the sub-channels carry their own idle cache and the harvest
-    /// is a heap peek per channel). The link stages 2–6 are gated on a
-    /// cached [`Self::link_next_event`] horizon, memoized after a tick
-    /// where no stage moved anything; a harvest or an enqueue resets it.
+    /// Two horizons gate the work. The DDR stage (device DDR ticks plus the
+    /// completion harvest) runs only from the earliest sub-channel horizon
+    /// or completion on; skipped, it just moves the DDR clocks. The link
+    /// stages 2–6 run only from the [`Self::link_next_event`] horizon on,
+    /// or when the harvest moved a completion. Debug builds check that the
+    /// DDR stage skips nothing.
     pub fn tick(&mut self, now: Cycle) {
         self.now = now;
-        for d in &mut self.ddr {
-            d.tick(now);
-        }
         let mut did = false;
 
-        // 1. Harvest DDR completions into the RX wait queue.
-        let n = self.ddr.len() as u64;
-        for (i, d) in self.ddr.iter_mut().enumerate() {
-            while let Some(mut r) = d.pop_response(now) {
-                r.line_addr = r.line_addr * n + i as u64;
-                self.resp_wait.push_back(r);
-                did = true;
+        // 1. Tick the device DDR and harvest its completions into the RX
+        // wait queue.
+        if now < self.ddr_idle_until {
+            for d in &mut self.ddr {
+                if cfg!(debug_assertions) {
+                    d.check_quiet(now);
+                }
+                d.skip_to(now);
             }
+        } else {
+            let n = self.ddr.len() as u64;
+            let mut next = Cycle::MAX;
+            for (i, d) in self.ddr.iter_mut().enumerate() {
+                d.tick(now);
+                while let Some(mut r) = d.pop_response(now) {
+                    r.line_addr = r.line_addr * n + i as u64;
+                    self.resp_wait.push_back(r);
+                    did = true;
+                }
+                next = next.min(MemoryBackend::next_event(d, now));
+            }
+            self.ddr_idle_until = next;
         }
         if did {
             // New RX work invalidates any cached link-idle horizon.
@@ -282,6 +299,8 @@ impl CxlChannel {
             let mut local_req = req;
             local_req.line_addr = local;
             if self.ddr[c].try_enqueue(local_req).is_ok() {
+                let ready = MemoryBackend::next_event(&self.ddr[c], now);
+                self.ddr_idle_until = self.ddr_idle_until.min(ready);
                 self.device_buf.pop();
                 self.credit_returns.push_back(now + 2 * self.cfg.port_latency);
                 did = true;
@@ -372,19 +391,16 @@ impl CxlChannel {
 
     /// Earliest future cycle at which ticking this channel could do
     /// observable work, assuming no new requests arrive and `delivered` has
-    /// been drained. Mirrors the tick pipeline stage by stage: device DDR
-    /// events, RX serializer start, in-flight arrivals, credit returns, and
-    /// TX serializer start.
+    /// been drained: the DDR horizon or the link horizon, whichever is
+    /// first. Both are exact after a tick at `now`, so this is the cycle
+    /// the next tick would do work.
     pub fn next_event(&self, now: Cycle) -> Cycle {
-        let ddr = self.ddr.iter().map(|d| d.next_event(now)).min().unwrap_or(Cycle::MAX);
-        ddr.min(self.link_next_event(now))
+        self.ddr_idle_until.max(now + 1).min(self.link_next_event(now))
     }
 
-    /// [`Self::next_event`] restricted to the link stages 2–6 — everything
-    /// except the device DDR channels. This is the tick fast path's idle
-    /// horizon: the harvest stage runs every cycle regardless (and resets
-    /// the horizon when it moves a completion), so DDR state need not
-    /// bound it, sparing a per-idle-cycle scan of the DDR schedulers.
+    /// [`Self::next_event`] restricted to the link stages 2–6. The device
+    /// buffer only drains once a DDR queue frees a slot, which needs a
+    /// sub-channel to issue, so it waits on the DDR horizon.
     fn link_next_event(&self, now: Cycle) -> Cycle {
         let mut next = Cycle::MAX;
         if !self.resp_wait.is_empty() {
@@ -402,7 +418,10 @@ impl CxlChannel {
         if let Some(f) = self.tx_in_flight.front() {
             next = next.min(f.arrives_at.max(now + 1));
         }
-        if !self.device_buf.is_empty() || !self.delivered.is_empty() {
+        if !self.device_buf.is_empty() {
+            next = next.min(self.ddr_idle_until.max(now + 1));
+        }
+        if !self.delivered.is_empty() {
             next = next.min(now + 1);
         }
         next

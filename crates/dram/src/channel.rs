@@ -160,6 +160,21 @@ impl Channel {
         self.subs.iter_mut().map(|s| s.take_command_log()).collect()
     }
 
+    /// Move the channel clock to `now` without ticking, for a caller that
+    /// skips the ticks [`MemoryBackend::next_event`] proved to be no-ops.
+    /// The clock anchors enqueue stamps and the statistics window.
+    pub fn skip_to(&mut self, now: Cycle) {
+        self.now = now;
+    }
+
+    /// Debug tripwire for such a caller: panics if ticking the channel or
+    /// harvesting its responses at `now` would have done anything.
+    pub fn check_quiet(&self, now: Cycle) {
+        for s in &self.subs {
+            s.check_quiet(now);
+        }
+    }
+
     /// Harvest aggregated statistics.
     pub fn stats(&self) -> ChannelStats {
         let mut st = ChannelStats {
@@ -218,7 +233,12 @@ impl MemoryBackend for Channel {
         let (s, local) = self.route(req.line_addr);
         let mut local_req = req;
         local_req.line_addr = local;
-        match self.subs[s].enqueue(local_req, self.now) {
+        // The requester enqueues before it ticks the backend in cycle
+        // `issued_at`, so the channel's cycle is `issued_at - 1` even when
+        // the ticks in between were skipped. A CXL device's buffer enqueues
+        // after the device's own tick, at the channel's later clock.
+        let at = self.now.max(req.issued_at.saturating_sub(1));
+        match self.subs[s].enqueue(local_req, at) {
             Ok(()) => Ok(()),
             Err(mut r) => {
                 r.line_addr = req.line_addr; // restore global address

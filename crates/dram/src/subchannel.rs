@@ -5,6 +5,11 @@
 //! (tCCD_L/S, tRRD_L/S, tFAW, write-to-read and read-to-write turnaround),
 //! explicit data-bus occupancy, and all-bank refresh. One command may issue
 //! per cycle.
+//!
+//! Each cycle's decision is one pure pass, [`SubChannel::plan`]: it either
+//! names the command to issue or returns the exact first cycle anything
+//! could issue. That cycle gates every later tick, so a sub-channel with
+//! work queued but nothing issuable costs one comparison per cycle.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -56,6 +61,33 @@ struct Entry {
     had_act: bool,
 }
 
+/// A command the scheduler can issue. Queue indices refer to the served
+/// queue's FR-FCFS window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    /// Refresh sequence: close this open bank before REFab.
+    RefreshPre(usize),
+    /// All-bank refresh.
+    RefAb,
+    /// Read or write CAS for the row hit at this index.
+    Cas(usize),
+    /// ACT for the request at this index (its bank is closed).
+    Act(usize),
+    /// PRE for the request at this index (its bank holds another row).
+    Pre(usize),
+    /// Page-policy PRE of this idle open bank.
+    Close(usize),
+}
+
+/// One scheduling decision (see [`SubChannel::plan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Issue this command now.
+    Issue(Cmd),
+    /// Nothing can issue before this cycle unless a request arrives.
+    Wait(Cycle),
+}
+
 /// Aggregate command/energy counters for one sub-channel.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CommandCounts {
@@ -83,9 +115,9 @@ pub struct SubChannel {
     bus_free_at: Cycle,
     bus_dir_write: bool,
 
-    // Refresh state.
+    // Refresh state: the REFab sequence runs from `refresh_due` until the
+    // REFab issues, which blocks the rank until `refreshing_until`.
     refresh_due: Cycle,
-    refresh_pending: bool,
     refreshing_until: Cycle,
     last_pre_at: Cycle,
 
@@ -100,10 +132,9 @@ pub struct SubChannel {
     pub service_time: MeanTracker,
     /// Issued-command log (only when `cfg.log_commands`).
     cmd_log: Vec<CmdRecord>,
-    /// Cached no-op horizon: ticks strictly before this cycle are provably
-    /// no-ops (the [`Self::next_event`] bound, memoized after a tick that
-    /// did nothing). Enqueue — the only external mutation that can create
-    /// work — lowers it to the new entry's own readiness threshold.
+    /// Tick horizon: ticks strictly before this cycle are no-ops. Set by
+    /// every tick that runs (see [`Self::tick`]) and lowered by
+    /// [`Self::enqueue`], the only outside mutation that can create work.
     idle_until: Cycle,
 }
 
@@ -123,7 +154,6 @@ impl SubChannel {
             bus_free_at: 0,
             bus_dir_write: false,
             refresh_due: cfg.timings.t_refi,
-            refresh_pending: false,
             refreshing_until: 0,
             last_pre_at: 0,
             completions: BinaryHeap::new(),
@@ -205,24 +235,36 @@ impl SubChannel {
         }
     }
 
-    /// Accept a request into the appropriate queue.
+    /// Accept a request into the appropriate queue, stamped `now`: the
+    /// sub-channel's current cycle, whose tick may or may not have run.
     pub fn enqueue(&mut self, req: MemRequest, now: Cycle) -> Result<(), MemRequest> {
         if !self.can_accept(req.is_write) {
             return Err(req);
         }
         let addr = self.decode(req.line_addr);
         let entry = Entry { req, addr, enqueued_at: now, first_cmd: None, had_act: false };
-        // The new request may become schedulable before the cached no-op
-        // horizon: lower the horizon to the entry's own readiness threshold
-        // (O(1); a full `next_event` recompute here would dominate the
-        // scheduler cost under load). Only lowering keeps the bound sound.
-        if self.idle_until > now + 1 {
-            self.idle_until = self.idle_until.min(self.entry_ready_at(&entry).max(now + 1));
-        }
-        if req.is_write {
-            self.write_q.push_back(entry);
-        } else {
-            self.read_q.push_back(entry);
+        let ready = self.entry_ready_at(&entry);
+        let q = if req.is_write { &mut self.write_q } else { &mut self.read_q };
+        q.push_back(entry);
+        let in_window = q.len() <= self.cfg.sched_window;
+        // Keep the tick horizon sound in O(1). Two arrivals change what
+        // older requests may do, so the next tick re-plans: a write that
+        // brings the queue to the drain watermark flips the served queue to
+        // older writes, and under the Closed policy a read can push a write
+        // out of the visible window that keeps its row open. Otherwise only
+        // the new entry itself can be issuable before the horizon, and only
+        // if the next plan will see it: in the served queue, in the window.
+        let visible = 2 * self.cfg.sched_window;
+        let starts_drain =
+            req.is_write && !self.draining_writes && self.write_q.len() >= self.cfg.write_drain_hi;
+        let hides_write = !req.is_write
+            && self.cfg.page_policy == PagePolicy::Closed
+            && self.read_q.len() <= visible
+            && self.read_q.len() + self.write_q.len() > visible;
+        if starts_drain || hides_write {
+            self.idle_until = self.idle_until.min(now);
+        } else if in_window && req.is_write == self.serves_writes() {
+            self.idle_until = self.idle_until.min(ready.max(now));
         }
         Ok(())
     }
@@ -238,120 +280,286 @@ impl SubChannel {
         None
     }
 
-    /// Advance one cycle: handle refresh, pick a command, issue it.
+    /// Advance one cycle: refresh, then one FR-FCFS pick, then the page
+    /// policy — at most one command.
     ///
-    /// A do-nothing tick with *empty queues* memoizes [`Self::next_event`]
-    /// as an idle horizon, so an idle sub-channel stops paying the
-    /// per-cycle refresh checks and precharge-policy bank sweep until the
-    /// next refresh deadline, speculative PRE, or enqueue. With work
-    /// queued the horizon is not maintained: the bound is conservative
-    /// there (FR-FCFS claiming, drain-direction selection), and measuring
-    /// showed recomputing it after each no-op tick costs more than the
-    /// skipped scans save. [`Self::enqueue`] lowers the horizon; all other
-    /// state evolution is driven by `tick` itself, so the cache cannot go
-    /// stale.
+    /// A tick before the horizon returns at once. Otherwise it runs
+    /// [`Self::plan`], issues what it names, and sets the horizon to the
+    /// exact next cycle the plan issues something, with or without work
+    /// queued. Only [`Self::enqueue`] changes the state the plan reads
+    /// between ticks, and it lowers the horizon itself. Debug builds check
+    /// every skipped tick: the plan must find nothing to issue.
     pub fn tick(&mut self, now: Cycle) {
         if now < self.idle_until {
-            return; // provably a no-op (see next_event contract)
+            if cfg!(debug_assertions) {
+                self.check_no_issue(now);
+            }
+            return;
         }
-        if !self.tick_inner(now) && self.read_q.is_empty() && self.write_q.is_empty() {
-            self.idle_until = self.next_event(now);
+        if self.refreshing_until <= now && now < self.refresh_due {
+            // The drain hysteresis advances on scheduling ticks only.
+            self.draining_writes = self.drain_state();
+        }
+        self.idle_until = match self.plan(now) {
+            Step::Wait(at) => at,
+            Step::Issue(cmd) => {
+                let write_cas = matches!(cmd, Cmd::Cas(_)) && self.serves_writes();
+                self.issue(cmd, now);
+                // Plan the next cycle as well, so the horizon stays exact
+                // after an issue. A write CAS shortens the write queue, and
+                // the drain hysteresis must see that at the next tick.
+                if write_cas {
+                    now + 1
+                } else if let Step::Wait(at) = self.plan(now + 1) {
+                    at
+                } else {
+                    now + 1
+                }
+            }
+        };
+    }
+
+    /// Debug tripwire for a skipped tick at `now`: panics if the plan can
+    /// issue a command, i.e. the horizon was stale.
+    fn check_no_issue(&self, now: Cycle) {
+        if let Step::Issue(cmd) = self.plan(now) {
+            panic!(
+                "DRAM sub-channel: tick at cycle {now} skipped (horizon {}) but {cmd:?} \
+                 can issue: stale horizon",
+                self.idle_until
+            );
         }
     }
 
-    /// One cycle of real scheduler work. Returns whether any command
-    /// issued or refresh state advanced (false = provable no-op).
-    fn tick_inner(&mut self, now: Cycle) -> bool {
-        if self.refreshing_until > now {
-            return false; // rank busy with REFab
+    /// Debug tripwire for a caller that skips both the tick and the
+    /// response harvest at `now`: panics if either would do anything.
+    pub(crate) fn check_quiet(&self, now: Cycle) {
+        self.check_no_issue(now);
+        if let Some(&Reverse(c)) = self.completions.peek() {
+            assert!(
+                c.done > now,
+                "DRAM sub-channel: completion due at {} skipped at {now}",
+                c.done
+            );
         }
-        if self.refresh_pending {
-            self.progress_refresh(now);
-            return true;
+    }
+
+    /// Write-drain hysteresis applied to the current write queue: writes
+    /// are forced out above the high watermark and drained down to the low
+    /// watermark in a batch, which amortizes bus turnarounds.
+    fn drain_state(&self) -> bool {
+        let n = self.write_q.len();
+        if n >= self.cfg.write_drain_hi {
+            true
+        } else if n <= self.cfg.write_drain_lo {
+            false
+        } else {
+            self.draining_writes
+        }
+    }
+
+    /// Whether the pick serves the write queue: while draining, or when no
+    /// read waits. Reads otherwise have priority.
+    fn serves_writes(&self) -> bool {
+        self.drain_state() || (self.read_q.is_empty() && !self.write_q.is_empty())
+    }
+
+    /// The scheduler's decision at `now`, without side effects: the
+    /// command to issue, or the first cycle any command could issue.
+    ///
+    /// Every legality rule is a threshold against a fixed timestamp (bank
+    /// timers, tCCD/tRRD/tFAW trackers, bus occupancy, refresh deadline),
+    /// so while nothing issues and nothing arrives, the earliest threshold
+    /// among the commands the pick would consider is exactly the next
+    /// cycle it issues one.
+    fn plan(&self, now: Cycle) -> Step {
+        let t = &self.cfg.timings;
+        if self.refreshing_until > now {
+            return Step::Wait(self.refreshing_until); // rank busy with REFab
         }
         if now >= self.refresh_due {
-            self.refresh_pending = true;
-            self.progress_refresh(now);
-            return true;
+            // Close one open bank per cycle (single command bus), first
+            // open bank first; REFab then needs tRP after the last PRE.
+            let (cmd, at) = match self.banks.iter().position(|b| b.open_row.is_some()) {
+                Some(i) => (Cmd::RefreshPre(i), self.banks[i].earliest_pre()),
+                None => (Cmd::RefAb, self.last_pre_at + t.t_rp),
+            };
+            return if now >= at { Step::Issue(cmd) } else { Step::Wait(at) };
         }
-
-        // Write-drain hysteresis: writes are forced out above the high
-        // watermark and drained down to the low watermark in a batch, which
-        // amortizes bus turnarounds; reads otherwise have priority.
-        if self.write_q.len() >= self.cfg.write_drain_hi {
-            self.draining_writes = true;
-        } else if self.write_q.len() <= self.cfg.write_drain_lo {
-            self.draining_writes = false;
-        }
-        let serve_writes =
-            self.draining_writes || (self.read_q.is_empty() && !self.write_q.is_empty());
-
-        if self.try_issue_cas(serve_writes, now) {
-            return true;
-        }
-        if self.try_issue_act_or_pre(serve_writes, now) {
-            return true;
-        }
+        let serve_writes = self.serves_writes();
+        let mut next = match self.pick(serve_writes, now) {
+            Step::Issue(cmd) => return Step::Issue(cmd),
+            Step::Wait(at) => at.min(self.refresh_due),
+        };
         // Precharge policy:
         // * OpenAdaptive — with nothing queued, close a stale open row so
         //   the next access pays tRCD+CL instead of a full row conflict;
         // * Closed — close rows as soon as legal, regardless of queues;
         // * Open — never close speculatively.
-        // One command per cycle in any case.
-        let close_now = match self.cfg.page_policy {
+        let close = match self.cfg.page_policy {
             PagePolicy::Open => false,
             PagePolicy::OpenAdaptive => self.read_q.is_empty() && self.write_q.is_empty(),
             PagePolicy::Closed => true,
         };
-        if close_now {
-            let t = self.cfg.timings.clone();
-            // Never close a row that a visible queued request still wants.
-            let wanted = |bank: usize, row: u64| {
-                self.read_q
-                    .iter()
-                    .chain(self.write_q.iter())
-                    .take(2 * self.cfg.sched_window)
-                    .any(|e| e.addr.bank == bank && e.addr.row == row)
-            };
-            let victim = self.banks.iter().enumerate().find_map(|(i, b)| match b.open_row {
-                Some(row) if b.can_precharge(now) && !wanted(i, row) => Some(i),
-                _ => None,
-            });
-            if let Some(i) = victim {
-                self.banks[i].precharge(now, &t);
-                self.log_cmd(now, CmdKind::Pre, i, 0);
-                self.counts.pre += 1;
-                self.last_pre_at = now;
-                return true;
+        if !close {
+            return Step::Wait(next);
+        }
+        // Never close a row that a visible queued request still wants.
+        let mut wanted = 0u64; // bitmask over ≤64 banks
+        for e in self.read_q.iter().chain(self.write_q.iter()).take(2 * self.cfg.sched_window) {
+            if self.banks[e.addr.bank].open_row == Some(e.addr.row) {
+                wanted |= 1 << e.addr.bank;
             }
         }
-        false
+        for (i, b) in self.banks.iter().enumerate() {
+            if b.open_row.is_some() && wanted & (1 << i) == 0 {
+                if b.earliest_pre() <= now {
+                    return Step::Issue(Cmd::Close(i));
+                }
+                next = next.min(b.earliest_pre());
+            }
+        }
+        Step::Wait(next)
     }
 
-    /// During refresh-pending: precharge open banks, then issue REFab.
-    fn progress_refresh(&mut self, now: Cycle) {
-        let t = self.cfg.timings.clone();
-        // Close one open bank per cycle (single command bus).
-        if let Some(i) = self.banks.iter().position(|b| b.open_row.is_some()) {
-            if self.banks[i].can_precharge(now) {
-                self.banks[i].precharge(now, &t);
-                self.counts.pre += 1;
-                self.last_pre_at = now;
-                self.log_cmd(now, CmdKind::Pre, i, 0);
+    /// One FR-FCFS pass over the served queue's window: the oldest
+    /// issuable row-hit CAS, else the oldest issuable ACT (closed bank) or
+    /// PRE (row conflict) among the requests that are first to claim their
+    /// bank — a younger request never re-opens or closes a bank an older
+    /// one waits on, which prevents row thrashing. With nothing issuable,
+    /// the earliest cycle either kind could issue.
+    fn pick(&self, serve_writes: bool, now: Cycle) -> Step {
+        let q = if serve_writes { &self.write_q } else { &self.read_q };
+        let mut row_cmd = None;
+        let mut next = Cycle::MAX;
+        let mut claimed = 0u64; // bitmask over ≤64 banks
+        for (i, e) in q.iter().take(self.cfg.sched_window).enumerate() {
+            let bank = &self.banks[e.addr.bank];
+            let mask = 1u64 << e.addr.bank;
+            let first_claim = claimed & mask == 0;
+            claimed |= mask;
+            let (cmd, at) = match bank.open_row {
+                Some(r) if r == e.addr.row => (
+                    Cmd::Cas(i),
+                    bank.earliest_cas().max(self.cas_legal_at(e.addr.bank_group, serve_writes)),
+                ),
+                _ if !first_claim || row_cmd.is_some() => continue,
+                Some(_) => (Cmd::Pre(i), bank.earliest_pre()),
+                None => {
+                    (Cmd::Act(i), bank.earliest_act().max(self.act_legal_at(e.addr.bank_group)))
+                }
+            };
+            if at > now {
+                next = next.min(at);
+            } else if let Cmd::Cas(_) = cmd {
+                return Step::Issue(cmd); // row hits go first
+            } else {
+                row_cmd = Some(cmd);
             }
-            return;
         }
-        // All banks closed; REFab needs tRP after the last PRE.
-        if now >= self.last_pre_at + t.t_rp {
-            self.refreshing_until = now + t.t_rfc;
-            for b in &mut self.banks {
-                b.refresh_close(self.refreshing_until);
+        row_cmd.map_or(Step::Wait(next), Step::Issue)
+    }
+
+    /// Issue `cmd` (from [`Self::plan`] at `now`) and update all state.
+    fn issue(&mut self, cmd: Cmd, now: Cycle) {
+        let serve_writes = self.serves_writes();
+        let t = &self.cfg.timings;
+        match cmd {
+            Cmd::RefreshPre(bank) | Cmd::Close(bank) => self.precharge(bank, now),
+            Cmd::RefAb => {
+                self.refreshing_until = now + t.t_rfc;
+                for b in &mut self.banks {
+                    b.refresh_close(self.refreshing_until);
+                }
+                self.refresh_due += t.t_refi;
+                self.counts.refab += 1;
+                self.log_cmd(now, CmdKind::RefAb, 0, 0);
             }
-            self.counts.refab += 1;
-            self.log_cmd(now, CmdKind::RefAb, 0, 0);
-            self.refresh_due += t.t_refi;
-            self.refresh_pending = false;
+            Cmd::Cas(i) => self.issue_cas(serve_writes, i, now),
+            Cmd::Act(i) | Cmd::Pre(i) => {
+                let q = if serve_writes { &mut self.write_q } else { &mut self.read_q };
+                let e = &mut q[i];
+                e.first_cmd.get_or_insert(now);
+                let (bank, bank_group, row) = (e.addr.bank, e.addr.bank_group, e.addr.row);
+                if let Cmd::Act(_) = cmd {
+                    e.had_act = true;
+                    self.banks[bank].activate(row, now, t);
+                    self.log_cmd(now, CmdKind::Act, bank, row);
+                    self.counts.act += 1;
+                    self.last_act = Some((now, bank_group));
+                    if self.act_window.len() == 4 {
+                        self.act_window.pop_front();
+                    }
+                    self.act_window.push_back(now);
+                } else {
+                    self.banks[bank].row_conflicts += 1;
+                    self.precharge(bank, now);
+                }
+            }
         }
+    }
+
+    /// PRE to `bank` at `now`.
+    fn precharge(&mut self, bank: usize, now: Cycle) {
+        self.banks[bank].precharge(now, &self.cfg.timings);
+        self.log_cmd(now, CmdKind::Pre, bank, 0);
+        self.counts.pre += 1;
+        self.last_pre_at = now;
+    }
+
+    /// CAS for entry `i` of the served queue at `now`: dequeue it, occupy
+    /// the data bus, and schedule its completion.
+    fn issue_cas(&mut self, serve_writes: bool, i: usize, now: Cycle) {
+        let q = if serve_writes { &mut self.write_q } else { &mut self.read_q };
+        let e = q.remove(i).expect("index valid");
+        let t = &self.cfg.timings;
+        let is_write = e.req.is_write;
+        let bank = &mut self.banks[e.addr.bank];
+        bank.cas(is_write, now, t);
+        if e.had_act {
+            bank.row_misses += 1;
+        } else {
+            bank.row_hits += 1;
+        }
+        // Bus + channel bookkeeping.
+        let data_start = now + if is_write { t.cwl } else { t.cl };
+        let data_end = data_start + t.t_burst;
+        self.bus_free_at = data_end;
+        self.bus_dir_write = is_write;
+        self.bus_busy += t.t_burst;
+        self.last_cas_at = Some((now, e.addr.bank_group));
+        if is_write {
+            self.last_write_cas = Some((now, e.addr.bank_group));
+            self.counts.wr += 1;
+        } else {
+            self.last_read_cas = Some(now);
+            self.counts.rd += 1;
+        }
+        self.log_cmd(
+            now,
+            if is_write { CmdKind::Wr } else { CmdKind::Rd },
+            e.addr.bank,
+            e.addr.row,
+        );
+        // Build the completion record.
+        let first = e.first_cmd.unwrap_or(now);
+        let queue_cycles = first.saturating_sub(e.enqueued_at);
+        let service_cycles = data_end - first;
+        self.queue_delay.record(queue_cycles as f64);
+        self.service_time.record(service_cycles as f64);
+        let resp = MemResponse {
+            id: e.req.id,
+            line_addr: e.req.line_addr,
+            is_write,
+            issued_at: e.req.issued_at,
+            completed_at: data_end,
+            queue_cycles,
+            service_cycles,
+            cxl_cycles: 0,
+        };
+        let seq = self.completion_seq;
+        self.completion_seq += 1;
+        self.completions.push(Reverse(Completion { done: data_end, seq, resp }));
     }
 
     /// Earliest cycle at which the *channel-level* CAS constraints allow a
@@ -387,155 +595,6 @@ impl SubChannel {
         at.max(need.saturating_sub(lat))
     }
 
-    /// Channel-level legality of a CAS at `now` for `bank_group`/`is_write`.
-    fn cas_legal(&self, bank_group: usize, is_write: bool, now: Cycle) -> bool {
-        now >= self.cas_legal_at(bank_group, is_write)
-    }
-
-    /// FR-FCFS first pass: issue a CAS for the oldest row-hit in the chosen
-    /// queue. Returns true if a command issued.
-    fn try_issue_cas(&mut self, serve_writes: bool, now: Cycle) -> bool {
-        let t = self.cfg.timings.clone();
-        let q = if serve_writes { &self.write_q } else { &self.read_q };
-        let mut chosen = None;
-        for (i, e) in q.iter().take(self.cfg.sched_window).enumerate() {
-            let bank = &self.banks[e.addr.bank];
-            if bank.can_cas(e.addr.row, now)
-                && self.cas_legal(e.addr.bank_group, e.req.is_write, now)
-            {
-                chosen = Some(i);
-                break;
-            }
-        }
-        let Some(i) = chosen else { return false };
-        let mut e = if serve_writes {
-            self.write_q.remove(i).expect("index valid")
-        } else {
-            self.read_q.remove(i).expect("index valid")
-        };
-        let is_write = e.req.is_write;
-        self.banks[e.addr.bank].cas(is_write, now, &t);
-        self.log_cmd(
-            now,
-            if is_write { CmdKind::Wr } else { CmdKind::Rd },
-            e.addr.bank,
-            e.addr.row,
-        );
-        if e.first_cmd.is_none() {
-            e.first_cmd = Some(now);
-        }
-        if e.had_act {
-            self.banks[e.addr.bank].row_misses += 1;
-        } else {
-            self.banks[e.addr.bank].row_hits += 1;
-        }
-        // Bus + channel bookkeeping.
-        let data_start = now + if is_write { t.cwl } else { t.cl };
-        let data_end = data_start + t.t_burst;
-        self.bus_free_at = data_end;
-        self.bus_dir_write = is_write;
-        self.bus_busy += t.t_burst;
-        self.last_cas_at = Some((now, e.addr.bank_group));
-        if is_write {
-            self.last_write_cas = Some((now, e.addr.bank_group));
-            self.counts.wr += 1;
-        } else {
-            self.last_read_cas = Some(now);
-            self.counts.rd += 1;
-        }
-        // Build the completion record.
-        let first = e.first_cmd.expect("set above");
-        let queue_cycles = first.saturating_sub(e.enqueued_at);
-        let service_cycles = data_end - first;
-        self.queue_delay.record(queue_cycles as f64);
-        self.service_time.record(service_cycles as f64);
-        let resp = MemResponse {
-            id: e.req.id,
-            line_addr: e.req.line_addr,
-            is_write,
-            issued_at: e.req.issued_at,
-            completed_at: data_end,
-            queue_cycles,
-            service_cycles,
-            cxl_cycles: 0,
-        };
-        let seq = self.completion_seq;
-        self.completion_seq += 1;
-        self.completions.push(Reverse(Completion { done: data_end, seq, resp }));
-        true
-    }
-
-    /// FR-FCFS second pass: issue an ACT (closed bank) or PRE (row conflict)
-    /// for the oldest request that needs one. Banks already claimed by an
-    /// older queued request are not re-opened/closed for a younger one, which
-    /// prevents row thrashing.
-    fn try_issue_act_or_pre(&mut self, serve_writes: bool, now: Cycle) -> bool {
-        let t = self.cfg.timings.clone();
-        let mut claimed: u64 = 0; // bitmask over ≤64 banks
-        enum Cmd {
-            Act(usize, u64),
-            Pre(usize),
-        }
-        let mut cmd = None;
-        {
-            let q = if serve_writes { &self.write_q } else { &self.read_q };
-            for (i, e) in q.iter().take(self.cfg.sched_window).enumerate() {
-                let mask = 1u64 << e.addr.bank;
-                if claimed & mask != 0 {
-                    continue;
-                }
-                claimed |= mask;
-                let bank = &self.banks[e.addr.bank];
-                match bank.open_row {
-                    Some(r) if r == e.addr.row => continue, // CAS pass handles it
-                    Some(_) => {
-                        if bank.can_precharge(now) {
-                            cmd = Some((i, Cmd::Pre(e.addr.bank)));
-                            break;
-                        }
-                    }
-                    None => {
-                        if bank.can_activate(now) && self.act_legal(e.addr.bank_group, now) {
-                            cmd = Some((i, Cmd::Act(e.addr.bank, e.addr.row)));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        let Some((i, cmd)) = cmd else { return false };
-        let q = if serve_writes { &mut self.write_q } else { &mut self.read_q };
-        let e = &mut q[i];
-        if e.first_cmd.is_none() {
-            e.first_cmd = Some(now);
-        }
-        match cmd {
-            Cmd::Act(bank, row) => {
-                e.had_act = true;
-                self.banks[bank].activate(row, now, &t);
-                self.log_cmd(now, CmdKind::Act, bank, row);
-                self.counts.act += 1;
-                self.last_act = Some((now, self.banks_bg(bank)));
-                if self.act_window.len() == 4 {
-                    self.act_window.pop_front();
-                }
-                self.act_window.push_back(now);
-            }
-            Cmd::Pre(bank) => {
-                self.banks[bank].row_conflicts += 1;
-                self.banks[bank].precharge(now, &t);
-                self.log_cmd(now, CmdKind::Pre, bank, 0);
-                self.counts.pre += 1;
-                self.last_pre_at = now;
-            }
-        }
-        true
-    }
-
-    fn banks_bg(&self, bank: usize) -> usize {
-        bank / self.cfg.banks_per_group
-    }
-
     /// Earliest cycle at which rank-level ACT constraints (tRRD, tFAW)
     /// allow an ACT for `bank_group`.
     fn act_legal_at(&self, bank_group: usize) -> Cycle {
@@ -548,11 +607,6 @@ impl SubChannel {
             at = at.max(self.act_window[0] + t.t_faw);
         }
         at
-    }
-
-    /// Rank-level ACT legality: tRRD and tFAW.
-    fn act_legal(&self, bank_group: usize, now: Cycle) -> bool {
-        now >= self.act_legal_at(bank_group)
     }
 
     /// Earliest cycle the next command on `e`'s behalf could become legal:
@@ -570,68 +624,14 @@ impl SubChannel {
     }
 
     /// Earliest future cycle at which ticking this sub-channel could do
-    /// observable work, assuming no new requests arrive and all completions
-    /// due by `now` have been popped.
-    ///
-    /// This is a *lower bound*: ticking on every cycle in
-    /// `(now, next_event(now))` is provably a no-op. While no command
-    /// issues, every legality predicate in the scheduler is a threshold
-    /// check against a fixed timestamp (bank timers, tCCD/tRRD/tFAW
-    /// trackers, bus occupancy, refresh deadlines), so the earliest of
-    /// those thresholds bounds the first cycle anything can happen. The
-    /// bound is deliberately conservative where the FR-FCFS pick order
-    /// matters (claimed banks, read/write drain selection): it may name a
-    /// cycle where nothing issues after all, which only ends a skip early.
+    /// observable work — issue a command or finish a response — assuming
+    /// no new requests arrive and all completions due by `now` have been
+    /// popped: the tick horizon (see [`Self::tick`]) or the next
+    /// completion, whichever is first. Exact after a tick at `now`; after
+    /// an enqueue it may name a cycle where nothing issues after all.
     pub fn next_event(&self, now: Cycle) -> Cycle {
-        let mut next = Cycle::MAX;
-        if let Some(&Reverse(c)) = self.completions.peek() {
-            next = next.min(c.done);
-        }
-        if self.refreshing_until > now {
-            // Rank blocked in REFab: nothing issues before it completes.
-            return next.min(self.refreshing_until).max(now + 1);
-        }
-        if self.refresh_pending {
-            // Mid-refresh precharge sequence: one PRE per cycle to the first
-            // open bank (gated on its tRAS/tWR timer), then REFab tRP after
-            // the last PRE.
-            let at = match self.banks.iter().find(|b| b.open_row.is_some()) {
-                Some(b) => b.earliest_pre(),
-                None => self.last_pre_at + self.cfg.timings.t_rp,
-            };
-            return next.min(at).max(now + 1);
-        }
-        next = next.min(self.refresh_due);
-
-        let queued = !self.read_q.is_empty() || !self.write_q.is_empty();
-        if queued {
-            // Earliest cycle any scheduled command could become legal for an
-            // entry in the FR-FCFS window. Scanning both queues regardless
-            // of the drain state only under-estimates (safe).
-            for e in self
-                .read_q
-                .iter()
-                .take(self.cfg.sched_window)
-                .chain(self.write_q.iter().take(self.cfg.sched_window))
-            {
-                next = next.min(self.entry_ready_at(e));
-            }
-        }
-        // Speculative precharge: Closed policy closes stale rows even with
-        // queued work; OpenAdaptive only when both queues are idle.
-        let may_close = match self.cfg.page_policy {
-            PagePolicy::Open => false,
-            PagePolicy::OpenAdaptive => !queued,
-            PagePolicy::Closed => true,
-        };
-        if may_close {
-            for b in &self.banks {
-                if b.open_row.is_some() {
-                    next = next.min(b.earliest_pre());
-                }
-            }
-        }
-        next.max(now + 1)
+        let done = self.completions.peek().map_or(Cycle::MAX, |&Reverse(c)| c.done);
+        self.idle_until.min(done).max(now + 1)
     }
 
     /// Zero all statistics (end of warmup). Timing state is untouched.

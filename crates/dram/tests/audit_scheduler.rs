@@ -1,12 +1,14 @@
 //! Double-entry verification: record every command the FR-FCFS scheduler
 //! issues under assorted traffic, and re-validate the stream with the
 //! independent JEDEC auditor. A scheduler bug that issues an illegal
-//! command fails these tests even if it never corrupts a result.
+//! command fails these tests even if it never corrupts a result. A channel
+//! ticked only at its own `next_event` horizons must also issue exactly
+//! what one ticked every cycle issues.
 
-use coaxial_dram::audit::{audit, CmdKind};
+use coaxial_dram::audit::{audit, CmdKind, CmdRecord};
 use coaxial_dram::config::PagePolicy;
-use coaxial_dram::{Channel, DramConfig, MemRequest, MemoryBackend};
-use coaxial_sim::SplitMix64;
+use coaxial_dram::{Channel, DramConfig, MemRequest, MemResponse, MemoryBackend};
+use coaxial_sim::{Cycle, SplitMix64};
 
 fn logged_config() -> DramConfig {
     DramConfig { log_commands: true, ..DramConfig::ddr5_4800() }
@@ -198,4 +200,145 @@ fn fine_grained_bank_interleave_is_jedec_legal_but_row_hostile() {
     let f = spread(seq(AddressMapping::RowColumnBank));
     assert!(f >= d, "fine-grained interleave must fan out at least as widely: {f} vs {d} banks");
     assert!(f >= 8, "fine-grained mapping should touch many banks early: {f}");
+}
+
+/// One request of a pre-drawn arrival schedule.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    at: Cycle,
+    addr: u64,
+    is_write: bool,
+}
+
+/// What one drive of a schedule observes: every response with the cycle
+/// it was popped, the per-sub-channel command logs, the number of visited
+/// cycles, and the largest total write-queue occupancy seen.
+struct Drive {
+    responses: Vec<(Cycle, MemResponse)>,
+    logs: Vec<Vec<CmdRecord>>,
+    visited: u64,
+    max_write_q: usize,
+}
+
+/// Drive `arrivals` through a channel as the cache hierarchy does: in each
+/// visited cycle, enqueue what has arrived (in order, stamped with that
+/// cycle, stopping at the first refusal), then tick, then pop. Visits
+/// every cycle, or — `horizons` — only `min(next arrival, next_event)`,
+/// and the next cycle while a refused request waits, as the hierarchy's
+/// own bound does.
+fn drive(cfg: DramConfig, arrivals: &[Arrival], horizons: bool) -> Drive {
+    let mut ch = Channel::new(cfg);
+    let mut next = 0usize;
+    let mut out = Drive { responses: Vec::new(), logs: Vec::new(), visited: 0, max_write_q: 0 };
+    let mut now: Cycle = 0;
+    while out.responses.len() < arrivals.len() {
+        assert!(now < 50_000_000, "traffic must complete");
+        out.visited += 1;
+        let mut refused = false;
+        while let Some(a) = arrivals.get(next).filter(|a| a.at <= now) {
+            let id = u64::try_from(next).expect("fits");
+            let req = if a.is_write {
+                MemRequest::write(id, a.addr, now)
+            } else {
+                MemRequest::read(id, a.addr, now)
+            };
+            if ch.try_enqueue(req).is_err() {
+                refused = true;
+                break;
+            }
+            next += 1;
+        }
+        out.max_write_q = out.max_write_q.max(ch.write_queue_len());
+        ch.tick(now);
+        while let Some(r) = ch.pop_response(now) {
+            out.responses.push((now, r));
+        }
+        now = if horizons {
+            let arrival =
+                arrivals.get(next).map_or(Cycle::MAX, |a| if refused { now } else { a.at });
+            ch.next_event(now).min(arrival.max(now + 1))
+        } else {
+            now + 1
+        };
+    }
+    out.logs = ch.take_command_logs();
+    out
+}
+
+/// A mixed schedule: random reads and writes arriving back to back, write
+/// bursts big enough to cross the drain watermark on both sub-channels,
+/// same-bank row conflicts, sequential row hits, and a sparse trickle
+/// that spans several refreshes.
+fn mixed_schedule(cfg: &DramConfig, seed: u64) -> Vec<Arrival> {
+    let mut rng = SplitMix64::new(seed);
+    let conflict_stride = cfg.lines_per_row() * cfg.banks_per_subchannel() as u64 * 2;
+    let mut out = Vec::new();
+    let mut at: Cycle = 0;
+    let mut push = |at: Cycle, addr: u64, is_write: bool| out.push(Arrival { at, addr, is_write });
+    for phase in 0..12u64 {
+        match phase % 4 {
+            0 => {
+                for _ in 0..150 {
+                    at += rng.next_below(4);
+                    push(at, rng.next_below(1 << 20), rng.chance(0.3));
+                }
+            }
+            1 => {
+                let base = rng.next_below(1 << 20);
+                for i in 0..4 * cfg.write_drain_hi as u64 {
+                    at += rng.next_below(2);
+                    push(at, base + 37 * i, true);
+                }
+            }
+            2 => {
+                let base = rng.next_below(1 << 16);
+                for i in 0..120 {
+                    at += rng.next_below(3);
+                    let addr = if rng.chance(0.5) { base + i } else { (i % 4) * conflict_stride };
+                    push(at, addr, rng.chance(0.2));
+                }
+            }
+            _ => {
+                for _ in 0..12 {
+                    at += 1_500 + rng.next_below(1_500);
+                    push(at, rng.next_below(1 << 20), rng.chance(0.5));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn horizon_driven_channel_matches_every_cycle_ticking() {
+    for (i, policy) in
+        [PagePolicy::Open, PagePolicy::OpenAdaptive, PagePolicy::Closed].into_iter().enumerate()
+    {
+        let cfg = DramConfig { page_policy: policy, ..logged_config() };
+        let arrivals = mixed_schedule(&cfg, 0x5EED ^ u64::try_from(i).expect("fits"));
+        let every = drive(cfg.clone(), &arrivals, false);
+        let skipping = drive(cfg.clone(), &arrivals, true);
+        assert_eq!(skipping.responses, every.responses, "{policy:?}: responses diverged");
+        assert_eq!(
+            format!("{:?}", skipping.logs),
+            format!("{:?}", every.logs),
+            "{policy:?}: command logs diverged"
+        );
+        for log in &every.logs {
+            let violations = audit(&cfg.timings, log, cfg.banks_per_subchannel());
+            assert!(violations.is_empty(), "{policy:?}: {violations:#?}");
+            assert!(log.iter().any(|r| r.kind == CmdKind::RefAb), "{policy:?}: no refresh");
+        }
+        assert!(
+            every.max_write_q >= 2 * cfg.write_drain_hi,
+            "{policy:?}: write bursts must cross the drain watermark ({} queued at most)",
+            every.max_write_q
+        );
+        assert!(
+            skipping.visited * 2 < every.visited,
+            "{policy:?}: horizons visited {} of {} cycles",
+            skipping.visited,
+            every.visited
+        );
+    }
 }

@@ -22,8 +22,16 @@
 //! engines); the per-workload seed still varies config, active-core
 //! count, and budget so the sweep covers DDR and CXL backends, partial
 //! core occupancy, and warmup-boundary placement.
+//!
+//! Both engines share the backends, so a change that moves both the same
+//! way passes the comparison. The event run of each workload is therefore
+//! also pinned across commits: its FNV-1a-128 digest must equal the line
+//! committed in `tests/golden_digests.txt`. An intended model change
+//! regenerates that file and says why.
 
-use coaxial_sim::SplitMix64;
+use std::collections::BTreeMap;
+
+use coaxial_sim::{KeyHasher, SplitMix64};
 use coaxial_system::{EngineKind, Simulation, SystemConfig};
 use coaxial_telemetry::TelemetryRecorder;
 use coaxial_workloads::Workload;
@@ -59,6 +67,26 @@ fn observe(
     Observed { report: format!("{report:?}"), metrics, requests: format!("{:?}", rec.requests) }
 }
 
+impl Observed {
+    /// FNV-1a-128 over the report, the registry and the ledger. The
+    /// registry leaves out `engine.*`: its skip counters rise whenever a
+    /// backend horizon tightens, with every simulated output unchanged.
+    fn digest(&self) -> u128 {
+        let mut h = KeyHasher::new("golden-run");
+        h.write_str(&self.report);
+        for m in self.metrics.iter().filter(|m| !m.starts_with("engine.")) {
+            h.write_str(m);
+        }
+        h.write_str(&self.requests);
+        h.finish()
+    }
+}
+
+/// One `<workload> <digest>` line per registry workload.
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_digests.txt");
+const REGENERATE: &str =
+    "cargo test -p coaxial-system --test engine_differential -- --ignored regenerate_golden_digests";
+
 /// Deterministic per-workload run parameters: the config/budget draw is
 /// seeded by the workload's registry index, so failures reproduce exactly.
 fn draw(rng: &mut SplitMix64) -> (SystemConfig, (u64, u64)) {
@@ -83,18 +111,53 @@ fn draw(rng: &mut SplitMix64) -> (SystemConfig, (u64, u64)) {
     (cfg, (instr, warmup))
 }
 
-#[test]
-fn event_engine_matches_lockstep_oracle_on_every_workload() {
-    for (i, w) in Workload::all().iter().enumerate() {
+/// Every differential run: each registry workload with its seeded draw.
+fn runs() -> impl Iterator<Item = (&'static Workload, SystemConfig, (u64, u64))> {
+    Workload::all().iter().enumerate().map(|(i, w)| {
         let mut rng = SplitMix64::new(0xD1FF ^ (u64::try_from(i).unwrap() << 8));
         let (cfg, budget) = draw(&mut rng);
+        (w, cfg, budget)
+    })
+}
+
+#[test]
+fn event_engine_matches_lockstep_oracle_on_every_workload() {
+    let golden: BTreeMap<String, String> = std::fs::read_to_string(GOLDEN)
+        .unwrap_or_default()
+        .lines()
+        .filter_map(|l| l.rsplit_once(' '))
+        .map(|(w, d)| (w.to_string(), d.to_string()))
+        .collect();
+    let mut mismatches = Vec::new();
+    for (w, cfg, budget) in runs() {
         let label = format!("{} on {} (instr={}, warmup={})", w.name, cfg.name, budget.0, budget.1);
         let oracle = observe(EngineKind::Lockstep, cfg.clone(), w, budget);
         let event = observe(EngineKind::Event, cfg, w, budget);
         assert_eq!(event.report, oracle.report, "{label}: RunReport diverged");
         assert_eq!(event.metrics, oracle.metrics, "{label}: metrics registry diverged");
         assert_eq!(event.requests, oracle.requests, "{label}: telemetry ledgers diverged");
+        let digest = format!("{:032x}", event.digest());
+        let want = golden.get(w.name).map_or("(none)", String::as_str);
+        if want != digest {
+            mismatches.push(format!("{label}: golden {want}, this run {digest}"));
+        }
     }
+    assert!(
+        mismatches.is_empty(),
+        "outputs moved against {GOLDEN}:\n{}\nif intended, regenerate it with\n  {REGENERATE}",
+        mismatches.join("\n")
+    );
+}
+
+#[test]
+#[ignore = "rewrites tests/golden_digests.txt"]
+fn regenerate_golden_digests() {
+    let lines: String = runs()
+        .map(|(w, cfg, budget)| {
+            format!("{} {:032x}\n", w.name, observe(EngineKind::Event, cfg, w, budget).digest())
+        })
+        .collect();
+    std::fs::write(GOLDEN, lines).expect("write the golden digests");
 }
 
 #[test]
