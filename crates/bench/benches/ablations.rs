@@ -1,255 +1,5 @@
-//! Extension: ablation studies of design choices the paper fixes.
-//!
-//! 1. **DRAM page policy** — open vs open-adaptive vs closed rows;
-//! 2. **FR-FCFS scheduling window** — how far the picker looks;
-//! 3. **CALM_R monitoring epoch** — reactivity vs estimate noise;
-//! 4. **L2 MSHR count** — per-core MLP ceiling;
-//! 5. **L2 prefetching** — next-line and IP-stride on both systems,
-//!    demonstrating the paper's bandwidth-funds-latency-tolerance thesis
-//!    with a second mechanism beside CALM;
-//! 6. **DRAM speed grade** — every DDR5 timing scaled together;
-//! 7. **slice size** — core-count scaling of the COAXIAL win;
-//! 8. **seed stability** — headline-number sensitivity to the RNG draw.
-//!
-//! Sections 5–8 run through the knob-coverage sweeps in
-//! `coaxial_system::experiments`, so they parallelize over `COAXIAL_JOBS`
-//! like every figure sweep.
-
-use coaxial_bench::{banner, f2, Table};
-use coaxial_cache::PrefetchPolicy;
-use coaxial_dram::config::PagePolicy;
-use coaxial_system::experiments::{
-    core_scaling, dram_timing_scale, prefetch_sweep, seed_stability, Budget,
-};
-use coaxial_system::{Simulation, SystemConfig};
-use coaxial_workloads::Workload;
-
-fn budget() -> u64 {
-    std::env::var("COAXIAL_INSTR").ok().and_then(|v| v.parse().ok()).unwrap_or(40_000)
-}
-
-fn sweep_budget() -> Budget {
-    Budget { instructions: budget(), warmup: 0 }
-}
-
-const WORKLOADS: [&str; 6] = ["stream-triad", "lbm", "PageRank", "mcf", "masstree", "kmeans"];
-
-fn ipc(cfg: SystemConfig, wl: &str) -> f64 {
-    let w = Workload::by_name(wl).expect("workload");
-    Simulation::new(cfg, w).instructions_per_core(budget()).run().ipc
-}
-
-fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
-    let (mut s, mut n) = (0.0, 0);
-    for v in vals {
-        s += v.ln();
-        n += 1;
-    }
-    (s / n as f64).exp()
-}
+//! Extension: design-choice ablations; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Ablations", "Design-choice sensitivity (extension; not a paper figure)");
-
-    // ── 1. Page policy ────────────────────────────────────────────────
-    println!("1) DRAM page policy (baseline IPC, relative to open-adaptive)\n");
-    let mut t = Table::new(&["workload", "open-adaptive", "open", "closed"]);
-    for wl in WORKLOADS {
-        let adaptive = ipc(SystemConfig::ddr_baseline(), wl);
-        let open = ipc(
-            SystemConfig::ddr_baseline().with_dram(
-                coaxial_dram::DramConfig::ddr5_4800().with_page_policy(PagePolicy::Open),
-            ),
-            wl,
-        );
-        let closed = ipc(
-            SystemConfig::ddr_baseline().with_dram(
-                coaxial_dram::DramConfig::ddr5_4800().with_page_policy(PagePolicy::Closed),
-            ),
-            wl,
-        );
-        t.row(&[wl.into(), "1.00".into(), f2(open / adaptive), f2(closed / adaptive)]);
-    }
-    t.print();
-    t.write_csv("ablation_page_policy");
-
-    // ── 2. Scheduler window ───────────────────────────────────────────
-    println!("\n2) FR-FCFS scheduling window (baseline IPC relative to window=16)\n");
-    let mut t = Table::new(&["workload", "w=1 (FCFS)", "w=4", "w=16", "w=48"]);
-    for wl in WORKLOADS {
-        let base = ipc(SystemConfig::ddr_baseline(), wl);
-        let at = |w: usize| {
-            ipc(
-                SystemConfig::ddr_baseline()
-                    .with_dram(coaxial_dram::DramConfig::ddr5_4800().with_sched_window(w)),
-                wl,
-            ) / base
-        };
-        t.row(&[wl.into(), f2(at(1)), f2(at(4)), "1.00".into(), f2(at(48))]);
-    }
-    t.print();
-    t.write_csv("ablation_sched_window");
-
-    // ── 3. CALM epoch ─────────────────────────────────────────────────
-    println!("\n3) CALM_R epoch (COAXIAL-4x IPC relative to the 8192-cycle default)\n");
-    let mut t = Table::new(&["workload", "1k", "8k (default)", "64k"]);
-    for wl in WORKLOADS {
-        let def = ipc(SystemConfig::coaxial_4x(), wl);
-        let short = ipc(SystemConfig::coaxial_4x().with_calm_epoch(1024), wl);
-        let long = ipc(SystemConfig::coaxial_4x().with_calm_epoch(65536), wl);
-        t.row(&[wl.into(), f2(short / def), "1.00".into(), f2(long / def)]);
-    }
-    t.print();
-    t.write_csv("ablation_calm_epoch");
-
-    // ── 4. MSHR count ─────────────────────────────────────────────────
-    println!("\n4) L2 MSHRs (COAXIAL-4x IPC relative to 16; MLP ceiling)\n");
-    let mut t = Table::new(&["workload", "4", "8", "16 (default)", "32"]);
-    for wl in WORKLOADS {
-        let w = Workload::by_name(wl).unwrap();
-        let at = |mshrs: usize| {
-            // MSHR count lives in HierarchyConfig; thread it via a custom run.
-            let cfg = SystemConfig::coaxial_4x();
-            let mut hier = coaxial_cache::HierarchyConfig::table_iii(
-                cfg.functional.cores,
-                cfg.ddr_channels(),
-                cfg.functional.llc_mb_per_core,
-                cfg.peak_bandwidth_gbs(),
-                cfg.timing.calm,
-            );
-            hier.l2_mshrs = mshrs;
-            run_custom(&cfg, hier, w)
-        };
-        let base = at(16);
-        t.row(&[wl.into(), f2(at(4) / base), f2(at(8) / base), "1.00".into(), f2(at(32) / base)]);
-    }
-    t.print();
-    t.write_csv("ablation_mshrs");
-
-    // ── 5. Prefetching ────────────────────────────────────────────────
-    println!("\n5) L2 prefetching (IPC relative to no-prefetch, per system)\n");
-    let mut t = Table::new(&[
-        "workload",
-        "base next-line",
-        "base ip-stride",
-        "coax next-line",
-        "coax ip-stride",
-    ]);
-    let policies = [PrefetchPolicy::NextLine { degree: 2 }, PrefetchPolicy::IpStride { degree: 4 }];
-    let rows = prefetch_sweep(&policies, &WORKLOADS, sweep_budget());
-    let mut gains: [Vec<f64>; 4] = Default::default();
-    for (wl, pair) in WORKLOADS.iter().zip(rows.chunks_exact(policies.len())) {
-        let vals = [
-            pair[0].base_rel_ipc,
-            pair[1].base_rel_ipc,
-            pair[0].coax_rel_ipc,
-            pair[1].coax_rel_ipc,
-        ];
-        for (v, g) in vals.iter().zip(gains.iter_mut()) {
-            g.push(*v);
-        }
-        t.row(&[(*wl).into(), f2(vals[0]), f2(vals[1]), f2(vals[2]), f2(vals[3])]);
-    }
-    t.row(&[
-        "geomean".into(),
-        f2(geomean(gains[0].iter().copied())),
-        f2(geomean(gains[1].iter().copied())),
-        f2(geomean(gains[2].iter().copied())),
-        f2(geomean(gains[3].iter().copied())),
-    ]);
-    t.print();
-    t.write_csv("ablation_prefetch");
-    println!(
-        "\nexpectation: prefetch gains should be larger (or losses smaller) on COAXIAL than \
-         on the bandwidth-starved baseline — the same asymmetry the paper shows for CALM."
-    );
-
-    // ── 6. DRAM speed grade ───────────────────────────────────────────
-    println!("\n6) DRAM speed grade (geomean IPC; every DDR5 timing scaled together)\n");
-    let mut t = Table::new(&["timing scale", "baseline", "COAXIAL-4x"]);
-    for r in dram_timing_scale(&[0.75, 1.0, 1.5], &WORKLOADS, sweep_budget()) {
-        t.row(&[format!("{:.2}x", r.factor), f2(r.base_geomean_ipc), f2(r.coax_geomean_ipc)]);
-    }
-    t.print();
-    t.write_csv("ablation_dram_speed_grade");
-
-    // ── 7. Slice size ─────────────────────────────────────────────────
-    println!("\n7) slice size (geomean IPC and COAXIAL speedup per core count)\n");
-    let mut t = Table::new(&["cores", "baseline", "COAXIAL-4x", "speedup"]);
-    for r in core_scaling(&[6, 12, 24], &WORKLOADS, sweep_budget()) {
-        t.row(&[
-            r.cores.to_string(),
-            f2(r.base_geomean_ipc),
-            f2(r.coax_geomean_ipc),
-            f2(r.speedup),
-        ]);
-    }
-    t.print();
-    t.write_csv("ablation_core_scaling");
-
-    // ── 8. Seed stability ─────────────────────────────────────────────
-    println!("\n8) seed stability (COAXIAL-4x geomean IPC per RNG seed)\n");
-    let mut t = Table::new(&["seed", "geomean IPC"]);
-    for r in seed_stability(&[0xC0A51A1, 1, 2, 3], &WORKLOADS, sweep_budget()) {
-        t.row(&[format!("{:#x}", r.seed), f2(r.geomean_ipc)]);
-    }
-    t.print();
-    t.write_csv("ablation_seed_stability");
-}
-
-/// Run a simulation with a hand-built hierarchy config (for knobs that
-/// `SystemConfig` does not expose directly).
-fn run_custom(
-    cfg: &SystemConfig,
-    hier: coaxial_cache::HierarchyConfig,
-    w: &'static Workload,
-) -> f64 {
-    use coaxial_cpu::{Core, CoreParams};
-    use coaxial_dram::MemoryBackend;
-
-    fn drive<B: MemoryBackend>(
-        cfg: &SystemConfig,
-        hier_cfg: coaxial_cache::HierarchyConfig,
-        backend: B,
-        w: &'static Workload,
-        instructions: u64,
-    ) -> f64 {
-        let mut h = coaxial_cache::Hierarchy::new(hier_cfg, backend);
-        let mut cores: Vec<Core> = (0..cfg.functional.cores)
-            .map(|i| {
-                Core::new(
-                    coaxial_sim::small_u32(i),
-                    CoreParams::default(),
-                    w.trace(coaxial_sim::small_u32(i), cfg.functional.seed),
-                )
-            })
-            .collect();
-        let mut now = 0u64;
-        loop {
-            h.tick(now);
-            while let Some((core, id)) = h.pop_completion() {
-                cores[core as usize].on_memory_complete(id);
-            }
-            for c in cores.iter_mut() {
-                c.tick(now, &mut h);
-            }
-            now += 1;
-            if cores.iter().all(|c| c.retired >= instructions) || now > instructions * 150 {
-                break;
-            }
-        }
-        cores.iter().map(|c| c.ipc()).sum::<f64>() / cores.len() as f64
-    }
-
-    let instructions = budget();
-    match &cfg.timing.memory {
-        coaxial_system::MemorySystemKind::DirectDdr { channels } => {
-            let b = coaxial_dram::MultiChannel::new(&cfg.timing.dram, *channels);
-            drive(cfg, hier, b, w, instructions)
-        }
-        coaxial_system::MemorySystemKind::Cxl { link, channels } => {
-            let b = coaxial_cxl::CxlMemory::new(link, &cfg.timing.dram, *channels);
-            drive(cfg, hier, b, w, instructions)
-        }
-    }
+    coaxial_bench::paper::bench("ablations");
 }

@@ -1,51 +1,5 @@
-//! Fig. 10: COAXIAL's performance under different unloaded CXL latency
-//! premiums (50 ns default, 70 ns pessimistic), plus §VII's 10 ns OMI-like
-//! projection.
-
-use coaxial_bench::plot::{bar_chart, write_svg, ChartOptions, Series};
-use coaxial_bench::{banner, f2, Table};
-use coaxial_system::experiments::{fig10_latency_sensitivity, geomean, Budget};
-
-const LATENCIES: [f64; 3] = [50.0, 70.0, 10.0];
+//! Fig. 10 (+§VII): sensitivity to the CXL latency premium; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Figure 10 (+§VII)", "Sensitivity to the CXL latency premium");
-    let rows = fig10_latency_sensitivity(&LATENCIES, Budget::default());
-    let mut t = Table::new(&["workload", "50 ns", "70 ns", "10 ns (OMI-like)"]);
-    for r in &rows {
-        let s: Vec<f64> = r.speedups.iter().map(|(_, v)| *v).collect();
-        t.row(&[r.workload.clone(), f2(s[0]), f2(s[1]), f2(s[2])]);
-    }
-    t.print();
-    t.write_csv("fig10_latency_sensitivity");
-
-    let cats: Vec<String> = rows.iter().map(|r| r.workload.clone()).collect();
-    let series: Vec<Series> = LATENCIES
-        .iter()
-        .enumerate()
-        .map(|(i, ns)| {
-            Series::new(&format!("{ns:.0} ns"), rows.iter().map(|r| r.speedups[i].1).collect())
-        })
-        .collect();
-    let svg = bar_chart(
-        &cats,
-        &series,
-        &ChartOptions {
-            title: "Fig. 10: sensitivity to the CXL latency premium".into(),
-            y_label: "speedup".into(),
-            reference_line: Some(1.0),
-            ..Default::default()
-        },
-    );
-    write_svg("fig10_latency_sensitivity", &svg);
-
-    for (i, ns) in LATENCIES.iter().enumerate() {
-        let gm = geomean(rows.iter().map(|r| r.speedups[i].1));
-        let losers = rows.iter().filter(|r| r.speedups[i].1 < 1.0).count();
-        println!("{ns:>5.0} ns: geomean {:.2}x, {losers} workloads lose", gm);
-    }
-    println!(
-        "\npaper: 50 ns -> 1.39x (7 losers); 70 ns -> 1.26x (10 losers); \
-         10 ns -> 1.71x (no loser with CALM)"
-    );
+    coaxial_bench::paper::bench("fig10");
 }

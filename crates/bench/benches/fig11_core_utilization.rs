@@ -1,50 +1,5 @@
-//! Fig. 11: COAXIAL's performance as a function of active cores (8%, 33%,
-//! 66%, and 100% server utilization), normalized to the baseline at the
-//! same number of active cores.
-
-use coaxial_bench::plot::{bar_chart, write_svg, ChartOptions, Series};
-use coaxial_bench::{banner, f2, Table};
-use coaxial_system::experiments::{fig11_core_utilization, geomean, Budget};
-
-const ACTIVE: [usize; 4] = [1, 4, 8, 12];
+//! Fig. 11: speedup vs active cores; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Figure 11", "Speedup vs active cores (1 / 4 / 8 / 12 of 12)");
-    let rows = fig11_core_utilization(&ACTIVE, Budget::default());
-    let mut t = Table::new(&["workload", "1 core", "4 cores", "8 cores", "12 cores"]);
-    for r in &rows {
-        let s: Vec<f64> = r.speedups.iter().map(|(_, v)| *v).collect();
-        t.row(&[r.workload.clone(), f2(s[0]), f2(s[1]), f2(s[2]), f2(s[3])]);
-    }
-    t.print();
-    t.write_csv("fig11_core_utilization");
-
-    let cats: Vec<String> = rows.iter().map(|r| r.workload.clone()).collect();
-    let series: Vec<Series> = ACTIVE
-        .iter()
-        .enumerate()
-        .map(|(i, n)| {
-            Series::new(&format!("{n} cores"), rows.iter().map(|r| r.speedups[i].1).collect())
-        })
-        .collect();
-    let svg = bar_chart(
-        &cats,
-        &series,
-        &ChartOptions {
-            title: "Fig. 11: speedup vs active cores".into(),
-            y_label: "speedup".into(),
-            reference_line: Some(1.0),
-            ..Default::default()
-        },
-    );
-    write_svg("fig11_core_utilization", &svg);
-
-    for (i, n) in ACTIVE.iter().enumerate() {
-        let gm = geomean(rows.iter().map(|r| r.speedups[i].1));
-        println!("{n:>2} active cores: geomean speedup {:.2}x", gm);
-    }
-    println!(
-        "\npaper: 1 core -> 0.73x (27% slowdown); 8 cores (66% util, 8:1 core:MC) -> 1.17x; \
-         12 cores -> 1.39x"
-    );
+    coaxial_bench::paper::bench("fig11");
 }

@@ -1,52 +1,5 @@
-//! Fig. 1: bandwidth per processor pin for DDR and PCIe generations,
-//! normalized to PCIe 1.0 (log-scale series in the paper).
-
-use coaxial_bench::plot::{line_chart, write_svg, ChartOptions, Series};
-use coaxial_bench::{banner, f2, Table};
-use coaxial_system::pinout;
+//! Fig. 1: bandwidth per processor pin; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Figure 1", "Bandwidth per processor pin, normalized to PCIe 1.0");
-    let mut t = Table::new(&["interface", "family", "year", "GB/s", "pins", "GB/s/pin", "norm"]);
-    let norm = pinout::normalized_to_pcie1();
-    for (p, (_, n)) in pinout::bandwidth_per_pin_table().iter().zip(norm) {
-        t.row(&[
-            p.name.to_string(),
-            p.family.to_string(),
-            p.year.to_string(),
-            f2(p.bandwidth_gbs),
-            p.pins.to_string(),
-            format!("{:.4}", p.bw_per_pin()),
-            f2(n),
-        ]);
-    }
-    t.print();
-    t.write_csv("fig1_bw_per_pin");
-
-    // Fig. 1 as a per-family time series, log-y like the paper.
-    let table = pinout::bandwidth_per_pin_table();
-    let pcie1 = 0.0625;
-    for family in ["DDR", "PCIe"] {
-        let pts: Vec<(f64, f64)> = table
-            .iter()
-            .filter(|p| p.family == family)
-            .map(|p| (p.year as f64, p.bw_per_pin() / pcie1))
-            .collect();
-        let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
-        let svg = line_chart(
-            &xs,
-            &[Series::new(family, pts.iter().map(|p| p.1).collect())],
-            &ChartOptions {
-                title: format!("Fig. 1: {family} bandwidth per pin (norm. to PCIe 1.0)"),
-                y_label: "norm. GB/s per pin".into(),
-                log_y: true,
-                ..Default::default()
-            },
-        );
-        write_svg(&format!("fig1_{}", family.to_lowercase()), &svg);
-    }
-    println!(
-        "\nPCIe 5.0 vs DDR5-4800 bandwidth/pin: {:.2}x (paper: ~4x)",
-        pinout::pcie5_vs_ddr5_ratio()
-    );
+    coaxial_bench::paper::bench("fig1");
 }

@@ -1,56 +1,5 @@
-//! Fig. 2a: average and p90 memory access latency of one DDR5-4800 channel
-//! under Poisson random traffic, at varying bandwidth utilization.
-
-use coaxial_bench::plot::{line_chart, write_svg, ChartOptions, Series};
-use coaxial_bench::{banner, f1, pct, Table};
-use coaxial_system::experiments::fig2a_load_latency;
+//! Fig. 2a: DDR5-4800 load-latency curve; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Figure 2a", "DDR5-4800 load-latency curve (avg and p90)");
-    let utils: Vec<f64> = (1..=17).map(|i| i as f64 * 0.05).collect();
-    let horizon =
-        std::env::var("COAXIAL_F2A_CYCLES").ok().and_then(|v| v.parse().ok()).unwrap_or(600_000);
-    let pts = fig2a_load_latency(&utils, horizon);
-    let mut t = Table::new(&["target util", "achieved util", "avg ns", "p90 ns"]);
-    let base = &pts[0];
-    for p in &pts {
-        t.row(&[
-            pct(p.target_utilization),
-            pct(p.achieved_utilization),
-            f1(p.avg_ns),
-            f1(p.p90_ns),
-        ]);
-        let _ = base;
-    }
-    t.print();
-    t.write_csv("fig2a_load_latency");
-
-    let xs: Vec<f64> = pts.iter().map(|p| p.target_utilization).collect();
-    let svg = line_chart(
-        &xs,
-        &[
-            Series::new("avg ns", pts.iter().map(|p| p.avg_ns).collect()),
-            Series::new("p90 ns", pts.iter().map(|p| p.p90_ns).collect()),
-        ],
-        &ChartOptions {
-            title: "Fig. 2a: DDR5-4800 load-latency curve".into(),
-            y_label: "latency (ns)".into(),
-            log_y: true,
-            ..Default::default()
-        },
-    );
-    write_svg("fig2a_load_latency", &svg);
-
-    // Paper checkpoints: avg grows ~3x at 50% load and ~4x at 60%; p90
-    // grows faster than avg.
-    let at = |u: f64| {
-        pts.iter().min_by_key(|p| coaxial_sim::trunc_u64((p.target_utilization - u).abs() * 1e6))
-    };
-    if let (Some(lo), Some(mid)) = (at(0.05), at(0.5)) {
-        println!(
-            "\navg growth at 50% load: {:.1}x (paper ~3x); p90 growth: {:.1}x (paper ~4.7x)",
-            mid.avg_ns / lo.avg_ns,
-            mid.p90_ns / lo.p90_ns
-        );
-    }
+    coaxial_bench::paper::bench("fig2a");
 }

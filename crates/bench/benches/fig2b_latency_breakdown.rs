@@ -1,41 +1,5 @@
-//! Fig. 2b: baseline L2-miss latency breakdown (on-chip, DRAM service,
-//! queuing) and memory bandwidth utilization across all 36 workloads.
-
-use coaxial_bench::{banner, f1, pct, Table};
-use coaxial_system::experiments::{baseline_characterization, Budget};
+//! Fig. 2b: baseline latency breakdown and bandwidth utilization; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Figure 2b", "Baseline memory latency breakdown and bandwidth utilization per workload");
-    let rows = baseline_characterization(Budget::default());
-    let mut t = Table::new(&[
-        "workload",
-        "on-chip ns",
-        "queuing ns",
-        "DRAM ns",
-        "L2-miss ns",
-        "BW util",
-        "queue share",
-    ]);
-    let mut q_share_sum = 0.0;
-    for r in &rows {
-        let (on, q, s, _) = r.breakdown_ns;
-        let total = on + q + s;
-        let share = if total > 0.0 { q / total } else { 0.0 };
-        q_share_sum += share;
-        t.row(&[
-            r.workload.clone(),
-            f1(on),
-            f1(q),
-            f1(s),
-            f1(total),
-            pct(r.utilization),
-            pct(share),
-        ]);
-    }
-    t.print();
-    t.write_csv("fig2b_latency_breakdown");
-    println!(
-        "\naverage queuing share of L2-miss latency: {} (paper: ~60%)",
-        coaxial_bench::pct(q_share_sum / rows.len() as f64)
-    );
+    coaxial_bench::paper::bench("fig2b");
 }

@@ -1,69 +1,5 @@
-//! Fig. 5: COAXIAL-4x speedup over the DDR baseline (top), L2-miss latency
-//! breakdown (middle), and memory bandwidth usage (bottom) for all 36
-//! workloads.
-
-use coaxial_bench::plot::{bar_chart, write_svg, ChartOptions, Series};
-use coaxial_bench::{banner, f1, f2, pct, Table};
-use coaxial_system::experiments::{fig5_main, geomean, geomean_speedup, Budget};
+//! Fig. 5: COAXIAL-4x vs the DDR baseline; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Figure 5", "COAXIAL-4x vs DDR baseline: speedup, latency breakdown, bandwidth");
-    let rows = fig5_main(Budget::default());
-
-    let mut t = Table::new(&[
-        "workload",
-        "speedup",
-        "base lat ns (on+q+dram)",
-        "coax lat ns (on+q+dram+cxl)",
-        "base GB/s",
-        "coax GB/s",
-        "base util",
-        "coax util",
-    ]);
-    for r in &rows {
-        let (ob, qb, sb, _) = r.base.breakdown_ns;
-        let (oc, qc, sc, xc) = r.coax.breakdown_ns;
-        t.row(&[
-            r.workload.clone(),
-            f2(r.speedup),
-            format!("{} ({}+{}+{})", f1(ob + qb + sb), f1(ob), f1(qb), f1(sb)),
-            format!("{} ({}+{}+{}+{})", f1(oc + qc + sc + xc), f1(oc), f1(qc), f1(sc), f1(xc)),
-            f1(r.base.bandwidth_gbs),
-            f1(r.coax.bandwidth_gbs),
-            pct(r.base.utilization),
-            pct(r.coax.utilization),
-        ]);
-    }
-    t.print();
-    t.write_csv("fig5_main_results");
-
-    let cats: Vec<String> = rows.iter().map(|r| r.workload.clone()).collect();
-    let svg = bar_chart(
-        &cats,
-        &[Series::new("COAXIAL-4x speedup", rows.iter().map(|r| r.speedup).collect())],
-        &ChartOptions {
-            title: "Fig. 5 (top): COAXIAL-4x speedup over DDR baseline".into(),
-            y_label: "speedup".into(),
-            reference_line: Some(1.0),
-            ..Default::default()
-        },
-    );
-    write_svg("fig5_speedup", &svg);
-
-    let n = rows.len() as f64;
-    let base_util: f64 = rows.iter().map(|r| r.base.utilization).sum::<f64>() / n;
-    let coax_util: f64 = rows.iter().map(|r| r.coax.utilization).sum::<f64>() / n;
-    let losers = rows.iter().filter(|r| r.speedup < 1.0).count();
-    let max = rows.iter().max_by(|a, b| a.speedup.total_cmp(&b.speedup)).unwrap();
-    let lat_reduction =
-        1.0 - geomean(rows.iter().map(|r| r.coax.l2_miss_latency_ns / r.base.l2_miss_latency_ns));
-    println!("\ngeomean speedup: {:.2}x   (paper: 1.39x, up to 3x)", geomean_speedup(&rows));
-    println!("max speedup:     {:.2}x on {}", max.speedup, max.workload);
-    println!("workloads losing performance: {losers}   (paper: 7)");
-    println!(
-        "avg bandwidth utilization: {} -> {}   (paper: 54% -> 34%)",
-        pct(base_util),
-        pct(coax_util)
-    );
-    println!("geomean L2-miss latency reduction: {}   (paper: 29%)", pct(lat_reduction));
+    coaxial_bench::paper::bench("fig5");
 }

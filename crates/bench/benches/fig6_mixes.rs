@@ -1,32 +1,5 @@
-//! Fig. 6: COAXIAL-4x speedup for ten random 12-workload mixes.
-
-use coaxial_bench::{banner, f2, Table};
-use coaxial_system::experiments::{fig6_mixes_full, geomean, Budget};
+//! Fig. 6: workload-mix speedups; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Figure 6", "Workload-mix speedups (COAXIAL-4x over DDR baseline)");
-    let weighted = std::env::var("COAXIAL_F6_WEIGHTED").is_ok();
-    let rows = fig6_mixes_full(10, Budget::default(), weighted);
-    let mut t = Table::new(&["mix", "speedup", "weighted-speedup", "workloads"]);
-    for r in &rows {
-        t.row(&[
-            format!("mix-{}", r.mix_id),
-            f2(r.speedup),
-            r.weighted_speedup_ratio.map(f2).unwrap_or_else(|| "-".into()),
-            r.workloads.join("+"),
-        ]);
-    }
-    t.print();
-    t.write_csv("fig6_mixes");
-
-    let min = rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
-    let max = rows.iter().map(|r| r.speedup).fold(0.0, f64::max);
-    let gm = geomean(rows.iter().map(|r| r.speedup));
-    println!(
-        "\nmin/max/geomean mix speedup: {:.2}x / {:.2}x / {:.2}x   (paper: 1.5x / 1.9x / 1.7x)",
-        min, max, gm
-    );
-    if !weighted {
-        println!("(set COAXIAL_F6_WEIGHTED=1 for the weighted-speedup column)");
-    }
+    coaxial_bench::paper::bench("fig6");
 }

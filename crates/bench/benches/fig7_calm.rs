@@ -1,84 +1,5 @@
-//! Fig. 7: sensitivity to the CALM mechanism. (a) speedup of each
-//! mechanism relative to serial LLC/memory access, on both the baseline
-//! and COAXIAL; (b) decision quality (false positives per memory access,
-//! false negatives per LLC miss).
-//!
-//! The paper displays four workloads plus the 36-workload average; to
-//! bound runtime we show the same four and average over a fixed
-//! 12-workload sample (one per suite tier). `COAXIAL_F7_ALL=1` averages
-//! over all 36 instead.
-
-use coaxial_bench::{banner, f2, pct, Table};
-use coaxial_system::experiments::{fig7_calm, geomean, Budget};
-
-const SHOWN: [&str; 4] = ["gcc", "stream-copy", "lbm", "PageRank"];
-const SAMPLE: [&str; 12] = [
-    "lbm",
-    "gcc",
-    "mcf",
-    "bwaves",
-    "PageRank",
-    "Components",
-    "BFS",
-    "stream-copy",
-    "stream-triad",
-    "streamcluster",
-    "masstree",
-    "kmeans",
-];
+//! Fig. 7: CALM mechanism sensitivity; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Figure 7", "CALM mechanism sensitivity (speedup vs serial; decision quality)");
-    let budget = Budget::default();
-
-    let avg_set: Vec<&str> = if std::env::var("COAXIAL_F7_ALL").is_ok() {
-        coaxial_workloads::Workload::all().iter().map(|w| w.name).collect()
-    } else {
-        SAMPLE.to_vec()
-    };
-
-    // Per-workload rows (Fig. 7a detail).
-    let rows = fig7_calm(&SHOWN, budget);
-    let mut t = Table::new(&[
-        "workload",
-        "system",
-        "mechanism",
-        "speedup vs serial",
-        "FP/mem access",
-        "FN/LLC miss",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.workload.clone(),
-            r.system.clone(),
-            r.mechanism.clone(),
-            f2(r.speedup_vs_serial),
-            pct(r.false_pos_per_mem_access),
-            pct(r.false_neg_per_llc_miss),
-        ]);
-    }
-    t.print();
-    t.write_csv("fig7_calm");
-
-    // Averages over the sample (Fig. 7a "avg" cluster).
-    println!("\naverages over {} workloads:", avg_set.len());
-    let avg_rows = fig7_calm(&avg_set, budget);
-    let mut t2 = Table::new(&["system", "mechanism", "geomean speedup vs serial"]);
-    for system in ["baseline", "COAXIAL"] {
-        for mech in ["MAP-I", "CALM-50%", "CALM-60%", "CALM-70%", "ideal"] {
-            let gm = geomean(
-                avg_rows
-                    .iter()
-                    .filter(|r| r.system == system && r.mechanism == mech)
-                    .map(|r| r.speedup_vs_serial),
-            );
-            t2.row(&[system.to_string(), mech.to_string(), f2(gm)]);
-        }
-    }
-    t2.print();
-    t2.write_csv("fig7_calm_avg");
-    println!(
-        "\npaper: CALM lifts COAXIAL from 1.28x to 1.39x over baseline; baseline's average \
-         gain from CALM is negligible; CALM-70% FP ≈ 4% of memory accesses, FN ≈ 11% of LLC misses."
-    );
+    coaxial_bench::paper::bench("fig7");
 }

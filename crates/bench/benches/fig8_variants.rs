@@ -1,55 +1,5 @@
-//! Fig. 8: performance of COAXIAL-2x, COAXIAL-4x, and COAXIAL-asym,
-//! normalized to the DDR baseline.
-
-use coaxial_bench::plot::{bar_chart, write_svg, ChartOptions, Series};
-use coaxial_bench::{banner, f2, Table};
-use coaxial_system::experiments::{fig8_variants, geomean, Budget};
+//! Fig. 8: COAXIAL design variants; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Figure 8", "COAXIAL design variants vs DDR baseline");
-    let rows = fig8_variants(Budget::default());
-    let mut t = Table::new(&["workload", "COAXIAL-2x", "COAXIAL-4x", "COAXIAL-5x", "COAXIAL-asym"]);
-    for r in &rows {
-        t.row(&[
-            r.workload.clone(),
-            f2(r.coaxial_2x),
-            f2(r.coaxial_4x),
-            f2(r.coaxial_5x),
-            f2(r.coaxial_asym),
-        ]);
-    }
-    t.print();
-    t.write_csv("fig8_variants");
-
-    let cats: Vec<String> = rows.iter().map(|r| r.workload.clone()).collect();
-    let svg = bar_chart(
-        &cats,
-        &[
-            Series::new("2x", rows.iter().map(|r| r.coaxial_2x).collect()),
-            Series::new("4x", rows.iter().map(|r| r.coaxial_4x).collect()),
-            Series::new("asym", rows.iter().map(|r| r.coaxial_asym).collect()),
-        ],
-        &ChartOptions {
-            title: "Fig. 8: COAXIAL variants vs DDR baseline".into(),
-            y_label: "speedup".into(),
-            reference_line: Some(1.0),
-            ..Default::default()
-        },
-    );
-    write_svg("fig8_variants", &svg);
-
-    let gm2 = geomean(rows.iter().map(|r| r.coaxial_2x));
-    let gm4 = geomean(rows.iter().map(|r| r.coaxial_4x));
-    let gm5 = geomean(rows.iter().map(|r| r.coaxial_5x));
-    let gma = geomean(rows.iter().map(|r| r.coaxial_asym));
-    println!(
-        "\ngeomean speedups: 2x = {:.2}, 4x = {:.2}, 5x = {:.2}, asym = {:.2}   \
-         (paper: 1.17 / 1.39 / — / 1.52; asym beats 4x by ~13%; 5x is the iso-pin\n\
-         Table II point the paper sizes but does not simulate)",
-        gm2, gm4, gm5, gma
-    );
-    let asym_over_4x = gma / gm4;
-    println!("asym over 4x: {:.1}%", (asym_over_4x - 1.0) * 100.0);
-    let regressed = rows.iter().filter(|r| r.coaxial_asym < r.coaxial_4x * 0.97).count();
-    println!("workloads hurt by asym's reduced write bandwidth: {regressed}   (paper: 0)");
+    coaxial_bench::paper::bench("fig8");
 }

@@ -1,24 +1,5 @@
-//! Fig. 9: read/write bandwidth usage in the baseline system.
-
-use coaxial_bench::{banner, f1, f2, Table};
-use coaxial_system::experiments::{baseline_characterization, Budget};
+//! Fig. 9: read/write bandwidth on the DDR baseline; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Figure 9", "Read vs write bandwidth on the DDR baseline");
-    let rows = baseline_characterization(Budget::default());
-    let mut t = Table::new(&["workload", "read GB/s", "write GB/s", "R:W ratio"]);
-    let (mut rsum, mut wsum) = (0.0, 0.0);
-    for r in &rows {
-        rsum += r.read_gbs;
-        wsum += r.write_gbs;
-        t.row(&[
-            r.workload.clone(),
-            f1(r.read_gbs),
-            f1(r.write_gbs),
-            f2(r.read_gbs / r.write_gbs.max(1e-6)),
-        ]);
-    }
-    t.print();
-    t.write_csv("fig9_rw_split");
-    println!("\naverage R:W ratio: {:.1}:1   (paper: 3.7:1)", rsum / wsum.max(1e-6));
+    coaxial_bench::paper::bench("fig9");
 }

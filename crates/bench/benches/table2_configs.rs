@@ -1,72 +1,5 @@
-//! Tables I, II, and III: component areas, candidate server designs, and
-//! the simulated system parameters.
-
-use coaxial_bench::{banner, f2, Table};
-use coaxial_system::area::{AreaModel, ServerDesign};
-use coaxial_system::SystemConfig;
+//! Tables I–III: component areas, server designs, simulated parameters; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Table I", "Relative component area (units of 1 MB LLC)");
-    let m = AreaModel::table_i();
-    let mut t1 = Table::new(&["component", "relative area"]);
-    t1.row(&["L3 cache (1 MB)".into(), f2(m.llc_1mb)]);
-    t1.row(&["Zen 3 core (incl. 512 KB L2)".into(), f2(m.zen3_core)]);
-    t1.row(&["x8 PCIe (PHY + ctrl)".into(), f2(m.pcie_x8)]);
-    t1.row(&["DDR channel (PHY + ctrl)".into(), f2(m.ddr_channel)]);
-    t1.print();
-    t1.write_csv("table1_area");
-
-    banner("Table II", "DDR-based versus alternative COAXIAL server configurations");
-    let mut t2 = Table::new(&[
-        "design",
-        "cores",
-        "LLC/core MB",
-        "DDR ch",
-        "CXL x8 ch",
-        "rel. BW",
-        "rel. area",
-        "comment",
-    ]);
-    for d in ServerDesign::table_ii() {
-        t2.row(&[
-            d.name.to_string(),
-            d.cores.to_string(),
-            f2(d.llc_mb_per_core),
-            d.ddr_channels.to_string(),
-            d.cxl_x8_channels.to_string(),
-            if d.relative_bandwidth.is_nan() {
-                "asym R/W".into()
-            } else {
-                format!("{:.0}x", d.relative_bandwidth)
-            },
-            f2(d.relative_area(&m)),
-            d.comment.to_string(),
-        ]);
-    }
-    t2.print();
-    t2.write_csv("table2_configs");
-
-    banner("Table III", "Simulated system parameters (12-core slice)");
-    let mut t3 = Table::new(&["config", "DDR channels", "LLC MB/core", "peak GB/s", "CALM"]);
-    for cfg in [
-        SystemConfig::ddr_baseline(),
-        SystemConfig::coaxial_2x(),
-        SystemConfig::coaxial_4x(),
-        SystemConfig::coaxial_5x(),
-        SystemConfig::coaxial_asym(),
-    ] {
-        t3.row(&[
-            cfg.name.clone(),
-            cfg.ddr_channels().to_string(),
-            f2(cfg.functional.llc_mb_per_core),
-            f2(cfg.peak_bandwidth_gbs()),
-            cfg.timing.calm.label(),
-        ]);
-    }
-    t3.print();
-    t3.write_csv("table3_parameters");
-    println!(
-        "\nCPU: 12 OoO cores, 2.4 GHz, 4-wide, 256-entry ROB; L1 32 KB/8-way/4-cycle; \
-         L2 512 KB/8-way/8-cycle; LLC 16-way/20-cycle; NoC 2D mesh, 3 cycles/hop."
-    );
+    coaxial_bench::paper::bench("table2");
 }

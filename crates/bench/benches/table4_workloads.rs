@@ -1,41 +1,5 @@
-//! Table IV: per-workload IPC and LLC MPKI on the DDR-based baseline,
-//! printed alongside the paper's reference values.
-
-use coaxial_bench::{banner, f2, Table};
-use coaxial_system::experiments::{baseline_characterization, Budget};
+//! Table IV: workload IPC and MPKI on the DDR baseline; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Table IV", "Workload IPC and LLC MPKI on the DDR-based baseline");
-    let rows = baseline_characterization(Budget::default());
-    let mut t = Table::new(&["workload", "IPC", "MPKI", "paper IPC", "paper MPKI"]);
-    for r in &rows {
-        t.row(&[
-            r.workload.clone(),
-            f2(r.ipc),
-            format!("{:.0}", r.mpki),
-            f2(r.paper_ipc),
-            r.paper_mpki.to_string(),
-        ]);
-    }
-    t.print();
-    t.write_csv("table4_workloads");
-
-    // Rank-correlation of measured vs paper MPKI (shape check).
-    let mut measured: Vec<(usize, f64)> = rows.iter().map(|r| r.mpki).enumerate().collect();
-    let mut paper: Vec<(usize, f64)> =
-        rows.iter().map(|r| r.paper_mpki as f64).enumerate().collect();
-    measured.sort_by(|a, b| a.1.total_cmp(&b.1));
-    paper.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let n = rows.len();
-    let mut rank_m = vec![0usize; n];
-    let mut rank_p = vec![0usize; n];
-    for (rank, (i, _)) in measured.iter().enumerate() {
-        rank_m[*i] = rank;
-    }
-    for (rank, (i, _)) in paper.iter().enumerate() {
-        rank_p[*i] = rank;
-    }
-    let d2: f64 = (0..n).map(|i| ((rank_m[i] as f64) - (rank_p[i] as f64)).powi(2)).sum();
-    let rho = 1.0 - 6.0 * d2 / (n as f64 * (n as f64 * n as f64 - 1.0));
-    println!("\nSpearman rank correlation of MPKI vs paper: {rho:.2} (1.0 = identical ordering)");
+    coaxial_bench::paper::bench("table4");
 }

@@ -1,37 +1,5 @@
-//! Table V: energy/power comparison for the 144-core server, fed by the
-//! CPIs measured on the simulated 12-core slice.
-
-use coaxial_bench::{banner, f2, Table};
-use coaxial_system::experiments::{fig5_main, table5_inputs, Budget};
-use coaxial_system::power::table5;
+//! Table V: power and EDP of the 144-core server; defined in `coaxial_bench::paper`.
 
 fn main() {
-    banner("Table V", "Energy/power comparison for the 144-core server");
-    let rows = fig5_main(Budget::default());
-    let inputs = table5_inputs(&rows);
-    let (base, coax) = table5(inputs.baseline_cpi, inputs.coaxial_cpi);
-
-    let mut t = Table::new(&["component", "Baseline", "COAXIAL"]);
-    let w = |x: f64| format!("{x:.0} W");
-    t.row(&["Cores + L1 + L2".into(), w(base.core_w), w(coax.core_w)]);
-    t.row(&["DDR5 MC & PHY".into(), w(base.ddr_mc_w), w(coax.ddr_mc_w)]);
-    t.row(&["LLC (leakage+access)".into(), w(base.llc_w), w(coax.llc_w)]);
-    t.row(&["CXL interface".into(), w(base.cxl_w), w(coax.cxl_w)]);
-    t.row(&["DDR5 DIMMs".into(), w(base.dimm_w), w(coax.dimm_w)]);
-    t.row(&["Total system power".into(), w(base.total_w), w(coax.total_w)]);
-    t.row(&["Average CPI (measured)".into(), f2(base.cpi), f2(coax.cpi)]);
-    t.row(&["Relative perf/W".into(), "1.00".into(), f2(coax.perf_per_watt / base.perf_per_watt)]);
-    t.row(&[
-        "EDP (lower=better)".into(),
-        format!("{:.0}", base.edp),
-        format!("{:.0} ({:.2}x)", coax.edp, coax.edp / base.edp),
-    ]);
-    t.row(&[
-        "ED2P (lower=better)".into(),
-        format!("{:.0}", base.ed2p),
-        format!("{:.0} ({:.2}x)", coax.ed2p, coax.ed2p / base.ed2p),
-    ]);
-    t.print();
-    t.write_csv("table5_power_edp");
-    println!("\npaper: 646 W vs 931 W; CPI 2.05 vs 1.48; perf/W 0.96; EDP 0.75x; ED2P 0.53x");
+    coaxial_bench::paper::bench("table5");
 }

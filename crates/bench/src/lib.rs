@@ -1,9 +1,11 @@
-//! Shared infrastructure for the paper-reproduction bench targets.
+//! The paper-reproduction front end: table printing, CSV/SVG output, and
+//! [`paper`], which defines every table and figure of the evaluation once.
 //!
-//! Each bench target (`cargo bench -p coaxial-bench --bench <name>`)
-//! regenerates one table or figure of the paper and prints it in a shape
-//! directly comparable to the published one. Results are also written as
-//! CSV under `target/paper-results/` so plots can be produced externally.
+//! Each bench target (`cargo bench -p coaxial-bench --bench <name>`) and
+//! `coaxial exp <id>` regenerates one table or figure of the paper and
+//! prints it in a shape directly comparable to the published one. Results
+//! are also written as CSV under `target/paper-results/` so plots can be
+//! produced externally.
 //!
 //! Budgets: every bench honours `COAXIAL_INSTR` / `COAXIAL_WARMUP`
 //! (instructions per core). The defaults are laptop-scale; raising
@@ -17,6 +19,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 
+pub mod paper;
 pub mod plot;
 
 /// Column-aligned plain-text table printer.

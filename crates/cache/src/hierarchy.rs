@@ -65,6 +65,9 @@ pub enum AccessResult {
     Retry,
 }
 
+/// L2 MSHRs per core in the Table III configuration.
+pub const L2_MSHRS: usize = 16;
+
 /// Static configuration of the hierarchy (paper Table III).
 #[derive(Debug, Clone)]
 pub struct HierarchyConfig {
@@ -114,7 +117,7 @@ impl HierarchyConfig {
             llc_bytes_per_core: coaxial_sim::trunc_u64(llc_mb_per_core * 1024.0 * 1024.0),
             llc_assoc: 16,
             llc_latency: 20,
-            l2_mshrs: 16,
+            l2_mshrs: L2_MSHRS,
             noc_cycles_per_hop: 3,
             mem_channels,
             peak_mem_bytes_per_cycle: coaxial_sim::gbs_to_bytes_per_cycle(peak_mem_gbs),

@@ -72,13 +72,10 @@ fn get_bool(o: &BTreeMap<String, Json>, key: &str) -> Result<bool, String> {
 fn get_engine(o: &BTreeMap<String, Json>) -> Result<Option<EngineKind>, String> {
     match o.get("engine") {
         None => Ok(None),
-        // Validated here, by string, so a bad name is a 400 — never a
-        // worker-side panic (EngineKind::parse aborts on unknown names).
-        Some(v) => match v.as_str() {
-            Some("event") => Ok(Some(EngineKind::Event)),
-            Some("lockstep") => Ok(Some(EngineKind::Lockstep)),
-            _ => Err("\"engine\" must be \"event\" or \"lockstep\"".to_string()),
-        },
+        Some(v) => {
+            let name = v.as_str().ok_or("\"engine\" must be a string")?;
+            EngineKind::parse(Some(name)).map(Some).map_err(|e| e.to_string())
+        }
     }
 }
 

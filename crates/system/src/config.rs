@@ -51,6 +51,8 @@ pub enum ConfigError {
     InvalidCalmEpoch,
     /// A workload mix that does not name exactly one workload per core.
     WorkloadMixLength { got: usize, want: usize },
+    /// No run-loop engine under that name (see `EngineKind::parse`).
+    UnknownEngine(String),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -68,6 +70,9 @@ impl std::fmt::Display for ConfigError {
             Self::InvalidCalmEpoch => write!(f, "calm epoch must be at least one cycle"),
             Self::WorkloadMixLength { got, want } => {
                 write!(f, "workload mix names {got} workloads for {want} cores")
+            }
+            Self::UnknownEngine(name) => {
+                write!(f, "unknown engine `{name}`: expected event|lockstep")
             }
         }
     }
@@ -110,6 +115,9 @@ pub struct TimingConfig {
     pub calm_epoch: u64,
     /// Optional L2 prefetcher (extension; the paper runs without one).
     pub prefetch: PrefetchPolicy,
+    /// L2 MSHRs per core: the per-core memory-level-parallelism ceiling
+    /// (ablation knob; the prefill never touches MSHRs).
+    pub l2_mshrs: usize,
     pub dram: DramConfig,
 }
 
@@ -139,6 +147,7 @@ impl SystemConfig {
                 calm,
                 calm_epoch: coaxial_cache::calm::CALM_EPOCH,
                 prefetch: PrefetchPolicy::None,
+                l2_mshrs: coaxial_cache::hierarchy::L2_MSHRS,
                 dram: DramConfig::ddr5_4800(),
             },
         }
@@ -302,6 +311,13 @@ impl SystemConfig {
         Ok(self)
     }
 
+    /// Override the L2 MSHR count per core (ablation experiments).
+    pub fn with_l2_mshrs(mut self, n: usize) -> Self {
+        assert!(n >= 1, "an L2 needs at least one MSHR");
+        self.timing.l2_mshrs = n;
+        self
+    }
+
     /// Override the DRAM configuration (ablation experiments: page policy,
     /// scheduler window, queue depths).
     pub fn with_dram(mut self, dram: DramConfig) -> Self {
@@ -384,6 +400,7 @@ mod tests {
             .with_calm(CalmPolicy::MapI)
             .with_calm_epoch(5_000)
             .with_prefetch(PrefetchPolicy::NextLine { degree: 2 })
+            .with_l2_mshrs(4)
             .with_dram(DramConfig::ddr5_4800());
         let a = format!("{:?}", base.functional);
         let b = format!("{:?}", swept.functional);

@@ -37,6 +37,8 @@ use coaxial_dram::MemoryBackend;
 use coaxial_sim::{Cycle, EventQueue};
 use coaxial_telemetry::TelemetrySink;
 
+use crate::config::ConfigError;
+
 /// Which run-loop engine drives the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
@@ -48,18 +50,23 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Resolve from `COAXIAL_ENGINE` (default: `event`).
+    /// Resolve from `COAXIAL_ENGINE` (default: `event`). Panics on an
+    /// unknown name: a typo must not silently select an engine.
     pub fn from_env() -> Self {
-        Self::parse(coaxial_sim::env::engine_name().as_deref())
+        match Self::parse(coaxial_sim::env::engine_name().as_deref()) {
+            Ok(kind) => kind,
+            Err(e) => panic!("COAXIAL_ENGINE: {e}"),
+        }
     }
 
-    /// Map an engine name (any case; `None` = unset) to an engine. Rejects
-    /// unknown values loudly — a typo must not silently select an engine.
-    pub fn parse(name: Option<&str>) -> Self {
+    /// Map an engine name (any case; `None` = unset) to an engine. An
+    /// unknown name is a [`ConfigError::UnknownEngine`], which the gateway
+    /// answers with HTTP 400.
+    pub fn parse(name: Option<&str>) -> Result<Self, ConfigError> {
         match name.map(str::to_ascii_lowercase).as_deref() {
-            None | Some("event") => Self::Event,
-            Some("lockstep") => Self::Lockstep,
-            Some(other) => panic!("COAXIAL_ENGINE={other:?}: expected `event` or `lockstep`"),
+            None | Some("event") => Ok(Self::Event),
+            Some("lockstep") => Ok(Self::Lockstep),
+            Some(other) => Err(ConfigError::UnknownEngine(other.to_string())),
         }
     }
 

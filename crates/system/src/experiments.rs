@@ -6,10 +6,11 @@
 //! (the defaults follow `COAXIAL_INSTR`/`COAXIAL_WARMUP` or the built-in
 //! laptop-scale budget).
 //!
-//! Each runner builds a flat batch of [`RunSpec`]s and dispatches it
-//! through [`crate::runner::run_all`], so independent simulations spread
-//! across host cores (`COAXIAL_JOBS`). Reports come back keyed by spec
-//! index, which keeps every row assembly below deterministic.
+//! Each runner builds a flat batch of [`RunSpec`]s — most through
+//! [`run_grid`], workloads × configs — and dispatches it through
+//! [`crate::runner::run_all`], so independent simulations spread across
+//! host cores (`COAXIAL_JOBS`). Reports come back keyed by spec index,
+//! which keeps every row assembly below deterministic.
 
 use coaxial_cache::{CalmPolicy, PrefetchPolicy};
 use coaxial_dram::{Channel, DramConfig, MemoryBackend};
@@ -56,6 +57,21 @@ impl Budget {
             .warmup(self.warmup)
             .run()
     }
+}
+
+/// Run every workload under every config as one batch through
+/// [`runner::run_all`]; returns each workload with its reports in config
+/// order.
+pub fn run_grid(
+    workloads: impl IntoIterator<Item = &'static Workload>,
+    configs: &[SystemConfig],
+    budget: Budget,
+) -> Vec<(&'static Workload, Vec<RunReport>)> {
+    let ws: Vec<&'static Workload> = workloads.into_iter().collect();
+    let specs: Vec<RunSpec> =
+        ws.iter().flat_map(|&w| configs.iter().map(move |c| budget.spec(c.clone(), w))).collect();
+    let mut reports = runner::run_all(&specs).into_iter();
+    ws.into_iter().map(|w| (w, reports.by_ref().take(configs.len()).collect())).collect()
 }
 
 // ───────────────────────── Fig. 2a ──────────────────────────
@@ -121,21 +137,21 @@ pub struct BaselineRow {
 
 /// Figs. 2b & 9 and Table IV all come from baseline runs of every workload.
 pub fn baseline_characterization(budget: Budget) -> Vec<BaselineRow> {
-    let specs: Vec<RunSpec> =
-        Workload::all().iter().map(|w| budget.spec(SystemConfig::ddr_baseline(), w)).collect();
-    Workload::all()
-        .iter()
-        .zip(runner::run_all(&specs))
-        .map(|(w, r)| BaselineRow {
-            workload: w.name.to_string(),
-            ipc: r.ipc,
-            mpki: r.mpki,
-            breakdown_ns: r.breakdown_ns,
-            utilization: r.utilization,
-            read_gbs: r.read_gbs,
-            write_gbs: r.write_gbs,
-            paper_ipc: w.paper_ipc,
-            paper_mpki: w.paper_mpki,
+    run_grid(Workload::all(), &[SystemConfig::ddr_baseline()], budget)
+        .into_iter()
+        .map(|(w, rs)| {
+            let r = &rs[0];
+            BaselineRow {
+                workload: w.name.to_string(),
+                ipc: r.ipc,
+                mpki: r.mpki,
+                breakdown_ns: r.breakdown_ns,
+                utilization: r.utilization,
+                read_gbs: r.read_gbs,
+                write_gbs: r.write_gbs,
+                paper_ipc: w.paper_ipc,
+                paper_mpki: w.paper_mpki,
+            }
         })
         .collect()
 }
@@ -153,16 +169,10 @@ pub struct CompareRow {
 
 /// Run baseline and one COAXIAL config across all workloads.
 pub fn compare_all(coax_cfg: impl Fn() -> SystemConfig, budget: Budget) -> Vec<CompareRow> {
-    let specs: Vec<RunSpec> = Workload::all()
-        .iter()
-        .flat_map(|w| [budget.spec(SystemConfig::ddr_baseline(), w), budget.spec(coax_cfg(), w)])
-        .collect();
-    let mut reports = runner::run_all(&specs).into_iter();
-    Workload::all()
-        .iter()
-        .map(|w| {
-            let base = reports.next().expect("one baseline report per workload");
-            let coax = reports.next().expect("one COAXIAL report per workload");
+    run_grid(Workload::all(), &[SystemConfig::ddr_baseline(), coax_cfg()], budget)
+        .into_iter()
+        .map(|(w, rs)| {
+            let [base, coax]: [RunReport; 2] = rs.try_into().expect("two reports per workload");
             CompareRow {
                 workload: w.name.to_string(),
                 speedup: coax.speedup_over(&base),
@@ -291,11 +301,6 @@ pub fn fig6_mixes_full(count: u64, budget: Budget, weighted: bool) -> Vec<MixRow
         .collect()
 }
 
-/// Fig. 6 with the default (IPC-ratio only) metric.
-pub fn fig6_mixes(count: u64, budget: Budget) -> Vec<MixRow> {
-    fig6_mixes_full(count, budget, false)
-}
-
 // ───────────────────────── Fig. 7 ───────────────────────────
 
 /// CALM mechanisms evaluated in Fig. 7, in the paper's bar order.
@@ -331,32 +336,25 @@ pub fn fig7_calm(workload_names: &[&str], budget: Budget) -> Vec<CalmRow> {
     ];
     let mechs = calm_mechanisms();
 
-    // One serial anchor + every mechanism, per (workload, system) — all
-    // independent, so the whole grid is one batch.
-    let mut specs = Vec::new();
-    for name in workload_names {
-        let w = Workload::by_name(name).expect("workload exists");
-        for (_, mk) in systems {
-            specs.push(budget.spec(mk().with_calm(CalmPolicy::Serial), w));
-            for &mech in &mechs {
-                specs.push(budget.spec(mk().with_calm(mech), w));
-            }
-        }
-    }
-    let mut reports = runner::run_all(&specs).into_iter();
-
+    // One serial anchor + every mechanism, per (workload, system).
+    let configs: Vec<SystemConfig> = systems
+        .iter()
+        .flat_map(|(_, mk)| {
+            std::iter::once(CalmPolicy::Serial)
+                .chain(mechs.iter().copied())
+                .map(|p| mk().with_calm(p))
+        })
+        .collect();
     let mut rows = Vec::new();
-    for name in workload_names {
-        let w = Workload::by_name(name).expect("workload exists");
-        for (sys_name, _) in systems {
-            let serial = reports.next().expect("serial anchor report");
-            for &mech in &mechs {
-                let r = reports.next().expect("mechanism report");
+    for (w, rs) in run_grid(named_workloads(workload_names), &configs, budget) {
+        for ((sys_name, _), group) in systems.iter().zip(rs.chunks_exact(1 + mechs.len())) {
+            let serial = &group[0];
+            for (&mech, r) in mechs.iter().zip(&group[1..]) {
                 rows.push(CalmRow {
                     workload: w.name.to_string(),
                     system: sys_name.to_string(),
                     mechanism: mech.label(),
-                    speedup_vs_serial: r.speedup_over(&serial),
+                    speedup_vs_serial: r.speedup_over(serial),
                     false_pos_per_mem_access: r.calm.false_pos_per_mem_access(),
                     false_neg_per_llc_miss: r.calm.false_neg_per_llc_miss(),
                 });
@@ -380,22 +378,15 @@ pub struct VariantRow {
 
 /// Fig. 8: COAXIAL-2x / -4x / -asym vs. the DDR baseline.
 pub fn fig8_variants(budget: Budget) -> Vec<VariantRow> {
-    let specs: Vec<RunSpec> = Workload::all()
-        .iter()
-        .flat_map(|w| {
-            [
-                budget.spec(SystemConfig::ddr_baseline(), w),
-                budget.spec(SystemConfig::coaxial_2x(), w),
-                budget.spec(SystemConfig::coaxial_4x(), w),
-                budget.spec(SystemConfig::coaxial_5x(), w),
-                budget.spec(SystemConfig::coaxial_asym(), w),
-            ]
-        })
-        .collect();
-    let reports = runner::run_all(&specs);
-    Workload::all()
-        .iter()
-        .zip(reports.chunks_exact(5))
+    let configs = [
+        SystemConfig::ddr_baseline(),
+        SystemConfig::coaxial_2x(),
+        SystemConfig::coaxial_4x(),
+        SystemConfig::coaxial_5x(),
+        SystemConfig::coaxial_asym(),
+    ];
+    run_grid(Workload::all(), &configs, budget)
+        .into_iter()
         .map(|(w, rs)| {
             let base = &rs[0];
             VariantRow {
@@ -422,21 +413,11 @@ pub struct LatencyRow {
 /// Fig. 10: COAXIAL-4x speedup under different unloaded CXL latency
 /// budgets (the paper's 50/70 ns, plus §VII's 10 ns OMI projection).
 pub fn fig10_latency_sensitivity(latencies_ns: &[f64], budget: Budget) -> Vec<LatencyRow> {
-    let per_wl = 1 + latencies_ns.len();
-    let specs: Vec<RunSpec> = Workload::all()
-        .iter()
-        .flat_map(|w| {
-            std::iter::once(budget.spec(SystemConfig::ddr_baseline(), w)).chain(
-                latencies_ns.iter().map(move |&ns| {
-                    budget.spec(SystemConfig::coaxial_4x().with_cxl_latency_ns(ns), w)
-                }),
-            )
-        })
+    let configs: Vec<SystemConfig> = std::iter::once(SystemConfig::ddr_baseline())
+        .chain(latencies_ns.iter().map(|&ns| SystemConfig::coaxial_4x().with_cxl_latency_ns(ns)))
         .collect();
-    let reports = runner::run_all(&specs);
-    Workload::all()
-        .iter()
-        .zip(reports.chunks_exact(per_wl))
+    run_grid(Workload::all(), &configs, budget)
+        .into_iter()
         .map(|(w, rs)| {
             let base = &rs[0];
             let speedups = latencies_ns
@@ -462,21 +443,17 @@ pub struct UtilizationRow {
 /// Fig. 11: vary the number of active cores; normalize COAXIAL to the
 /// baseline *at the same utilization*.
 pub fn fig11_core_utilization(active: &[usize], budget: Budget) -> Vec<UtilizationRow> {
-    let specs: Vec<RunSpec> = Workload::all()
+    let configs: Vec<SystemConfig> = active
         .iter()
-        .flat_map(|w| {
-            active.iter().flat_map(move |&n| {
-                [
-                    budget.spec(SystemConfig::ddr_baseline().with_active_cores(n), w),
-                    budget.spec(SystemConfig::coaxial_4x().with_active_cores(n), w),
-                ]
-            })
+        .flat_map(|&n| {
+            [
+                SystemConfig::ddr_baseline().with_active_cores(n),
+                SystemConfig::coaxial_4x().with_active_cores(n),
+            ]
         })
         .collect();
-    let reports = runner::run_all(&specs);
-    Workload::all()
-        .iter()
-        .zip(reports.chunks_exact(2 * active.len()))
+    run_grid(Workload::all(), &configs, budget)
+        .into_iter()
         .map(|(w, rs)| {
             let speedups = active
                 .iter()
@@ -598,27 +575,25 @@ pub fn dram_timing_scale(
     workload_names: &[&str],
     budget: Budget,
 ) -> Vec<TimingScaleRow> {
-    let ws = named_workloads(workload_names);
-    let specs: Vec<RunSpec> = factors
+    let configs: Vec<SystemConfig> = factors
         .iter()
         .flat_map(|&f| {
             let dram = DramConfig::ddr5_4800().with_timing_scale(f);
-            ws.iter().copied().flat_map(move |w| {
-                [
-                    budget.spec(SystemConfig::ddr_baseline().with_dram(dram.clone()), w),
-                    budget.spec(SystemConfig::coaxial_4x().with_dram(dram.clone()), w),
-                ]
-            })
+            [
+                SystemConfig::ddr_baseline().with_dram(dram.clone()),
+                SystemConfig::coaxial_4x().with_dram(dram),
+            ]
         })
         .collect();
-    let reports = runner::run_all(&specs);
+    let grid = run_grid(named_workloads(workload_names), &configs, budget);
+    let ipc = |i: usize| geomean(grid.iter().map(|(_, rs)| rs[i].ipc));
     factors
         .iter()
-        .zip(reports.chunks_exact(2 * ws.len()))
-        .map(|(&factor, rs)| TimingScaleRow {
+        .enumerate()
+        .map(|(k, &factor)| TimingScaleRow {
             factor,
-            base_geomean_ipc: geomean(rs.chunks_exact(2).map(|p| p[0].ipc)),
-            coax_geomean_ipc: geomean(rs.chunks_exact(2).map(|p| p[1].ipc)),
+            base_geomean_ipc: ipc(2 * k),
+            coax_geomean_ipc: ipc(2 * k + 1),
         })
         .collect()
 }
@@ -640,27 +615,22 @@ pub fn core_scaling(
     workload_names: &[&str],
     budget: Budget,
 ) -> Vec<CoreScalingRow> {
-    let ws = named_workloads(workload_names);
-    let specs: Vec<RunSpec> = cores
+    let configs: Vec<SystemConfig> = cores
         .iter()
         .flat_map(|&n| {
-            ws.iter().copied().flat_map(move |w| {
-                [
-                    budget.spec(SystemConfig::ddr_baseline().with_cores(n), w),
-                    budget.spec(SystemConfig::coaxial_4x().with_cores(n), w),
-                ]
-            })
+            [SystemConfig::ddr_baseline().with_cores(n), SystemConfig::coaxial_4x().with_cores(n)]
         })
         .collect();
-    let reports = runner::run_all(&specs);
+    let grid = run_grid(named_workloads(workload_names), &configs, budget);
+    let pairs = |k: usize| grid.iter().map(move |(_, rs)| (&rs[2 * k], &rs[2 * k + 1]));
     cores
         .iter()
-        .zip(reports.chunks_exact(2 * ws.len()))
-        .map(|(&n, rs)| CoreScalingRow {
+        .enumerate()
+        .map(|(k, &n)| CoreScalingRow {
             cores: n,
-            base_geomean_ipc: geomean(rs.chunks_exact(2).map(|p| p[0].ipc)),
-            coax_geomean_ipc: geomean(rs.chunks_exact(2).map(|p| p[1].ipc)),
-            speedup: geomean(rs.chunks_exact(2).map(|p| p[1].speedup_over(&p[0]))),
+            base_geomean_ipc: geomean(pairs(k).map(|(b, _)| b.ipc)),
+            coax_geomean_ipc: geomean(pairs(k).map(|(_, c)| c.ipc)),
+            speedup: geomean(pairs(k).map(|(b, c)| c.speedup_over(b))),
         })
         .collect()
 }
@@ -684,26 +654,17 @@ pub fn prefetch_sweep(
     workload_names: &[&str],
     budget: Budget,
 ) -> Vec<PrefetchRow> {
-    let ws = named_workloads(workload_names);
-    let specs: Vec<RunSpec> = ws
-        .iter()
-        .copied()
-        .flat_map(|w| {
-            let mut group = vec![
-                budget.spec(SystemConfig::ddr_baseline(), w),
-                budget.spec(SystemConfig::coaxial_4x(), w),
-            ];
-            for &p in policies {
-                group.push(budget.spec(SystemConfig::ddr_baseline().with_prefetch(p), w));
-                group.push(budget.spec(SystemConfig::coaxial_4x().with_prefetch(p), w));
-            }
-            group
+    let configs: Vec<SystemConfig> = std::iter::once(PrefetchPolicy::None)
+        .chain(policies.iter().copied())
+        .flat_map(|p| {
+            [
+                SystemConfig::ddr_baseline().with_prefetch(p),
+                SystemConfig::coaxial_4x().with_prefetch(p),
+            ]
         })
         .collect();
-    let reports = runner::run_all(&specs);
-    let group = 2 + 2 * policies.len();
     let mut rows = Vec::new();
-    for (w, rs) in ws.iter().zip(reports.chunks_exact(group)) {
+    for (w, rs) in run_grid(named_workloads(workload_names), &configs, budget) {
         let (base0, coax0) = (rs[0].ipc.max(1e-9), rs[1].ipc.max(1e-9));
         for (pi, p) in policies.iter().enumerate() {
             rows.push(PrefetchRow {
@@ -715,6 +676,33 @@ pub fn prefetch_sweep(
         }
     }
     rows
+}
+
+/// One workload's L2 MSHR-count row: COAXIAL-4x IPC at each count,
+/// relative to COAXIAL-4x at its default count (the per-core MLP ceiling).
+#[derive(Debug, Clone)]
+pub struct MshrRow {
+    pub workload: String,
+    /// (MSHRs per L2, IPC relative to the default count), in the order
+    /// requested.
+    pub rel_ipc: Vec<(usize, f64)>,
+}
+
+/// Run COAXIAL-4x at each L2 MSHR count across the workload set.
+pub fn mshr_sweep(counts: &[usize], workload_names: &[&str], budget: Budget) -> Vec<MshrRow> {
+    let configs: Vec<SystemConfig> = std::iter::once(SystemConfig::coaxial_4x())
+        .chain(counts.iter().map(|&n| SystemConfig::coaxial_4x().with_l2_mshrs(n)))
+        .collect();
+    run_grid(named_workloads(workload_names), &configs, budget)
+        .into_iter()
+        .map(|(w, rs)| {
+            let base = rs[0].ipc.max(1e-9);
+            MshrRow {
+                workload: w.name.to_string(),
+                rel_ipc: counts.iter().zip(&rs[1..]).map(|(&n, r)| (n, r.ipc / base)).collect(),
+            }
+        })
+        .collect()
 }
 
 /// One RNG-seed sensitivity row.
@@ -733,20 +721,15 @@ pub fn seed_stability(
     workload_names: &[&str],
     budget: Budget,
 ) -> Vec<SeedStabilityRow> {
-    let ws = named_workloads(workload_names);
-    let specs: Vec<RunSpec> = seeds
-        .iter()
-        .flat_map(|&s| {
-            ws.iter().copied().map(move |w| budget.spec(SystemConfig::coaxial_4x().with_seed(s), w))
-        })
-        .collect();
-    let reports = runner::run_all(&specs);
+    let configs: Vec<SystemConfig> =
+        seeds.iter().map(|&s| SystemConfig::coaxial_4x().with_seed(s)).collect();
+    let grid = run_grid(named_workloads(workload_names), &configs, budget);
     seeds
         .iter()
-        .zip(reports.chunks_exact(ws.len()))
-        .map(|(&seed, rs)| SeedStabilityRow {
+        .enumerate()
+        .map(|(k, &seed)| SeedStabilityRow {
             seed,
-            geomean_ipc: geomean(rs.iter().map(|r| r.ipc)),
+            geomean_ipc: geomean(grid.iter().map(|(_, rs)| rs[k].ipc)),
         })
         .collect()
 }
@@ -779,13 +762,10 @@ pub fn sampling_accuracy(
     budget: Budget,
     scfg: &crate::sampling::SamplingConfig,
 ) -> Vec<SamplingRow> {
-    let ws = named_workloads(workload_names);
-    let full = runner::run_all(
-        &ws.iter().copied().map(|w| budget.spec(SystemConfig::coaxial_4x(), w)).collect::<Vec<_>>(),
-    );
-    ws.iter()
-        .zip(full)
-        .map(|(w, f)| {
+    run_grid(named_workloads(workload_names), &[SystemConfig::coaxial_4x()], budget)
+        .into_iter()
+        .map(|(w, full)| {
+            let f = &full[0];
             let sr = Simulation::new(SystemConfig::coaxial_4x(), w)
                 .instructions_per_core(budget.instructions)
                 .warmup(budget.warmup)
@@ -812,97 +792,6 @@ pub fn sampling_accuracy(
         .collect()
 }
 
-// ───────────────────────── Named dispatch ────────────────────
-
-/// Experiment names accepted by [`run_named`], in `coaxial exp` help order.
-pub const EXPERIMENT_NAMES: &[&str] = &[
-    "fig2a",
-    "baseline",
-    "fig5",
-    "fig6",
-    "fig6-weighted",
-    "fig7",
-    "fig8",
-    "fig10",
-    "fig11",
-    "dram-timing",
-    "core-scaling",
-    "prefetch",
-    "seeds",
-    "sampling",
-];
-
-fn debug_rows<T: std::fmt::Debug>(rows: &[T]) -> String {
-    rows.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>().join("\n")
-}
-
-/// Run the named experiment at `budget` and render its rows as text — the
-/// `coaxial exp <name>` entry point. Every public runner in this module
-/// must stay reachable from here or a bespoke subcommand (lint E05
-/// enforces that workspace-wide), so an experiment is not "done" until it
-/// has a name. Returns `None` for an unknown name; see
-/// [`EXPERIMENT_NAMES`].
-///
-/// Arguments beyond the budget use laptop-scale defaults — these arms are
-/// smoke-runnable entry points, not the full paper sweeps (the
-/// `coaxial-bench` targets own those).
-pub fn run_named(name: &str, budget: Budget) -> Option<String> {
-    Some(match name {
-        "fig2a" => debug_rows(&fig2a_load_latency(&[0.2, 0.4, 0.6, 0.8], 200_000)),
-        "baseline" => debug_rows(&baseline_characterization(budget)),
-        "fig5" => {
-            let cmp = fig5_main(budget);
-            let t5 = table5_inputs(&cmp);
-            let lines: Vec<String> = cmp
-                .iter()
-                .map(|r| format!("{:<15} speedup {:.3}", r.workload, r.speedup))
-                .collect();
-            format!("{}\ngeomean speedup {:.3}\n{t5:?}", lines.join("\n"), geomean_speedup(&cmp))
-        }
-        "fig6" => debug_rows(&fig6_mixes(4, budget)),
-        "fig6-weighted" => debug_rows(&fig6_mixes_full(2, budget, true)),
-        "fig7" => {
-            let mechs: Vec<String> =
-                calm_mechanisms().iter().map(|m| m.label().to_string()).collect();
-            format!(
-                "mechanisms: {}\n{}",
-                mechs.join(", "),
-                debug_rows(&fig7_calm(&["mcf", "stream-add"], budget))
-            )
-        }
-        "fig8" => debug_rows(&fig8_variants(budget)),
-        "fig10" => debug_rows(&fig10_latency_sensitivity(&[10.0, 50.0, 90.0], budget)),
-        "fig11" => debug_rows(&fig11_core_utilization(&[4, 8, 12], budget)),
-        "dram-timing" => {
-            let rows = dram_timing_scale(&[0.75, 1.0, 1.5], &["stream-add", "mcf"], budget);
-            format!(
-                "{}\ncoax geomean of geomeans {:.3}",
-                debug_rows(&rows),
-                geomean(rows.iter().map(|r| r.coax_geomean_ipc))
-            )
-        }
-        "core-scaling" => debug_rows(&core_scaling(&[6, 12], &["mcf"], budget)),
-        "prefetch" => debug_rows(&prefetch_sweep(
-            &[PrefetchPolicy::NextLine { degree: 2 }],
-            &["stream-add"],
-            budget,
-        )),
-        "seeds" => debug_rows(&seed_stability(&[1, 2, 3], &["mcf"], budget)),
-        "sampling" => {
-            // Laptop-scale interval shape; warm == measure per the bias
-            // calibration in the sampling module docs.
-            let scfg = crate::sampling::SamplingConfig {
-                intervals: 5,
-                measure: 2_000,
-                warm: 2_000,
-                ci_target: 0.0,
-            };
-            debug_rows(&sampling_accuracy(&["mcf", "stream-add"], budget, &scfg))
-        }
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -920,13 +809,6 @@ mod tests {
         assert!(tail_growth > mean_growth, "tail {tail_growth:.2}x vs mean {mean_growth:.2}x");
         // Unloaded latency is DRAM-like (tens of ns).
         assert!(pts[0].avg_ns > 15.0 && pts[0].avg_ns < 80.0, "{}", pts[0].avg_ns);
-    }
-
-    #[test]
-    fn run_named_dispatches_known_names_only() {
-        assert!(run_named("not-an-experiment", Budget::quick()).is_none());
-        let out = run_named("fig2a", Budget::quick()).expect("fig2a is dispatchable");
-        assert!(out.contains("LoadLatencyPoint"), "{out}");
     }
 
     #[test]
@@ -978,6 +860,14 @@ mod tests {
         );
         assert_eq!(rows.len(), 1);
         assert!(rows[0].base_rel_ipc > 0.0 && rows[0].coax_rel_ipc > 0.0, "{rows:#?}");
+    }
+
+    #[test]
+    fn fewer_l2_mshrs_throttle_a_stream_workload() {
+        let rows = mshr_sweep(&[2], &["stream-add"], Budget::quick());
+        let (n, rel) = rows[0].rel_ipc[0];
+        assert_eq!(n, 2);
+        assert!(rel < 0.9, "2 MSHRs must cap a bandwidth-bound workload's MLP: {rows:#?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | Table III (parameters)        | [`config::SystemConfig`] |
 //! | Table IV (workloads)          | [`experiments::baseline_characterization`] |
 //! | Fig. 5 (main results)         | [`experiments::fig5_main`] |
-//! | Fig. 6 (mixes)                | [`experiments::fig6_mixes`] |
+//! | Fig. 6 (mixes)                | [`experiments::fig6_mixes_full`] |
 //! | Fig. 7 (CALM sensitivity)     | [`experiments::fig7_calm`] |
 //! | Fig. 8 (COAXIAL variants)     | [`experiments::fig8_variants`] |
 //! | Fig. 9 (R/W bandwidth)        | [`experiments::baseline_characterization`] |

@@ -58,7 +58,7 @@
 //! fast biased estimate is acceptable.
 
 use coaxial_cache::hierarchy::trace_pid;
-use coaxial_cache::{HierStats, Hierarchy, HierarchyConfig};
+use coaxial_cache::{HierStats, Hierarchy};
 use coaxial_cpu::{functional_advance, Core, CoreParams, TraceSource};
 use coaxial_cxl::CxlMemory;
 use coaxial_dram::{ChannelStats, MemoryBackend, MultiChannel};
@@ -67,7 +67,7 @@ use coaxial_telemetry::{MetricsRegistry, NullTelemetry, TelemetrySink, TraceEven
 
 use crate::config::MemorySystemKind;
 use crate::engine::{self, EngineKind, RunParams};
-use crate::server::{checkpoint_metrics, RunReport, Simulation};
+use crate::server::{checkpoint_metrics, RunReport, Simulation, Window};
 
 /// Shape of one sampled run: how many intervals, and how the per-core
 /// instruction stride splits into fast-forward / detailed warm-up /
@@ -251,22 +251,8 @@ fn drive<B: MemoryBackend, T: TelemetrySink>(
     tel: T,
     make_backend: &mut dyn FnMut() -> B,
 ) -> (SampledReport, T, MetricsRegistry) {
-    let cfg = &sim.config;
-    let func = &cfg.functional;
-    let hier_cfg = HierarchyConfig {
-        mem_channels: cfg.ddr_channels(),
-        seed: func.seed ^ 0x11EC,
-        calm_epoch: cfg.timing.calm_epoch,
-        prefetch: cfg.timing.prefetch,
-        ..HierarchyConfig::table_iii(
-            func.cores,
-            cfg.ddr_channels(),
-            func.llc_mb_per_core,
-            cfg.peak_bandwidth_gbs(),
-            cfg.timing.calm,
-        )
-    };
-    let mut hierarchy = Hierarchy::with_telemetry(hier_cfg, make_backend(), tel);
+    let func = &sim.config.functional;
+    let mut hierarchy = Hierarchy::with_telemetry(sim.hierarchy_config(), make_backend(), tel);
     // One functional prefill up front, exactly like a full-detail run
     // (checkpoint store and all). `finish_prefill` is deferred: the first
     // interval's fast-forward continues the same functional stream, and one
@@ -389,19 +375,6 @@ fn drive<B: MemoryBackend, T: TelemetrySink>(
     let nrun = intervals_run.max(1) as f64;
     agg_hier.l1_hit_ratio = l1_ratio_sum / nrun;
     agg_hier.l2_hit_ratio = l2_ratio_sum / nrun;
-    let per_core_ipc: Vec<f64> = per_core_sum.iter().map(|s| s / nrun).collect();
-    let mpki = if total_instr == 0 {
-        0.0
-    } else {
-        agg_hier.llc_misses as f64 * 1000.0 / total_instr as f64
-    };
-    let window_ns = coaxial_sim::cycles_to_ns(agg_ddr.elapsed_cycles);
-    let (read_gbs, write_gbs) = if window_ns > 0.0 {
-        (agg_ddr.read_bytes as f64 / window_ns, agg_ddr.write_bytes as f64 / window_ns)
-    } else {
-        (0.0, 0.0)
-    };
-    let peak = cfg.peak_bandwidth_gbs();
     let cxl_link_utilization = link_util_sum.map(|(a, b)| {
         if link_weight > 0.0 {
             (a / link_weight, b / link_weight)
@@ -409,27 +382,17 @@ fn drive<B: MemoryBackend, T: TelemetrySink>(
             (0.0, 0.0)
         }
     });
-    let report = RunReport {
-        config_name: cfg.name.clone(),
-        workload_names: sim.workload_names(),
+    let report = sim.report(Window {
         ipc: series.mean(),
-        per_core_ipc,
-        mpki,
-        breakdown_ns: agg_hier.breakdown_ns(),
-        l2_miss_latency_ns: coaxial_sim::cycles_f64_to_ns(agg_hier.mean_l2_miss_latency_cycles()),
-        read_gbs,
-        write_gbs,
-        utilization: (read_gbs + write_gbs) / peak,
-        bandwidth_gbs: read_gbs + write_gbs,
-        llc_miss_ratio: agg_hier.llc_miss_ratio(),
-        cxl_link_utilization,
-        calm: agg_hier.calm,
+        per_core_ipc: per_core_sum.iter().map(|s| s / nrun).collect(),
         hier: agg_hier,
         ddr: agg_ddr,
+        retired: total_instr,
+        cxl_link_utilization,
         // Sum of measured-window lengths (each interval restarts at 0).
         cycles: cycles_total,
         instructions: scfg.measure * intervals_run,
-    };
+    });
     let sampling = SamplingSummary {
         intervals_planned: scfg.intervals,
         intervals_run,

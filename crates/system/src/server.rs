@@ -317,6 +317,20 @@ pub fn checkpoint_metrics(reg: &mut MetricsRegistry) {
     reg.set_gauge("server.checkpoint.budget_over_cliff", f64::from(u8::from(over)));
 }
 
+/// Raw counters of one measured window — a full-detail run, or a sampled
+/// run's aggregate over its intervals — for [`Simulation::report`].
+pub(crate) struct Window {
+    pub(crate) ipc: f64,
+    pub(crate) per_core_ipc: Vec<f64>,
+    pub(crate) hier: HierStats,
+    pub(crate) ddr: ChannelStats,
+    /// Instructions retired inside the window, summed over cores.
+    pub(crate) retired: u64,
+    pub(crate) cxl_link_utilization: Option<(f64, f64)>,
+    pub(crate) cycles: Cycle,
+    pub(crate) instructions: u64,
+}
+
 /// Builder for one simulation run. Fields are `pub(crate)` so the sampling
 /// driver (`crate::sampling`) can reuse the builder, the prefill path, and
 /// the trace plumbing without widening the public API.
@@ -444,24 +458,15 @@ impl Simulation {
 
     /// Run to completion and report.
     pub fn run(self) -> RunReport {
-        match &self.config.timing.memory {
-            MemorySystemKind::DirectDdr { channels } => {
-                let backend = MultiChannel::new(&self.config.timing.dram, *channels);
-                self.run_with(backend)
-            }
-            MemorySystemKind::Cxl { link, channels } => {
-                let backend = CxlMemory::new(link, &self.config.timing.dram, *channels);
-                self.run_with(backend)
-            }
-        }
+        self.run_with_telemetry(NullTelemetry).0
     }
 
     /// Run with a telemetry sink attached. Returns the (unchanged)
     /// [`RunReport`], the sink carrying whatever it recorded, and a
     /// [`MetricsRegistry`] snapshot of hierarchy, backend, and prefill-cache
-    /// metrics. `run()` is exactly `run_with_telemetry(NullTelemetry).0`
-    /// minus the registry harvest, so figure/table outputs are byte-identical
-    /// whether or not telemetry is attached.
+    /// metrics. `run()` is exactly `run_with_telemetry(NullTelemetry).0`, so
+    /// figure/table outputs are byte-identical whether or not telemetry is
+    /// attached.
     pub fn run_with_telemetry<T: TelemetrySink>(self, tel: T) -> (RunReport, T, MetricsRegistry) {
         match &self.config.timing.memory {
             MemorySystemKind::DirectDdr { channels } => {
@@ -475,8 +480,61 @@ impl Simulation {
         }
     }
 
-    fn run_with<B: MemoryBackend>(self, backend: B) -> RunReport {
-        self.run_with_sink(backend, NullTelemetry).0
+    /// Table III around this config's channels, LLC and CALM policy, with
+    /// its timing knobs applied: the hierarchy both the full-detail and the
+    /// sampled driver build.
+    pub(crate) fn hierarchy_config(&self) -> HierarchyConfig {
+        let cfg = &self.config;
+        let func = &cfg.functional;
+        HierarchyConfig {
+            mem_channels: cfg.ddr_channels(),
+            seed: func.seed ^ 0x11EC,
+            calm_epoch: cfg.timing.calm_epoch,
+            prefetch: cfg.timing.prefetch,
+            l2_mshrs: cfg.timing.l2_mshrs,
+            ..HierarchyConfig::table_iii(
+                func.cores,
+                cfg.ddr_channels(),
+                func.llc_mb_per_core,
+                cfg.peak_bandwidth_gbs(),
+                cfg.timing.calm,
+            )
+        }
+    }
+
+    /// Turn a measured window's counters into a [`RunReport`]: the one
+    /// place MPKI, bandwidth and utilization are derived, for full-detail
+    /// and sampled runs alike.
+    pub(crate) fn report(&self, w: Window) -> RunReport {
+        let mpki =
+            if w.retired == 0 { 0.0 } else { w.hier.llc_misses as f64 * 1000.0 / w.retired as f64 };
+        let window_ns = coaxial_sim::cycles_to_ns(w.ddr.elapsed_cycles);
+        let (read_gbs, write_gbs) = if window_ns > 0.0 {
+            (w.ddr.read_bytes as f64 / window_ns, w.ddr.write_bytes as f64 / window_ns)
+        } else {
+            (0.0, 0.0)
+        };
+        let peak = self.config.peak_bandwidth_gbs();
+        RunReport {
+            config_name: self.config.name.clone(),
+            workload_names: self.workload_names(),
+            ipc: w.ipc,
+            per_core_ipc: w.per_core_ipc,
+            mpki,
+            breakdown_ns: w.hier.breakdown_ns(),
+            l2_miss_latency_ns: coaxial_sim::cycles_f64_to_ns(w.hier.mean_l2_miss_latency_cycles()),
+            read_gbs,
+            write_gbs,
+            utilization: (read_gbs + write_gbs) / peak,
+            bandwidth_gbs: read_gbs + write_gbs,
+            llc_miss_ratio: w.hier.llc_miss_ratio(),
+            cxl_link_utilization: w.cxl_link_utilization,
+            calm: w.hier.calm,
+            hier: w.hier,
+            ddr: w.ddr,
+            cycles: w.cycles,
+            instructions: w.instructions,
+        }
     }
 
     /// Functional cache prefill: stand-in for the paper's 50 M-instruction
@@ -612,22 +670,8 @@ impl Simulation {
         backend: B,
         tel: T,
     ) -> (RunReport, T, MetricsRegistry) {
-        let cfg = &self.config;
-        let func = &cfg.functional;
-        let hier_cfg = HierarchyConfig {
-            mem_channels: cfg.ddr_channels(),
-            seed: func.seed ^ 0x11EC,
-            calm_epoch: cfg.timing.calm_epoch,
-            prefetch: cfg.timing.prefetch,
-            ..HierarchyConfig::table_iii(
-                func.cores,
-                cfg.ddr_channels(),
-                func.llc_mb_per_core,
-                cfg.peak_bandwidth_gbs(),
-                cfg.timing.calm,
-            )
-        };
-        let mut hierarchy = Hierarchy::with_telemetry(hier_cfg, backend, tel);
+        let func = &self.config.functional;
+        let mut hierarchy = Hierarchy::with_telemetry(self.hierarchy_config(), backend, tel);
 
         #[expect(
             clippy::disallowed_types,
@@ -686,44 +730,16 @@ impl Simulation {
             .enumerate()
             .map(|(i, c)| finish_ipc[i].unwrap_or_else(|| c.ipc()))
             .collect();
-        let ipc = per_core_ipc.iter().sum::<f64>() / per_core_ipc.len() as f64;
-
-        let hier = hierarchy.stats();
-        let ddr = hierarchy.backend().ddr_stats();
-        let total_instr: u64 = cores.iter().map(|c| c.retired.min(self.instructions)).sum();
-        let mpki = if total_instr == 0 {
-            0.0
-        } else {
-            hier.llc_misses as f64 * 1000.0 / total_instr as f64
-        };
-        let breakdown_ns = hier.breakdown_ns();
-        let window_ns = coaxial_sim::cycles_to_ns(ddr.elapsed_cycles);
-        let (read_gbs, write_gbs) = if window_ns > 0.0 {
-            (ddr.read_bytes as f64 / window_ns, ddr.write_bytes as f64 / window_ns)
-        } else {
-            (0.0, 0.0)
-        };
-        let peak = cfg.peak_bandwidth_gbs();
-        let report = RunReport {
-            config_name: cfg.name.clone(),
-            workload_names: self.workload_names(),
-            ipc,
+        let report = self.report(Window {
+            ipc: per_core_ipc.iter().sum::<f64>() / per_core_ipc.len() as f64,
             per_core_ipc,
-            mpki,
-            breakdown_ns,
-            l2_miss_latency_ns: coaxial_sim::cycles_f64_to_ns(hier.mean_l2_miss_latency_cycles()),
-            read_gbs,
-            write_gbs,
-            utilization: (read_gbs + write_gbs) / peak,
-            bandwidth_gbs: read_gbs + write_gbs,
-            llc_miss_ratio: hier.llc_miss_ratio(),
+            hier: hierarchy.stats(),
+            ddr: hierarchy.backend().ddr_stats(),
+            retired: cores.iter().map(|c| c.retired.min(self.instructions)).sum(),
             cxl_link_utilization: hierarchy.backend().link_utilization(),
-            calm: hier.calm,
-            hier,
-            ddr,
             cycles: now,
             instructions: self.instructions,
-        };
+        });
         // Harvest-time metrics snapshot: hierarchy counters, backend
         // per-channel counters, and the process-wide prefill caches.
         let mut metrics = MetricsRegistry::new();

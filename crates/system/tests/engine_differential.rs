@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 
 use coaxial_sim::{KeyHasher, SplitMix64};
-use coaxial_system::{EngineKind, Simulation, SystemConfig};
+use coaxial_system::{ConfigError, EngineKind, Simulation, SystemConfig};
 use coaxial_telemetry::TelemetryRecorder;
 use coaxial_workloads::Workload;
 
@@ -167,8 +167,11 @@ fn engine_env_override_is_honoured_and_validated() {
     // fall back. Exercised via the parse layer only: tests share one
     // process environment, so we never set the variable here.
     assert_eq!(EngineKind::from_env().name(), "event");
-    assert_eq!(EngineKind::parse(Some("lockstep")).name(), "lockstep");
-    assert_eq!(EngineKind::parse(Some("EVENT")).name(), "event");
-    assert_eq!(EngineKind::parse(None).name(), "event");
-    assert!(std::panic::catch_unwind(|| EngineKind::parse(Some("typo"))).is_err());
+    assert_eq!(EngineKind::parse(Some("lockstep")), Ok(EngineKind::Lockstep));
+    assert_eq!(EngineKind::parse(Some("EVENT")), Ok(EngineKind::Event));
+    assert_eq!(EngineKind::parse(None), Ok(EngineKind::Event));
+    assert_eq!(
+        EngineKind::parse(Some("typo")),
+        Err(ConfigError::UnknownEngine("typo".to_string()))
+    );
 }

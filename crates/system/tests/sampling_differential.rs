@@ -20,7 +20,15 @@
 //!    before the planned interval count, a zero target never does, and
 //!    the instruction accounting (detail + fast-forward vs horizon)
 //!    stays consistent either way.
+//!
+//! Two of the accuracy sweep's sampled reports, one on the DDR baseline
+//! and one on COAXIAL-4x, are also pinned across commits: their FNV-1a-128
+//! digests must equal the lines in `tests/golden_sampled_digests.txt`, the
+//! way `engine_differential` pins the full-detail runs.
 
+use std::collections::BTreeMap;
+
+use coaxial_sim::KeyHasher;
 use coaxial_system::{EngineKind, SampledReport, SamplingConfig, Simulation, SystemConfig};
 use coaxial_workloads::Workload;
 
@@ -64,8 +72,30 @@ fn run_sampled(cfg: SystemConfig, w: &'static Workload, kind: EngineKind) -> Sam
     Simulation::new(cfg, w).instructions_per_core(HORIZON).engine(kind).run_sampled(&scfg())
 }
 
+/// Registry indices whose sampled report is pinned: `config_for` puts
+/// index 0 on the DDR baseline and index 2 on COAXIAL-4x.
+const PINNED: [usize; 2] = [0, 2];
+/// One `<workload> <digest>` line per pinned run.
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_sampled_digests.txt");
+const REGENERATE: &str = "cargo test -p coaxial-system --test sampling_differential -- --ignored \
+     regenerate_golden_sampled_digests";
+
+/// FNV-1a-128 of the whole `SampledReport`'s `Debug` text (every f64 bit).
+fn digest(r: &SampledReport) -> String {
+    let mut h = KeyHasher::new("golden-sampled");
+    h.write_str(&format!("{r:?}"));
+    format!("{:032x}", h.finish())
+}
+
 #[test]
 fn sampled_ipc_lands_within_ci_of_full_detail_on_every_workload() {
+    let golden: BTreeMap<String, String> = std::fs::read_to_string(GOLDEN)
+        .unwrap_or_default()
+        .lines()
+        .filter_map(|l| l.rsplit_once(' '))
+        .map(|(w, d)| (w.to_string(), d.to_string()))
+        .collect();
+    let mut mismatches = Vec::new();
     for (i, w) in Workload::all().iter().enumerate() {
         let cfg = config_for(i);
         let kind = engine_for(i);
@@ -94,7 +124,32 @@ fn sampled_ipc_lands_within_ci_of_full_detail_on_every_workload() {
             s.ipc_ci_half,
             0.06 * full.ipc
         );
+        if PINNED.contains(&i) {
+            let got = digest(&sampled);
+            let want = golden.get(w.name).map_or("(none)", String::as_str);
+            if want != got {
+                mismatches.push(format!("{label}: golden {want}, this run {got}"));
+            }
+        }
     }
+    assert!(
+        mismatches.is_empty(),
+        "sampled outputs moved against {GOLDEN}:\n{}\nif intended, regenerate it with\n  {REGENERATE}",
+        mismatches.join("\n")
+    );
+}
+
+#[test]
+#[ignore = "rewrites tests/golden_sampled_digests.txt"]
+fn regenerate_golden_sampled_digests() {
+    let lines: String = PINNED
+        .iter()
+        .map(|&i| {
+            let w = &Workload::all()[i];
+            format!("{} {}\n", w.name, digest(&run_sampled(config_for(i), w, engine_for(i))))
+        })
+        .collect();
+    std::fs::write(GOLDEN, lines).expect("write the golden sampled digests");
 }
 
 #[test]

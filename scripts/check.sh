@@ -114,6 +114,14 @@ if [ "$sampled_ms" -gt $((2 * full_ms)) ]; then
   exit 1
 fi
 
+echo "== coaxial exp =="
+# The paper front end from the CLI: `exp table2` is analytic (no
+# simulation), so this drives the coaxial_bench::paper functions the bench
+# targets share on every push.
+"$BIN" exp table2 > "$GWDIR/table2.txt"
+grep -q "=== Table II " "$GWDIR/table2.txt"
+echo "coaxial exp table2 printed its Table II banner"
+
 echo "== coaxial-lint =="
 # Workspace static analysis for the contracts clippy cannot express:
 # float cycle math (T02), zero-cost telemetry (Z01), the cross-file

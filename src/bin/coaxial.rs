@@ -12,7 +12,7 @@
 //! coaxial capture <workload> <file> [--ops N]
 //! coaxial replay <file> [opts]            # run a captured .cxtr trace
 //! coaxial checkpoint-stats [workload] [opts] # prefill checkpoint hit rate over two runs
-//! coaxial exp <name> [opts]               # one paper experiment by name
+//! coaxial exp <id> [opts]                 # one paper table/figure: fig5, table4, ablations…
 //! coaxial serve [serve options]           # HTTP gateway: POST /v1/run etc.
 //! coaxial http <METHOD> <url> [body]      # tiny HTTP client for scripts
 //!
@@ -41,7 +41,7 @@
 use std::process::exit;
 
 use coaxial::cpu::tracefile;
-use coaxial::system::experiments::{latency_breakdown, run_named, Budget, EXPERIMENT_NAMES};
+use coaxial::system::experiments::{latency_breakdown, Budget};
 use coaxial::system::runner::{run_all, RunSpec};
 use coaxial::system::{RunReport, SamplingConfig, SamplingSummary, Simulation, SystemConfig};
 use coaxial::telemetry::TelemetryRecorder;
@@ -472,18 +472,14 @@ fn main() {
             print_report(&sim.instructions_per_core(o.instr).warmup(o.warmup).run());
         }
         "exp" => {
-            let Some(name) = args.get(1) else { usage() };
+            // The same function the paper's bench target runs, so the two
+            // print the same bytes at the same budget.
+            let Some(id) = args.get(1) else { usage() };
             let o = parse_opts(&args[2..]);
             let budget = Budget { instructions: o.instr, warmup: o.warmup };
-            match run_named(name, budget) {
-                Some(out) => println!("{out}"),
-                None => {
-                    eprintln!(
-                        "unknown experiment '{name}' — available: {}",
-                        EXPERIMENT_NAMES.join(", ")
-                    );
-                    exit(2)
-                }
+            if let Err(e) = coaxial_bench::paper::run(id, budget) {
+                eprintln!("{e}");
+                exit(2)
             }
         }
         "serve" => {
