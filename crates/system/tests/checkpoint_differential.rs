@@ -16,6 +16,11 @@
 //! The disk tier round-trips the same `PrefillState` payload through an
 //! explicit `CheckpointStore` directory (no env coupling, so the test
 //! cannot race other tests over process-wide state).
+//!
+//! Each workload's cold run is also pinned across commits: its digest must
+//! equal the line in `tests/golden_checkpoint_digests.txt`.
+
+mod golden;
 
 use coaxial_cache::{Hierarchy, HierarchyConfig, PrefillState};
 use coaxial_sim::{CheckpointStore, Snapshot};
@@ -56,13 +61,41 @@ fn observe(kind: EngineKind, cfg: SystemConfig, w: &'static Workload) -> Observe
     }
 }
 
+impl Observed {
+    /// FNV-1a-128 over the report, the registry minus `engine.*` (skip
+    /// counters move with backend horizons, not with outputs) and the
+    /// ledger, as `engine_differential` pins its runs.
+    fn digest(&self) -> String {
+        let metrics = self.metrics.iter().filter(|m| !m.starts_with("engine."));
+        golden::digest(
+            "golden-run",
+            std::iter::once(&self.report)
+                .chain(metrics)
+                .chain([&self.requests])
+                .map(String::as_str),
+        )
+    }
+}
+
+/// One `<workload> <digest>` line per registry workload's cold run.
+const GOLDEN: &str = "golden_checkpoint_digests.txt";
+
+/// Workload `i`'s config. A per-workload seed unique to this test keeps
+/// the first run a guaranteed store miss even though the store is
+/// process-wide.
+fn config(i: usize) -> SystemConfig {
+    SystemConfig::coaxial_4x().with_seed(0xC4EC_0000 ^ (u64::try_from(i).unwrap() << 4))
+}
+
 #[test]
 fn restored_runs_are_byte_identical_to_cold_runs_on_every_workload() {
+    let mut pinned = golden::Golden::load(
+        GOLDEN,
+        "checkpoint_differential",
+        "regenerate_golden_checkpoint_digests",
+    );
     for (i, w) in Workload::all().iter().enumerate() {
-        // A per-workload seed unique to this test keeps the first run a
-        // guaranteed store miss even though the store is process-wide.
-        let seed = 0xC4EC_0000 ^ (u64::try_from(i).unwrap() << 4);
-        let cfg = || SystemConfig::coaxial_4x().with_seed(seed);
+        let cfg = || config(i);
         let cold = observe(EngineKind::Event, cfg(), w);
         let warm = observe(EngineKind::Event, cfg(), w);
         let oracle = observe(EngineKind::Lockstep, cfg(), w);
@@ -74,7 +107,21 @@ fn restored_runs_are_byte_identical_to_cold_runs_on_every_workload() {
             assert_eq!(cold.metrics, other.metrics, "{} ({label}): metrics diverged", w.name);
             assert_eq!(cold.requests, other.requests, "{} ({label}): ledgers diverged", w.name);
         }
+        pinned.check(w.name, w.name, &cold.digest());
     }
+    pinned.assert_clean();
+}
+
+#[test]
+#[ignore = "rewrites tests/golden_checkpoint_digests.txt"]
+fn regenerate_golden_checkpoint_digests() {
+    golden::write(
+        GOLDEN,
+        Workload::all()
+            .iter()
+            .enumerate()
+            .map(|(i, w)| (w.name.to_string(), observe(EngineKind::Event, config(i), w).digest())),
+    );
 }
 
 /// Geometry changes the functional slice, so a warmed snapshot must never

@@ -29,9 +29,9 @@
 //! committed in `tests/golden_digests.txt`. An intended model change
 //! regenerates that file and says why.
 
-use std::collections::BTreeMap;
+mod golden;
 
-use coaxial_sim::{KeyHasher, SplitMix64};
+use coaxial_sim::SplitMix64;
 use coaxial_system::{ConfigError, EngineKind, Simulation, SystemConfig};
 use coaxial_telemetry::TelemetryRecorder;
 use coaxial_workloads::Workload;
@@ -71,21 +71,20 @@ impl Observed {
     /// FNV-1a-128 over the report, the registry and the ledger. The
     /// registry leaves out `engine.*`: its skip counters rise whenever a
     /// backend horizon tightens, with every simulated output unchanged.
-    fn digest(&self) -> u128 {
-        let mut h = KeyHasher::new("golden-run");
-        h.write_str(&self.report);
-        for m in self.metrics.iter().filter(|m| !m.starts_with("engine.")) {
-            h.write_str(m);
-        }
-        h.write_str(&self.requests);
-        h.finish()
+    fn digest(&self) -> String {
+        let metrics = self.metrics.iter().filter(|m| !m.starts_with("engine."));
+        golden::digest(
+            "golden-run",
+            std::iter::once(&self.report)
+                .chain(metrics)
+                .chain([&self.requests])
+                .map(String::as_str),
+        )
     }
 }
 
 /// One `<workload> <digest>` line per registry workload.
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_digests.txt");
-const REGENERATE: &str =
-    "cargo test -p coaxial-system --test engine_differential -- --ignored regenerate_golden_digests";
+const GOLDEN: &str = "golden_digests.txt";
 
 /// Deterministic per-workload run parameters: the config/budget draw is
 /// seeded by the workload's registry index, so failures reproduce exactly.
@@ -122,13 +121,8 @@ fn runs() -> impl Iterator<Item = (&'static Workload, SystemConfig, (u64, u64))>
 
 #[test]
 fn event_engine_matches_lockstep_oracle_on_every_workload() {
-    let golden: BTreeMap<String, String> = std::fs::read_to_string(GOLDEN)
-        .unwrap_or_default()
-        .lines()
-        .filter_map(|l| l.rsplit_once(' '))
-        .map(|(w, d)| (w.to_string(), d.to_string()))
-        .collect();
-    let mut mismatches = Vec::new();
+    let mut pinned =
+        golden::Golden::load(GOLDEN, "engine_differential", "regenerate_golden_digests");
     for (w, cfg, budget) in runs() {
         let label = format!("{} on {} (instr={}, warmup={})", w.name, cfg.name, budget.0, budget.1);
         let oracle = observe(EngineKind::Lockstep, cfg.clone(), w, budget);
@@ -136,28 +130,20 @@ fn event_engine_matches_lockstep_oracle_on_every_workload() {
         assert_eq!(event.report, oracle.report, "{label}: RunReport diverged");
         assert_eq!(event.metrics, oracle.metrics, "{label}: metrics registry diverged");
         assert_eq!(event.requests, oracle.requests, "{label}: telemetry ledgers diverged");
-        let digest = format!("{:032x}", event.digest());
-        let want = golden.get(w.name).map_or("(none)", String::as_str);
-        if want != digest {
-            mismatches.push(format!("{label}: golden {want}, this run {digest}"));
-        }
+        pinned.check(w.name, &label, &event.digest());
     }
-    assert!(
-        mismatches.is_empty(),
-        "outputs moved against {GOLDEN}:\n{}\nif intended, regenerate it with\n  {REGENERATE}",
-        mismatches.join("\n")
-    );
+    pinned.assert_clean();
 }
 
 #[test]
 #[ignore = "rewrites tests/golden_digests.txt"]
 fn regenerate_golden_digests() {
-    let lines: String = runs()
-        .map(|(w, cfg, budget)| {
-            format!("{} {:032x}\n", w.name, observe(EngineKind::Event, cfg, w, budget).digest())
-        })
-        .collect();
-    std::fs::write(GOLDEN, lines).expect("write the golden digests");
+    golden::write(
+        GOLDEN,
+        runs().map(|(w, cfg, budget)| {
+            (w.name.to_string(), observe(EngineKind::Event, cfg, w, budget).digest())
+        }),
+    );
 }
 
 #[test]

@@ -26,9 +26,8 @@
 //! digests must equal the lines in `tests/golden_sampled_digests.txt`, the
 //! way `engine_differential` pins the full-detail runs.
 
-use std::collections::BTreeMap;
+mod golden;
 
-use coaxial_sim::KeyHasher;
 use coaxial_system::{EngineKind, SampledReport, SamplingConfig, Simulation, SystemConfig};
 use coaxial_workloads::Workload;
 
@@ -76,26 +75,17 @@ fn run_sampled(cfg: SystemConfig, w: &'static Workload, kind: EngineKind) -> Sam
 /// index 0 on the DDR baseline and index 2 on COAXIAL-4x.
 const PINNED: [usize; 2] = [0, 2];
 /// One `<workload> <digest>` line per pinned run.
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_sampled_digests.txt");
-const REGENERATE: &str = "cargo test -p coaxial-system --test sampling_differential -- --ignored \
-     regenerate_golden_sampled_digests";
+const GOLDEN: &str = "golden_sampled_digests.txt";
 
 /// FNV-1a-128 of the whole `SampledReport`'s `Debug` text (every f64 bit).
 fn digest(r: &SampledReport) -> String {
-    let mut h = KeyHasher::new("golden-sampled");
-    h.write_str(&format!("{r:?}"));
-    format!("{:032x}", h.finish())
+    golden::digest("golden-sampled", [format!("{r:?}").as_str()])
 }
 
 #[test]
 fn sampled_ipc_lands_within_ci_of_full_detail_on_every_workload() {
-    let golden: BTreeMap<String, String> = std::fs::read_to_string(GOLDEN)
-        .unwrap_or_default()
-        .lines()
-        .filter_map(|l| l.rsplit_once(' '))
-        .map(|(w, d)| (w.to_string(), d.to_string()))
-        .collect();
-    let mut mismatches = Vec::new();
+    let mut pinned =
+        golden::Golden::load(GOLDEN, "sampling_differential", "regenerate_golden_sampled_digests");
     for (i, w) in Workload::all().iter().enumerate() {
         let cfg = config_for(i);
         let kind = engine_for(i);
@@ -125,31 +115,22 @@ fn sampled_ipc_lands_within_ci_of_full_detail_on_every_workload() {
             0.06 * full.ipc
         );
         if PINNED.contains(&i) {
-            let got = digest(&sampled);
-            let want = golden.get(w.name).map_or("(none)", String::as_str);
-            if want != got {
-                mismatches.push(format!("{label}: golden {want}, this run {got}"));
-            }
+            pinned.check(w.name, &label, &digest(&sampled));
         }
     }
-    assert!(
-        mismatches.is_empty(),
-        "sampled outputs moved against {GOLDEN}:\n{}\nif intended, regenerate it with\n  {REGENERATE}",
-        mismatches.join("\n")
-    );
+    pinned.assert_clean();
 }
 
 #[test]
 #[ignore = "rewrites tests/golden_sampled_digests.txt"]
 fn regenerate_golden_sampled_digests() {
-    let lines: String = PINNED
-        .iter()
-        .map(|&i| {
+    golden::write(
+        GOLDEN,
+        PINNED.iter().map(|&i| {
             let w = &Workload::all()[i];
-            format!("{} {}\n", w.name, digest(&run_sampled(config_for(i), w, engine_for(i))))
-        })
-        .collect();
-    std::fs::write(GOLDEN, lines).expect("write the golden sampled digests");
+            (w.name.to_string(), digest(&run_sampled(config_for(i), w, engine_for(i))))
+        }),
+    );
 }
 
 #[test]

@@ -12,6 +12,11 @@
 //!   driver (prefill, warmup reset, cycle skipping included).
 //! * **Metrics** — the harvested registry agrees with the report's own
 //!   statistics and carries backend and prefill-cache counters.
+//! * **Golden trace** — the Chrome trace `coaxial trace mcf` writes at
+//!   this budget is pinned across commits by its digest in
+//!   `tests/golden_trace_digest.txt`.
+
+mod golden;
 
 use coaxial_system::experiments::{latency_breakdown, Budget};
 use coaxial_system::{RunReport, Simulation, SystemConfig};
@@ -135,4 +140,31 @@ fn breakdown_rows_conserve_latency_and_attribute_cxl() {
     };
     assert_eq!(link(&rows[0]), 0.0, "DDR baseline has no CXL component");
     assert!(link(&rows[1]) > 30.0, "COAXIAL pays the link premium: {}", link(&rows[1]));
+}
+
+const GOLDEN_TRACE: &str = "golden_trace_digest.txt";
+
+/// The Chrome trace JSON of mcf on COAXIAL-4x under the CLI's default
+/// trace window (`--trace-cap 65536`, whole run), and its digest.
+fn mcf_trace_digest() -> String {
+    let rec = TelemetryRecorder::new().with_trace_window(1 << 16, 0, u64::MAX);
+    let (_report, rec, _metrics) = sim(SystemConfig::coaxial_4x(), "mcf").run_with_telemetry(rec);
+    golden::digest("golden-trace", [rec.tracer.export_chrome_json().as_str()])
+}
+
+#[test]
+fn chrome_trace_matches_its_golden_digest() {
+    let mut pinned = golden::Golden::load(
+        GOLDEN_TRACE,
+        "telemetry_equivalence",
+        "regenerate_golden_trace_digest",
+    );
+    pinned.check("mcf", "mcf on COAXIAL-4x", &mcf_trace_digest());
+    pinned.assert_clean();
+}
+
+#[test]
+#[ignore = "rewrites tests/golden_trace_digest.txt"]
+fn regenerate_golden_trace_digest() {
+    golden::write(GOLDEN_TRACE, [("mcf".to_string(), mcf_trace_digest())]);
 }
