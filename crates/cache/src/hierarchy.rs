@@ -19,7 +19,7 @@
 //! measured total.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use coaxial_dram::{MemRequest, MemoryBackend};
 use coaxial_sim::{Cycle, Histogram};
@@ -33,7 +33,8 @@ use crate::mshr::Mshr;
 use crate::noc::Mesh;
 use crate::prefetch::{self, PrefetchPolicy, PrefetchStats, StrideTable};
 
-/// Identifier handed back for accesses that complete asynchronously.
+/// Caller token of a [`AccessResult::Pending`] access, handed back by
+/// [`Hierarchy::pop_completion`] when it completes.
 pub type AccessId = u64;
 
 /// Trace-lane (`pid`) convention for the event tracer: Perfetto renders a
@@ -58,9 +59,9 @@ pub mod trace_pid {
 pub enum AccessResult {
     /// The access completes at this (future) cycle; no callback will fire.
     Done(Cycle),
-    /// The access is memory-bound; completion arrives via
+    /// The access is memory-bound; its token comes back from
     /// [`Hierarchy::pop_completion`].
-    Pending(AccessId),
+    Pending,
     /// L2 MSHRs are full: the core must retry next cycle.
     Retry,
 }
@@ -151,12 +152,10 @@ struct Txn {
     mem_arrival: Option<Cycle>,
     /// Bring the line in dirty (a store among the waiters).
     wants_dirty: bool,
-    /// Accesses waiting on this transaction.
+    /// Tokens of the accesses waiting on this transaction.
     waiters: Vec<AccessId>,
     /// CALM transaction whose LLC lookup hit: memory data will be dropped.
     drop_mem: bool,
-    /// Memory response still outstanding (keeps zombies alive).
-    mem_pending: bool,
     /// Speculative prefetch (no waiters; excluded from latency stats).
     prefetch: bool,
 }
@@ -334,17 +333,14 @@ pub struct Hierarchy<B: MemoryBackend, T: TelemetrySink = NullTelemetry> {
 
     stride_tables: Vec<StrideTable>,
     /// Lines brought in by a prefetch and not yet touched by demand.
-    /// Keyed membership only — never iterated (clippy.toml disallowed-methods).
-    prefetched_lines: HashSet<u64>,
+    prefetched_lines: BTreeSet<u64>,
     pf_stats: PrefetchStats,
 
+    /// Transaction slots; a read's memory request carries its slot as id.
     txns: Vec<Option<Txn>>,
     free_txns: Vec<u32>,
-    /// Memory request id → transaction (reads only; writes use WRITE_MARK).
-    /// Keyed lookup only — never iterated (clippy.toml disallowed-methods).
-    req_map: HashMap<u64, u32>,
-    next_req_id: u64,
-    next_access_id: AccessId,
+    /// Id of the next writeback request (nothing waits on a write's ack).
+    next_write_id: u64,
 
     issue_events: BinaryHeap<Reverse<MemIssue>>,
     /// Transactions whose MemIssue fired, awaiting backend space (FIFO).
@@ -378,8 +374,6 @@ impl<B: MemoryBackend> Hierarchy<B> {
     }
 }
 
-/// Sentinel in `req_map` values is unnecessary for writes: write request ids
-/// are simply absent from the map and their responses are dropped.
 impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
     pub fn with_telemetry(cfg: HierarchyConfig, backend: B, tel: T) -> Self {
         assert!(cfg.cores > 0);
@@ -440,13 +434,11 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             calm,
             backend,
             stride_tables: (0..cfg.cores).map(|_| StrideTable::new()).collect(),
-            prefetched_lines: HashSet::new(),
+            prefetched_lines: BTreeSet::new(),
             pf_stats: PrefetchStats::default(),
             txns: Vec::new(),
             free_txns: Vec::new(),
-            req_map: HashMap::new(),
-            next_req_id: 0,
-            next_access_id: 0,
+            next_write_id: 0,
             issue_events: BinaryHeap::new(),
             issue_queue: VecDeque::new(),
             finish_events: BinaryHeap::new(),
@@ -483,14 +475,6 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         &self.backend
     }
 
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
-
-    pub fn calm_stats(&self) -> CalmStats {
-        self.calm.stats
-    }
-
     /// LLC bank for a line (address-hashed across core tiles).
     #[inline]
     fn llc_bank(&self, line: u64) -> usize {
@@ -516,7 +500,9 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         }
     }
 
-    /// Issue an access from `core`. `pc` feeds the MAP-I predictor.
+    /// Issue an access from `core`. `pc` feeds the MAP-I predictor. A
+    /// [`AccessResult::Pending`] access hands `token` back from
+    /// [`Hierarchy::pop_completion`].
     pub fn access(
         &mut self,
         core: u32,
@@ -524,13 +510,12 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         is_write: bool,
         pc: u32,
         now: Cycle,
+        token: AccessId,
     ) -> AccessResult {
         let c = core as usize;
 
         // Merge with an in-flight transaction for this line, if any.
         if let Some(txn_id) = self.mshr[c].lookup(line) {
-            let id = self.next_access_id;
-            self.next_access_id += 1;
             let txn = self.txns[txn_id as usize].as_mut().expect("live txn");
             if txn.prefetch {
                 // A demand access caught an in-flight prefetch: from here
@@ -538,9 +523,9 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
                 txn.prefetch = false;
                 self.pf_stats.useful += 1;
             }
-            txn.waiters.push(id);
+            txn.waiters.push(token);
             txn.wants_dirty |= is_write;
-            return AccessResult::Pending(id);
+            return AccessResult::Pending;
         }
 
         // Demand touch of a previously prefetched, resident line.
@@ -609,7 +594,6 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
                     wants_dirty: false,
                     waiters: Vec::new(),
                     drop_mem: true,
-                    mem_pending: true,
                     prefetch: false,
                 });
                 let at = self.txns[txn_id as usize].as_ref().unwrap().mem_issue_desired;
@@ -662,8 +646,6 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             t_l2_miss + noc_to_bank + self.cfg.llc_latency + self.mesh.tile_to_mc(bank, mc)
         };
 
-        let id = self.next_access_id;
-        self.next_access_id += 1;
         let txn_id = self.alloc_txn(Txn {
             line,
             core,
@@ -675,14 +657,13 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             resp_breakdown: None,
             mem_arrival: None,
             wants_dirty: is_write,
-            waiters: vec![id],
+            waiters: vec![token],
             drop_mem: false,
-            mem_pending: true,
             prefetch: false,
         });
-        self.mshr[c].allocate(line, txn_id).expect("checked not full");
+        self.mshr[c].allocate(line, txn_id);
         self.issue_events.push(Reverse(MemIssue { at: mem_issue_desired, txn: txn_id }));
-        AccessResult::Pending(id)
+        AccessResult::Pending
     }
 
     /// Issue speculative fetches for the prefetch candidates of a demand
@@ -719,10 +700,9 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
                 wants_dirty: false,
                 waiters: Vec::new(),
                 drop_mem: false,
-                mem_pending: true,
                 prefetch: true,
             });
-            self.mshr[c].allocate(cand, txn_id).expect("headroom checked");
+            self.mshr[c].allocate(cand, txn_id);
             self.issue_events.push(Reverse(MemIssue { at: mem_issue_desired, txn: txn_id }));
             self.pf_stats.issued += 1;
         }
@@ -916,12 +896,9 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         // writebacks (reads prioritized, as real controllers do).
         while let Some(&txn_id) = self.issue_queue.front() {
             let line = self.txns[txn_id as usize].as_ref().expect("live").line;
-            let req_id = self.next_req_id;
-            let req = MemRequest::read(req_id, line, now);
+            let req = MemRequest::read(u64::from(txn_id), line, now);
             match self.backend.try_enqueue(req) {
                 Ok(()) => {
-                    self.next_req_id += 1;
-                    self.req_map.insert(req_id, txn_id);
                     let txn = self.txns[txn_id as usize].as_mut().expect("live");
                     txn.mem_enqueued_at = Some(now);
                     self.stats.mem_reads += 1;
@@ -937,10 +914,10 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             }
         }
         while let Some(&line) = self.writeback_queue.front() {
-            let req = MemRequest::write(self.next_req_id, line, now);
+            let req = MemRequest::write(self.next_write_id, line, now);
             match self.backend.try_enqueue(req) {
                 Ok(()) => {
-                    self.next_req_id += 1;
+                    self.next_write_id += 1;
                     self.stats.mem_writes += 1;
                     if T::ENABLED {
                         self.bw_write_bytes += 64;
@@ -957,11 +934,9 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             if resp.is_write {
                 continue; // writeback ack: nothing waits on it
             }
-            let Some(txn_id) = self.req_map.remove(&resp.id) else {
-                continue;
-            };
+            // A read's id is its transaction slot, live until this response.
+            let txn_id = coaxial_sim::small_u32_u64(resp.id);
             let txn = self.txns[txn_id as usize].as_mut().expect("live txn");
-            txn.mem_pending = false;
             if txn.drop_mem {
                 // Stale data for an LLC-hit CALM access: drop and free.
                 self.txns[txn_id as usize] = None;
@@ -1098,7 +1073,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         }
     }
 
-    /// Pop one completion: `(core, access_id)`.
+    /// Pop one completion: `(core, token)` of a pending access.
     pub fn pop_completion(&mut self) -> Option<(u32, AccessId)> {
         self.completed.pop_front()
     }
@@ -1242,23 +1217,33 @@ mod tests {
     struct Driver {
         h: Hierarchy<MultiChannel>,
         now: Cycle,
+        next_token: AccessId,
     }
 
     impl Driver {
         fn new(calm: CalmPolicy) -> Self {
             let cfg = HierarchyConfig::table_iii(4, 1, 2.0, 38.4, calm);
             let backend = MultiChannel::new(&DramConfig::ddr5_4800(), 1);
-            Self { h: Hierarchy::new(cfg, backend), now: 0 }
+            Self { h: Hierarchy::new(cfg, backend), now: 0, next_token: 0 }
         }
 
-        /// Issue an access at the current time, retrying on MSHR pressure.
-        fn access(&mut self, core: u32, line: u64, is_write: bool, pc: u32) -> AccessResult {
+        /// Issue an access at the current time under a fresh token,
+        /// retrying on MSHR pressure.
+        fn access(
+            &mut self,
+            core: u32,
+            line: u64,
+            is_write: bool,
+            pc: u32,
+        ) -> (AccessResult, AccessId) {
+            let token = self.next_token;
+            self.next_token += 1;
             loop {
-                let r = self.h.access(core, line, is_write, pc, self.now);
+                let r = self.h.access(core, line, is_write, pc, self.now, token);
                 if r == AccessResult::Retry {
                     self.step(1);
                 } else {
-                    return r;
+                    return (r, token);
                 }
             }
         }
@@ -1289,11 +1274,12 @@ mod tests {
     #[test]
     fn l1_hit_after_memory_fill() {
         let mut d = Driver::new(CalmPolicy::Serial);
-        let r = d.access(0, 1000, false, 1);
-        let AccessResult::Pending(id) = r else { panic!("first touch must miss") };
+        let (AccessResult::Pending, id) = d.access(0, 1000, false, 1) else {
+            panic!("first touch must miss")
+        };
         d.settle(vec![id], 100_000);
         // Second access is now an L1 hit.
-        match d.access(0, 1000, false, 1) {
+        match d.access(0, 1000, false, 1).0 {
             AccessResult::Done(at) => assert_eq!(at, d.now + 4),
             other => panic!("expected L1 hit, got {other:?}"),
         }
@@ -1302,9 +1288,9 @@ mod tests {
     #[test]
     fn merged_accesses_all_complete() {
         let mut d = Driver::new(CalmPolicy::Serial);
-        let AccessResult::Pending(a) = d.access(0, 77, false, 1) else { panic!() };
-        let AccessResult::Pending(b) = d.access(0, 77, false, 1) else { panic!() };
-        let AccessResult::Pending(c2) = d.access(0, 77, true, 1) else { panic!() };
+        let (AccessResult::Pending, a) = d.access(0, 77, false, 1) else { panic!() };
+        let (AccessResult::Pending, b) = d.access(0, 77, false, 1) else { panic!() };
+        let (AccessResult::Pending, c2) = d.access(0, 77, true, 1) else { panic!() };
         d.settle(vec![a, b, c2], 100_000);
         assert_eq!(d.h.inflight_txns(), 0);
         // The store marked the line dirty in L1.
@@ -1317,23 +1303,23 @@ mod tests {
         let cap = d.h.config().l2_mshrs;
         for i in 0..cap as u64 {
             // Issue without the retry loop so back-pressure is observable.
-            let r = d.h.access(0, i * 10_000, false, 1, d.now);
-            assert!(matches!(r, AccessResult::Pending(_)), "alloc {i}");
+            let r = d.h.access(0, i * 10_000, false, 1, d.now, i);
+            assert_eq!(r, AccessResult::Pending, "alloc {i}");
         }
-        let r = d.h.access(0, 999_999, false, 1, d.now);
+        let r = d.h.access(0, 999_999, false, 1, d.now, cap as u64);
         assert_eq!(r, AccessResult::Retry);
     }
 
     #[test]
     fn llc_hit_is_served_on_chip() {
         let mut d = Driver::new(CalmPolicy::Serial);
-        let AccessResult::Pending(id) = d.access(0, 5, false, 1) else { panic!() };
+        let (AccessResult::Pending, id) = d.access(0, 5, false, 1) else { panic!() };
         d.settle(vec![id], 100_000);
         // Evict line 5 from L1/L2 by walking a large distinct region; the
         // LLC (8 MB per core here) retains everything.
         let mut pend = Vec::new();
         for i in 0..20_000u64 {
-            if let AccessResult::Pending(p) = d.access(0, 1_000_000 + i, false, 1) {
+            if let (AccessResult::Pending, p) = d.access(0, 1_000_000 + i, false, 1) {
                 pend.push(p);
             }
             if pend.len() >= 12 {
@@ -1346,7 +1332,7 @@ mod tests {
         assert!(d.h.llc[bank].peek(5), "LLC retains the line");
         // Next access: LLC hit, completes on-chip with deterministic latency.
         let before = d.h.stats().llc_hits;
-        match d.access(0, 5, false, 1) {
+        match d.access(0, 5, false, 1).0 {
             AccessResult::Done(at) => assert!(at > d.now),
             other => panic!("expected on-chip completion, got {other:?}"),
         }
@@ -1362,7 +1348,7 @@ mod tests {
             let mut pending = Vec::new();
             for _ in 0..400 {
                 let line = rng.next_below(1 << 22);
-                if let AccessResult::Pending(id) = d.access(0, line, false, 1) {
+                if let (AccessResult::Pending, id) = d.access(0, line, false, 1) {
                     pending.push(id);
                 }
                 d.step(30);
@@ -1380,7 +1366,7 @@ mod tests {
         let mut d = Driver::new(CalmPolicy::CalmR { r: 0.7 });
         let mut pending = Vec::new();
         for i in 0..200u64 {
-            if let AccessResult::Pending(id) =
+            if let (AccessResult::Pending, id) =
                 d.access((i % 4) as u32, i * 997, false, (i % 7) as u32)
             {
                 pending.push(id);
@@ -1403,7 +1389,7 @@ mod tests {
         let mut d = Driver::new(CalmPolicy::Serial);
         let mut pending = Vec::new();
         for i in 0..60_000u64 {
-            if let AccessResult::Pending(id) = d.access(0, i, true, 1) {
+            if let (AccessResult::Pending, id) = d.access(0, i, true, 1) {
                 pending.push(id);
             }
             if pending.len() >= 12 {
@@ -1420,13 +1406,13 @@ mod tests {
     fn calm_false_positive_drops_memory_data() {
         let mut d = Driver::new(CalmPolicy::CalmR { r: 0.7 });
         // Load a line (goes to memory, fills LLC/L2/L1).
-        let AccessResult::Pending(id) = d.access(0, 42, false, 1) else { panic!() };
+        let (AccessResult::Pending, id) = d.access(0, 42, false, 1) else { panic!() };
         d.settle(vec![id], 100_000);
         // Evict from L1/L2 only: L2 has 1024 sets → stride 1024 lines
         // aliases the same L2 set (and the same L1 set, 64 sets).
         let mut pend = Vec::new();
         for i in 1..=9u64 {
-            if let AccessResult::Pending(p) = d.access(0, 42 + i * 1024, false, 2) {
+            if let (AccessResult::Pending, p) = d.access(0, 42 + i * 1024, false, 2) {
                 pend.push(p);
             }
         }
@@ -1434,7 +1420,7 @@ mod tests {
         assert!(!d.h.l2[0].peek(42), "line evicted from L2");
         let wasted_before = d.h.stats().wasted_mem_reads;
         // Access again: L2 miss, LLC hit; CALM probability is ~1 (idle).
-        let r = d.access(0, 42, false, 3);
+        let (r, _) = d.access(0, 42, false, 3);
         assert!(matches!(r, AccessResult::Done(_)), "LLC hit completes on-chip");
         // Let the wasted fetch drain.
         d.step(200_000);
@@ -1446,7 +1432,7 @@ mod tests {
     #[test]
     fn reset_stats_clears_counts_but_keeps_contents() {
         let mut d = Driver::new(CalmPolicy::Serial);
-        let AccessResult::Pending(id) = d.access(0, 9, false, 1) else { panic!() };
+        let (AccessResult::Pending, id) = d.access(0, 9, false, 1) else { panic!() };
         d.settle(vec![id], 100_000);
         assert!(d.h.stats().l2_misses > 0);
         let now = d.now;
@@ -1458,7 +1444,7 @@ mod tests {
     #[test]
     fn per_core_caches_are_private() {
         let mut d = Driver::new(CalmPolicy::Serial);
-        let AccessResult::Pending(id) = d.access(0, 123, false, 1) else { panic!() };
+        let (AccessResult::Pending, id) = d.access(0, 123, false, 1) else { panic!() };
         d.settle(vec![id], 100_000);
         assert!(d.h.l1[0].peek(123));
         assert!(!d.h.l1[1].peek(123), "core 1's L1 must not see core 0's fill");

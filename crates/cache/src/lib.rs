@@ -16,13 +16,12 @@
 pub mod cache;
 pub mod calm;
 pub mod hierarchy;
-pub mod mshr;
+mod mshr;
 pub mod noc;
 pub mod prefetch;
 
 pub use cache::CacheArray;
 pub use calm::{CalmEngine, CalmPolicy, CalmStats};
 pub use hierarchy::{AccessId, HierStats, Hierarchy, HierarchyConfig, PrefillState};
-pub use mshr::Mshr;
 pub use noc::Mesh;
 pub use prefetch::{PrefetchPolicy, PrefetchStats};

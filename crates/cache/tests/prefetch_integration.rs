@@ -18,11 +18,11 @@ fn hierarchy(prefetch: PrefetchPolicy) -> Hierarchy<MultiChannel> {
 fn run(h: &mut Hierarchy<MultiChannel>, lines: &[u64], pc: u32) -> u64 {
     let mut now = 0u64;
     let mut pending = Vec::new();
-    for &line in lines {
+    for (token, &line) in (0u64..).zip(lines) {
         loop {
-            match h.access(0, line, false, pc, now) {
-                AccessResult::Pending(id) => {
-                    pending.push(id);
+            match h.access(0, line, false, pc, now, token) {
+                AccessResult::Pending => {
+                    pending.push(token);
                     break;
                 }
                 AccessResult::Done(_) => break,

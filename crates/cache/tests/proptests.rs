@@ -2,7 +2,7 @@
 //! array is checked against an exact reference model, and the hierarchy's
 //! accounting is validated under random access streams.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
@@ -15,12 +15,12 @@ struct RefCache {
     sets: u64,
     assoc: usize,
     /// Per set: Vec of (line, dirty), most-recently-used LAST.
-    contents: HashMap<u64, Vec<(u64, bool)>>,
+    contents: BTreeMap<u64, Vec<(u64, bool)>>,
 }
 
 impl RefCache {
     fn new(capacity_bytes: u64, assoc: usize) -> Self {
-        Self { sets: capacity_bytes / 64 / assoc as u64, assoc, contents: HashMap::new() }
+        Self { sets: capacity_bytes / 64 / assoc as u64, assoc, contents: BTreeMap::new() }
     }
 
     fn set_of(&self, line: u64) -> u64 {
@@ -114,11 +114,11 @@ proptest! {
         let mut h = hierarchy();
         let mut now = 0u64;
         let mut pending = Vec::new();
-        for (core, line, is_write) in &accesses {
+        for (token, (core, line, is_write)) in (0u64..).zip(&accesses) {
             loop {
-                match h.access(*core, *line, *is_write, 7, now) {
-                    AccessResult::Pending(id) => {
-                        pending.push(id);
+                match h.access(*core, *line, *is_write, 7, now, token) {
+                    AccessResult::Pending => {
+                        pending.push(token);
                         break;
                     }
                     AccessResult::Done(_) => break,

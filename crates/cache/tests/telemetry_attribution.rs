@@ -38,8 +38,8 @@ fn drive<B: MemoryBackend, T: TelemetrySink>(h: &mut Hierarchy<B, T>, n: u64, se
             let line =
                 if rng.next_below(4) == 0 { rng.next_below(512) } else { rng.next_below(1 << 22) };
             let is_write = rng.next_below(4) == 0;
-            match h.access(core, line, is_write, (line % 97) as u32, now) {
-                AccessResult::Pending(_) => {
+            match h.access(core, line, is_write, (line % 97) as u32, now, issued) {
+                AccessResult::Pending => {
                     outstanding += 1;
                     issued += 1;
                 }

@@ -15,7 +15,7 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use coaxial_cache::hierarchy::AccessResult;
 use coaxial_cache::{AccessId, Hierarchy};
@@ -83,9 +83,9 @@ pub struct Core {
     waiting: VecDeque<WaitingOp>,
     /// Deterministic-latency completions (cache hits) scheduled ahead.
     scheduled: BinaryHeap<Reverse<(Cycle, u64)>>,
-    /// Outstanding hierarchy accesses → entry seq.
-    /// Keyed lookup only — never iterated (clippy.toml disallowed-methods).
-    outstanding: HashMap<AccessId, u64>,
+    /// Hierarchy accesses still pending; each carries its entry seq (or
+    /// `u64::MAX` for a store) as its token.
+    outstanding: usize,
 
     /// Retired instructions since the last stats reset.
     pub retired: u64,
@@ -118,7 +118,7 @@ impl Core {
             staged: None,
             waiting: VecDeque::new(),
             scheduled: BinaryHeap::new(),
-            outstanding: HashMap::new(),
+            outstanding: 0,
             retired: 0,
             cycles: 0,
             loads_issued: 0,
@@ -191,11 +191,11 @@ impl Core {
         }
     }
 
-    /// Notification from the hierarchy that a pending access finished.
-    pub fn on_memory_complete(&mut self, access: AccessId) {
-        if let Some(seq) = self.outstanding.remove(&access) {
-            self.mark_done(seq);
-        }
+    /// Notification from the hierarchy that a pending access finished;
+    /// `token` is the seq the core issued it under.
+    pub fn on_memory_complete(&mut self, token: AccessId) {
+        self.outstanding -= 1;
+        self.mark_done(token);
     }
 
     /// Advance one cycle against the shared hierarchy.
@@ -307,19 +307,19 @@ impl Core {
                 i += 1;
                 continue;
             }
-            match hierarchy.access(self.id, op.line, op.is_store, op.pc, now) {
+            // Stores retire via the store buffer (note_issue marks them
+            // done); their background fill completes under a sentinel
+            // token that mark_done ignores.
+            let token = if op.is_store { u64::MAX } else { op.seq };
+            match hierarchy.access(self.id, op.line, op.is_store, op.pc, now, token) {
                 AccessResult::Done(at) => {
                     self.scheduled.push(Reverse((at, op.seq)));
                     self.note_issue(op);
                     self.waiting.remove(i);
                     issued += 1;
                 }
-                AccessResult::Pending(id) => {
-                    // Stores retire via the store buffer (note_issue marks
-                    // them done); their background fill completion is mapped
-                    // to a sentinel seq that mark_done ignores.
-                    let seq = if op.is_store { u64::MAX } else { op.seq };
-                    self.outstanding.insert(id, seq);
+                AccessResult::Pending => {
+                    self.outstanding += 1;
                     self.note_issue(op);
                     self.waiting.remove(i);
                     issued += 1;
@@ -415,13 +415,8 @@ impl Core {
             self.rob_instrs,
             self.waiting.len(),
             self.scheduled.len(),
-            self.outstanding.len(),
+            self.outstanding,
         )
-    }
-
-    /// Outstanding memory accesses (test/debug aid).
-    pub fn inflight(&self) -> usize {
-        self.outstanding.len()
     }
 
     /// Instructions currently in the ROB (test/debug aid).

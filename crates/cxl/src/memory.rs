@@ -55,11 +55,6 @@ impl CxlMemory {
         &self.channels
     }
 
-    /// Combined peak DDR bandwidth behind the links, GB/s.
-    pub fn peak_ddr_bandwidth_gbs(&self, dram_cfg: &DramConfig) -> f64 {
-        dram_cfg.peak_bandwidth_gbs() * self.ddr_channel_count() as f64
-    }
-
     /// Export per-channel link + device-DDR metrics under `prefix`
     /// (`{prefix}.ch{i}.link.*` and `{prefix}.ch{i}.ddr.*`).
     pub fn export_metrics(&self, reg: &mut coaxial_telemetry::MetricsRegistry, prefix: &str) {

@@ -2,7 +2,7 @@
 //! statistics. Implements [`crate::MemoryBackend`] for direct DDR attach
 //! (the paper's baseline system).
 
-use coaxial_sim::{Cycle, Histogram, MeanTracker};
+use coaxial_sim::{Cycle, Histogram};
 
 use crate::config::{DramConfig, LINE_BYTES};
 use crate::request::{MemRequest, MemResponse};
@@ -106,7 +106,6 @@ pub struct Channel {
     /// Fig. 2a. Writes are posted (the requester never waits), so their
     /// drain-policy-driven completion times are excluded.
     pub latency_hist: Histogram,
-    pub read_latency: MeanTracker,
     reads: u64,
     writes: u64,
 }
@@ -119,7 +118,6 @@ impl Channel {
             now: 0,
             window_start: 0,
             latency_hist: Histogram::new(),
-            read_latency: MeanTracker::new(),
             reads: 0,
             writes: 0,
             cfg,
@@ -142,11 +140,6 @@ impl Channel {
     pub fn can_accept(&self, line_addr: u64, is_write: bool) -> bool {
         let (s, _) = self.route(line_addr);
         self.subs[s].can_accept(is_write)
-    }
-
-    /// Sum of read-queue occupancy (for load-aware reporting).
-    pub fn read_queue_len(&self) -> usize {
-        self.subs.iter().map(|s| s.read_q_len()).sum()
     }
 
     pub fn write_queue_len(&self) -> usize {
@@ -185,12 +178,12 @@ impl Channel {
             elapsed_cycles: self.now.saturating_sub(self.window_start),
             ..Default::default()
         };
-        let mut q = MeanTracker::new();
-        let mut sv = MeanTracker::new();
+        let (mut queue, mut service, mut cas) = (0u64, 0u64, 0u64);
         let mut busy = 0u64;
         for s in &self.subs {
-            q.merge(&s.queue_delay);
-            sv.merge(&s.service_time);
+            queue += s.queue_cycles;
+            service += s.service_cycles;
+            cas += s.counts.rd + s.counts.wr;
             busy += s.bus_busy;
             let (h, m, c) = s.row_outcomes();
             st.row_hits += h;
@@ -202,8 +195,10 @@ impl Channel {
             st.wr_cas += s.counts.wr;
             st.refab += s.counts.refab;
         }
-        st.mean_queue_cycles = q.mean();
-        st.mean_service_cycles = sv.mean();
+        if cas > 0 {
+            st.mean_queue_cycles = queue as f64 / cas as f64;
+            st.mean_service_cycles = service as f64 / cas as f64;
+        }
         let elapsed = self.now.saturating_sub(self.window_start);
         if elapsed > 0 {
             st.bus_utilization = busy as f64 / (elapsed as f64 * self.subs.len() as f64);
@@ -217,7 +212,6 @@ impl Channel {
         self.reads = 0;
         self.writes = 0;
         self.latency_hist = Histogram::new();
-        self.read_latency = MeanTracker::new();
         for s in &mut self.subs {
             s.reset_stats();
         }
@@ -267,9 +261,7 @@ impl MemoryBackend for Channel {
                     self.writes += 1;
                 } else {
                     self.reads += 1;
-                    let total = r.total_cycles();
-                    self.latency_hist.record(total);
-                    self.read_latency.record(total as f64);
+                    self.latency_hist.record(r.total_cycles());
                 }
                 return Some(r);
             }

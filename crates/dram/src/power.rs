@@ -76,11 +76,6 @@ impl DramEnergy {
     }
 }
 
-/// Convenience: average DIMM power for a channel given its stats.
-pub fn dimm_power_w(stats: &ChannelStats, params: &DramPowerParams) -> f64 {
-    DramEnergy::from_stats(stats, params).average_power_w()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use coaxial_sim::{Cycle, MeanTracker};
+use coaxial_sim::Cycle;
 
 use crate::audit::{CmdKind, CmdRecord};
 use crate::bank::Bank;
@@ -128,8 +128,10 @@ pub struct SubChannel {
     pub counts: CommandCounts,
     /// Data-bus busy cycles (for utilization).
     pub bus_busy: u64,
-    pub queue_delay: MeanTracker,
-    pub service_time: MeanTracker,
+    /// Queue (enqueue → first command) and service (first command → data
+    /// end) cycles, summed over the `counts.rd + counts.wr` CASes issued.
+    pub queue_cycles: u64,
+    pub service_cycles: u64,
     /// Issued-command log (only when `cfg.log_commands`).
     cmd_log: Vec<CmdRecord>,
     /// Tick horizon: ticks strictly before this cycle are no-ops. Set by
@@ -160,8 +162,8 @@ impl SubChannel {
             completion_seq: 0,
             counts: CommandCounts::default(),
             bus_busy: 0,
-            queue_delay: MeanTracker::new(),
-            service_time: MeanTracker::new(),
+            queue_cycles: 0,
+            service_cycles: 0,
             cmd_log: Vec::new(),
             idle_until: 0,
             cfg,
@@ -216,10 +218,6 @@ impl SubChannel {
             }
         };
         DecodedAddr { bank_group, bank: bank_group * self.cfg.banks_per_group + bank_in_group, row }
-    }
-
-    pub fn read_q_len(&self) -> usize {
-        self.read_q.len()
     }
 
     pub fn write_q_len(&self) -> usize {
@@ -545,8 +543,8 @@ impl SubChannel {
         let first = e.first_cmd.unwrap_or(now);
         let queue_cycles = first.saturating_sub(e.enqueued_at);
         let service_cycles = data_end - first;
-        self.queue_delay.record(queue_cycles as f64);
-        self.service_time.record(service_cycles as f64);
+        self.queue_cycles += queue_cycles;
+        self.service_cycles += service_cycles;
         let resp = MemResponse {
             id: e.req.id,
             line_addr: e.req.line_addr,
@@ -638,8 +636,8 @@ impl SubChannel {
     pub fn reset_stats(&mut self) {
         self.counts = CommandCounts::default();
         self.bus_busy = 0;
-        self.queue_delay = MeanTracker::new();
-        self.service_time = MeanTracker::new();
+        self.queue_cycles = 0;
+        self.service_cycles = 0;
         for b in &mut self.banks {
             b.row_hits = 0;
             b.row_misses = 0;

@@ -190,7 +190,7 @@ fn fine_grained_bank_interleave_is_jedec_legal_but_row_hostile() {
     // stays within one row), so the observable difference is how quickly
     // the stream fans out across banks.
     let spread = |logs: Vec<Vec<coaxial_dram::audit::CmdRecord>>| {
-        let mut banks = std::collections::HashSet::new();
+        let mut banks = std::collections::BTreeSet::new();
         for r in logs.iter().flatten().filter(|r| r.kind == CmdKind::Act).take(24) {
             banks.insert(r.bank);
         }

@@ -20,7 +20,7 @@ use std::io::BufReader;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use coaxial_system::runner::RunSpec;
 use coaxial_telemetry::json::escape;
@@ -281,8 +281,9 @@ fn run_one(spec: &RunSpec, trace: bool) -> (coaxial_system::RunReport, Option<St
 
 /// Parse and answer one connection (one request: `Connection: close`).
 /// A request that breaks the HTTP reader's caps is answered 400.
+#[expect(clippy::disallowed_types, reason = "request latency is host time, reported by /metrics")]
 fn handle_connection(gw: &Gateway, stream: TcpStream, client: &str) {
-    let started = Instant::now();
+    let started = std::time::Instant::now();
     if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
         || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
     {

@@ -12,7 +12,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 use coaxial_sim::ByteBoundedLru;
 use coaxial_system::runner::RunSpec;
@@ -72,12 +71,12 @@ pub struct Job {
 }
 
 /// Client-side admission control: a classic token bucket refilled by
-/// wall-clock time. The gateway crate is service plumbing, not simulation
-/// model, so it opts out of the workspace `Instant` ban (the crate-level
-/// `#[expect]` in lib.rs).
+/// wall-clock time. It and its users opt out of the workspace `Instant`
+/// ban: no wall-clock value reaches a simulation or a report.
+#[expect(clippy::disallowed_types, reason = "a token bucket refills by host time")]
 struct TokenBucket {
     tokens: f64,
-    last: Instant,
+    last: std::time::Instant,
 }
 
 /// Rates and burst sizes are human-scale knobs (≪ 2^53), so the u64→f64
@@ -87,9 +86,10 @@ fn small_f64(x: u64) -> f64 {
     x as f64
 }
 
+#[expect(clippy::disallowed_types, reason = "a token bucket refills by host time")]
 impl TokenBucket {
     fn admit(&mut self, rate_per_sec: u64, burst: u64) -> bool {
-        let now = Instant::now();
+        let now = std::time::Instant::now();
         let dt = now.duration_since(self.last).as_secs_f64();
         self.last = now;
         let rate: f64 = small_f64(rate_per_sec);
@@ -229,6 +229,7 @@ impl Gateway {
 
     /// Token-bucket admission for one client; `true` means proceed.
     /// Disabled (always true) when `rate_per_sec` is 0.
+    #[expect(clippy::disallowed_types, reason = "token buckets refill and expire by host time")]
     pub fn admit_client(&self, client: &str) -> bool {
         if self.cfg.rate_per_sec == 0 {
             return true;
@@ -238,7 +239,7 @@ impl Gateway {
             // Same ≥1 clamp as `TokenBucket::admit`: a fresh client must
             // hold at least one admittable token even at burst 0.
             tokens: small_f64(self.cfg.burst.max(1)),
-            last: Instant::now(),
+            last: std::time::Instant::now(),
         });
         let ok = bucket.admit(self.cfg.rate_per_sec, self.cfg.burst);
         if !ok {
@@ -250,7 +251,7 @@ impl Gateway {
             // full, so dropping it cannot change any admission decision.
             // One distinct client per request would otherwise grow the
             // map without bound.
-            let now = Instant::now();
+            let now = std::time::Instant::now();
             let horizon = small_f64(self.cfg.burst.max(1)) / small_f64(self.cfg.rate_per_sec);
             let before = inner.limiters.len();
             inner.limiters.retain(|_, b| now.duration_since(b.last).as_secs_f64() < horizon);

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![expect(clippy::disallowed_types, reason = "the per-rule wall-time budget measures host time")]
 //! `coaxial-lint` — project-specific static analysis for the COAXIAL
 //! simulator workspace.
 //!

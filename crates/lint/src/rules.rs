@@ -108,6 +108,7 @@ fn is_timing_ident(ident: &str) -> bool {
 pub type Timings = BTreeMap<&'static str, std::time::Duration>;
 
 /// Run one rule, adding its wall time to `timings[id]`.
+#[expect(clippy::disallowed_types, reason = "the per-rule wall-time budget measures host time")]
 pub fn timed(
     timings: &mut Timings,
     id: &'static str,

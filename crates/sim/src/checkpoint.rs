@@ -318,12 +318,6 @@ impl<V: Snapshot> CheckpointStore<V> {
             bytes: self.mem.bytes(),
         }
     }
-
-    /// Whether the disk tier is configured (for diagnostics only).
-    #[must_use]
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
-    }
 }
 
 /// Validate the header and decode the payload; returns the value and the

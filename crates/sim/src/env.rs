@@ -1,8 +1,10 @@
 //! Environment-variable knobs shared across the workspace.
 //!
-//! Every binary, bench, and test honours the same small set of `COAXIAL_*`
-//! variables; this module is the single place that parses them so the
-//! semantics (and the defaults) cannot drift between crates.
+//! The workspace's `COAXIAL_*` variables; this module is the single place
+//! that parses them so the semantics (and the defaults) cannot drift
+//! between crates. `COAXIAL_INSTR`/`COAXIAL_WARMUP` are the default budget
+//! of the bench targets and of any `Simulation` built without one; the
+//! `coaxial` CLI ignores them and takes `--instr`/`--warmup`.
 //!
 //! | Variable          | Meaning                                            |
 //! |-------------------|----------------------------------------------------|

@@ -33,9 +33,8 @@ pub mod lru;
 pub mod queue;
 pub mod rng;
 pub mod sample;
-pub mod stats;
 
-pub use coaxial_telemetry::{narrow, time};
+pub use coaxial_telemetry::{narrow, time, Histogram};
 
 pub use checkpoint::{CheckpointCounters, CheckpointStore, KeyHasher, Snapshot};
 pub use lru::ByteBoundedLru;
@@ -43,7 +42,6 @@ pub use narrow::{idx, small_u32, small_u32_u64, trunc_u32, trunc_u64, trunc_usiz
 pub use queue::{BoundedQueue, EventQueue};
 pub use rng::SplitMix64;
 pub use sample::SampleSeries;
-pub use stats::{Histogram, MeanTracker};
 pub use time::{
     cycles_f64_to_ns, cycles_to_ns, gbs_to_bytes_per_cycle, ns_to_cycles, Cycle, CPU_FREQ_GHZ,
     NS_PER_CYCLE,

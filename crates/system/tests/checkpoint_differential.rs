@@ -95,10 +95,9 @@ fn restored_runs_are_byte_identical_to_cold_runs_on_every_workload() {
         "regenerate_golden_checkpoint_digests",
     );
     for (i, w) in Workload::all().iter().enumerate() {
-        let cfg = || config(i);
-        let cold = observe(EngineKind::Event, cfg(), w);
-        let warm = observe(EngineKind::Event, cfg(), w);
-        let oracle = observe(EngineKind::Lockstep, cfg(), w);
+        let cold = observe(EngineKind::Event, config(i), w);
+        let warm = observe(EngineKind::Event, config(i), w);
+        let oracle = observe(EngineKind::Lockstep, config(i), w);
         assert_eq!(cold.restored, 0, "{}: first run must simulate prefill cold", w.name);
         assert_eq!(warm.restored, 1, "{}: second run must restore the checkpoint", w.name);
         assert_eq!(oracle.restored, 1, "{}: oracle run must restore the checkpoint", w.name);

@@ -6,9 +6,8 @@
 //! simulated request, without costing the common (telemetry-off) path a
 //! single instruction:
 //!
-//! * [`stats`] — running means and log-bucketed latency histograms. This is
-//!   the canonical home of [`Histogram`]/[`MeanTracker`]; `coaxial-sim`
-//!   re-exports them so the rest of the workspace keeps its import paths.
+//! * [`stats`] — log-bucketed latency histograms. This is the canonical
+//!   home of [`Histogram`]; `coaxial-sim` re-exports it.
 //! * [`attribution`] — the per-request latency ledger: each L2 miss carries
 //!   timestamps stamped at the component boundaries (NoC, LLC, MSHR issue,
 //!   controller queue, DRAM service, CXL link) and is folded into
@@ -47,5 +46,5 @@ pub mod trace;
 pub use attribution::{Component, LatencyAttribution, MissRecord, COMPONENTS};
 pub use registry::{MetricValue, MetricsRegistry, SharedCounter, SharedHistogram};
 pub use sink::{NullTelemetry, TelemetryRecorder, TelemetrySink};
-pub use stats::{Histogram, MeanTracker};
+pub use stats::Histogram;
 pub use trace::{CounterEvent, EventTracer, TraceEvent};

@@ -1,59 +1,11 @@
-//! Statistics primitives: running means and latency histograms.
+//! Latency histograms.
 //!
-//! The paper reports average latencies broken into components (Figs. 2b, 5)
-//! and tail latency (p90, Fig. 2a). [`MeanTracker`] accumulates component
-//! means cheaply; [`Histogram`] supports percentile queries with bounded
-//! error using logarithmic bucketing.
-//!
-//! This module is the single implementation in the workspace:
-//! `coaxial_sim::stats` re-exports it, and the telemetry pipeline's
-//! per-component aggregation builds directly on [`Histogram`].
+//! The paper reports tail latency (p90, Fig. 2a) next to component means
+//! (Figs. 2b, 5). [`Histogram`] supports percentile queries with bounded
+//! error using logarithmic bucketing; `coaxial-sim` re-exports it, and the
+//! telemetry pipeline's per-component aggregation builds directly on it.
 
 use crate::narrow::{idx, trunc_u64};
-
-/// Accumulates a running sum and count; reports the mean.
-#[derive(Debug, Clone, Default)]
-pub struct MeanTracker {
-    sum: f64,
-    count: u64,
-}
-
-impl MeanTracker {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub fn record(&mut self, value: f64) {
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of recorded samples, or 0.0 if none were recorded.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Fold another tracker into this one.
-    pub fn merge(&mut self, other: &MeanTracker) {
-        self.sum += other.sum;
-        self.count += other.count;
-    }
-}
 
 /// Log-bucketed histogram for latency-like positive quantities.
 ///
@@ -171,28 +123,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_tracker_basics() {
-        let mut m = MeanTracker::new();
-        assert_eq!(m.mean(), 0.0);
-        m.record(10.0);
-        m.record(20.0);
-        assert_eq!(m.count(), 2);
-        assert!((m.mean() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_tracker_merge() {
-        let mut a = MeanTracker::new();
-        let mut b = MeanTracker::new();
-        a.record(1.0);
-        b.record(3.0);
-        b.record(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert!((a.mean() - 3.0).abs() < 1e-12);
-    }
 
     #[test]
     fn histogram_bucket_roundtrip_is_monotone() {

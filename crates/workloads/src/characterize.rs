@@ -2,7 +2,7 @@
 //! directly from its op stream (no simulation). Used to calibrate the
 //! registry against Table IV and by the `coaxial profile` CLI command.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use coaxial_cpu::{MemKind, TraceSource};
 
@@ -40,7 +40,7 @@ pub fn characterize(w: &Workload, core: u32, seed: u64, n: u64) -> TraceProfile 
     let mut dependent = 0u64;
     let mut sequential = 0u64;
     let mut reuse = 0u64;
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut seen: BTreeSet<u64> = BTreeSet::new();
     let mut prev_line: Option<u64> = None;
     for _ in 0..n {
         let op = t.next_op();

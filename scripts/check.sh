@@ -18,15 +18,13 @@ cargo test -q --offline --workspace
 
 echo "== cargo clippy =="
 # -D warnings plus a curated pedantic subset. Lossy casts must go through
-# coaxial_sim::narrow, hash collections are never iterated (with the
-# disallowed-methods list in clippy.toml), every unsafe block carries a
-# SAFETY comment, and config structs are passed by reference unless the
-# callee stores them. clippy.toml also bans wall-clock and entropy types
+# coaxial_sim::narrow, every unsafe block carries a SAFETY comment, and
+# config structs are passed by reference unless the callee stores them.
+# clippy.toml bans hash collections, wall-clock and entropy types
 # (docs/LINTS.md, "Rules enforced by clippy").
 cargo clippy --offline --workspace --all-targets -- \
   -D warnings \
   -D clippy::cast_possible_truncation \
-  -D clippy::iter_over_hash_type \
   -D clippy::undocumented_unsafe_blocks \
   -D clippy::large_types_passed_by_value \
   -D clippy::needless_pass_by_value

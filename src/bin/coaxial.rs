@@ -94,6 +94,14 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// Parse the value of a numeric option, or exit 2 naming the option.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} wants a number, got {value:?}");
+        exit(2)
+    })
+}
+
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts::default();
     let mut it = args.iter();
@@ -106,16 +114,16 @@ fn parse_opts(args: &[String]) -> Opts {
         };
         match a.as_str() {
             "--config" => o.config = next().clone(),
-            "--instr" => o.instr = next().parse().expect("--instr wants a number"),
-            "--warmup" => o.warmup = next().parse().expect("--warmup wants a number"),
-            "--cores" => o.cores = next().parse().expect("--cores wants a number"),
-            "--cxl-ns" => o.cxl_ns = Some(next().parse().expect("--cxl-ns wants a number")),
+            "--instr" => o.instr = number(a, next()),
+            "--warmup" => o.warmup = number(a, next()),
+            "--cores" => o.cores = number(a, next()),
+            "--cxl-ns" => o.cxl_ns = Some(number(a, next())),
             "--json" => o.json = true,
             "--sampled" => o.sampled = true,
-            "--ops" => o.ops = next().parse().expect("--ops wants a number"),
-            "--trace-start" => o.trace_start = next().parse().expect("--trace-start wants a cycle"),
-            "--trace-end" => o.trace_end = next().parse().expect("--trace-end wants a cycle"),
-            "--trace-cap" => o.trace_cap = next().parse().expect("--trace-cap wants a number"),
+            "--ops" => o.ops = number(a, next()),
+            "--trace-start" => o.trace_start = number(a, next()),
+            "--trace-end" => o.trace_end = number(a, next()),
+            "--trace-cap" => o.trace_cap = number(a, next()),
             other => {
                 eprintln!("unknown option {other}");
                 exit(2)
@@ -494,17 +502,11 @@ fn main() {
                 };
                 match a.as_str() {
                     "--addr" => cfg.addr = next().clone(),
-                    "--workers" => {
-                        cfg.workers = next().parse().expect("--workers wants a number");
-                    }
-                    "--queue-depth" => {
-                        cfg.queue_depth = next().parse().expect("--queue-depth wants a number");
-                    }
-                    "--cache-mb" => {
-                        cfg.cache_mb = next().parse().expect("--cache-mb wants a number");
-                    }
-                    "--rate" => cfg.rate_per_sec = next().parse().expect("--rate wants a number"),
-                    "--burst" => cfg.burst = next().parse().expect("--burst wants a number"),
+                    "--workers" => cfg.workers = number(a, next()),
+                    "--queue-depth" => cfg.queue_depth = number(a, next()),
+                    "--cache-mb" => cfg.cache_mb = number(a, next()),
+                    "--rate" => cfg.rate_per_sec = number(a, next()),
+                    "--burst" => cfg.burst = number(a, next()),
                     "--port-file" => cfg.port_file = Some(std::path::PathBuf::from(next())),
                     other => {
                         eprintln!("unknown option {other}");
