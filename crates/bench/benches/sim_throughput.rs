@@ -11,10 +11,6 @@
 //! bit-identical at any width. Wall-clock numbers for the seed-vs-current
 //! comparison live in `BENCH_sim_throughput.json` at the repo root.
 
-#![expect(clippy::disallowed_types, reason = "a benchmark measures host wall time")]
-
-use std::time::Instant;
-
 use coaxial_bench::banner;
 use coaxial_system::experiments::{fig10_latency_sensitivity, geomean, Budget};
 use coaxial_workloads::Workload;
@@ -23,6 +19,7 @@ use coaxial_workloads::Workload;
 /// the sensitivity curve has no gaps coarser than 20 ns.
 const LATENCIES: [f64; 7] = [10.0, 20.0, 30.0, 50.0, 60.0, 70.0, 90.0];
 
+#[expect(clippy::disallowed_types, reason = "a benchmark measures host wall time")]
 fn main() {
     banner("Engine throughput", "dense latency-sensitivity sweep, quick budget");
     let budget = Budget::quick();
@@ -30,7 +27,7 @@ fn main() {
     let runs = workloads * (1 + LATENCIES.len());
     let cores = 12;
 
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     let rows = fig10_latency_sensitivity(&LATENCIES, budget);
     let wall = t0.elapsed().as_secs_f64();
 

@@ -69,9 +69,11 @@ pub fn run(id: &str, budget: Budget) -> Result<(), String> {
 }
 
 /// A bench target's `main`: run `id` at the `COAXIAL_INSTR`/`COAXIAL_WARMUP`
-/// budget.
+/// budget, once every numeric `COAXIAL_*` knob parses.
 pub fn bench(id: &str) {
-    if let Err(e) = run(id, Budget::default()) {
+    if let Err(e) =
+        coaxial_sim::env::check_numeric_knobs().and_then(|()| run(id, Budget::default()))
+    {
         panic!("{e}");
     }
 }

@@ -10,30 +10,35 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// Tag value marking an empty way. Line addresses are bounded far below
-/// this (a handful of region bits per core), so no real line collides.
-const INVALID_TAG: u64 = u64::MAX;
+/// Word of an empty way. A way holds `line << 1 | dirty`, so no line up
+/// to [`MAX_LINE_ADDR`] collides with it.
+const EMPTY: u64 = u64::MAX;
 
-/// One set-associative tag array.
+/// Largest line address a cache array holds. Generated line addresses stay
+/// far below it (a handful of region bits per core); trace files are
+/// checked against it when read.
+pub const MAX_LINE_ADDR: u64 = (EMPTY >> 1) - 1;
+
+/// One set-associative tag array, one `u64` word per way.
 ///
-/// Stored structure-of-arrays: simulated caches are tens of megabytes of
-/// way state probed at random, so every probe is a *host* cache miss per
-/// touched line. Packing the tags densely (8 B per way, validity encoded
-/// as [`INVALID_TAG`]) makes a 16-way presence scan touch two host lines
-/// instead of six; stamps and dirty bits are only touched on hits, fills,
-/// and evictions.
+/// Simulated caches are tens of megabytes of way state probed at random, so
+/// every probe is a *host* cache miss per touched line. Each way is a
+/// single word, `line << 1 | dirty`, and each set keeps its ways in recency
+/// order: valid ways first, most recently used first, `EMPTY` ways last.
+/// A set is then one run of `assoc` words (64 B at 8 ways, 128 B at 16) and
+/// a probe, its hit or fill, and the victim choice touch nothing else.
+///
+/// Replacement is exact LRU. A demand hit or a fill moves the way to the
+/// front; an insert drops the set's last way, which is empty or else the
+/// least recently used line. [`CacheArray::prefill_touch`] and
+/// [`CacheArray::mark_dirty`] do not count as uses and leave the order
+/// alone, and [`CacheArray::invalidate`] closes the gap it leaves.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
-    /// Way tags, sets × assoc row-major; `INVALID_TAG` = empty way.
-    tags: Vec<u64>,
-    /// LRU stamps, parallel to `tags`: higher = more recently used.
-    stamps: Vec<u64>,
-    /// Dirty bits, parallel to `tags`.
-    dirty: Vec<bool>,
+    /// Way words, sets × assoc row-major, each set in recency order.
+    ways: Vec<u64>,
     assoc: usize,
-    set_shift: u32, // unused bits below the set index (0: input is a line addr)
     set_mask: u64,
-    clock: u64,
     pub hits: u64,
     pub misses: u64,
 }
@@ -49,17 +54,7 @@ impl CacheArray {
         let sets = lines / assoc as u64;
         assert!(sets.is_power_of_two(), "sets must be a power of two (got {sets})");
         let ways = coaxial_sim::idx(sets * assoc as u64);
-        Self {
-            tags: vec![INVALID_TAG; ways],
-            stamps: vec![0; ways],
-            dirty: vec![false; ways],
-            assoc,
-            set_shift: 0,
-            set_mask: sets - 1,
-            clock: 0,
-            hits: 0,
-            misses: 0,
-        }
+        Self { ways: vec![EMPTY; ways], assoc, set_mask: sets - 1, hits: 0, misses: 0 }
     }
 
     pub fn num_sets(&self) -> u64 {
@@ -69,33 +64,45 @@ impl CacheArray {
     /// Approximate heap footprint of this array's tag metadata, in bytes
     /// (used to budget byte-bounded caches of warmed cache state).
     pub fn approx_heap_bytes(&self) -> u64 {
-        (self.tags.len() * (2 * std::mem::size_of::<u64>() + std::mem::size_of::<bool>())) as u64
+        (self.ways.len() * std::mem::size_of::<u64>()) as u64
     }
 
     pub fn capacity_bytes(&self) -> u64 {
-        self.tags.len() as u64 * 64
+        self.ways.len() as u64 * 64
     }
 
+    /// Index of the first word of `line_addr`'s set.
     #[inline]
-    fn set_range(&self, line_addr: u64) -> std::ops::Range<usize> {
-        let set = coaxial_sim::idx((line_addr >> self.set_shift) & self.set_mask);
-        set * self.assoc..(set + 1) * self.assoc
+    fn set_start(&self, line_addr: u64) -> usize {
+        coaxial_sim::idx(line_addr & self.set_mask) * self.assoc
     }
 
-    /// Index of the way holding `line_addr`, if present.
+    /// `(set start, position in the set)` of the way holding `line_addr`.
     #[inline]
-    fn probe(&self, line_addr: u64) -> Option<usize> {
-        debug_assert_ne!(line_addr, INVALID_TAG);
-        let r = self.set_range(line_addr);
-        self.tags[r.clone()].iter().position(|&t| t == line_addr).map(|p| r.start + p)
+    fn probe(&self, line_addr: u64) -> (usize, Option<usize>) {
+        debug_assert!(line_addr <= MAX_LINE_ADDR, "line address out of range");
+        let s = self.set_start(line_addr);
+        (s, self.ways[s..s + self.assoc].iter().position(|&w| w >> 1 == line_addr))
+    }
+
+    /// Word index of the way holding `line_addr`, if present.
+    #[inline]
+    fn find(&self, line_addr: u64) -> Option<usize> {
+        let (s, p) = self.probe(line_addr);
+        p.map(|p| s + p)
+    }
+
+    /// Make way `p` of the set at `s` the most recently used.
+    #[inline]
+    fn touch(&mut self, s: usize, p: usize) {
+        self.ways[s..=s + p].rotate_right(1);
     }
 
     /// Look up a line; updates LRU and hit/miss counters on a demand access.
     #[inline]
     pub fn lookup(&mut self, line_addr: u64) -> bool {
-        self.clock += 1;
-        if let Some(i) = self.probe(line_addr) {
-            self.stamps[i] = self.clock;
+        if let (s, Some(p)) = self.probe(line_addr) {
+            self.touch(s, p);
             self.hits += 1;
             true
         } else {
@@ -108,69 +115,46 @@ impl CacheArray {
     /// the CALM oracle and by coherence assertions in tests.
     #[inline]
     pub fn peek(&self, line_addr: u64) -> bool {
-        self.probe(line_addr).is_some()
+        self.find(line_addr).is_some()
     }
 
     /// Whether a present line is dirty.
     pub fn peek_dirty(&self, line_addr: u64) -> bool {
-        self.probe(line_addr).is_some_and(|i| self.dirty[i])
+        self.find(line_addr).is_some_and(|i| self.ways[i] & 1 != 0)
     }
 
     /// Insert (or refresh) a line; returns the victim if a valid line was
     /// displaced. If the line is already present, only LRU/dirty state is
     /// updated and no eviction happens.
     pub fn fill(&mut self, line_addr: u64, dirty: bool) -> Option<Evicted> {
-        self.clock += 1;
-        // Already present: refresh.
-        if let Some(i) = self.probe(line_addr) {
-            self.stamps[i] = self.clock;
-            self.dirty[i] |= dirty;
-            return None;
+        match self.probe(line_addr) {
+            (s, Some(p)) => {
+                self.ways[s + p] |= u64::from(dirty);
+                self.touch(s, p);
+                None
+            }
+            (s, None) => self.insert(s, line_addr, dirty),
         }
-        self.insert(self.set_range(line_addr), line_addr, dirty)
     }
 
     /// [`CacheArray::fill`] for a line the caller has already proven absent
     /// (e.g. via [`CacheArray::peek`]): skips the presence scan but matches
-    /// `fill`'s state transitions exactly, including the LRU clock advance.
-    /// The prefill fast path leans on this to halve its tag-scan work.
+    /// `fill`'s state transitions exactly. The prefill fast path leans on
+    /// this to halve its tag-scan work.
     pub fn fill_absent(&mut self, line_addr: u64, dirty: bool) -> Option<Evicted> {
         debug_assert!(!self.peek(line_addr), "fill_absent on a present line");
-        self.clock += 1;
-        let range = self.set_range(line_addr);
-        self.insert(range, line_addr, dirty)
+        self.insert(self.set_start(line_addr), line_addr, dirty)
     }
 
-    /// Choose an invalid way or the LRU victim in `range` and install the
-    /// line there, stamped with the current clock.
+    /// Install the line at the front of the set at `s`, dropping its last
+    /// way: empty, or else the LRU victim.
     #[inline]
-    fn insert(
-        &mut self,
-        range: std::ops::Range<usize>,
-        line_addr: u64,
-        dirty: bool,
-    ) -> Option<Evicted> {
-        let mut victim = range.start;
-        let mut best = u64::MAX;
-        for i in range {
-            if self.tags[i] == INVALID_TAG {
-                victim = i;
-                break;
-            }
-            if self.stamps[i] < best {
-                best = self.stamps[i];
-                victim = i;
-            }
-        }
-        let evicted = if self.tags[victim] != INVALID_TAG {
-            Some(Evicted { line_addr: self.tags[victim], dirty: self.dirty[victim] })
-        } else {
-            None
-        };
-        self.tags[victim] = line_addr;
-        self.stamps[victim] = self.clock;
-        self.dirty[victim] = dirty;
-        evicted
+    fn insert(&mut self, s: usize, line_addr: u64, dirty: bool) -> Option<Evicted> {
+        let set = &mut self.ways[s..s + self.assoc];
+        let last = set[set.len() - 1];
+        set.copy_within(..set.len() - 1, 1);
+        set[0] = line_addr << 1 | u64::from(dirty);
+        (last != EMPTY).then_some(Evicted { line_addr: last >> 1, dirty: last & 1 != 0 })
     }
 
     /// Functional-warmup accessor: one scan that answers "present?" and, for
@@ -179,8 +163,8 @@ impl CacheArray {
     /// prefill is functional, not timed.
     #[inline]
     pub fn prefill_touch(&mut self, line_addr: u64, dirty: bool) -> bool {
-        if let Some(i) = self.probe(line_addr) {
-            self.dirty[i] |= dirty;
+        if let Some(i) = self.find(line_addr) {
+            self.ways[i] |= u64::from(dirty);
             true
         } else {
             false
@@ -189,22 +173,18 @@ impl CacheArray {
 
     /// Mark a present line dirty; returns whether the line was found.
     pub fn mark_dirty(&mut self, line_addr: u64) -> bool {
-        if let Some(i) = self.probe(line_addr) {
-            self.dirty[i] = true;
-            true
-        } else {
-            false
-        }
+        self.prefill_touch(line_addr, true)
     }
 
     /// Remove a line; returns its dirty bit if it was present.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
-        if let Some(i) = self.probe(line_addr) {
-            self.tags[i] = INVALID_TAG;
-            Some(self.dirty[i])
-        } else {
-            None
-        }
+        let (s, p) = self.probe(line_addr);
+        let set = &mut self.ways[s..s + self.assoc];
+        let p = p?;
+        let dirty = set[p] & 1 != 0;
+        set.copy_within(p + 1.., p);
+        set[set.len() - 1] = EMPTY;
+        Some(dirty)
     }
 
     /// Demand hit ratio so far.
@@ -219,34 +199,33 @@ impl CacheArray {
 
     /// Number of valid dirty lines currently resident (debug/test aid).
     pub fn dirty_count(&self) -> usize {
-        self.tags.iter().zip(&self.dirty).filter(|(&t, &d)| t != INVALID_TAG && d).count()
+        self.ways.iter().filter(|&&w| w != EMPTY && w & 1 != 0).count()
     }
 
     /// Number of valid lines currently resident (debug/test aid).
     pub fn valid_count(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
+        self.ways.iter().filter(|&&w| w != EMPTY).count()
     }
 
-    /// Hint the host CPU to pull this line's tag set into its cache. Purely
-    /// a performance hint for pipelined probes (the simulated arrays are
-    /// tens of megabytes, so a random probe is a host memory miss); touches
-    /// no simulated state.
+    /// Hint the host CPU to pull this line's set into its cache. Purely a
+    /// performance hint for pipelined probes (the simulated arrays are tens
+    /// of megabytes, so a random probe is a host memory miss); touches no
+    /// simulated state.
     #[inline]
     pub fn prefetch_set(&self, line_addr: u64) {
         #[cfg(target_arch = "x86_64")]
         {
-            let r = self.set_range(line_addr);
-            // SAFETY: `set_range` returns indices within `self.tags`, so
-            // `as_ptr().add(r.start)` stays in bounds; `_mm_prefetch` is a
-            // pure cache hint that never dereferences, so even the
-            // `p.add(64)` second-line probe (still inside the allocation:
-            // a 16-way set spans 128 bytes of the tag array) cannot fault.
+            let s = self.set_start(line_addr);
+            // SAFETY: `set_start` returns an index within `self.ways`, so
+            // `as_ptr().add(s)` stays in bounds; `_mm_prefetch` is a pure
+            // cache hint that never dereferences, so even the `p.add(64)`
+            // second-line probe (still inside the allocation: a 16-way set
+            // spans 128 bytes) cannot fault.
             unsafe {
                 use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                let p = self.tags.as_ptr().add(r.start).cast::<i8>();
+                let p = self.ways.as_ptr().add(s).cast::<i8>();
                 _mm_prefetch(p, _MM_HINT_T0);
                 if self.assoc > 8 {
-                    // A 16-way tag set spans two host lines.
                     _mm_prefetch(p.add(64), _MM_HINT_T0);
                 }
             }
@@ -257,8 +236,7 @@ impl CacheArray {
 
     /// Same sets, ways and index function as `other`.
     pub fn same_geometry(&self, other: &Self) -> bool {
-        (self.assoc, self.set_shift, self.set_mask)
-            == (other.assoc, other.set_shift, other.set_mask)
+        (self.assoc, self.set_mask) == (other.assoc, other.set_mask)
     }
 
     /// Reset hit/miss counters (end of warmup) without touching contents.
@@ -267,8 +245,8 @@ impl CacheArray {
         self.misses = 0;
     }
 
-    /// Append the array's complete state — geometry, LRU clock, counters,
-    /// tags, stamps, bit-packed dirty bits — to a checkpoint payload (see
+    /// Append the array's complete state — geometry, counters and the way
+    /// words in recency order — to a checkpoint payload (see
     /// `coaxial_sim::checkpoint`). The inverse is
     /// [`CacheArray::decode_from`]; round-tripping reproduces the array
     /// exactly, so a simulation resumed from a decoded snapshot is
@@ -276,54 +254,39 @@ impl CacheArray {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         use coaxial_sim::checkpoint::codec::{put_u64, put_u64s};
         put_u64(out, self.assoc as u64);
-        put_u64(out, u64::from(self.set_shift));
         put_u64(out, self.set_mask);
-        put_u64(out, self.clock);
         put_u64(out, self.hits);
         put_u64(out, self.misses);
-        put_u64s(out, &self.tags);
-        put_u64s(out, &self.stamps);
-        let mut packed = vec![0u64; self.dirty.len().div_ceil(64)];
-        for (i, &d) in self.dirty.iter().enumerate() {
-            if d {
-                packed[i / 64] |= 1 << (i % 64);
-            }
-        }
-        put_u64s(out, &packed);
+        put_u64s(out, &self.ways);
     }
 
     /// Decode an array encoded by [`CacheArray::encode_into`]. Returns
-    /// `None` on any structural inconsistency (bad geometry, mismatched
-    /// lengths, non-canonical dirty padding) so corrupt checkpoint files
+    /// `None` on any structural inconsistency (bad geometry, a length that
+    /// does not match it, an empty way before a valid one, a line stored
+    /// in a set its address does not map to) so corrupt checkpoint files
     /// read as cache misses rather than corrupt simulations.
     pub fn decode_from(r: &mut coaxial_sim::checkpoint::codec::Reader<'_>) -> Option<Self> {
         let assoc = usize::try_from(r.u64()?).ok()?;
-        let set_shift = u32::try_from(r.u64()?).ok()?;
         let set_mask = r.u64()?;
-        let clock = r.u64()?;
         let hits = r.u64()?;
         let misses = r.u64()?;
-        let tags = r.u64s()?;
-        let stamps = r.u64s()?;
-        let packed = r.u64s()?;
+        let ways = r.u64s()?;
         let sets = set_mask.checked_add(1)?;
         if assoc == 0 || !sets.is_power_of_two() {
             return None;
         }
-        let ways = usize::try_from(sets).ok()?.checked_mul(assoc)?;
-        if tags.len() != ways || stamps.len() != ways || packed.len() != ways.div_ceil(64) {
+        if ways.len() != usize::try_from(sets).ok()?.checked_mul(assoc)? {
             return None;
         }
-        // Reject non-zero padding bits: encode packs exactly `ways` bits,
-        // so canonical payloads are unique per state.
-        if ways % 64 != 0 {
-            let last = *packed.last()?;
-            if last >> (ways % 64) != 0 {
+        for (set, words) in (0..sets).zip(ways.chunks_exact(assoc)) {
+            let valid = words.iter().take_while(|&&w| w != EMPTY).count();
+            if words[valid..].iter().any(|&w| w != EMPTY)
+                || words[..valid].iter().any(|&w| (w >> 1) & set_mask != set)
+            {
                 return None;
             }
         }
-        let dirty = (0..ways).map(|i| packed[i / 64] >> (i % 64) & 1 != 0).collect();
-        Some(Self { tags, stamps, dirty, assoc, set_shift, set_mask, clock, hits, misses })
+        Some(Self { ways, assoc, set_mask, hits, misses })
     }
 }
 
@@ -448,15 +411,29 @@ mod tests {
         let mut buf2 = Vec::new();
         d.encode_into(&mut buf2);
         assert_eq!(buf, buf2);
-        assert_eq!((d.hits, d.misses, d.clock), (c.hits, c.misses, c.clock));
+        assert_eq!((d.hits, d.misses), (c.hits, c.misses));
         assert_eq!(d.valid_count(), c.valid_count());
         assert_eq!(d.dirty_count(), c.dirty_count());
 
         // Structural garbage is rejected, not misread.
+        let decodes = |bytes: &[u8]| {
+            CacheArray::decode_from(&mut coaxial_sim::checkpoint::codec::Reader::new(bytes))
+                .is_some()
+        };
+        // Way `i`'s word follows assoc, set mask, hits, misses and the
+        // word count.
+        let with_way = |i: usize, word: u64| {
+            let mut bad = buf.clone();
+            bad[40 + 8 * i..48 + 8 * i].copy_from_slice(&word.to_le_bytes());
+            bad
+        };
         let mut bad = buf.clone();
         bad[0] = 0; // assoc = 0
-        let mut rb = coaxial_sim::checkpoint::codec::Reader::new(&bad);
-        assert!(CacheArray::decode_from(&mut rb).is_none());
+        assert!(!decodes(&bad));
+        assert_eq!(c.ways[..2].iter().filter(|&&w| w != EMPTY).count(), 2, "set 0 is full");
+        assert!(!decodes(&with_way(0, EMPTY)), "an empty way before a valid one");
+        assert!(!decodes(&with_way(0, 1 << 1)), "line 1 stored in set 0");
+        assert!(decodes(&with_way(0, 32 << 1 | 1)), "line 32 belongs to set 0 of 32");
     }
 
     #[test]

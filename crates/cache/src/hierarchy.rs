@@ -804,8 +804,8 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
     /// driver sweeping one workload over several memory systems can export
     /// the state once and [`Hierarchy::import_prefill_state`] it into the
     /// siblings instead of re-streaming the working set. Importing produces
-    /// exactly the state a fresh prefill would have (clock included), so
-    /// simulation results are bit-identical either way.
+    /// exactly the state a fresh prefill would have, recency order included,
+    /// so simulation results are bit-identical either way.
     pub fn export_prefill_state(&self) -> PrefillState {
         PrefillState { l1: self.l1.clone(), l2: self.l2.clone(), llc: self.llc.clone() }
     }

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use coaxial_cache::hierarchy::AccessResult;
 use coaxial_cache::{CacheArray, CalmPolicy, Hierarchy, HierarchyConfig};
 use coaxial_dram::{DramConfig, MultiChannel};
+use coaxial_sim::checkpoint::codec::Reader;
 
 /// Exact reference model of a set-associative LRU cache.
 struct RefCache {
@@ -54,23 +55,62 @@ impl RefCache {
     }
 
     fn peek(&self, line: u64) -> bool {
-        self.contents
-            .get(&self.set_of(line))
-            .is_some_and(|ways| ways.iter().any(|&(l, _)| l == line))
+        self.way(line).is_some()
+    }
+
+    fn way(&self, line: u64) -> Option<&(u64, bool)> {
+        self.contents.get(&self.set_of(line))?.iter().find(|&&(l, _)| l == line)
+    }
+
+    fn peek_dirty(&self, line: u64) -> bool {
+        self.way(line).is_some_and(|&(_, d)| d)
+    }
+
+    /// ORs `dirty` into a present line without touching its recency.
+    fn prefill_touch(&mut self, line: u64, dirty: bool) -> bool {
+        let set = self.set_of(line);
+        let way = self.contents.get_mut(&set).and_then(|w| w.iter_mut().find(|(l, _)| *l == line));
+        way.map(|(_, d)| *d |= dirty).is_some()
+    }
+
+    fn mark_dirty(&mut self, line: u64) -> bool {
+        self.prefill_touch(line, true)
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<bool> {
+        let ways = self.contents.get_mut(&self.set_of(line))?;
+        let pos = ways.iter().position(|&(l, _)| l == line)?;
+        Some(ways.remove(pos).1)
+    }
+
+    fn valid_count(&self) -> usize {
+        self.contents.values().map(Vec::len).sum()
+    }
+
+    fn dirty_count(&self) -> usize {
+        self.contents.values().flatten().filter(|&&(_, d)| d).count()
     }
 }
 
 proptest! {
-    /// CacheArray matches the reference LRU model over arbitrary
-    /// lookup/fill/dirty sequences, including evicted victims.
+    /// CacheArray matches the reference LRU model over arbitrary sequences
+    /// of every state-changing operation, including evicted victims, at the
+    /// L1/L2 (8-way) and LLC (16-way) associativities and at 4 ways. One
+    /// operation round-trips the array through the checkpoint codec and
+    /// carries on with the decoded copy.
     #[test]
     fn cache_array_matches_reference_model(
-        ops in proptest::collection::vec((0u8..3, 0u64..256, proptest::bool::ANY), 0..400),
+        assoc_pick in 0usize..3,
+        ops in proptest::collection::vec((0u8..9, 0u64..4096, proptest::bool::ANY), 0..600),
     ) {
-        // 16 sets × 4 ways.
-        let mut c = CacheArray::new(64 * 64, 4);
-        let mut m = RefCache::new(64 * 64, 4);
+        // 16 sets; lines span four times the capacity, so sets overflow.
+        let assoc = [4, 8, 16][assoc_pick];
+        let capacity = 16 * assoc as u64 * 64;
+        let lines = 16 * assoc as u64 * 4;
+        let mut c = CacheArray::new(capacity, assoc);
+        let mut m = RefCache::new(capacity, assoc);
         for (op, line, dirty) in ops {
+            let line = line % lines;
             match op {
                 0 => prop_assert_eq!(c.lookup(line), m.lookup(line), "lookup({})", line),
                 1 => {
@@ -78,9 +118,34 @@ proptest! {
                     let want = m.fill(line, dirty);
                     prop_assert_eq!(got, want, "fill({}, {})", line, dirty);
                 }
-                _ => prop_assert_eq!(c.peek(line), m.peek(line), "peek({})", line),
+                2 => prop_assert_eq!(c.peek(line), m.peek(line), "peek({})", line),
+                3 => prop_assert_eq!(c.invalidate(line), m.invalidate(line), "invalidate({})", line),
+                4 => prop_assert_eq!(
+                    c.prefill_touch(line, dirty),
+                    m.prefill_touch(line, dirty),
+                    "prefill_touch({}, {})",
+                    line,
+                    dirty
+                ),
+                5 => prop_assert_eq!(c.mark_dirty(line), m.mark_dirty(line), "mark_dirty({})", line),
+                6 => prop_assert_eq!(c.peek_dirty(line), m.peek_dirty(line), "peek_dirty({})", line),
+                7 if !m.peek(line) => {
+                    let got = c.fill_absent(line, dirty).map(|e| (e.line_addr, e.dirty));
+                    let want = m.fill(line, dirty);
+                    prop_assert_eq!(got, want, "fill_absent({}, {})", line, dirty);
+                }
+                7 => prop_assert!(c.peek(line), "peek({})", line),
+                _ => {
+                    let mut buf = Vec::new();
+                    c.encode_into(&mut buf);
+                    let mut r = Reader::new(&buf);
+                    c = CacheArray::decode_from(&mut r).expect("a fresh encoding decodes");
+                    prop_assert!(r.done(), "decode consumed the whole encoding");
+                }
             }
         }
+        prop_assert_eq!(c.valid_count(), m.valid_count());
+        prop_assert_eq!(c.dirty_count(), m.dirty_count());
     }
 
     /// Invariant: a line filled and never evicted is always found; dirty

@@ -7,6 +7,9 @@
 //! ```text
 //! u32 nonmem_before | u32 pc | u64 line_addr | u8 flags (bit0 store, bit1 dep)
 //! ```
+//!
+//! A line address above `coaxial_cache::cache::MAX_LINE_ADDR` does not fit
+//! the cache arrays, so the reader refuses it.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -72,10 +75,17 @@ pub fn read_trace(path: &Path) -> io::Result<Vec<TraceOp>> {
     for _ in 0..count {
         r.read_exact(&mut rec)?;
         let flags = rec[16];
+        let line_addr = u64::from_le_bytes(rec[8..16].try_into().unwrap());
+        if line_addr > coaxial_cache::cache::MAX_LINE_ADDR {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("line address {line_addr:#x} out of range"),
+            ));
+        }
         ops.push(TraceOp {
             nonmem_before: u32::from_le_bytes(rec[0..4].try_into().unwrap()),
             pc: u32::from_le_bytes(rec[4..8].try_into().unwrap()),
-            line_addr: u64::from_le_bytes(rec[8..16].try_into().unwrap()),
+            line_addr,
             kind: if flags & 1 != 0 { MemKind::Store } else { MemKind::Load },
             depends_on_last_load: flags & 2 != 0,
         });
@@ -142,7 +152,7 @@ mod tests {
         vec![
             TraceOp::load(3, 0xDEAD_BEEF, 0x40),
             TraceOp::store(0, 0xCAFE, 0x44),
-            TraceOp::load(100, u64::MAX >> 1, 0x48).dependent(),
+            TraceOp::load(100, coaxial_cache::cache::MAX_LINE_ADDR, 0x48).dependent(),
         ]
     }
 
@@ -213,6 +223,10 @@ mod tests {
             (b"not a trace at all".to_vec(), io::ErrorKind::InvalidData),
             (header(1 << 40), io::ErrorKind::UnexpectedEof),
             (header(u64::MAX), io::ErrorKind::UnexpectedEof),
+            (
+                [header(1), vec![0; 8], (u64::MAX >> 1).to_le_bytes().to_vec(), vec![0]].concat(),
+                io::ErrorKind::InvalidData,
+            ),
         ] {
             std::fs::write(&path, &bytes).unwrap();
             assert_eq!(read_trace(&path).unwrap_err().kind(), kind);

@@ -25,7 +25,9 @@
 //!
 //! # Environment knobs
 //!
-//! Defaults here; the `coaxial serve` flags override the environment.
+//! Defaults here; the `coaxial serve` flags override the environment. The
+//! numeric ones are listed in `coaxial_sim::env`, so `coaxial` refuses a
+//! malformed value before it serves.
 //!
 //! | Variable                   | Meaning                                      |
 //! |----------------------------|----------------------------------------------|

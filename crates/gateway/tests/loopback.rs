@@ -12,12 +12,10 @@
 //! (e) `serve` returns after `POST /shutdown` on any bind address, and
 //!     oversized requests and connection floods get 400 and 503.
 
-#![expect(clippy::disallowed_types, reason = "wall-clock deadlines bound the test's polling")]
-
 use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use coaxial_gateway::http::{client_request, ClientResponse};
 use coaxial_gateway::server::MAX_CONNECTIONS;
@@ -34,6 +32,7 @@ fn start(workers: usize, queue_depth: usize) -> (String, std::thread::JoinHandle
 
 /// [`start`] on any bind address; an unspecified one is reached through
 /// 127.0.0.1.
+#[expect(clippy::disallowed_types, reason = "a wall-clock deadline bounds the polling")]
 fn start_on(
     bind: &str,
     workers: usize,
@@ -58,7 +57,7 @@ fn start_on(
         port_file: Some(port_file.clone()),
     };
     let handle = std::thread::spawn(move || serve(cfg).expect("gateway serve"));
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let addr = loop {
         if let Ok(text) = std::fs::read_to_string(&port_file) {
             let text = text.trim().to_string();
@@ -66,7 +65,7 @@ fn start_on(
                 break text;
             }
         }
-        assert!(Instant::now() < deadline, "gateway never wrote its port file");
+        assert!(std::time::Instant::now() < deadline, "gateway never wrote its port file");
         std::thread::sleep(Duration::from_millis(10));
     };
     let _ = std::fs::remove_dir_all(&dir);
@@ -85,12 +84,13 @@ fn get(base: &str, path: &str) -> ClientResponse {
 /// Drain and stop the gateway. `serve` must return within 10 s of the
 /// drained answer, so a lost accept wake-up fails the test instead of
 /// hanging the suite.
+#[expect(clippy::disallowed_types, reason = "a wall-clock deadline bounds the polling")]
 fn shutdown(base: &str, handle: std::thread::JoinHandle<GatewayStats>) -> GatewayStats {
     let resp = post(base, "/shutdown", "");
     assert_eq!(resp.status, 200, "{}", resp.body_str());
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while !handle.is_finished() {
-        assert!(Instant::now() < deadline, "serve did not return after POST /shutdown");
+        assert!(std::time::Instant::now() < deadline, "serve did not return after POST /shutdown");
         std::thread::sleep(Duration::from_millis(10));
     }
     handle.join().expect("gateway thread")
@@ -99,15 +99,16 @@ fn shutdown(base: &str, handle: std::thread::JoinHandle<GatewayStats>) -> Gatewa
 /// Poll the one-shot status endpoint until the job reports `state`.
 /// (`GET /v1/jobs/{id}` without `/status` streams until the job is
 /// terminal, which is exactly wrong for observing intermediate states.)
+#[expect(clippy::disallowed_types, reason = "a wall-clock deadline bounds the polling")]
 fn wait_for_state(base: &str, id: u64, state: &str) {
-    let deadline = Instant::now() + Duration::from_secs(60);
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
     loop {
         let resp = get(base, &format!("/v1/jobs/{id}/status"));
         assert_eq!(resp.status, 200, "{}", resp.body_str());
         if resp.body_str().contains(&format!("\"state\":\"{state}\"")) {
             return;
         }
-        assert!(Instant::now() < deadline, "job {id} never reached {state}");
+        assert!(std::time::Instant::now() < deadline, "job {id} never reached {state}");
         std::thread::sleep(Duration::from_millis(20));
     }
 }
@@ -383,6 +384,7 @@ fn oversized_header_line_gets_400() {
 }
 
 #[test]
+#[expect(clippy::disallowed_types, reason = "a wall-clock deadline bounds the polling")]
 fn connections_past_the_cap_get_503_until_they_close() {
     let (base, handle) = start(1, 4);
     let addr = base.trim_start_matches("http://");
@@ -398,14 +400,14 @@ fn connections_past_the_cap_get_503_until_they_close() {
     drop(idle);
     // The handlers see EOF and exit; the accept thread reaps them on its
     // next accept.
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let resp = get(&base, "/healthz");
         if resp.status == 200 {
             break;
         }
         assert_eq!(resp.status, 503, "{}", resp.body_str());
-        assert!(Instant::now() < deadline, "connections never recovered after closing");
+        assert!(std::time::Instant::now() < deadline, "connections never recovered after closing");
         std::thread::sleep(Duration::from_millis(10));
     }
     let metrics = get(&base, "/metrics").body_str().into_owned();

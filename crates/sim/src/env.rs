@@ -27,9 +27,60 @@
 //!
 //! The gateway's `COAXIAL_GATEWAY_*` family is documented in
 //! `crates/gateway/src/lib.rs` next to the code that parses it.
+//!
+//! Every numeric knob is in `NUMERIC_KNOBS`; front ends run
+//! [`check_numeric_knobs`] before anything else, so a malformed value
+//! stops the command instead of silently falling back to the default.
+
+/// How a numeric knob parses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Numeric {
+    /// [`env_u64`]: a non-negative integer.
+    U64,
+    /// [`env_f64`]: a finite float.
+    F64,
+}
+
+/// Every numeric `COAXIAL_*` knob, the gateway's included, with its type.
+/// Each [`env_u64`]/[`env_f64`] call site in the workspace names one of
+/// these (a test holds it).
+pub(crate) const NUMERIC_KNOBS: &[(&str, Numeric)] = &[
+    ("COAXIAL_INSTR", Numeric::U64),
+    ("COAXIAL_WARMUP", Numeric::U64),
+    ("COAXIAL_JOBS", Numeric::U64),
+    ("COAXIAL_PREFILL_CACHE_MB", Numeric::U64),
+    ("COAXIAL_F2A_CYCLES", Numeric::U64),
+    ("COAXIAL_SAMPLING_INTERVALS", Numeric::U64),
+    ("COAXIAL_SAMPLING_MEASURE", Numeric::U64),
+    ("COAXIAL_SAMPLING_WARM", Numeric::U64),
+    ("COAXIAL_SAMPLING_CI", Numeric::F64),
+    ("COAXIAL_GATEWAY_WORKERS", Numeric::U64),
+    ("COAXIAL_GATEWAY_QUEUE", Numeric::U64),
+    ("COAXIAL_GATEWAY_CACHE_MB", Numeric::U64),
+    ("COAXIAL_GATEWAY_RATE", Numeric::U64),
+    ("COAXIAL_GATEWAY_BURST", Numeric::U64),
+];
+
+/// Check every set numeric knob. The error names the first that does not
+/// parse as its type, in the one line the `coaxial` CLI prints for a
+/// malformed option: `COAXIAL_INSTR wants a number, got "12k"`.
+pub fn check_numeric_knobs() -> Result<(), String> {
+    for &(name, kind) in NUMERIC_KNOBS {
+        let Some(raw) = std::env::var_os(name) else { continue };
+        let parses = raw.to_str().is_some_and(|v| match kind {
+            Numeric::U64 => v.parse::<u64>().is_ok(),
+            Numeric::F64 => v.parse::<f64>().is_ok_and(f64::is_finite),
+        });
+        if !parses {
+            return Err(format!("{name} wants a number, got {:?}", raw.to_string_lossy()));
+        }
+    }
+    Ok(())
+}
 
 /// Read a `u64` from the environment, falling back to `default` when the
-/// variable is unset or unparsable.
+/// variable is unset or unparsable (a front end that ran
+/// [`check_numeric_knobs`] has already refused the latter).
 pub fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
@@ -46,7 +97,8 @@ pub fn env_flag(name: &str, default: bool) -> bool {
 
 /// Read an `f64` from the environment, falling back to `default` when the
 /// variable is unset or unparsable. Non-finite values are rejected so a
-/// stray `inf`/`nan` cannot poison deterministic arithmetic downstream.
+/// stray `inf`/`nan` cannot poison deterministic arithmetic downstream
+/// ([`check_numeric_knobs`] refuses both up front).
 pub fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)
         .ok()
@@ -152,6 +204,11 @@ pub fn debug() -> bool {
 /// buys slowdown. Prefer `COAXIAL_CHECKPOINT_DIR` for large retained sets
 /// — the disk tier holds unlimited warmed states without touching the
 /// prefill loop's working set.
+///
+/// The 8–16 states and the 32–128 MB and 256 MB figures were measured when
+/// a cache way took 17 B of warmed state (tag, LRU stamp, dirty flag).
+/// A way is now one 8 B word, so a budget holds about twice as many
+/// states (a DDR-geometry state is ~4 MB, a COAXIAL-4x one ~2.4 MB).
 pub fn prefill_cache_mb() -> u64 {
     env_u64("COAXIAL_PREFILL_CACHE_MB", 64)
 }
@@ -172,7 +229,64 @@ pub fn checkpoint_dir() -> Option<std::path::PathBuf> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+    use std::path::{Path, PathBuf};
+
     use super::*;
+
+    /// The workspace's `.rs` files under `dir`, build output and vendored
+    /// crates aside.
+    fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("dir entry").path();
+            let name =
+                path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+            if path.is_dir() {
+                if !name.starts_with('.') && name != "target" && name != "vendor" {
+                    rust_sources(&path, out);
+                }
+            } else if name.ends_with(".rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    /// Every `env_u64`/`env_f64` call in the workspace names a knob of
+    /// `NUMERIC_KNOBS` with the matching type, so `check_numeric_knobs`
+    /// sees it; and every listed knob is read somewhere.
+    #[test]
+    fn numeric_knobs_list_every_call_site() {
+        let mut files = Vec::new();
+        rust_sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."), &mut files);
+        let mut called = BTreeSet::new();
+        for file in &files {
+            let text = std::fs::read_to_string(file).expect("utf-8 source");
+            for (ty, kind) in [("u64", Numeric::U64), ("f64", Numeric::F64)] {
+                let call = format!("env_{ty}(");
+                for (at, _) in text.match_indices(&call) {
+                    if text[..at].ends_with("fn ") {
+                        continue;
+                    }
+                    let arg = text[at + call.len()..].trim_start();
+                    let name = arg.strip_prefix('"').and_then(|a| a.split('"').next());
+                    let name = name.unwrap_or_else(|| {
+                        panic!("{}: {call} without a literal knob name", file.display())
+                    });
+                    if name.starts_with("COAXIAL_TEST") {
+                        continue;
+                    }
+                    assert!(
+                        NUMERIC_KNOBS.contains(&(name, kind)),
+                        "{}: {name} is read with env_{ty} but not listed in NUMERIC_KNOBS as {kind:?}",
+                        file.display()
+                    );
+                    called.insert(name.to_owned());
+                }
+            }
+        }
+        let listed: BTreeSet<_> = NUMERIC_KNOBS.iter().map(|&(name, _)| name.to_owned()).collect();
+        assert_eq!(called, listed, "NUMERIC_KNOBS lists a knob nothing reads");
+    }
 
     #[test]
     fn defaults_pass_through() {

@@ -1,7 +1,6 @@
-#![expect(clippy::disallowed_types, reason = "prints the sweep's host wall time")]
-
 use coaxial_system::experiments::{fig5_main, geomean_speedup, Budget};
 
+#[expect(clippy::disallowed_types, reason = "prints the sweep's host wall time")]
 fn main() {
     let budget = Budget { instructions: 30_000, warmup: 5_000 };
     let t0 = std::time::Instant::now();

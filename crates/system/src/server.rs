@@ -127,6 +127,8 @@ fn lock_store<V: Snapshot>(
 /// Above this budget the prefill working set outgrows the host LLC and the
 /// restore path turns memory-bandwidth-bound: the 288-run sweep is flat
 /// from 32–128 MB and ~40% slower at 256 MB (see `env::prefill_cache_mb`).
+/// Those figures were measured when a cache way cost 17 B (tag, LRU stamp,
+/// dirty flag); at 8 B a budget now holds about twice as many states.
 const PREFILL_BUDGET_CLIFF_MB: u64 = 128;
 
 static BUDGET_WARNING: Once = Once::new();
@@ -269,8 +271,11 @@ impl CoreStream<'_> {
 /// Canonical content address of a warmed prefill state: every functional
 /// field plus the per-core workload names. Timing fields are deliberately
 /// absent — that is the whole point of the store (and lint E03's job).
+/// The domain's version names the `PrefillState` encoding: the disk tier
+/// never overwrites a file, so an old-format file under an unchanged key
+/// would fail to decode on every run and never be replaced.
 fn prefill_state_key(names: &[String], func: &FunctionalConfig) -> u128 {
-    let mut h = KeyHasher::new("coaxial/prefill-state/v1");
+    let mut h = KeyHasher::new("coaxial/prefill-state/v2");
     h.write_u64(names.len() as u64);
     for n in names {
         h.write_str(n);

@@ -5,22 +5,19 @@
 //! cargo run --release --example prefill_micro
 //! ```
 
-#![expect(clippy::disallowed_types, reason = "a microbenchmark measures host wall time")]
-
-use std::time::Instant;
-
 use coaxial::cache::{CalmPolicy, Hierarchy, HierarchyConfig};
 use coaxial::cpu::TraceSource;
 use coaxial::dram::{DramConfig, MultiChannel};
 use coaxial::workloads::Workload;
 
+#[expect(clippy::disallowed_types, reason = "a microbenchmark measures host wall time")]
 fn main() {
     const OPS: usize = 3_000_000;
     let w = Workload::by_name("mcf").unwrap();
 
     // 1. Trace generation alone.
     let mut t = w.trace(0, 0xF111);
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     let mut acc = 0u64;
     for _ in 0..OPS {
         let (line, st) = t.next_access();
@@ -39,7 +36,7 @@ fn main() {
     let mut traces: Vec<_> = (0..12).map(|i| w.trace(i, 0xF111)).collect();
     let ahead: usize = std::env::var("AHEAD").ok().and_then(|v| v.parse().ok()).unwrap_or(8);
     let mut buf: Vec<(u64, bool)> = Vec::with_capacity(OPS / 8 / 12);
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     for round in 0..8 {
         for (i, t) in traces.iter_mut().enumerate() {
             buf.clear();

@@ -209,6 +209,10 @@ fn print_sampling(s: &SamplingSummary) {
 }
 
 fn main() {
+    if let Err(e) = coaxial::sim::env::check_numeric_knobs() {
+        eprintln!("{e}");
+        exit(2)
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
     match cmd.as_str() {
