@@ -207,6 +207,12 @@ impl CacheArray {
         self.ways.iter().filter(|&&w| w != EMPTY).count()
     }
 
+    /// The resident lines, set by set.
+    #[cfg(test)]
+    pub(crate) fn resident_lines(&self) -> impl Iterator<Item = u64> + '_ {
+        self.ways.iter().filter(|&&w| w != EMPTY).map(|&w| w >> 1)
+    }
+
     /// Hint the host CPU to pull this line's set into its cache. Purely a
     /// performance hint for pipelined probes (the simulated arrays are tens
     /// of megabytes, so a random probe is a host memory miss); touches no
@@ -234,9 +240,10 @@ impl CacheArray {
         let _ = line_addr;
     }
 
-    /// Same sets, ways and index function as `other`.
-    pub fn same_geometry(&self, other: &Self) -> bool {
-        (self.assoc, self.set_mask) == (other.assoc, other.set_mask)
+    /// Whether this array has the sets and ways `CacheArray::new` builds
+    /// for `capacity_bytes` at `assoc` ways.
+    pub(crate) fn has_geometry(&self, capacity_bytes: u64, assoc: usize) -> bool {
+        self.assoc == assoc && self.num_sets() == capacity_bytes / 64 / assoc as u64
     }
 
     /// Reset hit/miss counters (end of warmup) without touching contents.
@@ -263,8 +270,9 @@ impl CacheArray {
     /// Decode an array encoded by [`CacheArray::encode_into`]. Returns
     /// `None` on any structural inconsistency (bad geometry, a length that
     /// does not match it, an empty way before a valid one, a line stored
-    /// in a set its address does not map to) so corrupt checkpoint files
-    /// read as cache misses rather than corrupt simulations.
+    /// in a set its address does not map to, a line stored twice in one
+    /// set) so corrupt checkpoint files read as cache misses rather than
+    /// corrupt simulations.
     pub fn decode_from(r: &mut coaxial_sim::checkpoint::codec::Reader<'_>) -> Option<Self> {
         let assoc = usize::try_from(r.u64()?).ok()?;
         let set_mask = r.u64()?;
@@ -279,9 +287,10 @@ impl CacheArray {
             return None;
         }
         for (set, words) in (0..sets).zip(ways.chunks_exact(assoc)) {
-            let valid = words.iter().take_while(|&&w| w != EMPTY).count();
-            if words[valid..].iter().any(|&w| w != EMPTY)
-                || words[..valid].iter().any(|&w| (w >> 1) & set_mask != set)
+            let (valid, empty) = words.split_at(words.iter().take_while(|&&w| w != EMPTY).count());
+            if empty.iter().any(|&w| w != EMPTY)
+                || valid.iter().any(|&w| (w >> 1) & set_mask != set)
+                || (1..valid.len()).any(|i| valid[..i].iter().any(|&w| w >> 1 == valid[i] >> 1))
             {
                 return None;
             }
@@ -434,6 +443,7 @@ mod tests {
         assert!(!decodes(&with_way(0, EMPTY)), "an empty way before a valid one");
         assert!(!decodes(&with_way(0, 1 << 1)), "line 1 stored in set 0");
         assert!(decodes(&with_way(0, 32 << 1 | 1)), "line 32 belongs to set 0 of 32");
+        assert!(!decodes(&with_way(1, c.ways[0])), "one line in two ways of set 0");
     }
 
     #[test]

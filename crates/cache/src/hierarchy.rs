@@ -69,19 +69,44 @@ pub enum AccessResult {
 /// L2 MSHRs per core in the Table III configuration.
 pub const L2_MSHRS: usize = 16;
 
-/// Static configuration of the hierarchy (paper Table III).
+/// Sizes of the cache arrays (paper Table III): one L1 and one L2 per
+/// core and one LLC bank per core tile. Together with the access streams
+/// this is all a warmed [`PrefillState`] depends on; nothing here is
+/// timing.
 #[derive(Debug, Clone)]
-pub struct HierarchyConfig {
+pub struct CacheGeometry {
     pub cores: usize,
     pub l1_bytes: u64,
     pub l1_assoc: usize,
-    pub l1_latency: Cycle,
     pub l2_bytes: u64,
     pub l2_assoc: usize,
-    pub l2_latency: Cycle,
     /// LLC capacity per core (the LLC is banked per core tile).
     pub llc_bytes_per_core: u64,
     pub llc_assoc: usize,
+}
+
+impl CacheGeometry {
+    /// Paper Table III arrays for `cores` core tiles with the given
+    /// LLC-per-core capacity.
+    pub fn table_iii(cores: usize, llc_mb_per_core: f64) -> Self {
+        Self {
+            cores,
+            l1_bytes: 32 * 1024,
+            l1_assoc: 8,
+            l2_bytes: 512 * 1024,
+            l2_assoc: 8,
+            llc_bytes_per_core: coaxial_sim::trunc_u64(llc_mb_per_core * 1024.0 * 1024.0),
+            llc_assoc: 16,
+        }
+    }
+}
+
+/// Static configuration of the hierarchy (paper Table III).
+#[derive(Debug, Clone)]
+pub struct HierarchyConfig {
+    pub geometry: CacheGeometry,
+    pub l1_latency: Cycle,
+    pub l2_latency: Cycle,
     pub llc_latency: Cycle,
     pub l2_mshrs: usize,
     pub noc_cycles_per_hop: Cycle,
@@ -108,15 +133,9 @@ impl HierarchyConfig {
         calm: CalmPolicy,
     ) -> Self {
         Self {
-            cores,
-            l1_bytes: 32 * 1024,
-            l1_assoc: 8,
+            geometry: CacheGeometry::table_iii(cores, llc_mb_per_core),
             l1_latency: 4,
-            l2_bytes: 512 * 1024,
-            l2_assoc: 8,
             l2_latency: 8,
-            llc_bytes_per_core: coaxial_sim::trunc_u64(llc_mb_per_core * 1024.0 * 1024.0),
-            llc_assoc: 16,
             llc_latency: 20,
             l2_mshrs: L2_MSHRS,
             noc_cycles_per_hop: 3,
@@ -264,8 +283,14 @@ struct Finish {
     txn: u32,
 }
 
-/// Warmed cache-array contents captured after a functional prefill; see
-/// [`Hierarchy::export_prefill_state`].
+/// The cache arrays: each core's L1 and L2 and the LLC's per-tile banks.
+///
+/// This is the whole of what the functional prefill warms, and it is a
+/// value: built from a [`CacheGeometry`] alone and warmed through
+/// [`PrefillState::prefill_access`], with no backend, timing or telemetry
+/// in reach. A [`Hierarchy`] keeps its arrays in one and hands its
+/// functional operations to it; [`Hierarchy::import_prefill_state`] copies
+/// a warmed state in.
 #[derive(Clone)]
 pub struct PrefillState {
     l1: Vec<CacheArray>,
@@ -274,10 +299,135 @@ pub struct PrefillState {
 }
 
 impl PrefillState {
+    /// Empty arrays of geometry `g`.
+    pub fn new(g: &CacheGeometry) -> Self {
+        assert!(g.cores > 0);
+        let level = |bytes, assoc| (0..g.cores).map(|_| CacheArray::new(bytes, assoc)).collect();
+        Self {
+            l1: level(g.l1_bytes, g.l1_assoc),
+            l2: level(g.l2_bytes, g.l2_assoc),
+            llc: level(g.llc_bytes_per_core, g.llc_assoc),
+        }
+    }
+
+    /// Whether every array has geometry `g` (a decoded disk checkpoint
+    /// may come from another build's cache configuration).
+    pub fn fits(&self, g: &CacheGeometry) -> bool {
+        let level = |arrays: &[CacheArray], bytes, assoc| {
+            arrays.len() == g.cores && arrays.iter().all(|a| a.has_geometry(bytes, assoc))
+        };
+        level(&self.l1, g.l1_bytes, g.l1_assoc)
+            && level(&self.l2, g.l2_bytes, g.l2_assoc)
+            && level(&self.llc, g.llc_bytes_per_core, g.llc_assoc)
+    }
+
     /// Approximate heap footprint of the warmed arrays, in bytes — the
     /// sizing input for the byte-bounded prefill cache in `coaxial-system`.
     pub fn approx_bytes(&self) -> u64 {
         self.l1.iter().chain(&self.l2).chain(&self.llc).map(CacheArray::approx_heap_bytes).sum()
+    }
+
+    /// LLC bank for a line (address-hashed across core tiles).
+    #[inline]
+    fn llc_bank(&self, line: u64) -> usize {
+        // Mix the bits so strided streams spread over banks.
+        let mut x = line;
+        x = (x ^ (x >> 17)).wrapping_mul(0xED5A_D4BB_AC4C_1B51);
+        coaxial_sim::idx(x % self.llc.len() as u64)
+    }
+
+    /// Functionally warm the arrays with one access (no timing, no memory
+    /// traffic). A prefill stands in for the paper's 50 M-instruction
+    /// warmup, so short runs begin at a realistic steady state: dirty lines
+    /// resident and ready to spill. A dirty LLC victim's writeback is
+    /// dropped, since no memory system is in reach.
+    ///
+    /// This is the hottest function of a short run by far (the prefill
+    /// streams a multiple of the LLC capacity through the arrays), so every
+    /// level is probed exactly once: `prefill_touch` merges the presence
+    /// check with the dirty-bit update, and the `*_absent` fills skip the
+    /// presence scan a failed probe already paid for. State transitions are
+    /// identical to the naive peek/mark_dirty/fill sequence.
+    #[inline]
+    pub fn prefill_access(&mut self, core: u32, line: u64, is_write: bool) {
+        let c = core as usize;
+        if self.l1[c].prefill_touch(line, is_write) {
+            return;
+        }
+        if !self.l2[c].prefill_touch(line, is_write) {
+            let bank = self.llc_bank(line);
+            if !self.llc[bank].peek(line) {
+                // Clean fill of a line absent from the LLC bank.
+                self.llc[bank].fill_absent(line, false);
+            }
+            // Absent from the L2 (probe above); victims spill as usual.
+            if let Some(ev) = self.l2[c].fill_absent(line, is_write) {
+                if ev.dirty {
+                    self.fill_llc(ev.line_addr, true);
+                }
+            }
+        }
+        // Absent from the L1 (first probe).
+        if let Some(ev) = self.l1[c].fill_absent(line, is_write) {
+            if ev.dirty {
+                self.fill_l2(c, ev.line_addr, true);
+            }
+        }
+    }
+
+    /// Host-prefetch the tag sets [`PrefillState::prefill_access`] would
+    /// probe for `(core, line)`. Purely a performance hint: issued a few
+    /// accesses ahead, it overlaps the host memory misses the probes would
+    /// otherwise serialize on. Touches no simulated state.
+    #[inline]
+    pub fn prefill_prefetch(&self, core: u32, line: u64) {
+        let c = core as usize;
+        self.l1[c].prefetch_set(line);
+        self.l2[c].prefetch_set(line);
+        self.llc[self.llc_bank(line)].prefetch_set(line);
+    }
+
+    /// (valid, dirty) line counts per level summed over cores/banks
+    /// (test/debug aid).
+    pub fn occupancy(&self) -> [(usize, usize); 3] {
+        let sum = |arr: &[CacheArray]| {
+            arr.iter().fold((0, 0), |(v, d), a| (v + a.valid_count(), d + a.dirty_count()))
+        };
+        [sum(&self.l1), sum(&self.l2), sum(&self.llc)]
+    }
+
+    /// Fill a line into a core's L1; a dirty victim merges into the L2
+    /// (write-back, on-chip only). Returns the dirty LLC victim this
+    /// displaced, whose writeback is the caller's to issue or drop.
+    fn fill_l1(&mut self, core: usize, line: u64, dirty: bool) -> Option<u64> {
+        match self.l1[core].fill(line, dirty) {
+            Some(ev) if ev.dirty => self.fill_l2(core, ev.line_addr, true),
+            _ => None,
+        }
+    }
+
+    /// Fill a line into a core's L2, spilling a dirty victim into the LLC.
+    /// Returns the dirty LLC victim, as [`PrefillState::fill_l1`].
+    fn fill_l2(&mut self, core: usize, line: u64, dirty: bool) -> Option<u64> {
+        match self.l2[core].fill(line, dirty) {
+            Some(ev) if ev.dirty => self.fill_llc(ev.line_addr, true),
+            _ => None,
+        }
+    }
+
+    /// Fill a line into its LLC bank; returns a dirty victim's line.
+    fn fill_llc(&mut self, line: u64, dirty: bool) -> Option<u64> {
+        let bank = self.llc_bank(line);
+        self.llc[bank].fill(line, dirty).filter(|ev| ev.dirty).map(|ev| ev.line_addr)
+    }
+
+    /// Zero every array's demand hit/miss counters; contents stay.
+    fn reset_stats(&mut self) {
+        self.l1
+            .iter_mut()
+            .chain(&mut self.l2)
+            .chain(&mut self.llc)
+            .for_each(CacheArray::reset_stats);
     }
 }
 
@@ -323,9 +473,7 @@ impl coaxial_sim::Snapshot for PrefillState {
 /// attribution and trace events.
 pub struct Hierarchy<B: MemoryBackend, T: TelemetrySink = NullTelemetry> {
     cfg: HierarchyConfig,
-    l1: Vec<CacheArray>,
-    l2: Vec<CacheArray>,
-    llc: Vec<CacheArray>, // one bank per core tile
+    arrays: PrefillState,
     mesh: Mesh,
     mshr: Vec<Mshr>,
     calm: CalmEngine,
@@ -376,49 +524,35 @@ impl<B: MemoryBackend> Hierarchy<B> {
 
 impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
     pub fn with_telemetry(cfg: HierarchyConfig, backend: B, tel: T) -> Self {
-        assert!(cfg.cores > 0);
-        let l1: Vec<_> =
-            (0..cfg.cores).map(|_| CacheArray::new(cfg.l1_bytes, cfg.l1_assoc)).collect();
-        let l2: Vec<_> =
-            (0..cfg.cores).map(|_| CacheArray::new(cfg.l2_bytes, cfg.l2_assoc)).collect();
-        let llc: Vec<_> = (0..cfg.cores)
-            .map(|_| CacheArray::new(cfg.llc_bytes_per_core, cfg.llc_assoc))
-            .collect();
-        Self::build(cfg, backend, tel, l1, l2, llc)
+        let arrays = PrefillState::new(&cfg.geometry);
+        Self::build(cfg, backend, tel, arrays)
     }
 
     /// Consume this hierarchy at an interval boundary and rebuild it for
     /// the next detailed measurement interval (SMARTS-style sampling).
     ///
-    /// The warmed cache arrays — exactly the state the functional prefill
-    /// and fast-forward paths maintain, per the [`PrefillState`] contract —
-    /// move into the new hierarchy without copying. Everything timing-
-    /// related (mesh, MSHRs, CALM engine, stride tables, event heaps,
-    /// transaction tables, stats, the clock) restarts fresh at cycle 0 on
-    /// the supplied `backend`, so a measurement interval starts from the
-    /// same clean timing state a fresh run would, warmed caches aside; the
-    /// per-interval detailed warm-up then re-warms that timing state before
-    /// measurement begins. The telemetry sink is carried over so interval-
+    /// The warmed cache arrays — the [`PrefillState`] the functional
+    /// prefill and fast-forward paths maintain — move into the new
+    /// hierarchy without copying. Everything timing-related (mesh, MSHRs,
+    /// CALM engine, stride tables, event heaps, transaction tables, stats,
+    /// the clock) restarts fresh at cycle 0 on the supplied `backend`, so a
+    /// measurement interval starts from the same clean timing state a fresh
+    /// run would, warmed caches aside; the per-interval detailed warm-up
+    /// then re-warms that timing state before measurement begins. The telemetry sink is carried over so interval-
     /// boundary events accumulate in one trace.
     pub fn into_interval(self, backend: B) -> Self {
-        let Self { cfg, l1, l2, llc, tel, .. } = self;
-        Self::build(cfg, backend, tel, l1, l2, llc)
+        let Self { cfg, arrays, tel, .. } = self;
+        Self::build(cfg, backend, tel, arrays)
     }
 
     /// Shared constructor body: assemble a hierarchy around already-built
     /// cache arrays. Every non-array field starts from scratch here, which
     /// is what makes [`Hierarchy::into_interval`] future-proof — a new
     /// field added to the struct must be initialized in exactly one place.
-    fn build(
-        cfg: HierarchyConfig,
-        backend: B,
-        tel: T,
-        l1: Vec<CacheArray>,
-        l2: Vec<CacheArray>,
-        llc: Vec<CacheArray>,
-    ) -> Self {
-        let mesh = Mesh::new(cfg.cores, cfg.mem_channels, cfg.noc_cycles_per_hop);
-        let mshr = (0..cfg.cores).map(|_| Mshr::new(cfg.l2_mshrs)).collect();
+    fn build(cfg: HierarchyConfig, backend: B, tel: T, arrays: PrefillState) -> Self {
+        let cores = cfg.geometry.cores;
+        let mesh = Mesh::new(cores, cfg.mem_channels, cfg.noc_cycles_per_hop);
+        let mshr = (0..cores).map(|_| Mshr::new(cfg.l2_mshrs)).collect();
         let calm = CalmEngine::with_epoch(
             cfg.calm,
             cfg.peak_mem_bytes_per_cycle,
@@ -426,14 +560,12 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             cfg.calm_epoch,
         );
         Self {
-            l1,
-            l2,
-            llc,
+            arrays,
             mesh,
             mshr,
             calm,
             backend,
-            stride_tables: (0..cfg.cores).map(|_| StrideTable::new()).collect(),
+            stride_tables: (0..cores).map(|_| StrideTable::new()).collect(),
             prefetched_lines: BTreeSet::new(),
             pf_stats: PrefetchStats::default(),
             txns: Vec::new(),
@@ -475,13 +607,10 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         &self.backend
     }
 
-    /// LLC bank for a line (address-hashed across core tiles).
+    /// LLC bank for a line (the arrays' address hash across core tiles).
     #[inline]
     fn llc_bank(&self, line: u64) -> usize {
-        // Mix the bits so strided streams spread over banks.
-        let mut x = line;
-        x = (x ^ (x >> 17)).wrapping_mul(0xED5A_D4BB_AC4C_1B51);
-        coaxial_sim::idx(x % self.cfg.cores as u64)
+        self.arrays.llc_bank(line)
     }
 
     /// Memory-controller tile serving a line (matches backend interleave).
@@ -537,25 +666,21 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         // access that will need an MSHR but cannot get one must retry
         // WITHOUT perturbing LRU state, hit/miss counters, or the CALM
         // engine (it will be re-presented next cycle).
-        if self.mshr[c].is_full()
-            && !self.l1[c].peek(line)
-            && !self.l2[c].peek(line)
-            && !self.llc[self.llc_bank(line)].peek(line)
-        {
+        if self.mshr[c].is_full() && !self.probe_on_chip(c, line) {
             return AccessResult::Retry;
         }
 
         // L1.
-        if self.l1[c].lookup(line) {
+        if self.arrays.l1[c].lookup(line) {
             if is_write {
-                self.l1[c].mark_dirty(line);
+                self.arrays.l1[c].mark_dirty(line);
             }
             return AccessResult::Done(now + self.cfg.l1_latency);
         }
         let t_l1 = now + self.cfg.l1_latency;
 
         // L2.
-        if self.l2[c].lookup(line) {
+        if self.arrays.l2[c].lookup(line) {
             self.fill_l1(c, line, is_write);
             return AccessResult::Done(t_l1 + self.cfg.l2_latency);
         }
@@ -563,7 +688,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
 
         // L2 miss: consult the LLC bank (functional) and the CALM engine.
         let bank = self.llc_bank(line);
-        let llc_hit = self.llc[bank].lookup(line);
+        let llc_hit = self.arrays.llc[bank].lookup(line);
         let do_calm = self.calm.decide(pc, llc_hit, now);
         self.stats.l2_misses += 1;
         if self.cfg.prefetch != PrefetchPolicy::None {
@@ -679,8 +804,8 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
                 continue;
             }
             if self.mshr[c].lookup(cand).is_some()
-                || self.l2[c].peek(cand)
-                || self.llc[self.llc_bank(cand)].peek(cand)
+                || self.arrays.l2[c].peek(cand)
+                || self.arrays.llc[self.llc_bank(cand)].peek(cand)
             {
                 self.pf_stats.redundant += 1;
                 continue;
@@ -708,147 +833,63 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         }
     }
 
-    /// Fill a line into a core's L1, spilling dirty victims into the L2.
+    /// Fill a line into a core's L1; a dirty LLC victim goes to memory.
     fn fill_l1(&mut self, core: usize, line: u64, dirty: bool) {
-        if let Some(ev) = self.l1[core].fill(line, dirty) {
-            if ev.dirty {
-                // Dirty L1 victim merges into L2 (write-back, on-chip only).
-                if let Some(ev2) = self.l2[core].fill(ev.line_addr, true) {
-                    if ev2.dirty {
-                        self.spill_to_llc(ev2.line_addr);
-                    }
-                }
-            }
-        }
+        self.writeback_queue.extend(self.arrays.fill_l1(core, line, dirty));
     }
 
-    /// Fill a line into a core's L2, spilling dirty victims into the LLC.
+    /// Fill a line into a core's L2; a dirty LLC victim goes to memory.
     fn fill_l2(&mut self, core: usize, line: u64, dirty: bool) {
-        if let Some(ev) = self.l2[core].fill(line, dirty) {
-            if ev.dirty {
-                self.spill_to_llc(ev.line_addr);
-            }
-        }
+        self.writeback_queue.extend(self.arrays.fill_l2(core, line, dirty));
     }
 
-    /// Write a dirty line into its LLC bank; dirty LLC victims go to memory.
-    fn spill_to_llc(&mut self, line: u64) {
-        let bank = self.llc_bank(line);
-        if let Some(ev) = self.llc[bank].fill(line, true) {
-            if ev.dirty {
-                self.writeback_queue.push_back(ev.line_addr);
-            }
-        }
-    }
-
-    /// Fill the LLC with a clean memory line; dirty victims go to memory.
+    /// Fill the LLC with a clean memory line; a dirty victim goes to memory.
     fn fill_llc_clean(&mut self, line: u64) {
-        let bank = self.llc_bank(line);
-        if let Some(ev) = self.llc[bank].fill(line, false) {
-            if ev.dirty {
-                self.writeback_queue.push_back(ev.line_addr);
-            }
-        }
+        self.writeback_queue.extend(self.arrays.fill_llc(line, false));
     }
 
-    /// Functionally warm the caches with one access (no timing, no memory
-    /// traffic). Used before simulation starts so short runs begin at a
-    /// realistic steady state — dirty lines resident and ready to spill —
-    /// standing in for the paper's 50 M-instruction warmup. Call
-    /// [`Hierarchy::finish_prefill`] when done.
-    ///
-    /// This is the hottest function of a short run by far (the prefill
-    /// streams a multiple of the LLC capacity through the arrays), so every
-    /// level is probed exactly once: `prefill_touch` merges the presence
-    /// check with the dirty-bit update, and the `*_absent` fills skip the
-    /// presence scan a failed probe already paid for. State transitions are
-    /// identical to the naive peek/mark_dirty/fill sequence.
+    /// Functionally warm the arrays with one access; see
+    /// [`PrefillState::prefill_access`]. Call [`Hierarchy::finish_prefill`]
+    /// when done.
+    #[inline]
     pub fn prefill_access(&mut self, core: u32, line: u64, is_write: bool) {
-        let c = core as usize;
-        if self.l1[c].prefill_touch(line, is_write) {
-            return;
-        }
-        if !self.l2[c].prefill_touch(line, is_write) {
-            let bank = self.llc_bank(line);
-            if !self.llc[bank].peek(line) {
-                // Clean fill of a line absent from the LLC bank.
-                if let Some(ev) = self.llc[bank].fill_absent(line, false) {
-                    if ev.dirty {
-                        self.writeback_queue.push_back(ev.line_addr);
-                    }
-                }
-            }
-            // Absent from the L2 (probe above); victims spill as usual.
-            if let Some(ev) = self.l2[c].fill_absent(line, is_write) {
-                if ev.dirty {
-                    self.spill_to_llc(ev.line_addr);
-                }
-            }
-        }
-        // Absent from the L1 (first probe).
-        if let Some(ev) = self.l1[c].fill_absent(line, is_write) {
-            if ev.dirty {
-                if let Some(ev2) = self.l2[c].fill(ev.line_addr, true) {
-                    if ev2.dirty {
-                        self.spill_to_llc(ev2.line_addr);
-                    }
-                }
-            }
-        }
+        self.arrays.prefill_access(core, line, is_write);
     }
 
-    /// Snapshot of the warmed cache arrays after a functional prefill.
+    /// A copy of the cache arrays.
     ///
-    /// The prefill's result depends only on the access streams and the array
-    /// geometry — not on the memory backend or timing configuration — so a
-    /// driver sweeping one workload over several memory systems can export
-    /// the state once and [`Hierarchy::import_prefill_state`] it into the
-    /// siblings instead of re-streaming the working set. Importing produces
-    /// exactly the state a fresh prefill would have, recency order included,
-    /// so simulation results are bit-identical either way.
+    /// The arrays' contents depend only on the access streams and the
+    /// array geometry — not on the memory backend or timing configuration —
+    /// so one warmed state serves every memory system a workload is swept
+    /// over. Importing it produces exactly the arrays it was taken from,
+    /// recency order included, so simulation results are bit-identical.
     pub fn export_prefill_state(&self) -> PrefillState {
-        PrefillState { l1: self.l1.clone(), l2: self.l2.clone(), llc: self.llc.clone() }
+        self.arrays.clone()
     }
 
-    /// Restore a snapshot taken by [`Hierarchy::export_prefill_state`].
-    /// Returns `false`, changing nothing, unless every array of `state`
-    /// has this hierarchy's geometry (a decoded disk checkpoint may come
-    /// from another build's cache configuration).
+    /// Copy a warmed state into the arrays. Returns `false`, changing
+    /// nothing, unless `state` fits this hierarchy's geometry (see
+    /// [`PrefillState::fits`]).
     pub fn import_prefill_state(&mut self, state: &PrefillState) -> bool {
-        let fits = |mine: &[CacheArray], theirs: &[CacheArray]| {
-            mine.len() == theirs.len() && mine.iter().zip(theirs).all(|(a, b)| a.same_geometry(b))
-        };
-        if !(fits(&self.l1, &state.l1) && fits(&self.l2, &state.l2) && fits(&self.llc, &state.llc))
-        {
+        if !state.fits(&self.cfg.geometry) {
             return false;
         }
-        self.l1.clone_from(&state.l1);
-        self.l2.clone_from(&state.l2);
-        self.llc.clone_from(&state.llc);
+        self.arrays.l1.clone_from(&state.l1);
+        self.arrays.l2.clone_from(&state.l2);
+        self.arrays.llc.clone_from(&state.llc);
         true
     }
 
-    /// Host-prefetch the tag sets [`Hierarchy::prefill_access`] would probe
-    /// for `(core, line)`. Purely a performance hint: issued a few accesses
-    /// ahead, it overlaps the host memory misses the probes would otherwise
-    /// serialize on. Touches no simulated state.
+    /// See [`PrefillState::prefill_prefetch`].
     #[inline]
     pub fn prefill_prefetch(&self, core: u32, line: u64) {
-        let c = core as usize;
-        self.l1[c].prefetch_set(line);
-        self.l2[c].prefetch_set(line);
-        self.llc[self.llc_bank(line)].prefetch_set(line);
+        self.arrays.prefill_prefetch(core, line);
     }
 
-    /// Drop the writebacks generated during prefill and clear the lookup
-    /// counters it perturbed.
+    /// Clear the arrays' demand hit/miss counters, which an imported state
+    /// or an earlier detailed interval may carry, before the timed run.
     pub fn finish_prefill(&mut self) {
-        self.writeback_queue.clear();
-        for c in 0..self.cfg.cores {
-            self.l1[c].reset_stats();
-            self.l2[c].reset_stats();
-            self.llc[c].reset_stats();
-        }
+        self.arrays.reset_stats();
     }
 
     /// Advance one cycle. Call once per cycle *before* the cores issue.
@@ -1103,11 +1144,11 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
     pub fn stats(&self) -> HierStats {
         let mut st = self.stats.clone();
         let (mut h1, mut m1, mut h2, mut m2) = (0u64, 0u64, 0u64, 0u64);
-        for c in 0..self.cfg.cores {
-            h1 += self.l1[c].hits;
-            m1 += self.l1[c].misses;
-            h2 += self.l2[c].hits;
-            m2 += self.l2[c].misses;
+        for (l1, l2) in self.arrays.l1.iter().zip(&self.arrays.l2) {
+            h1 += l1.hits;
+            m1 += l1.misses;
+            h2 += l2.hits;
+            m2 += l2.misses;
         }
         st.l1_hit_ratio = if h1 + m1 == 0 { 0.0 } else { h1 as f64 / (h1 + m1) as f64 };
         st.l2_hit_ratio = if h2 + m2 == 0 { 0.0 } else { h2 as f64 / (h2 + m2) as f64 };
@@ -1120,11 +1161,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
     /// transactions, and backend timing state are preserved.
     pub fn reset_stats(&mut self, now: Cycle) {
         self.stats = HierStats::default();
-        for c in 0..self.cfg.cores {
-            self.l1[c].reset_stats();
-            self.l2[c].reset_stats();
-            self.llc[c].reset_stats();
-        }
+        self.arrays.reset_stats();
         self.calm.reset_stats();
         self.pf_stats = PrefetchStats::default();
         self.backend.reset_stats(now);
@@ -1136,18 +1173,14 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
     /// Functional check used by tests: is this line present anywhere
     /// on-chip for `core`?
     pub fn probe_on_chip(&self, core: usize, line: u64) -> bool {
-        self.l1[core].peek(line)
-            || self.l2[core].peek(line)
-            || self.llc[self.llc_bank(line)].peek(line)
+        self.arrays.l1[core].peek(line)
+            || self.arrays.l2[core].peek(line)
+            || self.arrays.llc[self.llc_bank(line)].peek(line)
     }
 
-    /// (valid, dirty) line counts per level summed over cores/banks
-    /// (test/debug aid).
+    /// See [`PrefillState::occupancy`].
     pub fn occupancy(&self) -> [(usize, usize); 3] {
-        let sum = |arr: &[CacheArray]| {
-            arr.iter().fold((0, 0), |(v, d), a| (v + a.valid_count(), d + a.dirty_count()))
-        };
-        [sum(&self.l1), sum(&self.l2), sum(&self.llc)]
+        self.arrays.occupancy()
     }
 
     /// Number of in-flight memory-bound transactions (test/debug aid).
@@ -1175,7 +1208,7 @@ mod tests {
     fn prefill_import_refuses_other_geometries() {
         let mut two = hier(2, |_| {});
         two.prefill_access(0, 0x40, true);
-        let half_l2 = hier(4, |c| c.l2_bytes = 256 * 1024);
+        let half_l2 = hier(4, |c| c.geometry.l2_bytes = 256 * 1024);
         let mut four = hier(4, |_| {});
         four.prefill_access(1, 0x80, false);
         let before = four.occupancy();
@@ -1187,13 +1220,14 @@ mod tests {
     }
 
     /// Seeded corruptions of an encoded prefill state: decoding never
-    /// panics or decodes more ways than the bytes hold, and importing what
-    /// decodes never panics.
+    /// panics, decodes more ways than the bytes hold, or yields an array
+    /// holding one line twice, and importing what decodes never panics.
     #[test]
     fn seeded_fuzz_of_prefill_state_decode_and_import() {
         use coaxial_sim::Snapshot;
         let small = |c: &mut HierarchyConfig| {
-            (c.l1_bytes, c.l2_bytes, c.llc_bytes_per_core) = (1024, 4096, 8192);
+            let g = &mut c.geometry;
+            (g.l1_bytes, g.l2_bytes, g.llc_bytes_per_core) = (1024, 4096, 8192);
         };
         let mut warm = hier(2, small);
         for line in 0..300u64 {
@@ -1207,6 +1241,10 @@ mod tests {
             let bad = rng.corrupt(&raw);
             let Some(state) = PrefillState::decode(&bad) else { continue };
             assert!(state.approx_bytes() <= bad.len() as u64 * 17 / 16, "decoded past the input");
+            for a in state.l1.iter().chain(&state.l2).chain(&state.llc) {
+                let lines: BTreeSet<u64> = a.resident_lines().collect();
+                assert_eq!(lines.len(), a.valid_count(), "a decoded array holds a line twice");
+            }
             decoded += 1;
             imported += usize::from(hier(2, small).import_prefill_state(&state));
         }
@@ -1294,7 +1332,7 @@ mod tests {
         d.settle(vec![a, b, c2], 100_000);
         assert_eq!(d.h.inflight_txns(), 0);
         // The store marked the line dirty in L1.
-        assert!(d.h.l1[0].peek_dirty(77));
+        assert!(d.h.arrays.l1[0].peek_dirty(77));
     }
 
     #[test]
@@ -1327,9 +1365,9 @@ mod tests {
             }
         }
         d.settle(pend, 10_000_000);
-        assert!(!d.h.l1[0].peek(5) && !d.h.l2[0].peek(5), "line evicted from core caches");
+        assert!(!d.h.arrays.l1[0].peek(5) && !d.h.arrays.l2[0].peek(5), "evicted from L1 and L2");
         let bank = d.h.llc_bank(5);
-        assert!(d.h.llc[bank].peek(5), "LLC retains the line");
+        assert!(d.h.arrays.llc[bank].peek(5), "LLC retains the line");
         // Next access: LLC hit, completes on-chip with deterministic latency.
         let before = d.h.stats().llc_hits;
         match d.access(0, 5, false, 1).0 {
@@ -1417,7 +1455,7 @@ mod tests {
             }
         }
         d.settle(pend, 10_000_000);
-        assert!(!d.h.l2[0].peek(42), "line evicted from L2");
+        assert!(!d.h.arrays.l2[0].peek(42), "line evicted from L2");
         let wasted_before = d.h.stats().wasted_mem_reads;
         // Access again: L2 miss, LLC hit; CALM probability is ~1 (idle).
         let (r, _) = d.access(0, 42, false, 3);
@@ -1446,10 +1484,10 @@ mod tests {
         let mut d = Driver::new(CalmPolicy::Serial);
         let (AccessResult::Pending, id) = d.access(0, 123, false, 1) else { panic!() };
         d.settle(vec![id], 100_000);
-        assert!(d.h.l1[0].peek(123));
-        assert!(!d.h.l1[1].peek(123), "core 1's L1 must not see core 0's fill");
+        assert!(d.h.arrays.l1[0].peek(123));
+        assert!(!d.h.arrays.l1[1].peek(123), "core 1's L1 must not see core 0's fill");
         // Core 1 hits in the shared LLC, though.
         let bank = d.h.llc_bank(123);
-        assert!(d.h.llc[bank].peek(123));
+        assert!(d.h.arrays.llc[bank].peek(123));
     }
 }

@@ -22,6 +22,6 @@ pub mod prefetch;
 
 pub use cache::CacheArray;
 pub use calm::{CalmEngine, CalmPolicy, CalmStats};
-pub use hierarchy::{AccessId, HierStats, Hierarchy, HierarchyConfig, PrefillState};
+pub use hierarchy::{AccessId, CacheGeometry, HierStats, Hierarchy, HierarchyConfig, PrefillState};
 pub use noc::Mesh;
 pub use prefetch::{PrefetchPolicy, PrefetchStats};

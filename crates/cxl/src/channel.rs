@@ -172,10 +172,20 @@ impl CxlChannel {
     /// or completion on; skipped, it just moves the DDR clocks. The link
     /// stages 2–6 run only from the [`Self::link_next_event`] horizon on,
     /// or when the harvest moved a completion. Debug builds check that the
-    /// DDR stage skips nothing.
+    /// DDR stage skips nothing and that no credit is lost or made.
     pub fn tick(&mut self, now: Cycle) {
         self.now = now;
         let mut did = false;
+        // Every device-buffer slot's credit is held, on its way back, or
+        // claimed by a request in the buffer or on the wire.
+        debug_assert_eq!(
+            self.credits
+                + self.credit_returns.len()
+                + self.device_buf.len()
+                + self.tx_in_flight.len(),
+            self.cfg.device_buf_depth,
+            "CXL credits not conserved"
+        );
 
         // 1. Tick the device DDR and harvest its completions into the RX
         // wait queue.

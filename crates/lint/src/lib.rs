@@ -142,18 +142,6 @@ pub const CATALOG: &[LintInfo] = &[
                     reachable constructors (a variant-pair comparison).",
     },
     LintInfo {
-        id: "E03",
-        summary: "timing-half config fields must not be readable from the prefill call graph",
-        rationale: "post-prefill machine state is checkpointed in a content-addressed store \
-                    keyed by the functional config slice alone (workloads, seed, cores, \
-                    cache geometry), so every timing sibling — CXL latency, DRAM timings, \
-                    CALM policy, prefetch degree — shares one warmed snapshot. That is \
-                    sound only while nothing reachable from the prefill entry points reads \
-                    a TimingConfig field; a single timing read silently makes restored runs \
-                    diverge from cold ones. Constructor/builder callees (new/with_*/…) are \
-                    exempt: they consume timing to build the machine, not to warm it.",
-    },
-    LintInfo {
         id: "E04",
         summary: "CLI surface closed under documentation: subcommands, flags, env knobs",
         rationale: "the binary's usage() prints its leading //! header verbatim, so a match \

@@ -146,7 +146,6 @@ pub fn lint_cross_file_timed(
     out.extend(timed(timings, "C01", || lint_cross_reference(ws, C01_PAIRS)));
     out.extend(timed(timings, "E01", || check_e01(ws, E01_STRUCTS)));
     out.extend(timed(timings, "E02", || check_e02(ws, &E02_SPEC)));
-    out.extend(timed(timings, "E03", || check_e03(ws, &E03_SPEC)));
     out.extend(timed(timings, "M01", || check_m01(ws, &M01_SPEC)));
     out.extend(timed(timings, "L01", || check_l01(ws, &L01_SPEC)));
     out.extend(timed(timings, "E05", || check_e05(ws, ctxs, &E05_SPEC)));
@@ -492,7 +491,7 @@ struct CallGraph<'w> {
     /// *reachability* (L01) use this: a workspace-global name match on
     /// `new`/`get`/`insert` would connect nearly everything to nearly
     /// everything, and cross-crate calls go through imports the resolver
-    /// does handle. Coverage-credit rules (E02/E03) keep global name
+    /// does handle. The coverage-credit rule (E02) keeps global name
     /// edges so imprecision can only hide findings, never invent them.
     crate_scoped_names: bool,
 }
@@ -541,22 +540,14 @@ impl<'w> CallGraph<'w> {
         out
     }
 
-    /// Successor nodes of node `i`, optionally skipping callee names
-    /// (E03's ctor stop-set).
-    fn succs(&self, i: usize, skip: impl Fn(&str) -> bool) -> Vec<usize> {
+    /// Successor nodes of node `i`.
+    fn succs(&self, i: usize) -> Vec<usize> {
         let (rel, f) = self.nodes[i];
         let mut out = Vec::new();
         for fq in &f.calls_fq {
-            let name = fq.rsplit("::").next().unwrap_or(fq);
-            if skip(name) {
-                continue;
-            }
             out.extend(self.by_fq.get(fq.as_str()).into_iter().flatten().copied());
         }
         for name in &f.calls_unresolved {
-            if skip(name) {
-                continue;
-            }
             out.extend(self.name_targets(rel, name));
         }
         out
@@ -574,14 +565,14 @@ impl<'w> CallGraph<'w> {
     }
 
     /// Transitive closure from `seeds` (indices), following `succs`.
-    fn reach(&self, seeds: Vec<usize>, skip: impl Fn(&str) -> bool) -> BTreeSet<usize> {
+    fn reach(&self, seeds: Vec<usize>) -> BTreeSet<usize> {
         let mut seen: BTreeSet<usize> = BTreeSet::new();
         let mut queue = seeds;
         while let Some(i) = queue.pop() {
             if !seen.insert(i) {
                 continue;
             }
-            queue.extend(self.succs(i, &skip));
+            queue.extend(self.succs(i));
         }
         seen
     }
@@ -608,7 +599,7 @@ pub fn check_e02(ws: &Workspace, spec: &SweepSpec) -> Vec<Finding> {
         .filter(|(_, (rel, _))| spec.exercise_files.contains(rel))
         .map(|(i, _)| i)
         .collect();
-    let reachable = g.reach(seeds, |_| false);
+    let reachable = g.reach(seeds);
 
     let mut out = Vec::new();
     for cs in spec.structs {
@@ -651,128 +642,6 @@ pub fn check_e02(ws: &Workspace, spec: &SweepSpec) -> Vec<Finding> {
             }
         }
     }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// E03 — timing-half isolation of the prefill call graph
-// ---------------------------------------------------------------------------
-
-/// E03 rule spec: the timing-half config struct, the parent-config field
-/// holding it, the entry-point name prefix, and the source tree the
-/// reachability walk may traverse.
-pub struct IsolationSpec<'a> {
-    /// The timing-half struct whose fields are off-limits.
-    pub timing_struct: &'a str,
-    /// File defining `timing_struct`.
-    pub config_rel: &'a str,
-    /// Parent-config field holding the timing half (`SystemConfig.timing`);
-    /// reading it at all from the prefill call graph is a violation.
-    pub timing_field: &'a str,
-    /// Non-test fns whose names start with this prefix are the roots.
-    pub entry_prefix: &'a str,
-    /// Repo-relative path prefixes the BFS may traverse.
-    pub traversal: &'a [&'a str],
-}
-
-/// The real tree's E03 spec. The prefill checkpoint store
-/// (`crates/system/src/server.rs`) keys warmed machine state by the
-/// functional config slice alone, so every timing sibling of a functional
-/// config shares one checkpoint — sound only while nothing on the prefill
-/// call graph can observe the timing half.
-pub const E03_SPEC: IsolationSpec<'static> = IsolationSpec {
-    timing_struct: "TimingConfig",
-    config_rel: "crates/system/src/config.rs",
-    timing_field: "timing",
-    entry_prefix: "prefill",
-    traversal: &[
-        "crates/system/src/",
-        "crates/cache/src/",
-        "crates/cpu/src/",
-        "crates/workloads/src/",
-        "crates/sim/src/",
-    ],
-};
-
-/// Constructor-shaped callee names the E03 walk does not enter: ctors and
-/// builders legitimately consume the timing half to *build* the machine
-/// (a `Hierarchy::new` takes DRAM timings); E03 polices the prefill replay
-/// that runs over the already-built machine.
-const E03_CTOR_NAMES: &[&str] = &["new", "default", "table_iii"];
-const E03_CTOR_PREFIXES: &[&str] = &["with_", "from_"];
-
-fn e03_is_ctor(name: &str) -> bool {
-    E03_CTOR_NAMES.contains(&name) || E03_CTOR_PREFIXES.iter().any(|p| name.starts_with(p))
-}
-
-/// E03: no fn reachable from the prefill entry points may read a
-/// timing-half field. Reachability uses the resolved call graph (fq-exact
-/// edges, name-matched for the unresolved remainder); the remaining
-/// over-approximation can only widen the guarded graph, never shrink it —
-/// the right failure direction for an isolation proof. Reads attribute
-/// the same way: a typed read flags only when the receiver resolves to
-/// the timing struct (or holds it in the parent `timing` field); an
-/// unresolved read keeps the old name-match over-approximation.
-pub fn check_e03(ws: &Workspace, spec: &IsolationSpec) -> Vec<Finding> {
-    let Some(def) = ws.struct_def(spec.config_rel, spec.timing_struct) else {
-        return Vec::new();
-    };
-    let mut timing_fields: BTreeSet<&str> = def.fields.iter().map(|f| f.name.as_str()).collect();
-    timing_fields.insert(spec.timing_field);
-    let timing_fq = ws.struct_fq(spec.config_rel, spec.timing_struct);
-
-    let in_walk = |rel: &str| spec.traversal.iter().any(|p| rel.starts_with(p));
-    let g = CallGraph::build(ws, in_walk);
-    let seeds: Vec<usize> = g
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, f))| f.name.starts_with(spec.entry_prefix))
-        .map(|(i, _)| i)
-        .collect();
-    let reachable = g.reach(seeds, e03_is_ctor);
-
-    let mut out = Vec::new();
-    for &i in &reachable {
-        let (rel, f) = g.nodes[i];
-        let mut flagged: BTreeSet<&str> = BTreeSet::new();
-        for field in f.reads_unresolved.iter().filter(|r| timing_fields.contains(r.as_str())) {
-            flagged.insert(field.as_str());
-        }
-        for (ty_fq, field) in &f.reads_typed {
-            let on_timing_struct = timing_fq.as_deref() == Some(ty_fq.as_str())
-                && timing_fields.contains(field.as_str());
-            // `cfg.timing` on any struct whose `timing` field holds the
-            // timing half is a read of the half itself.
-            let holds_timing_half = field == spec.timing_field
-                && ws
-                    .resolver
-                    .field_ty(ty_fq, spec.timing_field)
-                    .and_then(|t| t.ty.as_deref())
-                    .is_some_and(|t| timing_fq.as_deref() == Some(t));
-            if on_timing_struct || holds_timing_half {
-                flagged.insert(field.as_str());
-            }
-        }
-        for field in flagged {
-            out.push(Finding {
-                id: "E03",
-                path: rel.to_string(),
-                line: f.line,
-                ident: field.to_string(),
-                message: format!(
-                    "`{}` is reachable from the prefill entry points but reads \
-                     timing-half field `{field}` — post-prefill checkpoints are keyed \
-                     by the functional config slice alone, so a {} read on the \
-                     prefill call graph silently invalidates every shared checkpoint; \
-                     move the read out of the prefill path or promote the knob into \
-                     the functional half and the key",
-                    f.name, spec.timing_struct
-                ),
-            });
-        }
-    }
-    out.sort_by(|a, b| (&a.path, a.line, &a.ident).cmp(&(&b.path, b.line, &b.ident)));
     out
 }
 
@@ -1262,7 +1131,7 @@ pub fn check_l01(ws: &Workspace, spec: &LockSpec) -> Vec<Finding> {
                 if seeds.is_empty() {
                     continue;
                 }
-                let reach = g.reach(seeds, |_| false);
+                let reach = g.reach(seeds);
                 for &i in &reach {
                     let (_, callee) = g.nodes[i];
                     // (1) heavy work under a gateway guard.
@@ -1439,8 +1308,7 @@ pub fn check_e05(ws: &Workspace, ctxs: &[FileCtx], spec: &CliReachSpec) -> Vec<F
             .filter(|cs| in_arm.contains(&cs.pos))
             .flat_map(|cs| g.site_targets(spec.bin_rel, cs))
             .collect();
-        let reach: Vec<(&str, &FnSym)> =
-            g.reach(seeds, |_| false).iter().map(|&i| g.nodes[i]).collect();
+        let reach: Vec<(&str, &FnSym)> = g.reach(seeds).iter().map(|&i| g.nodes[i]).collect();
         let entries: BTreeSet<String> = reach
             .iter()
             .filter(|(rel, _)| is_lib_rel(spec.bin_rel, rel))

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use coaxial_lint::rules::{self, CoverageSpec, FileCtx, IsolationSpec, MetricSpec, SweepSpec};
+use coaxial_lint::rules::{self, CoverageSpec, FileCtx, MetricSpec, SweepSpec};
 use coaxial_lint::symbols::Workspace;
 use coaxial_lint::Finding;
 
@@ -218,48 +218,6 @@ fn e02_unswept_knobs_are_caught_swept_tree_is_clean() {
 }
 
 #[test]
-fn e03_timing_reads_on_the_prefill_graph_are_caught_good_is_clean() {
-    let spec = IsolationSpec {
-        timing_struct: "TimingCfg",
-        config_rel: "crates/system/src/config.rs",
-        timing_field: "timing",
-        entry_prefix: "prefill",
-        traversal: &["crates/system/src/", "crates/cache/src/"],
-    };
-    let config = fixture("e03/config.rs");
-    let bad = fixture("e03/prefill_bad.rs");
-    let ws = Workspace::from_sources(&[
-        ("crates/system/src/config.rs", &config),
-        ("crates/cache/src/prefill.rs", &bad),
-    ]);
-    let findings = rules::check_e03(&ws, &spec);
-    assert!(findings.iter().all(|f| f.id == "E03"));
-    let hits: BTreeSet<(&str, &str)> = findings
-        .iter()
-        .map(|f| {
-            let fn_name = f.message.split('`').nth(1).unwrap_or("");
-            (fn_name, f.ident.as_str())
-        })
-        .collect();
-    // Direct read in the entry point, and the smuggled read in the helper
-    // (`lookahead` is only *reachable* from prefill_depth) — each site
-    // flags both the parent `timing` hop and the leaf field.
-    assert!(hits.contains(&("prefill_warm", "link_ns")), "{findings:#?}");
-    assert!(hits.contains(&("prefill_warm", "timing")), "{findings:#?}");
-    assert!(hits.contains(&("lookahead", "dram")), "{findings:#?}");
-    assert_eq!(findings.len(), 4, "{findings:#?}");
-
-    // The good twin: functional-only warm loop, a ctor consuming timing
-    // behind the stop-set, and a timing read in an unreachable fn.
-    let good = fixture("e03/prefill_good.rs");
-    let ws = Workspace::from_sources(&[
-        ("crates/system/src/config.rs", &config),
-        ("crates/cache/src/prefill.rs", &good),
-    ]);
-    assert_eq!(rules::check_e03(&ws, &spec), vec![]);
-}
-
-#[test]
 fn m01_bad_paths_and_unstamped_variant_are_caught_good_is_clean() {
     let spec = MetricSpec {
         component_enum: "Component",
@@ -343,32 +301,6 @@ fn e01_e02_catch_phantom_config_field_in_real_tree() {
     let ws = real_workspace(None);
     assert_eq!(rules::check_e01(&ws, rules::E01_STRUCTS), vec![], "real tree E01-clean");
     assert_eq!(rules::check_e02(&ws, &rules::E02_SPEC), vec![], "real tree E02-clean");
-}
-
-/// Injecting a timing-half read into the real prefill replay must be
-/// flagged by E03; the untouched tree is clean. The mutation models the
-/// exact bug the rule exists for: scaling the prefill depth by a timing
-/// knob, which would warm different state for two configs sharing one
-/// functional-slice checkpoint key.
-#[test]
-fn e03_catches_timing_read_in_real_prefill_path() {
-    let inject = |src: &str| {
-        src.replace(
-            "let llc_lines_total =",
-            "let _depth_scale = self.config.timing.calm_epoch;\n        let llc_lines_total =",
-        )
-    };
-    let ws = real_workspace(Some(("crates/system/src/server.rs", &inject)));
-    let findings = rules::check_e03(&ws, &rules::E03_SPEC);
-    let idents: BTreeSet<&str> = findings.iter().map(|f| f.ident.as_str()).collect();
-    assert!(
-        idents.contains("calm_epoch") && idents.contains("timing"),
-        "E03 misses the injected timing read: {findings:#?}"
-    );
-    assert!(findings.iter().all(|f| f.path == "crates/system/src/server.rs"), "{findings:#?}");
-
-    let ws = real_workspace(None);
-    assert_eq!(rules::check_e03(&ws, &rules::E03_SPEC), vec![], "real tree E03-clean");
 }
 
 /// Injecting a phantom latency-component variant must be flagged by M01
@@ -802,27 +734,6 @@ fn e01_does_not_cross_link_same_named_structs() {
     assert!(
         idents.contains(&"t_phantom".to_string()),
         "a decoy-crate read credited the real field"
-    );
-}
-
-/// A local struct in the prefill path with a field *named like* a timing
-/// knob must not trip E03: the typed read resolves to the decoy struct,
-/// not the timing config.
-#[test]
-fn e03_does_not_cross_link_same_named_fields() {
-    let inject = |src: &str| {
-        let s = src.replace(
-            "let llc_lines_total =",
-            "let decoy = PrefillDecoy { calm_epoch: 3 };\n        \
-             let _decoy_read = decoy.calm_epoch;\n        let llc_lines_total =",
-        );
-        format!("{s}\nstruct PrefillDecoy {{ calm_epoch: u64 }}\n")
-    };
-    let (_, ws) = real_tree_with(&[], Some(("crates/system/src/server.rs", &inject)));
-    assert_eq!(
-        rules::check_e03(&ws, &rules::E03_SPEC),
-        vec![],
-        "a typed read of a non-timing struct must not be flagged"
     );
 }
 

@@ -24,11 +24,11 @@
 //! This split is what makes the content-addressed prefill checkpoint
 //! store in `coaxial-system` sound: checkpoints are keyed by a canonical
 //! hash of the functional slice only, so a latency sweep over 36 timing
-//! variants reuses one warmed snapshot. Lint E03 (`coaxial-lint`)
-//! enforces the invariant structurally: code reachable from the prefill
-//! call graph must not read timing-half fields.
+//! variants reuses one warmed snapshot. The warm function
+//! (`server::warm`) takes this half and the trace sources and nothing
+//! else, so it has no way to read the timing half.
 
-use coaxial_cache::{CalmPolicy, PrefetchPolicy};
+use coaxial_cache::{CacheGeometry, CalmPolicy, PrefetchPolicy};
 use coaxial_cxl::CxlLinkConfig;
 use coaxial_dram::DramConfig;
 
@@ -103,6 +103,15 @@ pub struct FunctionalConfig {
     pub llc_mb_per_core: f64,
     /// RNG seed for workload generation and CALM_R decisions.
     pub seed: u64,
+}
+
+impl FunctionalConfig {
+    /// The cache arrays this half fixes: Table III sizes for its cores and
+    /// LLC capacity. The timed hierarchy's arrays come from the same
+    /// [`CacheGeometry::table_iii`].
+    pub(crate) fn geometry(&self) -> CacheGeometry {
+        CacheGeometry::table_iii(self.cores, self.llc_mb_per_core)
+    }
 }
 
 /// The timing half of a configuration: determines *when* accesses

@@ -257,7 +257,10 @@ fn drive<B: MemoryBackend, T: TelemetrySink>(
     // (checkpoint store and all). `finish_prefill` is deferred: the first
     // interval's fast-forward continues the same functional stream, and one
     // finish before the first detailed span covers both.
-    let restored = sim.prefill_hierarchy(&mut hierarchy);
+    let (state, restored) = sim.warmed_state();
+    let imported = hierarchy.import_prefill_state(&state);
+    assert!(imported, "a warmed state has its functional half's geometry");
+    drop(state);
 
     // The builder's instruction budget is the total per-core horizon. Each
     // interval owns one stride of it: fast-forward across the gap, then run
@@ -269,8 +272,9 @@ fn drive<B: MemoryBackend, T: TelemetrySink>(
     let ff_per_interval = stride.saturating_sub(detail);
 
     let ncores = func.active_cores;
-    let mut gens: Vec<Box<dyn TraceSource>> =
-        (0..ncores).map(|i| -> Box<dyn TraceSource> { sim.trace_for(i, func.seed) }).collect();
+    let mut gens: Vec<Box<dyn TraceSource>> = (0..ncores)
+        .map(|i| -> Box<dyn TraceSource> { sim.sources.trace_for(i, func.seed) })
+        .collect();
 
     let skip = sim.cycle_skip.unwrap_or_else(coaxial_sim::env::cycle_skip);
     let kind = sim.engine.unwrap_or_else(EngineKind::from_env);

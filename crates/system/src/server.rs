@@ -82,9 +82,9 @@ impl RunReport {
 /// [`prefill_state_key`] — a canonical hash of the *functional* config
 /// slice. Every timing-only sibling of a run (CXL latency, DRAM grade, CALM
 /// policy, prefetch distance — anything in `TimingConfig`) restores the
-/// same snapshot instead of re-simulating prefill; lint E03 enforces that
-/// the prefill call graph cannot read timing fields, which is what makes
-/// the key sound. The memory tier is bounded by `COAXIAL_PREFILL_CACHE_MB`;
+/// same snapshot instead of re-simulating prefill. The key is sound
+/// because [`warm`] takes the functional half and the trace sources and
+/// nothing else. The memory tier is bounded by `COAXIAL_PREFILL_CACHE_MB`;
 /// `COAXIAL_CHECKPOINT_DIR` adds a disk tier that survives process
 /// restarts. Counters surface as `server.checkpoint.state.*` via
 /// [`checkpoint_metrics`].
@@ -154,12 +154,17 @@ fn prefill_cache_budget() -> u64 {
 /// exactly `streams[i].len()` accesses. A sibling run replays the streams
 /// zero-copy and, if it needs more, rebuilds the generator and resumes it
 /// from the cursor instead of regenerating from the start.
-struct StreamCheckpoint {
+pub struct StreamCheckpoint {
     streams: Vec<Vec<(u64, bool)>>,
     cursors: Vec<Option<Vec<u64>>>,
 }
 
 impl StreamCheckpoint {
+    /// Accesses parked, summed over cores.
+    pub fn accesses(&self) -> u64 {
+        self.streams.iter().map(|s| s.len() as u64).sum()
+    }
+
     /// Approximate heap footprint for LRU accounting (streams dominate).
     fn approx_bytes(&self) -> u64 {
         let streams: usize =
@@ -270,10 +275,10 @@ impl CoreStream<'_> {
 
 /// Canonical content address of a warmed prefill state: every functional
 /// field plus the per-core workload names. Timing fields are deliberately
-/// absent — that is the whole point of the store (and lint E03's job).
-/// The domain's version names the `PrefillState` encoding: the disk tier
-/// never overwrites a file, so an old-format file under an unchanged key
-/// would fail to decode on every run and never be replaced.
+/// absent — that is the whole point of the store, and [`warm`] cannot
+/// read them. The domain's version names the `PrefillState` encoding: the
+/// disk tier never overwrites a file, so an old-format file under an
+/// unchanged key would fail to decode on every run and never be replaced.
 fn prefill_state_key(names: &[String], func: &FunctionalConfig) -> u128 {
     let mut h = KeyHasher::new("coaxial/prefill-state/v2");
     h.write_u64(names.len() as u64);
@@ -336,17 +341,121 @@ pub(crate) struct Window {
     pub(crate) instructions: u64,
 }
 
+/// Where each core's access stream comes from.
+pub enum TraceSources {
+    /// One registry workload per core (replicated for homogeneous runs).
+    Registry(Vec<&'static Workload>),
+    /// A captured `.cxtr` trace on every core (see `coaxial_cpu::tracefile`):
+    /// its path, for the report, and its ops, read once and shared by every
+    /// core's cursor.
+    File(PathBuf, Arc<[TraceOp]>),
+}
+
+impl TraceSources {
+    /// The trace stream for core `i`.
+    pub(crate) fn trace_for(&self, i: usize, seed: u64) -> Box<dyn TraceSource + Send> {
+        match self {
+            Self::Registry(workloads) => workloads[i].trace(coaxial_sim::small_u32(i), seed),
+            Self::File(_, ops) => Box::new(FileTrace::shared(Arc::clone(ops))),
+        }
+    }
+
+    /// Workload names for the report and the checkpoint keys.
+    pub(crate) fn names(&self) -> Vec<String> {
+        match self {
+            Self::Registry(workloads) => workloads.iter().map(|w| w.name.to_string()).collect(),
+            Self::File(path, _) => vec![path.display().to_string()],
+        }
+    }
+}
+
+/// How many accesses ahead of the one it applies [`warm`] host-prefetches
+/// the tag sets.
+const PREFETCH_AHEAD: usize = 8;
+
+/// Warm the cache arrays cold: the functional prefill that stands in for
+/// the paper's 50 M-instruction warmup. Each active core streams its own
+/// accesses through the arrays, one round of an LLC's worth at a time,
+/// until the LLC is effectively full or the working set is exhausted, so
+/// the measured window starts at dirty steady state — evictions, and
+/// therefore memory write traffic, flow from the first cycle.
+///
+/// The warmed state is keyed by the functional half alone and restored by
+/// every timing sibling; this signature is what makes that sound, since
+/// nothing it takes can reach `TimingConfig`. `parked` is a sibling's
+/// access streams, replayed zero-copy with its generators resumed from
+/// their cursors for any tail this geometry needs. The second value is the
+/// checkpoint to park in its place: registry streams that this warm grew,
+/// or generated with none parked.
+pub fn warm(
+    func: &FunctionalConfig,
+    sources: &TraceSources,
+    parked: Option<&StreamCheckpoint>,
+) -> (PrefillState, Option<StreamCheckpoint>) {
+    let mut state = PrefillState::new(&func.geometry());
+    let llc_lines_total =
+        coaxial_sim::trunc_usize(func.llc_mb_per_core * 1024.0 * 1024.0 / 64.0) * func.cores;
+    let round_ops = (llc_lines_total / func.active_cores.max(1)).max(4096);
+    let mut streams: Vec<CoreStream<'_>> = (0..func.active_cores)
+        .map(|i| CoreStream {
+            base: parked.and_then(|p| p.streams.get(i)).map_or(&[], Vec::as_slice),
+            cursor: parked.and_then(|p| p.cursors.get(i)).and_then(|c| c.as_deref()),
+            ext: Vec::new(),
+            gen: None,
+        })
+        .collect();
+    // The prefill streams multiples of the LLC capacity through arrays far
+    // larger than the host's caches, so each probe is a host memory miss.
+    // Walking a pre-generated round and prefetching the tag sets a few
+    // accesses ahead overlaps those misses; the prefill_access call
+    // sequence — and therefore the warmed state — is unchanged.
+    let mut consumed = 0usize;
+    for _round in 0..8 {
+        let limit = consumed + round_ops;
+        for (i, s) in streams.iter_mut().enumerate() {
+            let core = coaxial_sim::small_u32(i);
+            // next_access advances the generator exactly like next_op but
+            // skips the gap math the prefill discards.
+            s.ensure(limit, || sources.trace_for(i, func.seed ^ 0xF111));
+            for j in consumed..limit {
+                // Lookahead stops at the round boundary, so a parked stream
+                // longer than this geometry's round cannot change the state.
+                if j + PREFETCH_AHEAD < limit {
+                    state.prefill_prefetch(core, s.at(j + PREFETCH_AHEAD).0);
+                }
+                let (line, is_store) = s.at(j);
+                state.prefill_access(core, line, is_store);
+            }
+        }
+        consumed = limit;
+        let [_, _, (llc_valid, _)] = state.occupancy();
+        if llc_valid >= llc_lines_total * 9 / 10 {
+            break;
+        }
+    }
+    // A sibling that read the parked prefix untouched has nothing to add;
+    // trace-file streams are never parked (a path does not pin contents).
+    let grown = matches!(sources, TraceSources::Registry(_))
+        && (parked.is_none() || streams.iter().any(|s| !s.ext.is_empty()));
+    let park = grown.then(|| StreamCheckpoint {
+        streams: streams.iter().map(|s| [s.base, s.ext.as_slice()].concat()).collect(),
+        cursors: streams
+            .iter()
+            .map(|s| match &s.gen {
+                Some(g) => g.save_state(),
+                None => s.cursor.map(<[u64]>::to_vec),
+            })
+            .collect(),
+    });
+    (state, park)
+}
+
 /// Builder for one simulation run. Fields are `pub(crate)` so the sampling
 /// driver (`crate::sampling`) can reuse the builder, the prefill path, and
 /// the trace plumbing without widening the public API.
 pub struct Simulation {
     pub(crate) config: SystemConfig,
-    /// One workload per core (replicated for homogeneous runs).
-    pub(crate) workloads: Vec<&'static Workload>,
-    /// Replay a captured `.cxtr` trace on every core instead of a
-    /// registry workload (see `coaxial_cpu::tracefile`): its path, for the
-    /// report, and its ops, read once and shared by every core's cursor.
-    pub(crate) trace_file: Option<(PathBuf, Arc<[TraceOp]>)>,
+    pub(crate) sources: TraceSources,
     pub(crate) instructions: u64,
     pub(crate) warmup: u64,
     pub(crate) max_cycles: Cycle,
@@ -360,7 +469,7 @@ impl Simulation {
     /// Homogeneous run: the same workload on every active core (§V).
     pub fn new(config: SystemConfig, workload: &'static Workload) -> Self {
         let workloads = vec![workload; config.functional.cores];
-        Self::with_workloads(config, workloads)
+        Self::with_sources(config, TraceSources::Registry(workloads))
     }
 
     /// Heterogeneous run (Fig. 6 mixes): one workload per core.
@@ -384,16 +493,15 @@ impl Simulation {
                 want: config.functional.cores,
             });
         }
-        Ok(Self::with_workloads(config, mix.to_vec()))
+        Ok(Self::with_sources(config, TraceSources::Registry(mix.to_vec())))
     }
 
-    fn with_workloads(config: SystemConfig, workloads: Vec<&'static Workload>) -> Self {
+    fn with_sources(config: SystemConfig, sources: TraceSources) -> Self {
         let instructions = coaxial_sim::env::instructions(DEFAULT_INSTRUCTIONS);
         let warmup = coaxial_sim::env::warmup(DEFAULT_WARMUP);
         Self {
             config,
-            workloads,
-            trace_file: None,
+            sources,
             instructions,
             warmup,
             max_cycles: 0,
@@ -407,24 +515,7 @@ impl Simulation {
     pub fn from_trace_file(config: SystemConfig, path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let ops = FileTrace::load(&path)?;
-        let mut s = Self::with_workloads(config, Vec::new());
-        s.trace_file = Some((path, ops));
-        Ok(s)
-    }
-
-    /// Build the trace stream for core `i` (registry workload or file).
-    pub(crate) fn trace_for(&self, i: usize, seed: u64) -> Box<dyn TraceSource + Send> {
-        match &self.trace_file {
-            Some((_, ops)) => Box::new(FileTrace::shared(Arc::clone(ops))),
-            None => self.workloads[i].trace(coaxial_sim::small_u32(i), seed),
-        }
-    }
-
-    pub(crate) fn workload_names(&self) -> Vec<String> {
-        match &self.trace_file {
-            Some((path, _)) => vec![path.display().to_string()],
-            None => self.workloads.iter().map(|w| w.name.to_string()).collect(),
-        }
+        Ok(Self::with_sources(config, TraceSources::File(path, ops)))
     }
 
     /// Measured instructions per core (overrides `COAXIAL_INSTR`).
@@ -522,7 +613,7 @@ impl Simulation {
         let peak = self.config.peak_bandwidth_gbs();
         RunReport {
             config_name: self.config.name.clone(),
-            workload_names: self.workload_names(),
+            workload_names: self.sources.names(),
             ipc: w.ipc,
             per_core_ipc: w.per_core_ipc,
             mpki,
@@ -542,132 +633,37 @@ impl Simulation {
         }
     }
 
-    /// Functional cache prefill: stand-in for the paper's 50 M-instruction
-    /// warmup. Each active core streams its own access pattern through the
-    /// arrays until the LLC is effectively full (or the working set is
-    /// exhausted), so the measured window starts at dirty steady state —
-    /// evictions, and therefore memory write traffic, flow from the first
-    /// cycle. Returns whether a checkpoint restore replaced the replay.
-    ///
-    /// Entry point of lint E03's call graph: nothing reachable from here may
-    /// read a `TimingConfig` field, because the warmed state is keyed by the
-    /// functional slice alone and shared across all timing siblings.
-    pub(crate) fn prefill_hierarchy<B: MemoryBackend, T: TelemetrySink>(
-        &self,
-        hierarchy: &mut Hierarchy<B, T>,
-    ) -> bool {
-        // Registry workloads are deterministic, so the warmed state is fully
-        // determined by the content address; a hit replaces the whole
-        // prefill with an array copy (or a disk decode). Trace-file runs
-        // bypass the store (a path name does not pin the file's contents).
-        let names = self.workload_names();
+    /// The warmed cache arrays for this run, and whether the checkpoint
+    /// store supplied them. A registry run restores them from
+    /// `PREFILL_STATE` when a state of its geometry is there (a disk
+    /// checkpoint from another build may not fit) and otherwise warms them
+    /// cold with [`warm`] and inserts them; a trace-file run always warms.
+    /// Both drivers import what this returns, so cold and restored runs
+    /// share one path.
+    pub(crate) fn warmed_state(&self) -> (Arc<PrefillState>, bool) {
         let func = &self.config.functional;
-        let state_key = self.trace_file.is_none().then(|| prefill_state_key(&names, func));
+        let names = self.sources.names();
+        let keyed = matches!(self.sources, TraceSources::Registry(_));
+        let state_key = keyed.then(|| prefill_state_key(&names, func));
         if let Some(key) = state_key {
-            // Its own statement, so the store's guard drops before the
-            // import (an `if let` scrutinee's guard would live through it).
+            // Its own statement, so the store's lock is released at once.
             let restored = lock_store(&PREFILL_STATE).get(key);
-            // A state that does not fit this geometry (a disk checkpoint
-            // from another build) falls back to the cold replay.
-            if restored.is_some_and(|state| hierarchy.import_prefill_state(&state)) {
-                return true;
+            if let Some(state) = restored.filter(|state| state.fits(&func.geometry())) {
+                return (state, true);
             }
         }
-        self.prefill_replay(hierarchy, &names, state_key);
-        false
-    }
-
-    /// The cold half of [`Simulation::prefill_hierarchy`]: replay the access
-    /// streams through the arrays, then checkpoint the warmed state.
-    fn prefill_replay<B: MemoryBackend, T: TelemetrySink>(
-        &self,
-        hierarchy: &mut Hierarchy<B, T>,
-        names: &[String],
-        state_key: Option<u128>,
-    ) {
-        let func = &self.config.functional;
-        let llc_lines_total =
-            coaxial_sim::trunc_usize(func.llc_mb_per_core * 1024.0 * 1024.0 / 64.0) * func.cores;
-        let round_ops = (llc_lines_total / func.active_cores.max(1)).max(4096);
-        // The access streams depend on the workloads and seed but not the
-        // geometry, so replay a same-workload sibling's parked streams
-        // zero-copy and resume its generators from their cursors for any
-        // tail this geometry needs beyond the parked prefix.
-        let stream_key = self.trace_file.is_none().then(|| prefill_stream_key(names, func));
-        let parked: Option<Arc<StreamCheckpoint>> =
-            stream_key.and_then(|k| lock_store(&PREFILL_STREAMS).get(k));
-        let mut streams: Vec<CoreStream<'_>> = (0..func.active_cores)
-            .map(|i| CoreStream {
-                base: parked.as_ref().and_then(|p| p.streams.get(i)).map_or(&[], Vec::as_slice),
-                cursor: parked.as_ref().and_then(|p| p.cursors.get(i)).and_then(|c| c.as_deref()),
-                ext: Vec::new(),
-                gen: None,
-            })
-            .collect();
-        // The prefill streams multiples of the LLC capacity through arrays
-        // far larger than the host's caches, so each probe is a host memory
-        // miss. Walking a pre-generated round and prefetching the tag sets
-        // a few accesses ahead overlaps those misses; the prefill_access
-        // call sequence — and therefore the warmed state — is unchanged.
-        const PREFETCH_AHEAD: usize = 8;
-        let mut consumed = 0usize;
-        for _round in 0..8 {
-            let limit = consumed + round_ops;
-            for (i, s) in streams.iter_mut().enumerate() {
-                // next_access advances the generator exactly like next_op
-                // but skips the gap math the prefill discards.
-                s.ensure(limit, || self.trace_for(i, func.seed ^ 0xF111));
-                for j in consumed..limit {
-                    // Lookahead stops at the round boundary, exactly like
-                    // the slice `get` it replaces, so a parked stream longer
-                    // than this geometry's round cannot change the state.
-                    if j + PREFETCH_AHEAD < limit {
-                        let (ahead, _) = s.at(j + PREFETCH_AHEAD);
-                        hierarchy.prefill_prefetch(coaxial_sim::small_u32(i), ahead);
-                    }
-                    let (line, is_store) = s.at(j);
-                    hierarchy.prefill_access(coaxial_sim::small_u32(i), line, is_store);
-                }
-            }
-            consumed = limit;
-            let [_, _, (llc_valid, _)] = hierarchy.occupancy();
-            if llc_valid >= llc_lines_total * 9 / 10 {
-                break;
-            }
+        let stream_key = keyed.then(|| prefill_stream_key(&names, func));
+        let parked = stream_key.and_then(|key| lock_store(&PREFILL_STREAMS).get(key));
+        let (state, park) = warm(func, &self.sources, parked.as_deref());
+        if let (Some(key), Some(park)) = (stream_key, park) {
+            let bytes = park.approx_bytes();
+            lock_store(&PREFILL_STREAMS).insert(key, Arc::new(park), bytes);
         }
-        if let Some(key) = stream_key {
-            // Re-park only when this run grew the streams (or none were
-            // parked): the common sibling case read the Arc'd prefix
-            // untouched and has nothing new to contribute.
-            let extended = streams.iter().any(|s| !s.ext.is_empty());
-            if extended || parked.is_none() {
-                let merged = StreamCheckpoint {
-                    streams: streams
-                        .iter()
-                        .map(|s| {
-                            let mut v = Vec::with_capacity(s.len());
-                            v.extend_from_slice(s.base);
-                            v.extend_from_slice(&s.ext);
-                            v
-                        })
-                        .collect(),
-                    cursors: streams
-                        .iter()
-                        .map(|s| match &s.gen {
-                            Some(g) => g.save_state(),
-                            None => s.cursor.map(<[u64]>::to_vec),
-                        })
-                        .collect(),
-                };
-                let bytes = merged.approx_bytes();
-                lock_store(&PREFILL_STREAMS).insert(key, Arc::new(merged), bytes);
-            }
-        }
+        let state = Arc::new(state);
         if let Some(key) = state_key {
-            let state = Arc::new(hierarchy.export_prefill_state());
-            let bytes = state.approx_bytes();
-            lock_store(&PREFILL_STATE).insert(key, state, bytes);
+            lock_store(&PREFILL_STATE).insert(key, Arc::clone(&state), state.approx_bytes());
         }
+        (state, false)
     }
 
     fn run_with_sink<B: MemoryBackend, T: TelemetrySink>(
@@ -686,7 +682,10 @@ impl Simulation {
                       simulated state or figure output"
         )]
         let dbg_t0 = std::time::Instant::now();
-        let restored = self.prefill_hierarchy(&mut hierarchy);
+        let (state, restored) = self.warmed_state();
+        let imported = hierarchy.import_prefill_state(&state);
+        assert!(imported, "a warmed state has its functional half's geometry");
+        drop(state);
         hierarchy.finish_prefill();
         let dbg_prefill = dbg_t0.elapsed();
 
@@ -695,7 +694,7 @@ impl Simulation {
                 Core::new(
                     coaxial_sim::small_u32(i),
                     CoreParams::default(),
-                    self.trace_for(i, func.seed),
+                    self.sources.trace_for(i, func.seed),
                 )
             })
             .collect();

@@ -3,9 +3,10 @@
 //! the run that simulated its prefill cold.
 //!
 //! The store is keyed by the functional config slice alone (see
-//! `config::FunctionalConfig` and lint E03), so this is the load-bearing
-//! correctness claim behind the ≥3× sweep speedup: if restore changed *any*
-//! bit of the report, metrics, or telemetry ledgers, checkpointing would be
+//! `config::FunctionalConfig`, and `server::warm`, whose parameters cannot
+//! reach the timing half), so this is the load-bearing correctness claim
+//! behind the ≥3× sweep speedup: if restore changed *any* bit of the
+//! report, metrics, or telemetry ledgers, checkpointing would be
 //! an approximation, not an optimization. Every workload in the registry
 //! runs three times — cold (populating the store), restored on the event
 //! engine, and restored on the lockstep oracle — and all three must agree
@@ -22,7 +23,7 @@
 
 mod golden;
 
-use coaxial_cache::{Hierarchy, HierarchyConfig, PrefillState};
+use coaxial_cache::{CacheGeometry, Hierarchy, HierarchyConfig, PrefillState};
 use coaxial_sim::{CheckpointStore, Snapshot};
 use coaxial_system::{EngineKind, Simulation, SystemConfig};
 use coaxial_telemetry::TelemetryRecorder;
@@ -143,17 +144,13 @@ fn different_functional_slices_do_not_share_checkpoints() {
 }
 
 /// The warmed `PrefillState` payload survives the disk tier byte-for-byte:
-/// export from a prefilled hierarchy, round-trip through a store directory
-/// with a fresh store instance (cold memory tier), import into a second
-/// hierarchy, and compare the re-exported encodings.
+/// warm a standalone state, round-trip it through a store directory with a
+/// fresh store instance (cold memory tier), import it into a hierarchy,
+/// and compare the re-exported encodings.
 #[test]
 fn prefill_state_disk_round_trip_is_exact() {
     let w = Workload::by_name("bfs").expect("workload exists");
-    let hcfg = || HierarchyConfig::table_iii(4, 2, 1.0, 76.8, coaxial_cache::CalmPolicy::Serial);
-    let mut warm = Hierarchy::new(
-        hcfg(),
-        coaxial_dram::MultiChannel::new(&coaxial_dram::DramConfig::ddr5_4800(), 2),
-    );
+    let mut warm = PrefillState::new(&CacheGeometry::table_iii(4, 1.0));
     for core in 0..4u32 {
         let mut t = w.trace(core, 0xD15C);
         for _ in 0..20_000 {
@@ -161,7 +158,7 @@ fn prefill_state_disk_round_trip_is_exact() {
             warm.prefill_access(core, line, is_store);
         }
     }
-    let state = Arc::new(warm.export_prefill_state());
+    let state = Arc::new(warm);
     let mut encoded = Vec::new();
     state.encode(&mut encoded);
 
@@ -181,9 +178,9 @@ fn prefill_state_disk_round_trip_is_exact() {
     decoded.encode(&mut re_encoded);
     assert_eq!(encoded, re_encoded, "disk round trip must be byte-exact");
 
-    // And importing the decoded state reproduces the warmed hierarchy.
+    // And importing the decoded state reproduces the warmed arrays.
     let mut cold = Hierarchy::new(
-        hcfg(),
+        HierarchyConfig::table_iii(4, 2, 1.0, 76.8, coaxial_cache::CalmPolicy::Serial),
         coaxial_dram::MultiChannel::new(&coaxial_dram::DramConfig::ddr5_4800(), 2),
     );
     assert!(cold.import_prefill_state(&decoded), "a same-geometry state imports");

@@ -84,17 +84,19 @@ grep -q "gateway stopped:" "$GWDIR/serve2.log"
 echo "gateway stops cleanly on SIGTERM"
 
 echo "== sampling smoke =="
-# SMARTS-style interval sampling (DESIGN.md §5i): a sampled run must cover
-# a 100x longer per-core horizon than a full-detail Budget::quick run in
-# no more than 2x its wall, report a 95% confidence interval in the JSON,
-# and stay run-to-run deterministic (byte-identical reports). Each side
-# runs three times, interleaved, and the bound compares the minima: one
-# slow run on a busy host says nothing about sampling.
+# SMARTS-style interval sampling (DESIGN.md §5i): a sampled run over a
+# 600k-instruction per-core horizon must take at most a third of the wall
+# of the full-detail run it stands in for over the same horizon, report a
+# 95% confidence interval in the JSON, and stay run-to-run deterministic
+# (byte-identical reports). Both runs pay the same cold prefill, so a
+# faster prefill raises the ratio. Each side runs three times,
+# interleaved, and the bound compares the minima: one slow run on a busy
+# host says nothing about sampling.
 full_ms=0
 sampled_ms=0
 for i in 1 2 3; do
   t0=$(date +%s%N)
-  "$BIN" run mcf --config 4x --instr 6000 --warmup 1000 --json > /dev/null
+  "$BIN" run mcf --config 4x --instr 600000 --warmup 1000 --json > /dev/null
   ms=$(( ($(date +%s%N) - t0) / 1000000 ))
   full_ms=$(( i == 1 || ms < full_ms ? ms : full_ms ))
   t0=$(date +%s%N)
@@ -106,9 +108,9 @@ grep -q '"sampling":{' "$GWDIR/sampled1.json"
 grep -q '"ipc_ci_half":' "$GWDIR/sampled1.json"
 cmp "$GWDIR/sampled1.json" "$GWDIR/sampled2.json"
 cmp "$GWDIR/sampled1.json" "$GWDIR/sampled3.json"
-echo "sampled 100x horizon: ${sampled_ms} ms vs full-detail quick: ${full_ms} ms (min of 3 each)"
-if [ "$sampled_ms" -gt $((2 * full_ms)) ]; then
-  echo "sampled run exceeded 2x the full-detail quick wall" >&2
+echo "600k horizon: sampled ${sampled_ms} ms vs full detail ${full_ms} ms (min of 3 each)"
+if [ $((3 * sampled_ms)) -gt "$full_ms" ]; then
+  echo "sampled run took more than a third of the full-detail wall" >&2
   exit 1
 fi
 
@@ -123,7 +125,7 @@ echo "coaxial exp table2 printed its Table II banner"
 echo "== coaxial-lint =="
 # Workspace static analysis for the contracts clippy cannot express:
 # float cycle math (T02), zero-cost telemetry (Z01), the cross-file
-# coverage rules (C01, E01/E02/E03/E04/E05, M01), lock discipline (L01),
+# coverage rules (C01, E01/E02/E04/E05, M01), lock discipline (L01),
 # and the unit-of-measure dataflow rules (Q01/Q02/Q03) over the resolved
 # symbol graph. Suppressions live in lint-allow.toml; the rule catalog is
 # docs/LINTS.md. The JSON and SARIF reports are written next to the text
