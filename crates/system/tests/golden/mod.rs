@@ -1,8 +1,9 @@
-//! Golden digest files shared by the differential suites.
+//! Golden digest files shared by the differential suites and, through a
+//! `#[path]` module, the `coaxial` CLI tests.
 //!
-//! Each file under `tests/` holds one `<name> <digest>` line per pinned
-//! run, written by an `#[ignore]`d regenerator at a commit whose outputs
-//! are known good. A run whose FNV-1a-128 digest differs from its line
+//! Each file under the including package's `tests/` holds one
+//! `<name> <digest>` line per pinned run, written by an `#[ignore]`d
+//! regenerator at a commit whose outputs are known good. A run whose FNV-1a-128 digest differs from its line
 //! fails with both digests and the one command that rewrites the file; an
 //! intended model change regenerates the file and says why.
 
@@ -41,8 +42,10 @@ impl Golden {
             .filter_map(|l| l.rsplit_once(' '))
             .map(|(name, d)| (name.to_string(), d.to_string()))
             .collect();
-        let regenerate =
-            format!("cargo test -p coaxial-system --test {test} -- --ignored {regenerator}");
+        let regenerate = format!(
+            "cargo test -p {} --test {test} -- --ignored {regenerator}",
+            env!("CARGO_PKG_NAME")
+        );
         Self { file, regenerate, want, mismatches: Vec::new() }
     }
 

@@ -1,7 +1,17 @@
-//! The `coaxial` binary on malformed numbers: every numeric option and
-//! every numeric `COAXIAL_*` knob answers a value that does not parse with
-//! one line on stderr and exit status 2, like every other bad command line,
-//! instead of a panic or a silent default.
+//! The `coaxial` binary end to end.
+//!
+//! On malformed numbers: every numeric option and every numeric
+//! `COAXIAL_*` knob answers a value that does not parse with one line on
+//! stderr and exit status 2, like every other bad command line, instead
+//! of a panic or a silent default.
+//!
+//! On output: the `run --sampled --json` stdout of two workloads on the
+//! DDR baseline and COAXIAL-4x is pinned to the digests in
+//! `tests/golden_cli_sampled_digests.txt`, through the golden helper the
+//! `coaxial-system` differential suites share.
+
+#[path = "../crates/system/tests/golden/mod.rs"]
+mod golden;
 
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -74,4 +84,55 @@ fn malformed_numeric_knobs_exit_2_with_one_line() {
             args.join(" ")
         );
     }
+}
+
+/// `coaxial <args>`'s stdout, with `env` added; the run must exit 0.
+fn stdout_of(env: &[(&str, &str)], args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_coaxial"))
+        .args(args)
+        .envs(env.iter().copied())
+        .output()
+        .expect("run coaxial");
+    assert!(
+        out.status.success(),
+        "coaxial {}: {}",
+        args.join(" "),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+const SAMPLED_GOLDEN: &str = "golden_cli_sampled_digests.txt";
+
+/// A small interval shape, three intervals of 1000 warm + 1000 measured
+/// instructions over a 30k horizon, so each run takes well under a second.
+const SAMPLED_SHAPE: [(&str, &str); 4] = [
+    ("COAXIAL_SAMPLING_INTERVALS", "3"),
+    ("COAXIAL_SAMPLING_WARM", "1000"),
+    ("COAXIAL_SAMPLING_MEASURE", "1000"),
+    ("COAXIAL_SAMPLING_CI", "0"),
+];
+
+/// Each pinned `run --sampled --json` and the digest of its stdout.
+fn sampled_json_runs() -> impl Iterator<Item = (String, String)> {
+    ["mcf", "lbm"].into_iter().flat_map(|wl| ["ddr", "4x"].map(|cfg| (wl, cfg))).map(|(wl, cfg)| {
+        let args = ["run", wl, "--config", cfg, "--sampled", "--json", "--instr", "30000"];
+        let json = stdout_of(&SAMPLED_SHAPE, &args);
+        (format!("{wl}.{cfg}"), golden::digest("golden-cli-sampled", [json.as_str()]))
+    })
+}
+
+#[test]
+fn sampled_json_matches_the_golden_digests() {
+    let mut golden = golden::Golden::load(SAMPLED_GOLDEN, "cli", "regenerate_sampled_json_digests");
+    for (name, digest) in sampled_json_runs() {
+        golden.check(&name, &format!("coaxial run {name} --sampled --json"), &digest);
+    }
+    golden.assert_clean();
+}
+
+#[test]
+#[ignore = "rewrites tests/golden_cli_sampled_digests.txt from this build's output"]
+fn regenerate_sampled_json_digests() {
+    golden::write(SAMPLED_GOLDEN, sampled_json_runs());
 }
