@@ -288,9 +288,9 @@ struct Finish {
 /// This is the whole of what the functional prefill warms, and it is a
 /// value: built from a [`CacheGeometry`] alone and warmed through
 /// [`PrefillState::prefill_access`], with no backend, timing or telemetry
-/// in reach. A [`Hierarchy`] keeps its arrays in one and hands its
-/// functional operations to it; [`Hierarchy::import_prefill_state`] copies
-/// a warmed state in.
+/// in reach. A [`Hierarchy`] is built around one
+/// ([`Hierarchy::with_telemetry`]) and hands its functional operations
+/// to it.
 #[derive(Clone)]
 pub struct PrefillState {
     l1: Vec<CacheArray>,
@@ -433,8 +433,8 @@ impl PrefillState {
 
 /// Disk-tier codec for warmed prefill state: three level counts followed by
 /// each array's [`CacheArray::encode_into`] payload. Decoding validates
-/// every array structurally; geometry compatibility with the importing
-/// hierarchy is checked by [`Hierarchy::import_prefill_state`] as usual.
+/// every array structurally; whether a decoded state fits a hierarchy's
+/// geometry is [`PrefillState::fits`]'s to say.
 impl coaxial_sim::Snapshot for PrefillState {
     fn encode(&self, out: &mut Vec<u8>) {
         for level in [&self.l1, &self.l2, &self.llc] {
@@ -516,40 +516,19 @@ pub struct Hierarchy<B: MemoryBackend, T: TelemetrySink = NullTelemetry> {
 const BW_EPOCH: Cycle = 4096;
 
 impl<B: MemoryBackend> Hierarchy<B> {
-    /// A hierarchy with telemetry disabled (the tier-1 fast path).
+    /// Empty arrays and telemetry disabled (the tier-1 fast path).
     pub fn new(cfg: HierarchyConfig, backend: B) -> Self {
-        Self::with_telemetry(cfg, backend, NullTelemetry)
+        let arrays = PrefillState::new(&cfg.geometry);
+        Self::with_telemetry(cfg, backend, NullTelemetry, arrays)
     }
 }
 
 impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
-    pub fn with_telemetry(cfg: HierarchyConfig, backend: B, tel: T) -> Self {
-        let arrays = PrefillState::new(&cfg.geometry);
-        Self::build(cfg, backend, tel, arrays)
-    }
-
-    /// Consume this hierarchy at an interval boundary and rebuild it for
-    /// the next detailed measurement interval (SMARTS-style sampling).
-    ///
-    /// The warmed cache arrays — the [`PrefillState`] the functional
-    /// prefill and fast-forward paths maintain — move into the new
-    /// hierarchy without copying. Everything timing-related (mesh, MSHRs,
-    /// CALM engine, stride tables, event heaps, transaction tables, stats,
-    /// the clock) restarts fresh at cycle 0 on the supplied `backend`, so a
-    /// measurement interval starts from the same clean timing state a fresh
-    /// run would, warmed caches aside; the per-interval detailed warm-up
-    /// then re-warms that timing state before measurement begins. The telemetry sink is carried over so interval-
-    /// boundary events accumulate in one trace.
-    pub fn into_interval(self, backend: B) -> Self {
-        let Self { cfg, arrays, tel, .. } = self;
-        Self::build(cfg, backend, tel, arrays)
-    }
-
-    /// Shared constructor body: assemble a hierarchy around already-built
-    /// cache arrays. Every non-array field starts from scratch here, which
-    /// is what makes [`Hierarchy::into_interval`] future-proof — a new
-    /// field added to the struct must be initialized in exactly one place.
-    fn build(cfg: HierarchyConfig, backend: B, tel: T, arrays: PrefillState) -> Self {
+    /// The one constructor body: a hierarchy around `arrays`, empty or
+    /// warmed, which must fit `cfg.geometry` ([`PrefillState::fits`]);
+    /// every other field starts fresh at cycle 0, initialized here alone.
+    pub fn with_telemetry(cfg: HierarchyConfig, backend: B, tel: T, arrays: PrefillState) -> Self {
+        assert!(arrays.fits(&cfg.geometry), "the cache arrays do not fit the hierarchy's geometry");
         let cores = cfg.geometry.cores;
         let mesh = Mesh::new(cores, cfg.mem_channels, cfg.noc_cycles_per_hop);
         let mshr = (0..cores).map(|_| Mshr::new(cfg.l2_mshrs)).collect();
@@ -584,6 +563,16 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             bw_write_bytes: 0,
             cfg,
         }
+    }
+
+    /// Rebuild this hierarchy for the next detailed interval of a sampled
+    /// run: the warmed arrays move into the one constructor without a copy,
+    /// so all timing state restarts at cycle 0 on `backend`, as in a fresh
+    /// run, and the telemetry sink carries over so one trace holds every
+    /// interval.
+    pub fn into_interval(self, backend: B) -> Self {
+        let Self { cfg, arrays, tel, .. } = self;
+        Self::with_telemetry(cfg, backend, tel, arrays)
     }
 
     pub fn config(&self) -> &HierarchyConfig {
@@ -869,14 +858,13 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
 
     /// Copy a warmed state into the arrays. Returns `false`, changing
     /// nothing, unless `state` fits this hierarchy's geometry (see
-    /// [`PrefillState::fits`]).
+    /// [`PrefillState::fits`]). The simulation drivers build around the
+    /// state instead; this copy serves `perf/`'s replica and the tests.
     pub fn import_prefill_state(&mut self, state: &PrefillState) -> bool {
         if !state.fits(&self.cfg.geometry) {
             return false;
         }
-        self.arrays.l1.clone_from(&state.l1);
-        self.arrays.l2.clone_from(&state.l2);
-        self.arrays.llc.clone_from(&state.llc);
+        self.arrays.clone_from(state);
         true
     }
 
@@ -1217,6 +1205,13 @@ mod tests {
         assert_eq!(four.occupancy(), before, "a refused import changes nothing");
         assert!(four.import_prefill_state(&hier(4, |_| {}).export_prefill_state()));
         assert_eq!(four.occupancy(), [(0, 0); 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit")]
+    fn the_constructor_refuses_arrays_of_another_geometry() {
+        let (four, two) = (hier(4, |_| {}), hier(2, |_| {}));
+        let _ = Hierarchy::with_telemetry(four.cfg, four.backend, NullTelemetry, two.arrays);
     }
 
     /// Seeded corruptions of an encoded prefill state: decoding never

@@ -9,7 +9,7 @@
 //!   and off produces identical hierarchy statistics — the recorder only
 //!   observes, never perturbs.
 
-use coaxial_cache::{CalmPolicy, Hierarchy, HierarchyConfig};
+use coaxial_cache::{CalmPolicy, Hierarchy, HierarchyConfig, PrefillState};
 use coaxial_cxl::{CxlLinkConfig, CxlMemory};
 use coaxial_dram::{DramConfig, MemoryBackend, MultiChannel};
 use coaxial_sim::Cycle;
@@ -17,6 +17,16 @@ use coaxial_telemetry::{Component, TelemetryRecorder, TelemetrySink, COMPONENTS}
 
 fn cfg(calm: CalmPolicy) -> HierarchyConfig {
     HierarchyConfig::table_iii(4, 2, 1.0, 76.8, calm)
+}
+
+/// A hierarchy with empty arrays over `backend`, recording into `rec`.
+fn recorded<B: MemoryBackend>(
+    cfg: HierarchyConfig,
+    backend: B,
+    rec: TelemetryRecorder,
+) -> Hierarchy<B, TelemetryRecorder> {
+    let arrays = PrefillState::new(&cfg.geometry);
+    Hierarchy::with_telemetry(cfg, backend, rec, arrays)
 }
 
 /// Drive `n` pseudo-random accesses through the hierarchy and settle.
@@ -99,11 +109,7 @@ fn check_conservation<B: MemoryBackend>(h: Hierarchy<B, TelemetryRecorder>, labe
 fn conservation_holds_on_ddr_for_all_calm_policies() {
     for calm in [CalmPolicy::Serial, CalmPolicy::Ideal, CalmPolicy::CalmR { r: 0.7 }] {
         let backend = MultiChannel::new(&DramConfig::ddr5_4800(), 2);
-        let mut h = Hierarchy::with_telemetry(
-            cfg(calm),
-            backend,
-            TelemetryRecorder::new().keep_requests(1 << 16),
-        );
+        let mut h = recorded(cfg(calm), backend, TelemetryRecorder::new().keep_requests(1 << 16));
         drive(&mut h, 3_000, 0xA11CE);
         check_conservation(h, &format!("ddr/{calm:?}"));
     }
@@ -112,7 +118,7 @@ fn conservation_holds_on_ddr_for_all_calm_policies() {
 #[test]
 fn conservation_holds_on_cxl_and_attributes_link_cycles() {
     let backend = CxlMemory::new(&CxlLinkConfig::x8_symmetric(), &DramConfig::ddr5_4800(), 2);
-    let mut h = Hierarchy::with_telemetry(
+    let mut h = recorded(
         HierarchyConfig::table_iii(4, 2, 1.0, 76.8, CalmPolicy::CalmR { r: 0.7 }),
         backend,
         TelemetryRecorder::new().keep_requests(1 << 16),
@@ -129,7 +135,7 @@ fn telemetry_on_and_off_produce_identical_statistics() {
         let calm = CalmPolicy::CalmR { r: 0.7 };
         let backend = MultiChannel::new(&DramConfig::ddr5_4800(), 2);
         if record {
-            let mut h = Hierarchy::with_telemetry(cfg(calm), backend, TelemetryRecorder::new());
+            let mut h = recorded(cfg(calm), backend, TelemetryRecorder::new());
             drive(&mut h, 2_000, 7);
             h.stats()
         } else {

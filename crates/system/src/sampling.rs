@@ -15,11 +15,15 @@
 //!    ticks, so this span costs host time proportional to accesses, not
 //!    simulated cycles.
 //! 2. **Detailed interval** — the hierarchy is rebuilt around the warmed
-//!    arrays with fresh timing state ([`Hierarchy::into_interval`]), cores
-//!    are reconstructed around the same generators, and the ordinary
-//!    event-driven (or lockstep-oracle) engine runs a short detailed
-//!    warm-up — re-warming MSHRs, queues, and DRAM row state the
+//!    arrays with fresh timing state ([`Hierarchy::into_interval`]), and
+//!    the detailed span a full-detail run takes once runs here per
+//!    interval: cores are reconstructed around the same generators, and the
+//!    ordinary event-driven (or lockstep-oracle) engine runs a short
+//!    detailed warm-up — re-warming MSHRs, queues, and DRAM row state the
 //!    fast-forward cannot maintain — followed by the measured span.
+//!
+//! The prefill and the `COAXIAL_DEBUG` line come from the setup both
+//! drivers share; a sampled run's line sums its intervals.
 //!
 //! Each interval contributes one IPC observation; the run reports their
 //! mean ± 95 % Student-t confidence interval
@@ -58,15 +62,16 @@
 //! fast biased estimate is acceptable.
 
 use coaxial_cache::hierarchy::trace_pid;
-use coaxial_cache::{HierStats, Hierarchy};
-use coaxial_cpu::{functional_advance, Core, CoreParams, TraceSource};
+use coaxial_cache::HierStats;
+#[cfg(doc)]
+use coaxial_cache::Hierarchy;
+use coaxial_cpu::{functional_advance, Core};
 use coaxial_cxl::CxlMemory;
 use coaxial_dram::{ChannelStats, MemoryBackend, MultiChannel};
-use coaxial_sim::{Cycle, SampleSeries};
+use coaxial_sim::SampleSeries;
 use coaxial_telemetry::{MetricsRegistry, NullTelemetry, TelemetrySink, TraceEvent};
 
 use crate::config::MemorySystemKind;
-use crate::engine::{self, EngineKind, RunParams};
 use crate::server::{checkpoint_metrics, RunReport, Simulation, Window};
 
 /// Shape of one sampled run: how many intervals, and how the per-core
@@ -167,14 +172,13 @@ impl Simulation {
         scfg: &SamplingConfig,
         tel: T,
     ) -> (SampledReport, T, MetricsRegistry) {
-        match self.config.timing.memory.clone() {
+        let dram = &self.config.timing.dram;
+        match &self.config.timing.memory {
             MemorySystemKind::DirectDdr { channels } => {
-                let dram = self.config.timing.dram.clone();
-                drive(&self, scfg, tel, &mut || MultiChannel::new(&dram, channels))
+                drive(&self, scfg, tel, &mut || MultiChannel::new(dram, *channels))
             }
             MemorySystemKind::Cxl { link, channels } => {
-                let dram = self.config.timing.dram.clone();
-                drive(&self, scfg, tel, &mut || CxlMemory::new(&link, &dram, channels))
+                drive(&self, scfg, tel, &mut || CxlMemory::new(link, dram, *channels))
             }
         }
     }
@@ -182,9 +186,11 @@ impl Simulation {
 
 /// Fold one interval's hierarchy counters into the running aggregate.
 /// Counter fields sum; the latency histogram merges; the harvest-time hit
-/// ratios are handled by the caller (equal-weight interval means, since
-/// every interval measures the same instruction budget).
+/// ratios sum too, for the caller to divide into equal-weight interval
+/// means (every interval measures the same instruction budget).
 fn fold_hier(agg: &mut HierStats, s: &HierStats) {
+    agg.l1_hit_ratio += s.l1_hit_ratio;
+    agg.l2_hit_ratio += s.l2_hit_ratio;
     agg.l2_misses += s.l2_misses;
     agg.llc_hits += s.llc_hits;
     agg.llc_misses += s.llc_misses;
@@ -242,26 +248,15 @@ fn fold_ddr(agg: &mut ChannelStats, s: &ChannelStats) {
     agg.elapsed_cycles += s.elapsed_cycles;
 }
 
-/// The sampling state machine. One functional prefill, then per interval:
-/// rebuild timing state → fast-forward → detailed warm-up → measure →
-/// harvest → park the generators for the next span.
+/// The sampling state machine. The shared setup's one prefill, then per
+/// interval: rebuild timing state → fast-forward → detailed span (warm-up,
+/// measure) → harvest → park the generators for the next span.
 fn drive<B: MemoryBackend, T: TelemetrySink>(
     sim: &Simulation,
     scfg: &SamplingConfig,
     tel: T,
     make_backend: &mut dyn FnMut() -> B,
 ) -> (SampledReport, T, MetricsRegistry) {
-    let func = &sim.config.functional;
-    let mut hierarchy = Hierarchy::with_telemetry(sim.hierarchy_config(), make_backend(), tel);
-    // One functional prefill up front, exactly like a full-detail run
-    // (checkpoint store and all). `finish_prefill` is deferred: the first
-    // interval's fast-forward continues the same functional stream, and one
-    // finish before the first detailed span covers both.
-    let (state, restored) = sim.warmed_state();
-    let imported = hierarchy.import_prefill_state(&state);
-    assert!(imported, "a warmed state has its functional half's geometry");
-    drop(state);
-
     // The builder's instruction budget is the total per-core horizon. Each
     // interval owns one stride of it: fast-forward across the gap, then run
     // warm + measure in detail. A stride shorter than the detail span
@@ -271,121 +266,77 @@ fn drive<B: MemoryBackend, T: TelemetrySink>(
     let stride = (horizon / scfg.intervals).max(1);
     let ff_per_interval = stride.saturating_sub(detail);
 
-    let ncores = func.active_cores;
-    let mut gens: Vec<Box<dyn TraceSource>> = (0..ncores)
-        .map(|i| -> Box<dyn TraceSource> { sim.sources.trace_for(i, func.seed) })
-        .collect();
-
-    let skip = sim.cycle_skip.unwrap_or_else(coaxial_sim::env::cycle_skip);
-    let kind = sim.engine.unwrap_or_else(EngineKind::from_env);
+    let ncores = sim.config.functional.active_cores;
 
     let mut series = SampleSeries::new();
     let mut per_core_sum = vec![0.0f64; ncores];
     let mut agg_hier = HierStats::default();
-    let mut l1_ratio_sum = 0.0f64;
-    let mut l2_ratio_sum = 0.0f64;
     let mut agg_ddr = ChannelStats::default();
-    let mut link_util_sum: Option<(f64, f64)> = None;
-    let mut link_weight = 0.0f64;
-    let mut cycles_total: Cycle = 0;
+    let mut link_sums: Option<(f64, f64, f64)> = None;
     let mut total_instr = 0u64;
     let mut ff_instructions = 0u64;
-    let mut skipped_cycles = 0u64;
-    let mut blocked_iters = 0u64;
-    let mut intervals_run = 0u64;
-    let mut early_stopped = false;
 
-    for j in 0..scfg.intervals {
-        if j > 0 {
-            // Keep the warmed arrays, restart every piece of timing state
-            // at cycle 0 on a fresh backend.
-            hierarchy = hierarchy.into_interval(make_backend());
-        }
-        for (i, g) in gens.iter_mut().enumerate() {
-            ff_instructions += functional_advance(g.as_mut(), ff_per_interval, |line, is_store| {
-                hierarchy.prefill_access(coaxial_sim::small_u32(i), line, is_store);
-            });
-        }
-        hierarchy.finish_prefill();
+    let (hier, log) = sim.with_warmed_hierarchy(make_backend(), tel, |mut hier, mut gens, log| {
+        for j in 0..scfg.intervals {
+            if j > 0 {
+                // Keep the warmed arrays, restart every piece of timing
+                // state at cycle 0 on a fresh backend.
+                hier = hier.into_interval(make_backend());
+            }
+            // The first fast-forward continues the prefill's stream.
+            for (i, g) in gens.iter_mut().enumerate() {
+                ff_instructions +=
+                    functional_advance(g.as_mut(), ff_per_interval, |line, store| {
+                        hier.prefill_access(coaxial_sim::small_u32(i), line, store);
+                    });
+            }
+            let (cores, outcome, per_core) =
+                sim.detailed_span(&mut hier, gens, (scfg.warm, scfg.measure), log);
 
-        let mut cores: Vec<Core> = gens
-            .drain(..)
-            .enumerate()
-            .map(|(i, g)| Core::new(coaxial_sim::small_u32(i), CoreParams::default(), g))
-            .collect();
-        let params = RunParams {
-            warmup: scfg.warm,
-            instructions: scfg.measure,
-            // Same generous slack as the full-detail driver.
-            max_cycles: detail * 120,
-            skip,
-        };
-        let outcome = match kind {
-            EngineKind::Event => engine::run_event(&params, &mut cores, &mut hierarchy),
-            EngineKind::Lockstep => engine::run_lockstep(&params, &mut cores, &mut hierarchy),
-        };
+            for (sum, v) in per_core_sum.iter_mut().zip(&per_core) {
+                *sum += v;
+            }
+            series.push(per_core.iter().sum::<f64>() / per_core.len() as f64);
+            fold_hier(&mut agg_hier, &hier.stats());
+            fold_ddr(&mut agg_ddr, &hier.backend().ddr_stats());
+            if let Some((tx, rx)) = hier.backend().link_utilization() {
+                // TX and RX utilization weighted by cycles, and the weight.
+                let (w, (a, b, n)) = (outcome.now as f64, link_sums.unwrap_or_default());
+                link_sums = Some((a + tx * w, b + rx * w, n + w));
+            }
+            total_instr += cores.iter().map(|c| c.retired.min(scfg.measure)).sum::<u64>();
+            if T::ENABLED {
+                // One span per measured interval on the stitched cycle
+                // axis, after the intervals before it (each starts at 0).
+                hier.telemetry_mut().on_span(TraceEvent {
+                    name: "measure",
+                    cat: "sampling",
+                    pid: trace_pid::SAMPLING,
+                    tid: coaxial_sim::small_u32_u64(j),
+                    start: log.cycles - outcome.now,
+                    dur: outcome.now,
+                    line: 0,
+                });
+            }
+            gens = cores.into_iter().map(Core::into_trace).collect();
 
-        let per_core: Vec<f64> = cores
-            .iter()
-            .enumerate()
-            .map(|(i, c)| outcome.finish_ipc[i].unwrap_or_else(|| c.ipc()))
-            .collect();
-        for (sum, v) in per_core_sum.iter_mut().zip(&per_core) {
-            *sum += v;
+            if scfg.ci_target > 0.0
+                && j + 1 < scfg.intervals
+                && series.len() >= 3
+                && series.relative_half_width() <= scfg.ci_target
+            {
+                break;
+            }
         }
-        series.push(per_core.iter().sum::<f64>() / per_core.len() as f64);
-
-        let hs = hierarchy.stats();
-        l1_ratio_sum += hs.l1_hit_ratio;
-        l2_ratio_sum += hs.l2_hit_ratio;
-        fold_hier(&mut agg_hier, &hs);
-        fold_ddr(&mut agg_ddr, &hierarchy.backend().ddr_stats());
-        if let Some((tx, rx)) = hierarchy.backend().link_utilization() {
-            let w = outcome.now as f64;
-            let (a, b) = link_util_sum.unwrap_or((0.0, 0.0));
-            link_util_sum = Some((a + tx * w, b + rx * w));
-            link_weight += w;
-        }
-        total_instr += cores.iter().map(|c| c.retired.min(scfg.measure)).sum::<u64>();
-        if T::ENABLED {
-            // One span per measured interval on the stitched cycle axis
-            // (intervals restart at cycle 0; the running total offsets them).
-            hierarchy.telemetry_mut().on_span(TraceEvent {
-                name: "measure",
-                cat: "sampling",
-                pid: trace_pid::SAMPLING,
-                tid: coaxial_sim::small_u32_u64(j),
-                start: cycles_total,
-                dur: outcome.now,
-                line: 0,
-            });
-        }
-        cycles_total += outcome.now;
-        skipped_cycles += outcome.stats.skipped_cycles;
-        blocked_iters += outcome.stats.blocked_iters;
-        gens.extend(cores.into_iter().map(Core::into_trace));
-
-        intervals_run += 1;
-        if scfg.ci_target > 0.0
-            && intervals_run < scfg.intervals
-            && series.len() >= 3
-            && series.relative_half_width() <= scfg.ci_target
-        {
-            early_stopped = true;
-            break;
-        }
-    }
-
-    let nrun = intervals_run.max(1) as f64;
-    agg_hier.l1_hit_ratio = l1_ratio_sum / nrun;
-    agg_hier.l2_hit_ratio = l2_ratio_sum / nrun;
-    let cxl_link_utilization = link_util_sum.map(|(a, b)| {
-        if link_weight > 0.0 {
-            (a / link_weight, b / link_weight)
-        } else {
-            (0.0, 0.0)
-        }
+        hier
     });
+
+    let intervals_run = series.len() as u64;
+    let nrun = intervals_run.max(1) as f64;
+    agg_hier.l1_hit_ratio /= nrun;
+    agg_hier.l2_hit_ratio /= nrun;
+    let cxl_link_utilization =
+        link_sums.map(|(a, b, n)| if n > 0.0 { (a / n, b / n) } else { (0.0, 0.0) });
     let report = sim.report(Window {
         ipc: series.mean(),
         per_core_ipc: per_core_sum.iter().map(|s| s / nrun).collect(),
@@ -394,13 +345,14 @@ fn drive<B: MemoryBackend, T: TelemetrySink>(
         retired: total_instr,
         cxl_link_utilization,
         // Sum of measured-window lengths (each interval restarts at 0).
-        cycles: cycles_total,
+        cycles: log.cycles,
         instructions: scfg.measure * intervals_run,
     });
     let sampling = SamplingSummary {
         intervals_planned: scfg.intervals,
         intervals_run,
-        early_stopped,
+        // Only the CI target ends a run before its planned intervals.
+        early_stopped: intervals_run < scfg.intervals,
         warm_per_interval: scfg.warm,
         measure_per_interval: scfg.measure,
         horizon_instructions: horizon,
@@ -422,14 +374,14 @@ fn drive<B: MemoryBackend, T: TelemetrySink>(
     report.hier.export_metrics(&mut metrics, "hier");
     metrics.set_counter("sampling.intervals.planned", scfg.intervals);
     metrics.set_counter("sampling.intervals.run", intervals_run);
-    metrics.set_counter("sampling.early_stopped", u64::from(early_stopped));
+    metrics.set_counter("sampling.early_stopped", u64::from(sampling.early_stopped));
     metrics.set_counter("sampling.instructions.detail", sampling.detail_instructions);
     metrics.set_counter("sampling.instructions.fast_forward", ff_instructions);
-    metrics.set_counter("sampling.prefill.restored", u64::from(restored));
-    metrics.set_counter("sampling.engine.skipped_cycles", skipped_cycles);
-    metrics.set_counter("sampling.engine.blocked_iters", blocked_iters);
+    metrics.set_counter("sampling.prefill.restored", u64::from(log.restored));
+    metrics.set_counter("sampling.engine.skipped_cycles", log.stats.skipped_cycles);
+    metrics.set_counter("sampling.engine.blocked_iters", log.stats.blocked_iters);
     metrics.set_gauge("sampling.ipc.mean", sampling.ipc_mean);
     metrics.set_gauge("sampling.ipc.ci_half", sampling.ipc_ci_half);
     checkpoint_metrics(&mut metrics);
-    (SampledReport { report, sampling }, hierarchy.into_telemetry(), metrics)
+    (SampledReport { report, sampling }, hier.into_telemetry(), metrics)
 }

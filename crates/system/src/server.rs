@@ -12,6 +12,7 @@
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard, Once};
+use std::time::Duration;
 
 use coaxial_cache::{CalmStats, HierStats, Hierarchy, HierarchyConfig, PrefillState};
 use coaxial_cpu::{Core, CoreParams, FileTrace, TraceOp, TraceSource};
@@ -23,7 +24,7 @@ use coaxial_telemetry::{MetricsRegistry, NullTelemetry, TelemetrySink};
 use coaxial_workloads::Workload;
 
 use crate::config::{FunctionalConfig, MemorySystemKind, SystemConfig};
-use crate::engine::{self, EngineKind, RunParams};
+use crate::engine::{self, EngineKind, EngineStats, RunOutcome, RunParams};
 
 /// Default measured instructions per core. The paper runs 200 M after
 /// 50 M of warmup on a cluster; this reproduction defaults to a laptop-
@@ -341,6 +342,18 @@ pub(crate) struct Window {
     pub(crate) instructions: u64,
 }
 
+/// What a run's setup ([`Simulation::with_warmed_hierarchy`]) and its
+/// detailed spans, summed, record for the metrics and `COAXIAL_DEBUG`.
+#[derive(Default)]
+pub(crate) struct RunLog {
+    pub(crate) restored: bool,
+    pub(crate) prefill_wall: Duration,
+    pub(crate) loop_wall: Duration,
+    engine: &'static str,
+    pub(crate) cycles: Cycle,
+    pub(crate) stats: EngineStats,
+}
+
 /// Where each core's access stream comes from.
 pub enum TraceSources {
     /// One registry workload per core (replicated for homogeneous runs).
@@ -450,19 +463,19 @@ pub fn warm(
     (state, park)
 }
 
-/// Builder for one simulation run. Fields are `pub(crate)` so the sampling
-/// driver (`crate::sampling`) can reuse the builder, the prefill path, and
-/// the trace plumbing without widening the public API.
+/// Builder for one simulation run. The sampling driver
+/// (`crate::sampling`) reuses the builder, the setup and the detailed span
+/// without widening the public API.
 pub struct Simulation {
     pub(crate) config: SystemConfig,
-    pub(crate) sources: TraceSources,
+    sources: TraceSources,
     pub(crate) instructions: u64,
-    pub(crate) warmup: u64,
-    pub(crate) max_cycles: Cycle,
+    warmup: u64,
+    max_cycles: Cycle,
     /// Hot-loop cycle skipping; `None` follows `COAXIAL_SKIP` (default on).
-    pub(crate) cycle_skip: Option<bool>,
+    cycle_skip: Option<bool>,
     /// Run-loop engine; `None` follows `COAXIAL_ENGINE` (default: event).
-    pub(crate) engine: Option<EngineKind>,
+    engine: Option<EngineKind>,
 }
 
 impl Simulation {
@@ -577,8 +590,7 @@ impl Simulation {
     }
 
     /// Table III around this config's channels, LLC and CALM policy, with
-    /// its timing knobs applied: the hierarchy both the full-detail and the
-    /// sampled driver build.
+    /// its timing knobs applied.
     pub(crate) fn hierarchy_config(&self) -> HierarchyConfig {
         let cfg = &self.config;
         let func = &cfg.functional;
@@ -638,8 +650,8 @@ impl Simulation {
     /// `PREFILL_STATE` when a state of its geometry is there (a disk
     /// checkpoint from another build may not fit) and otherwise warms them
     /// cold with [`warm`] and inserts them; a trace-file run always warms.
-    /// Both drivers import what this returns, so cold and restored runs
-    /// share one path.
+    /// Both drivers build their hierarchy around what this returns, so
+    /// cold and restored runs share one path.
     pub(crate) fn warmed_state(&self) -> (Arc<PrefillState>, bool) {
         let func = &self.config.functional;
         let names = self.sources.names();
@@ -666,74 +678,92 @@ impl Simulation {
         (state, false)
     }
 
+    /// The setup both drivers share: the hierarchy around the warmed arrays
+    /// of [`Self::warmed_state`] (one copy of a state the store keeps) and
+    /// a fresh generator per active core, for the timed part. Times both on
+    /// the host clock and prints the one `COAXIAL_DEBUG` line.
+    pub(crate) fn with_warmed_hierarchy<B: MemoryBackend, T: TelemetrySink, R>(
+        &self,
+        backend: B,
+        tel: T,
+        timed: impl FnOnce(Hierarchy<B, T>, Vec<Box<dyn TraceSource>>, &mut RunLog) -> R,
+    ) -> (R, RunLog) {
+        #[expect(clippy::disallowed_types, reason = "host wall time, reported and never simulated")]
+        let t0 = std::time::Instant::now();
+        let (state, restored) = self.warmed_state();
+        let arrays = Arc::unwrap_or_clone(state);
+        let hierarchy = Hierarchy::with_telemetry(self.hierarchy_config(), backend, tel, arrays);
+        let mut log = RunLog { restored, prefill_wall: t0.elapsed(), ..RunLog::default() };
+        let func = &self.config.functional;
+        let gens = (0..func.active_cores).map(|i| self.sources.trace_for(i, func.seed) as _);
+        let out = timed(hierarchy, gens.collect(), &mut log);
+        log.loop_wall = t0.elapsed().saturating_sub(log.prefill_wall);
+        if coaxial_sim::env::debug() {
+            let RunLog { engine, cycles, stats, .. } = log;
+            let (skipped, blocked) = (stats.skipped_cycles, stats.blocked_iters);
+            let pct = 100.0 * skipped as f64 / cycles.max(1) as f64;
+            let (prefill_s, loop_s) = (log.prefill_wall.as_secs_f64(), log.loop_wall.as_secs_f64());
+            eprintln!(
+                "engine-debug: engine={engine} now={cycles} skipped={skipped} ({pct:.1}%) \
+                 blocked_iters={blocked} prefill={prefill_s:.3}s (restored={restored}) \
+                 loop={loop_s:.3}s"
+            );
+        }
+        (out, log)
+    }
+
+    /// The timed part of a full-detail run and of each sampled interval,
+    /// under the builder's cycle cap or `(warmup + instructions) × 120`:
+    /// the cores, the outcome and each core's IPC at its finish line (or
+    /// the cap). The one place the engine and cycle skipping are resolved.
+    pub(crate) fn detailed_span<B: MemoryBackend, T: TelemetrySink>(
+        &self,
+        hierarchy: &mut Hierarchy<B, T>,
+        gens: Vec<Box<dyn TraceSource>>,
+        (warmup, instructions): (u64, u64),
+        log: &mut RunLog,
+    ) -> (Vec<Core>, RunOutcome, Vec<f64>) {
+        hierarchy.finish_prefill();
+        let mut cores: Vec<Core> = gens
+            .into_iter()
+            .enumerate()
+            .map(|(i, g)| Core::new(coaxial_sim::small_u32(i), CoreParams::default(), g))
+            .collect();
+        let max_cycles = if self.max_cycles > 0 {
+            self.max_cycles
+        } else {
+            // Generous cap: even at IPC 0.01 the budget fits.
+            (warmup + instructions) * 120
+        };
+        let skip = self.cycle_skip.unwrap_or_else(coaxial_sim::env::cycle_skip);
+        let params = RunParams { warmup, instructions, max_cycles, skip };
+        let kind = self.engine.unwrap_or_else(EngineKind::from_env);
+        let outcome = match kind {
+            EngineKind::Event => engine::run_event(&params, &mut cores, hierarchy),
+            EngineKind::Lockstep => engine::run_lockstep(&params, &mut cores, hierarchy),
+        };
+        log.engine = kind.name();
+        log.cycles += outcome.now;
+        log.stats.skipped_cycles += outcome.stats.skipped_cycles;
+        log.stats.blocked_iters += outcome.stats.blocked_iters;
+        let per_core_ipc = cores
+            .iter()
+            .zip(&outcome.finish_ipc)
+            .map(|(c, finish)| finish.unwrap_or_else(|| c.ipc()))
+            .collect();
+        (cores, outcome, per_core_ipc)
+    }
+
     fn run_with_sink<B: MemoryBackend, T: TelemetrySink>(
         self,
         backend: B,
         tel: T,
     ) -> (RunReport, T, MetricsRegistry) {
-        let func = &self.config.functional;
-        let mut hierarchy = Hierarchy::with_telemetry(self.hierarchy_config(), backend, tel);
-
-        #[expect(
-            clippy::disallowed_types,
-            reason = "host-side prefill/loop wall time for the COAXIAL_DEBUG diagnostic and the \
-                      server.prefill.wall_ns/loop_wall_ns registry metrics; it feeds wall-time \
-                      reporting only (excluded from the differential tests) and never touches \
-                      simulated state or figure output"
-        )]
-        let dbg_t0 = std::time::Instant::now();
-        let (state, restored) = self.warmed_state();
-        let imported = hierarchy.import_prefill_state(&state);
-        assert!(imported, "a warmed state has its functional half's geometry");
-        drop(state);
-        hierarchy.finish_prefill();
-        let dbg_prefill = dbg_t0.elapsed();
-
-        let mut cores: Vec<Core> = (0..func.active_cores)
-            .map(|i| {
-                Core::new(
-                    coaxial_sim::small_u32(i),
-                    CoreParams::default(),
-                    self.sources.trace_for(i, func.seed),
-                )
-            })
-            .collect();
-
-        let max_cycles = if self.max_cycles > 0 {
-            self.max_cycles
-        } else {
-            // Generous cap: even at IPC 0.01 the budget fits.
-            (self.warmup + self.instructions) * 120
-        };
-
-        let skip = self.cycle_skip.unwrap_or_else(coaxial_sim::env::cycle_skip);
-        let kind = self.engine.unwrap_or_else(EngineKind::from_env);
-
-        let params =
-            RunParams { warmup: self.warmup, instructions: self.instructions, max_cycles, skip };
-        let outcome = match kind {
-            EngineKind::Event => engine::run_event(&params, &mut cores, &mut hierarchy),
-            EngineKind::Lockstep => engine::run_lockstep(&params, &mut cores, &mut hierarchy),
-        };
-        let now = outcome.now;
-        let finish_ipc = outcome.finish_ipc;
-        if coaxial_sim::env::debug() {
-            eprintln!(
-                "engine-debug: engine={} now={now} skipped={} ({:.1}%) blocked_iters={} prefill={:.3}s (restored={restored}) loop={:.3}s",
-                kind.name(),
-                outcome.stats.skipped_cycles,
-                100.0 * outcome.stats.skipped_cycles as f64 / now.max(1) as f64,
-                outcome.stats.blocked_iters,
-                dbg_prefill.as_secs_f64(),
-                dbg_t0.elapsed().as_secs_f64() - dbg_prefill.as_secs_f64()
-            );
-        }
-
-        let per_core_ipc: Vec<f64> = cores
-            .iter()
-            .enumerate()
-            .map(|(i, c)| finish_ipc[i].unwrap_or_else(|| c.ipc()))
-            .collect();
+        let budget = (self.warmup, self.instructions);
+        let (((cores, outcome, per_core_ipc), hierarchy), log) =
+            self.with_warmed_hierarchy(backend, tel, |mut h, gens, log| {
+                (self.detailed_span(&mut h, gens, budget, log), h)
+            });
         let report = self.report(Window {
             ipc: per_core_ipc.iter().sum::<f64>() / per_core_ipc.len() as f64,
             per_core_ipc,
@@ -741,7 +771,7 @@ impl Simulation {
             ddr: hierarchy.backend().ddr_stats(),
             retired: cores.iter().map(|c| c.retired.min(self.instructions)).sum(),
             cxl_link_utilization: hierarchy.backend().link_utilization(),
-            cycles: now,
+            cycles: outcome.now,
             instructions: self.instructions,
         });
         // Harvest-time metrics snapshot: hierarchy counters, backend
@@ -770,13 +800,10 @@ impl Simulation {
         // host-dependent and the checkpoint counters are process-cumulative;
         // everything under `server.prefill.` / `server.checkpoint.` is
         // excluded from the engine-differential comparison for that reason.
-        let ns = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        metrics.set_counter("server.prefill.wall_ns", ns(dbg_prefill));
-        metrics.set_counter(
-            "server.prefill.loop_wall_ns",
-            ns(dbg_t0.elapsed().saturating_sub(dbg_prefill)),
-        );
-        metrics.set_counter("server.prefill.restored", u64::from(restored));
+        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        metrics.set_counter("server.prefill.wall_ns", ns(log.prefill_wall));
+        metrics.set_counter("server.prefill.loop_wall_ns", ns(log.loop_wall));
+        metrics.set_counter("server.prefill.restored", u64::from(log.restored));
         checkpoint_metrics(&mut metrics);
         (report, hierarchy.into_telemetry(), metrics)
     }
