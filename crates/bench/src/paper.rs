@@ -69,11 +69,9 @@ pub fn run(id: &str, budget: Budget) -> Result<(), String> {
 }
 
 /// A bench target's `main`: run `id` at the `COAXIAL_INSTR`/`COAXIAL_WARMUP`
-/// budget, once every numeric `COAXIAL_*` knob parses.
+/// budget, once every `COAXIAL_*` knob a run reads is valid.
 pub fn bench(id: &str) {
-    if let Err(e) =
-        coaxial_sim::env::check_numeric_knobs().and_then(|()| run(id, Budget::default()))
-    {
+    if let Err(e) = coaxial_system::engine::check_env().and_then(|()| run(id, Budget::default())) {
         panic!("{e}");
     }
 }

@@ -116,20 +116,10 @@ fn common_opts(o: &BTreeMap<String, Json>) -> Result<CommonOpts, String> {
     })
 }
 
-/// Build the configured system exactly as the CLI does: name lookup,
-/// active-core override, then CXL latency and seed overrides.
+/// The configured system, through the front door the CLI uses too.
 fn build_config(name: &str, opts: &CommonOpts) -> Result<SystemConfig, String> {
-    let mut cfg = SystemConfig::by_name(name).map_err(|e| e.to_string())?;
-    if let Some(n) = opts.cores {
-        cfg = cfg.try_with_active_cores(coaxial_sim::idx(n)).map_err(|e| e.to_string())?;
-    }
-    if let Some(ns) = opts.cxl_ns {
-        cfg = cfg.with_cxl_latency_ns(ns);
-    }
-    if let Some(seed) = opts.seed {
-        cfg = cfg.with_seed(seed);
-    }
-    Ok(cfg)
+    let cores = opts.cores.map(coaxial_sim::idx);
+    SystemConfig::configure(name, cores, opts.cxl_ns, opts.seed).map_err(|e| e.to_string())
 }
 
 fn hash_common(h: &mut KeyHasher, workload: &str, config_names: &[&str], opts: &CommonOpts) {

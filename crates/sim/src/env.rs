@@ -29,8 +29,10 @@
 //! `crates/gateway/src/lib.rs` next to the code that parses it.
 //!
 //! Every numeric knob is in `NUMERIC_KNOBS`; front ends run
-//! [`check_numeric_knobs`] before anything else, so a malformed value
-//! stops the command instead of silently falling back to the default.
+//! [`check_numeric_knobs`] before anything else (through
+//! `coaxial_system::engine::check_env`, which also checks
+//! `COAXIAL_ENGINE`), so a malformed value stops the command instead of
+//! silently falling back to the default.
 
 /// How a numeric knob parses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -216,12 +216,8 @@ impl SystemConfig {
         )
     }
 
-    /// Look up a canned configuration by its CLI/service name.
-    ///
-    /// Accepts the short names used by the `coaxial` binary and the
-    /// gateway request schema: `ddr`/`baseline`, `2x`, `4x`, `5x`,
-    /// `asym`. Unknown names are a [`ConfigError::UnknownConfig`] so the
-    /// gateway can answer HTTP 400 and the CLI can print the same text.
+    /// A canned configuration by its short name: `ddr`/`baseline`, `2x`,
+    /// `4x`, `5x` or `asym` (else [`ConfigError::UnknownConfig`]).
     pub fn by_name(name: &str) -> Result<Self, ConfigError> {
         match name {
             "ddr" | "baseline" => Ok(Self::ddr_baseline()),
@@ -231,6 +227,28 @@ impl SystemConfig {
             "asym" => Ok(Self::coaxial_asym()),
             other => Err(ConfigError::UnknownConfig(other.to_string())),
         }
+    }
+
+    /// The canned config `name` with each override given: active cores,
+    /// CXL latency premium in ns, seed. The one front door for the CLI's
+    /// and the gateway's configs, so both report the same [`ConfigError`].
+    pub fn configure(
+        name: &str,
+        active_cores: Option<usize>,
+        cxl_ns: Option<f64>,
+        seed: Option<u64>,
+    ) -> Result<Self, ConfigError> {
+        let mut cfg = Self::by_name(name)?;
+        if let Some(n) = active_cores {
+            cfg = cfg.try_with_active_cores(n)?;
+        }
+        if let Some(ns) = cxl_ns {
+            cfg = cfg.with_cxl_latency_ns(ns);
+        }
+        if let Some(seed) = seed {
+            cfg = cfg.with_seed(seed);
+        }
+        Ok(cfg)
     }
 
     /// Override the CALM mechanism (Fig. 7).

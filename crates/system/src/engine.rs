@@ -49,9 +49,17 @@ pub enum EngineKind {
     Lockstep,
 }
 
+/// Check the `COAXIAL_*` knobs a run reads (every numeric one and
+/// `COAXIAL_ENGINE`) before anything runs; the error is one line to print.
+pub fn check_env() -> Result<(), String> {
+    coaxial_sim::env::check_numeric_knobs()?;
+    let engine = EngineKind::parse(coaxial_sim::env::engine_name().as_deref());
+    engine.map(drop).map_err(|e| format!("COAXIAL_ENGINE: {e}"))
+}
+
 impl EngineKind {
     /// Resolve from `COAXIAL_ENGINE` (default: `event`). Panics on an
-    /// unknown name: a typo must not silently select an engine.
+    /// unknown name; front ends refuse one at startup ([`check_env`]).
     pub fn from_env() -> Self {
         match Self::parse(coaxial_sim::env::engine_name().as_deref()) {
             Ok(kind) => kind,

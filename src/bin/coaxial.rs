@@ -41,7 +41,7 @@
 use std::process::exit;
 
 use coaxial::cpu::tracefile;
-use coaxial::system::experiments::{latency_breakdown, Budget};
+use coaxial::system::experiments::{latency_breakdown, run_grid, Budget};
 use coaxial::system::runner::{run_all, RunSpec};
 use coaxial::system::{RunReport, SamplingConfig, SamplingSummary, Simulation, SystemConfig};
 use coaxial::telemetry::TelemetryRecorder;
@@ -140,12 +140,18 @@ fn or_exit<T>(r: Result<T, coaxial::system::ConfigError>) -> T {
     })
 }
 
+/// Config `name` on `--cores` active cores, with a CXL latency premium
+/// where given, or exit 2 with the one-line [`ConfigError`] the gateway
+/// answers too.
+///
+/// [`ConfigError`]: coaxial::system::ConfigError
+fn config(name: &str, o: &Opts, cxl_ns: Option<f64>) -> SystemConfig {
+    or_exit(SystemConfig::configure(name, Some(o.cores), cxl_ns, None))
+}
+
+/// The `--config` the command line names, with its `--cxl-ns`.
 fn build_config(o: &Opts) -> SystemConfig {
-    let mut cfg = or_exit(or_exit(SystemConfig::by_name(&o.config)).try_with_active_cores(o.cores));
-    if let Some(ns) = o.cxl_ns {
-        cfg = cfg.with_cxl_latency_ns(ns);
-    }
-    cfg
+    config(&o.config, o, o.cxl_ns)
 }
 
 fn workload(name: &str) -> &'static Workload {
@@ -209,7 +215,7 @@ fn print_sampling(s: &SamplingSummary) {
 }
 
 fn main() {
-    if let Err(e) = coaxial::sim::env::check_numeric_knobs() {
+    if let Err(e) = coaxial::system::engine::check_env() {
         eprintln!("{e}");
         exit(2)
     }
@@ -273,16 +279,10 @@ fn main() {
             let o = parse_opts(&args[2..]);
             let w = workload(wl);
             // One batch across the job pool; reports come back in config order.
-            let specs: Vec<RunSpec> = [
-                SystemConfig::ddr_baseline(),
-                SystemConfig::coaxial_2x(),
-                SystemConfig::coaxial_4x(),
-                SystemConfig::coaxial_5x(),
-                SystemConfig::coaxial_asym(),
-            ]
-            .into_iter()
-            .map(|cfg| RunSpec::homogeneous(cfg.with_active_cores(o.cores), w, o.instr, o.warmup))
-            .collect();
+            let specs: Vec<RunSpec> = ["ddr", "2x", "4x", "5x", "asym"]
+                .into_iter()
+                .map(|name| RunSpec::homogeneous(config(name, &o, None), w, o.instr, o.warmup))
+                .collect();
             let reports = run_all(&specs);
             let base = &reports[0];
             println!(
@@ -305,15 +305,13 @@ fn main() {
             let o = parse_opts(&args[2..]);
             let w = workload(wl);
             let latencies = [10.0, 30.0, 50.0, 70.0, 90.0, 120.0];
-            let specs: Vec<RunSpec> = std::iter::once(SystemConfig::ddr_baseline())
-                .chain(
-                    latencies.iter().map(|&ns| SystemConfig::coaxial_4x().with_cxl_latency_ns(ns)),
-                )
-                .map(|cfg| {
-                    RunSpec::homogeneous(cfg.with_active_cores(o.cores), w, o.instr, o.warmup)
-                })
+            // Fig. 10's grid for one workload: the baseline, then 4x at
+            // each CXL latency premium.
+            let configs: Vec<SystemConfig> = std::iter::once(config("ddr", &o, None))
+                .chain(latencies.iter().map(|&ns| config("4x", &o, Some(ns))))
                 .collect();
-            let reports = run_all(&specs);
+            let budget = Budget { instructions: o.instr, warmup: o.warmup };
+            let (_, reports) = run_grid([w], &configs, budget).remove(0);
             let base = &reports[0];
             println!("baseline IPC {:.3}", base.ipc);
             for (ns, r) in latencies.iter().zip(&reports[1..]) {
@@ -328,8 +326,7 @@ fn main() {
             let Some(wl) = args.get(1) else { usage() };
             let o = parse_opts(&args[2..]);
             let budget = Budget { instructions: o.instr, warmup: o.warmup };
-            let configs =
-                [SystemConfig::ddr_baseline().with_active_cores(o.cores), build_config(&o)];
+            let configs = [config("ddr", &o, None), build_config(&o)];
             let rows = latency_breakdown(&configs, wl, budget);
             println!("mean L2-miss latency attribution on {wl}, ns (measured window)");
             print!("{:<16}", "component");

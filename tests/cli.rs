@@ -1,9 +1,10 @@
 //! The `coaxial` binary end to end.
 //!
-//! On malformed numbers: every numeric option and every numeric
-//! `COAXIAL_*` knob answers a value that does not parse with one line on
-//! stderr and exit status 2, like every other bad command line, instead
-//! of a panic or a silent default.
+//! On bad input: every numeric option and every numeric `COAXIAL_*` knob
+//! that does not parse, an unknown `COAXIAL_ENGINE` and an active-core
+//! count the config cannot take each answer one line on stderr and exit
+//! status 2, like every other bad command line, instead of a panic or a
+//! silent default.
 //!
 //! On output: the `run --sampled --json` stdout of two workloads on the
 //! DDR baseline and COAXIAL-4x is pinned to the digests in
@@ -81,6 +82,31 @@ fn malformed_numeric_knobs_exit_2_with_one_line() {
             coaxial_with(&[(knob, value)], args),
             (Some(2), format!("{knob} wants a number, got \"{value}\"\n")),
             "{knob}={value} coaxial {}",
+            args.join(" ")
+        );
+    }
+}
+
+#[test]
+fn invalid_core_counts_exit_2_with_one_line() {
+    for (sub, n) in [("run", "13"), ("compare", "13"), ("sweep-latency", "0"), ("breakdown", "13")]
+    {
+        assert_eq!(
+            coaxial(&[sub, "mcf", "--cores", n]),
+            (Some(2), format!("invalid active core count {n}: must be in 1..=12\n")),
+            "coaxial {sub} mcf --cores {n}"
+        );
+    }
+}
+
+#[test]
+fn unknown_engine_exits_2_with_one_line() {
+    let want = "COAXIAL_ENGINE: unknown engine `typo`: expected event|lockstep\n";
+    for args in [&["run", "mcf"][..], &["serve", "--addr", "127.0.0.1:0"]] {
+        assert_eq!(
+            coaxial_with(&[("COAXIAL_ENGINE", "typo")], args),
+            (Some(2), want.to_string()),
+            "COAXIAL_ENGINE=typo coaxial {}",
             args.join(" ")
         );
     }
