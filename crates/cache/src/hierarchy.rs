@@ -864,7 +864,9 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         if !state.fits(&self.cfg.geometry) {
             return false;
         }
-        self.arrays.clone_from(state);
+        self.arrays.l1.clone_from(&state.l1);
+        self.arrays.l2.clone_from(&state.l2);
+        self.arrays.llc.clone_from(&state.llc);
         true
     }
 

@@ -61,10 +61,8 @@ impl EngineKind {
     /// Resolve from `COAXIAL_ENGINE` (default: `event`). Panics on an
     /// unknown name; front ends refuse one at startup ([`check_env`]).
     pub fn from_env() -> Self {
-        match Self::parse(coaxial_sim::env::engine_name().as_deref()) {
-            Ok(kind) => kind,
-            Err(e) => panic!("COAXIAL_ENGINE: {e}"),
-        }
+        Self::parse(coaxial_sim::env::engine_name().as_deref())
+            .unwrap_or_else(|e| panic!("COAXIAL_ENGINE: {e}"))
     }
 
     /// Map an engine name (any case; `None` = unset) to an engine. An

@@ -10,12 +10,12 @@
 //!
 //! 1. **Fast-forward** — the per-core trace generators advance
 //!    functionally through [`coaxial_cpu::functional_advance`], streaming
-//!    every access through [`Hierarchy::prefill_access`]. Cache contents
+//!    every access through `Hierarchy::prefill_access`. Cache contents
 //!    (the slow-to-warm state) stay architecturally exact; no timing model
 //!    ticks, so this span costs host time proportional to accesses, not
 //!    simulated cycles.
 //! 2. **Detailed interval** — the hierarchy is rebuilt around the warmed
-//!    arrays with fresh timing state ([`Hierarchy::into_interval`]), and
+//!    arrays with fresh timing state (`Hierarchy::into_interval`), and
 //!    the detailed span a full-detail run takes once runs here per
 //!    interval: cores are reconstructed around the same generators, and the
 //!    ordinary event-driven (or lockstep-oracle) engine runs a short
@@ -63,8 +63,6 @@
 
 use coaxial_cache::hierarchy::trace_pid;
 use coaxial_cache::HierStats;
-#[cfg(doc)]
-use coaxial_cache::Hierarchy;
 use coaxial_cpu::{functional_advance, Core};
 use coaxial_cxl::CxlMemory;
 use coaxial_dram::{ChannelStats, MemoryBackend, MultiChannel};
