@@ -83,6 +83,23 @@ wait "$GWPID"
 grep -q "gateway stopped:" "$GWDIR/serve2.log"
 echo "gateway stops cleanly on SIGTERM"
 
+echo "== engine oracle =="
+# The lockstep engine with cycle skipping off is the oracle every faster
+# path must equal, byte for byte. Re-run the CLI report from the gateway
+# smoke under it, and one small sampled run each on ddr and 4x, so the
+# COAXIAL_ENGINE/COAXIAL_SKIP handling is gated end to end.
+ORACLE=(env COAXIAL_ENGINE=lockstep COAXIAL_SKIP=0)
+"${ORACLE[@]}" "$BIN" run mcf --config 4x --instr 4000 --warmup 1000 --json > "$GWDIR/oracle.json"
+cmp "$GWDIR/cli.json" "$GWDIR/oracle.json"
+SHAPE=(env COAXIAL_SAMPLING_INTERVALS=3 COAXIAL_SAMPLING_WARM=1000 COAXIAL_SAMPLING_MEASURE=1000)
+for cfg in ddr 4x; do
+  SAMPLED=(run mcf --config "$cfg" --instr 30000 --sampled --json)
+  "${SHAPE[@]}" "$BIN" "${SAMPLED[@]}" > "$GWDIR/sampled-$cfg.json"
+  "${SHAPE[@]}" "${ORACLE[@]}" "$BIN" "${SAMPLED[@]}" > "$GWDIR/sampled-$cfg-oracle.json"
+  cmp "$GWDIR/sampled-$cfg.json" "$GWDIR/sampled-$cfg-oracle.json"
+done
+echo "full-detail and sampled reports equal the no-skip lockstep oracle"
+
 echo "== sampling smoke =="
 # SMARTS-style interval sampling (DESIGN.md §5i): a sampled run over a
 # 600k-instruction per-core horizon must take at most a third of the wall
