@@ -19,15 +19,21 @@
 //! cannot race other tests over process-wide state).
 //!
 //! Each workload's cold run is also pinned across commits: its digest must
-//! equal the line in `tests/golden_checkpoint_digests.txt`.
+//! equal the line in `tests/golden_checkpoint_digests.txt`. A run measures
+//! a short window that reads a small part of the warmed arrays, so the
+//! warmed state itself is pinned too, in `tests/golden_warm_digests.txt`.
 
 mod golden;
 
 use coaxial_cache::{CacheGeometry, Hierarchy, HierarchyConfig, PrefillState};
-use coaxial_sim::{CheckpointStore, Snapshot};
+use coaxial_cpu::FileTrace;
+use coaxial_sim::{CheckpointStore, KeyHasher, Snapshot};
+use coaxial_system::config::FunctionalConfig;
+use coaxial_system::server::{self, TraceSources};
 use coaxial_system::{EngineKind, Simulation, SystemConfig};
 use coaxial_telemetry::TelemetryRecorder;
 use coaxial_workloads::Workload;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One run's complete observable output plus its restore flag.
@@ -122,6 +128,73 @@ fn regenerate_golden_checkpoint_digests() {
             .enumerate()
             .map(|(i, w)| (w.name.to_string(), observe(EngineKind::Event, config(i), w).digest())),
     );
+}
+
+/// One `<input> <digest>` line per warmed state of [`warm_digests`].
+const GOLDEN_WARM: &str = "golden_warm_digests.txt";
+
+/// FNV-1a-128 of the encoded warmed state that `server::warm` returns.
+fn warm_digest(func: &FunctionalConfig, sources: &TraceSources) -> String {
+    let state = server::warm(func, sources, None).0;
+    let mut encoded = Vec::new();
+    state.encode(&mut encoded);
+    let mut h = KeyHasher::new("golden-warm");
+    h.write_bytes(&encoded);
+    format!("{:032x}", h.finish())
+}
+
+/// The pinned warms: four workloads on the baseline and COAXIAL-4x
+/// functional halves, mcf on six active cores, and one captured trace file
+/// replayed on every core.
+fn warm_digests() -> Vec<(String, String)> {
+    let registry = |func: &FunctionalConfig, name: &str| {
+        let w = Workload::by_name(name).expect("workload exists");
+        warm_digest(func, &TraceSources::Registry(vec![w; func.cores]))
+    };
+    let (ddr, four) =
+        (SystemConfig::ddr_baseline().functional, SystemConfig::coaxial_4x().functional);
+    let mut runs = Vec::new();
+    for name in ["mcf", "lbm", "PageRank", "stream-copy"] {
+        runs.push((format!("{name}/ddr"), registry(&ddr, name)));
+        runs.push((format!("{name}/4x"), registry(&four, name)));
+    }
+    let six = SystemConfig::coaxial_4x().with_active_cores(6).functional;
+    runs.push(("mcf/4x/6-cores".to_string(), registry(&six, "mcf")));
+
+    // A directory per call: the check and its regenerator may share a process.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "coaxial-warm-golden-{}-{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("create the trace directory");
+    let path = dir.join("mcf.cxtr");
+    let mut source = Workload::by_name("mcf").expect("workload exists").trace(0, 0x7FACE);
+    coaxial_cpu::tracefile::capture(&path, &mut source, 50_000).expect("capture the trace");
+    let ops = FileTrace::load(&path).expect("load the captured trace");
+    runs.push(("trace-file/4x".to_string(), warm_digest(&four, &TraceSources::File(path, ops))));
+    let _ = std::fs::remove_dir_all(&dir);
+    runs
+}
+
+#[test]
+fn warmed_states_match_the_golden_digests() {
+    let mut pinned = golden::Golden::load(
+        GOLDEN_WARM,
+        "checkpoint_differential",
+        "regenerate_golden_warm_digests",
+    );
+    for (name, digest) in warm_digests() {
+        pinned.check(&name, &name, &digest);
+    }
+    pinned.assert_clean();
+}
+
+#[test]
+#[ignore = "rewrites tests/golden_warm_digests.txt"]
+fn regenerate_golden_warm_digests() {
+    golden::write(GOLDEN_WARM, warm_digests());
 }
 
 /// Geometry changes the functional slice, so a warmed snapshot must never
