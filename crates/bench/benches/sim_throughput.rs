@@ -5,7 +5,7 @@
 //! of Fig. 10) over all 36 workloads at the quick budget — 288 simulation
 //! runs spanning both memory-system geometries. It exercises everything
 //! the experiment engine does at scale: the job pool, the prefill
-//! state/stream caches, and the per-run simulation loop.
+//! state store, and the per-run simulation loop.
 //!
 //! Honour `COAXIAL_JOBS` to pin the pool width (1 = serial); results are
 //! bit-identical at any width. Wall-clock numbers for the seed-vs-current

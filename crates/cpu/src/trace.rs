@@ -72,30 +72,6 @@ pub trait TraceSource {
         let op = self.next_op();
         (op.line_addr, op.kind == MemKind::Store)
     }
-
-    /// Snapshot the generator's mutable cursor state for checkpointing.
-    ///
-    /// The contract: a fresh generator built from the same constructor
-    /// arguments, fed this snapshot through [`TraceSource::restore_state`],
-    /// produces the identical continuation of the stream. Only *cursors*
-    /// (RNG state, position counters, phase tags) belong in the snapshot —
-    /// immutable structure (layouts, parameters) is rebuilt by the
-    /// constructor. `None` (the default) means the source does not support
-    /// checkpointing and callers must regenerate from the start, which is
-    /// equivalent because every source is deterministic.
-    fn save_state(&self) -> Option<Vec<u64>> {
-        None
-    }
-
-    /// Restore a cursor snapshot produced by [`TraceSource::save_state`]
-    /// on a freshly constructed generator with the same arguments.
-    /// Returns `false` (the default) when unsupported or when the snapshot
-    /// shape does not match; the generator is then unchanged and the
-    /// caller falls back to regenerating from the start.
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        let _ = state;
-        false
-    }
 }
 
 /// Advance a trace source functionally by at least `instructions`
@@ -152,14 +128,6 @@ impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
 
     fn next_access(&mut self) -> (u64, bool) {
         (**self).next_access()
-    }
-
-    fn save_state(&self) -> Option<Vec<u64>> {
-        (**self).save_state()
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        (**self).restore_state(state)
     }
 }
 

@@ -14,7 +14,7 @@
 //! | `COAXIAL_SKIP`    | `off`/`0`/`false` disables hot-loop cycle skipping |
 //! | `COAXIAL_ENGINE`  | run-loop engine: `event` (default) or `lockstep`   |
 //! | `COAXIAL_DEBUG`   | end-of-run engine diagnostics on stderr            |
-//! | `COAXIAL_PREFILL_CACHE_MB` | byte budget (MB) for each cross-run prefill cache |
+//! | `COAXIAL_PREFILL_CACHE_MB` | byte budget (MB) for the cross-run prefill store |
 //! | `COAXIAL_CHECKPOINT_DIR` | disk tier for the post-prefill checkpoint store |
 //! | `COAXIAL_F2A_CYCLES` | fig2a bench: simulated cycles per load-latency point |
 //! | `COAXIAL_F6_WEIGHTED` | fig6 bench: also emit the weighted-speedup column |
@@ -188,8 +188,8 @@ pub fn debug() -> bool {
     env_flag("COAXIAL_DEBUG", false)
 }
 
-/// Byte budget, in MB, for *each* of the simulation driver's cross-run
-/// prefill caches — warmed cache state and generated access streams
+/// Byte budget, in MB, for the memory tier of the simulation driver's one
+/// cross-run prefill store, which holds warmed cache states
 /// (`COAXIAL_PREFILL_CACHE_MB`, default 64).
 ///
 /// The default is deliberately modest: the prefill loop is host-memory-
@@ -208,7 +208,8 @@ pub fn debug() -> bool {
 /// prefill loop's working set.
 ///
 /// The 8–16 states and the 32–128 MB and 256 MB figures were measured when
-/// a cache way took 17 B of warmed state (tag, LRU stamp, dirty flag).
+/// a cache way took 17 B of warmed state (tag, LRU stamp, dirty flag) and
+/// a second store of the same budget held generated access streams.
 /// A way is now one 8 B word, so a budget holds about twice as many
 /// states (a DDR-geometry state is ~4 MB, a COAXIAL-4x one ~2.4 MB).
 pub fn prefill_cache_mb() -> u64 {

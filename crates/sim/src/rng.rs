@@ -74,23 +74,6 @@ impl SplitMix64 {
         Self::new(self.next_u64())
     }
 
-    /// The raw internal state, for checkpointing a generator mid-stream.
-    /// Pair with [`SplitMix64::from_state`]; the value is *not* a seed
-    /// (`new` pre-advances), so never feed it back through `new`.
-    #[inline]
-    #[must_use]
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuild a generator at an exact point in its stream from a value
-    /// previously returned by [`SplitMix64::state`].
-    #[inline]
-    #[must_use]
-    pub fn from_state(state: u64) -> Self {
-        Self { state }
-    }
-
     /// A seeded corruption of `bytes` for decoder fuzz tests: one to three
     /// edits, each a truncation, a bit flip, an inserted random word, or an
     /// overwrite with a length-like word (0, 3, 2^40, `u64::MAX`).
@@ -186,18 +169,6 @@ mod tests {
         let hits = (0..n).filter(|_| rng.chance(0.3)).count() as f64;
         let freq = hits / n as f64;
         assert!((freq - 0.3).abs() < 0.01, "freq = {freq}");
-    }
-
-    #[test]
-    fn state_round_trip_resumes_the_stream() {
-        let mut a = SplitMix64::new(33);
-        for _ in 0..57 {
-            a.next_u64();
-        }
-        let mut b = SplitMix64::from_state(a.state());
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]

@@ -18,8 +18,7 @@ use coaxial_cache::{CalmStats, HierStats, Hierarchy, HierarchyConfig, PrefillSta
 use coaxial_cpu::{Core, CoreParams, FileTrace, TraceOp, TraceSource};
 use coaxial_cxl::CxlMemory;
 use coaxial_dram::{ChannelStats, MemoryBackend, MultiChannel};
-use coaxial_sim::checkpoint::codec;
-use coaxial_sim::{CheckpointStore, Cycle, KeyHasher, Snapshot};
+use coaxial_sim::{CheckpointStore, Cycle, KeyHasher};
 use coaxial_telemetry::{MetricsRegistry, NullTelemetry, TelemetrySink};
 use coaxial_workloads::Workload;
 
@@ -79,16 +78,16 @@ impl RunReport {
     }
 }
 
-/// Content-addressed store of warmed post-prefill machine state, keyed by
-/// [`prefill_state_key`] — a canonical hash of the *functional* config
-/// slice. Every timing-only sibling of a run (CXL latency, DRAM grade, CALM
-/// policy, prefetch distance — anything in `TimingConfig`) restores the
-/// same snapshot instead of re-simulating prefill. The key is sound
-/// because [`warm`] takes the functional half and the trace sources and
-/// nothing else. The memory tier is bounded by `COAXIAL_PREFILL_CACHE_MB`;
-/// `COAXIAL_CHECKPOINT_DIR` adds a disk tier that survives process
-/// restarts. Counters surface as `server.checkpoint.state.*` via
-/// [`checkpoint_metrics`].
+/// The one prefill store: content-addressed warmed post-prefill machine
+/// state, keyed by [`prefill_state_key`] — a canonical hash of the
+/// *functional* config slice. Every timing-only sibling of a run (CXL
+/// latency, DRAM grade, CALM policy, prefetch distance — anything in
+/// `TimingConfig`) restores the same snapshot instead of re-simulating
+/// prefill. The key is sound because [`warm`] takes the functional half
+/// and the trace sources and nothing else. The memory tier is bounded by
+/// `COAXIAL_PREFILL_CACHE_MB`; `COAXIAL_CHECKPOINT_DIR` adds a disk tier
+/// that survives process restarts. Counters surface as
+/// `server.checkpoint.state.*` via [`checkpoint_metrics`].
 static PREFILL_STATE: LazyLock<Mutex<CheckpointStore<PrefillState>>> = LazyLock::new(|| {
     Mutex::new(CheckpointStore::new(
         prefill_cache_budget(),
@@ -97,26 +96,14 @@ static PREFILL_STATE: LazyLock<Mutex<CheckpointStore<PrefillState>>> = LazyLock:
     ))
 });
 
-/// Store of generated prefill *access streams* plus generator cursors, keyed
-/// by [`prefill_stream_key`] — strictly less than the state key: the stream
-/// is a property of the workloads and seed alone, so two geometries that
-/// cannot share warmed state (baseline vs. COAXIAL, which trades LLC slices
-/// for CXL controllers) still replay the same generated accesses. Memory
-/// tier only: streams regenerate in milliseconds from parked cursors, so a
-/// disk tier would spend I/O to save nothing. Counters surface as
-/// `server.checkpoint.streams.*`.
-static PREFILL_STREAMS: LazyLock<Mutex<CheckpointStore<StreamCheckpoint>>> = LazyLock::new(|| {
-    Mutex::new(CheckpointStore::new(prefill_cache_budget(), None, "prefill-streams"))
-});
-
-/// Lock one of the process-wide checkpoint stores. A job that panicked
-/// while holding the lock poisoned it; the store is a cache, so recovery
-/// empties its memory tier and clears the poison instead of failing every
-/// later run of a long-lived `coaxial serve`. The disk tier is published
-/// by atomic rename, so it cannot hold a torn entry and stays.
-fn lock_store<V: Snapshot>(
-    store: &Mutex<CheckpointStore<V>>,
-) -> MutexGuard<'_, CheckpointStore<V>> {
+/// Lock a prefill store. A job that panicked while holding the lock
+/// poisoned it; the store is a cache, so recovery empties its memory tier
+/// and clears the poison instead of failing every later run of a
+/// long-lived `coaxial serve`. The disk tier is published by atomic rename,
+/// so it cannot hold a torn entry and stays.
+fn lock_store(
+    store: &Mutex<CheckpointStore<PrefillState>>,
+) -> MutexGuard<'_, CheckpointStore<PrefillState>> {
     store.lock().unwrap_or_else(|poisoned| {
         let mut guard = poisoned.into_inner();
         guard.clear_memory();
@@ -129,13 +116,14 @@ fn lock_store<V: Snapshot>(
 /// restore path turns memory-bandwidth-bound: the 288-run sweep is flat
 /// from 32–128 MB and ~40% slower at 256 MB (see `env::prefill_cache_mb`).
 /// Those figures were measured when a cache way cost 17 B (tag, LRU stamp,
-/// dirty flag); at 8 B a budget now holds about twice as many states.
+/// dirty flag) and a second store of the same budget parked access
+/// streams; the one store now holds about twice as many states per MB.
 const PREFILL_BUDGET_CLIFF_MB: u64 = 128;
 
 static BUDGET_WARNING: Once = Once::new();
 
-/// Shared byte budget for each checkpoint store's memory tier. Warns once
-/// per process when the knob is past the measured performance cliff.
+/// Byte budget of the prefill store's memory tier. Warns once per process
+/// when the knob is past the measured performance cliff.
 fn prefill_cache_budget() -> u64 {
     let mb = coaxial_sim::env::prefill_cache_mb();
     if mb > PREFILL_BUDGET_CLIFF_MB {
@@ -148,130 +136,6 @@ fn prefill_cache_budget() -> u64 {
         });
     }
     mb * 1024 * 1024
-}
-
-/// Per-core prefill access streams plus the paused generators' cursor
-/// snapshots ([`TraceSource::save_state`]), captured after producing
-/// exactly `streams[i].len()` accesses. A sibling run replays the streams
-/// zero-copy and, if it needs more, rebuilds the generator and resumes it
-/// from the cursor instead of regenerating from the start.
-pub struct StreamCheckpoint {
-    streams: Vec<Vec<(u64, bool)>>,
-    cursors: Vec<Option<Vec<u64>>>,
-}
-
-impl StreamCheckpoint {
-    /// Accesses parked, summed over cores.
-    pub fn accesses(&self) -> u64 {
-        self.streams.iter().map(|s| s.len() as u64).sum()
-    }
-
-    /// Approximate heap footprint for LRU accounting (streams dominate).
-    fn approx_bytes(&self) -> u64 {
-        let streams: usize =
-            self.streams.iter().map(|s| s.capacity() * std::mem::size_of::<(u64, bool)>()).sum();
-        let cursors: usize = self.cursors.iter().flatten().map(|c| c.len() * 8 + 64).sum();
-        (streams + cursors) as u64
-    }
-}
-
-/// Codec: line addresses fit 63 bits, so each access packs into one word
-/// (`line << 1 | is_store`). The store is currently memory-only, but the
-/// impl keeps the disk-tier option open and documents the canonical shape.
-impl Snapshot for StreamCheckpoint {
-    fn encode(&self, out: &mut Vec<u8>) {
-        codec::put_u64(out, self.streams.len() as u64);
-        for s in &self.streams {
-            codec::put_u64(out, s.len() as u64);
-            for &(line, is_store) in s {
-                codec::put_u64(out, line << 1 | u64::from(is_store));
-            }
-        }
-        for c in &self.cursors {
-            match c {
-                Some(words) => {
-                    codec::put_u64(out, 1);
-                    codec::put_u64s(out, words);
-                }
-                None => codec::put_u64(out, 0),
-            }
-        }
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = codec::Reader::new(bytes);
-        let n = usize::try_from(r.u64()?).ok()?;
-        if n > 4096 {
-            return None;
-        }
-        let streams = (0..n)
-            .map(|_| {
-                let words = r.u64s()?;
-                Some(words.iter().map(|&w| (w >> 1, w & 1 != 0)).collect())
-            })
-            .collect::<Option<Vec<Vec<(u64, bool)>>>>()?;
-        let cursors = (0..n)
-            .map(|_| match r.u64()? {
-                0 => Some(None),
-                1 => Some(Some(r.u64s()?)),
-                _ => None,
-            })
-            .collect::<Option<Vec<Option<Vec<u64>>>>>()?;
-        r.done().then_some(Self { streams, cursors })
-    }
-}
-
-/// One core's view of a prefill stream during replay: a zero-copy prefix
-/// borrowed from the parked [`StreamCheckpoint`] (the common sibling-run
-/// case reads it untouched), a locally generated extension, and the
-/// generator that produces the extension — rebuilt lazily from the parked
-/// cursor, or by fast-forwarding when the cursor cannot be restored.
-struct CoreStream<'a> {
-    base: &'a [(u64, bool)],
-    /// Generator cursor valid at the end of `base`.
-    cursor: Option<&'a [u64]>,
-    ext: Vec<(u64, bool)>,
-    gen: Option<Box<dyn TraceSource + Send>>,
-}
-
-impl CoreStream<'_> {
-    fn len(&self) -> usize {
-        self.base.len() + self.ext.len()
-    }
-
-    /// Access `j`, defined for `j < self.len()`.
-    fn at(&self, j: usize) -> (u64, bool) {
-        if j < self.base.len() {
-            self.base[j]
-        } else {
-            self.ext[j - self.base.len()]
-        }
-    }
-
-    /// Extend the stream to at least `len` accesses. `make_gen` constructs
-    /// the core's generator from scratch; it is invoked at most once, and
-    /// only when the parked prefix runs out.
-    fn ensure(&mut self, len: usize, make_gen: impl FnOnce() -> Box<dyn TraceSource + Send>) {
-        if self.len() >= len {
-            return;
-        }
-        if self.gen.is_none() {
-            let mut g = make_gen();
-            let resumed = self.cursor.is_some_and(|c| g.restore_state(c));
-            if !resumed {
-                // No (or unusable) cursor: fast-forward through the prefix
-                // we already hold. Generators are deterministic, so the
-                // re-run generator is call-for-call equivalent.
-                for _ in 0..self.len() {
-                    let _ = g.next_access();
-                }
-            }
-            self.gen = Some(g);
-        }
-        let have = self.len();
-        let g = self.gen.as_mut().expect("generator just installed");
-        self.ext.extend((have..len).map(|_| g.next_access()));
-    }
 }
 
 /// Canonical content address of a warmed prefill state: every functional
@@ -293,37 +157,20 @@ fn prefill_state_key(names: &[String], func: &FunctionalConfig) -> u128 {
     h.finish()
 }
 
-/// Content address of the prefill access streams: workloads, seed, and the
-/// active-core count (which fixes how many streams exist) — but *not* the
-/// cache geometry, so baseline and COAXIAL twins share one entry.
-fn prefill_stream_key(names: &[String], func: &FunctionalConfig) -> u128 {
-    let mut h = KeyHasher::new("coaxial/prefill-streams/v1");
-    h.write_u64(names.len() as u64);
-    for n in names {
-        h.write_str(n);
-    }
-    h.write_u64(func.seed);
-    h.write_u64(func.active_cores as u64);
-    h.finish()
-}
-
-/// Export both checkpoint stores' counters into `reg` under
-/// `server.checkpoint.*`. The counters are process-wide (the stores are
+/// Export the prefill store's counters into `reg` under
+/// `server.checkpoint.state.*`. The counters are process-wide (the store is
 /// shared across runs and threads), so sweep reports see the cumulative
 /// numbers.
 pub fn checkpoint_metrics(reg: &mut MetricsRegistry) {
-    let mut export = |name: &str, c: coaxial_sim::CheckpointCounters| {
-        reg.set_counter(&format!("server.checkpoint.{name}.mem_hits"), c.mem_hits);
-        reg.set_counter(&format!("server.checkpoint.{name}.disk_hits"), c.disk_hits);
-        reg.set_counter(&format!("server.checkpoint.{name}.misses"), c.misses);
-        reg.set_counter(&format!("server.checkpoint.{name}.inserts"), c.inserts);
-        reg.set_counter(&format!("server.checkpoint.{name}.evictions"), c.evictions);
-        reg.set_counter(&format!("server.checkpoint.{name}.disk_errors"), c.disk_errors);
-        reg.set_gauge(&format!("server.checkpoint.{name}.entries"), c.entries as f64);
-        reg.set_gauge(&format!("server.checkpoint.{name}.bytes"), c.bytes as f64);
-    };
-    export("state", lock_store(&PREFILL_STATE).counters());
-    export("streams", lock_store(&PREFILL_STREAMS).counters());
+    let c = lock_store(&PREFILL_STATE).counters();
+    reg.set_counter("server.checkpoint.state.mem_hits", c.mem_hits);
+    reg.set_counter("server.checkpoint.state.disk_hits", c.disk_hits);
+    reg.set_counter("server.checkpoint.state.misses", c.misses);
+    reg.set_counter("server.checkpoint.state.inserts", c.inserts);
+    reg.set_counter("server.checkpoint.state.evictions", c.evictions);
+    reg.set_counter("server.checkpoint.state.disk_errors", c.disk_errors);
+    reg.set_gauge("server.checkpoint.state.entries", c.entries as f64);
+    reg.set_gauge("server.checkpoint.state.bytes", c.bytes as f64);
     let over = coaxial_sim::env::prefill_cache_mb() > PREFILL_BUDGET_CLIFF_MB;
     reg.set_gauge("server.checkpoint.budget_over_cliff", f64::from(u8::from(over)));
 }
@@ -395,72 +242,40 @@ const PREFETCH_AHEAD: usize = 8;
 ///
 /// The warmed state is keyed by the functional half alone and restored by
 /// every timing sibling; this signature is what makes that sound, since
-/// nothing it takes can reach `TimingConfig`. `parked` is a sibling's
-/// access streams, replayed zero-copy with its generators resumed from
-/// their cursors for any tail this geometry needs. The second value is the
-/// checkpoint to park in its place: registry streams that this warm grew,
-/// or generated with none parked.
-pub fn warm(
-    func: &FunctionalConfig,
-    sources: &TraceSources,
-    parked: Option<&StreamCheckpoint>,
-) -> (PrefillState, Option<StreamCheckpoint>) {
+/// nothing it takes can reach `TimingConfig`.
+pub fn warm(func: &FunctionalConfig, sources: &TraceSources) -> PrefillState {
     let mut state = PrefillState::new(&func.geometry());
     let llc_lines_total =
         coaxial_sim::trunc_usize(func.llc_mb_per_core * 1024.0 * 1024.0 / 64.0) * func.cores;
     let round_ops = (llc_lines_total / func.active_cores.max(1)).max(4096);
-    let mut streams: Vec<CoreStream<'_>> = (0..func.active_cores)
-        .map(|i| CoreStream {
-            base: parked.and_then(|p| p.streams.get(i)).map_or(&[], Vec::as_slice),
-            cursor: parked.and_then(|p| p.cursors.get(i)).and_then(|c| c.as_deref()),
-            ext: Vec::new(),
-            gen: None,
-        })
-        .collect();
+    let mut traces: Vec<_> =
+        (0..func.active_cores).map(|i| sources.trace_for(i, func.seed ^ 0xF111)).collect();
     // The prefill streams multiples of the LLC capacity through arrays far
     // larger than the host's caches, so each probe is a host memory miss.
-    // Walking a pre-generated round and prefetching the tag sets a few
-    // accesses ahead overlaps those misses; the prefill_access call
-    // sequence — and therefore the warmed state — is unchanged.
-    let mut consumed = 0usize;
+    // Generating a core's round into one reused buffer and walking it with
+    // the tag sets prefetched a few accesses ahead overlaps those misses;
+    // a prefetch touches only host caches, so the warmed state is the same.
+    let mut round = Vec::with_capacity(round_ops);
     for _round in 0..8 {
-        let limit = consumed + round_ops;
-        for (i, s) in streams.iter_mut().enumerate() {
+        for (i, trace) in traces.iter_mut().enumerate() {
             let core = coaxial_sim::small_u32(i);
             // next_access advances the generator exactly like next_op but
             // skips the gap math the prefill discards.
-            s.ensure(limit, || sources.trace_for(i, func.seed ^ 0xF111));
-            for j in consumed..limit {
-                // Lookahead stops at the round boundary, so a parked stream
-                // longer than this geometry's round cannot change the state.
-                if j + PREFETCH_AHEAD < limit {
-                    state.prefill_prefetch(core, s.at(j + PREFETCH_AHEAD).0);
+            round.clear();
+            round.extend((0..round_ops).map(|_| trace.next_access()));
+            for (j, &(line, is_store)) in round.iter().enumerate() {
+                if let Some(&(ahead, _)) = round.get(j + PREFETCH_AHEAD) {
+                    state.prefill_prefetch(core, ahead);
                 }
-                let (line, is_store) = s.at(j);
                 state.prefill_access(core, line, is_store);
             }
         }
-        consumed = limit;
         let [_, _, (llc_valid, _)] = state.occupancy();
         if llc_valid >= llc_lines_total * 9 / 10 {
             break;
         }
     }
-    // A sibling that read the parked prefix untouched has nothing to add;
-    // trace-file streams are never parked (a path does not pin contents).
-    let grown = matches!(sources, TraceSources::Registry(_))
-        && (parked.is_none() || streams.iter().any(|s| !s.ext.is_empty()));
-    let park = grown.then(|| StreamCheckpoint {
-        streams: streams.iter().map(|s| [s.base, s.ext.as_slice()].concat()).collect(),
-        cursors: streams
-            .iter()
-            .map(|s| match &s.gen {
-                Some(g) => g.save_state(),
-                None => s.cursor.map(<[u64]>::to_vec),
-            })
-            .collect(),
-    });
-    (state, park)
+    state
 }
 
 /// Builder for one simulation run. The sampling driver
@@ -645,34 +460,26 @@ impl Simulation {
         }
     }
 
-    /// The warmed cache arrays for this run, and whether the checkpoint
-    /// store supplied them. A registry run restores them from
-    /// `PREFILL_STATE` when a state of its geometry is there (a disk
-    /// checkpoint from another build may not fit) and otherwise warms them
-    /// cold with [`warm`] and inserts them; a trace-file run always warms.
+    /// The warmed cache arrays for this run, and whether the prefill store
+    /// supplied them. A registry run takes them from `PREFILL_STATE` when a
+    /// state of its geometry is there (a disk checkpoint from another build
+    /// may not fit) and otherwise warms them cold with [`warm`] and inserts
+    /// them; a trace-file run always warms (a path does not pin contents).
     /// Both drivers build their hierarchy around what this returns, so
     /// cold and restored runs share one path.
     pub(crate) fn warmed_state(&self) -> (Arc<PrefillState>, bool) {
         let func = &self.config.functional;
-        let names = self.sources.names();
-        let keyed = matches!(self.sources, TraceSources::Registry(_));
-        let state_key = keyed.then(|| prefill_state_key(&names, func));
-        if let Some(key) = state_key {
+        let key = matches!(self.sources, TraceSources::Registry(_))
+            .then(|| prefill_state_key(&self.sources.names(), func));
+        if let Some(key) = key {
             // Its own statement, so the store's lock is released at once.
             let restored = lock_store(&PREFILL_STATE).get(key);
             if let Some(state) = restored.filter(|state| state.fits(&func.geometry())) {
                 return (state, true);
             }
         }
-        let stream_key = keyed.then(|| prefill_stream_key(&names, func));
-        let parked = stream_key.and_then(|key| lock_store(&PREFILL_STREAMS).get(key));
-        let (state, park) = warm(func, &self.sources, parked.as_deref());
-        if let (Some(key), Some(park)) = (stream_key, park) {
-            let bytes = park.approx_bytes();
-            lock_store(&PREFILL_STREAMS).insert(key, Arc::new(park), bytes);
-        }
-        let state = Arc::new(state);
-        if let Some(key) = state_key {
+        let state = Arc::new(warm(func, &self.sources));
+        if let Some(key) = key {
             lock_store(&PREFILL_STATE).insert(key, Arc::clone(&state), state.approx_bytes());
         }
         (state, false)
@@ -812,7 +619,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coaxial_cache::CalmPolicy;
+    use coaxial_cache::{CacheGeometry, CalmPolicy};
     use coaxial_telemetry::MetricValue;
 
     fn quick(config: SystemConfig, wl: &str) -> RunReport {
@@ -820,33 +627,12 @@ mod tests {
         Simulation::new(config, w).instructions_per_core(4_000).warmup(1_000).run()
     }
 
-    /// Seeded corruptions of an encoded stream checkpoint: decoding never
-    /// panics and never yields more stream words than the bytes hold.
-    #[test]
-    fn seeded_fuzz_of_stream_checkpoint_decode() {
-        let streams = vec![(0..50).map(|i| (i * 64, i % 3 == 0)).collect(), vec![(8, true)]];
-        let mut raw = Vec::new();
-        StreamCheckpoint { streams, cursors: vec![Some(vec![1, 2, 3]), None] }.encode(&mut raw);
-        let mut rng = coaxial_sim::SplitMix64::new(0x5753);
-        let mut decoded = 0;
-        for _ in 0..400 {
-            let bad = rng.corrupt(&raw);
-            let Some(cp) = StreamCheckpoint::decode(&bad) else { continue };
-            let words: usize = cp.streams.iter().map(Vec::len).sum::<usize>()
-                + cp.cursors.iter().flatten().map(Vec::len).sum::<usize>();
-            assert!(words * 8 <= bad.len(), "decoded more words than the bytes hold");
-            decoded += 1;
-        }
-        assert!(decoded > 0, "the fuzzer must reach a successful decode");
-    }
-
     #[test]
     fn poisoned_checkpoint_store_recovers_as_an_empty_cache() {
         // A local store: poisoning a process-wide one would fail the tests
         // that run beside this one.
         let store = Mutex::new(CheckpointStore::new(1 << 20, None, "poison-test"));
-        let entry =
-            || Arc::new(StreamCheckpoint { streams: vec![vec![(64, false)]], cursors: vec![None] });
+        let entry = || Arc::new(PrefillState::new(&CacheGeometry::table_iii(1, 0.25)));
         lock_store(&store).insert(1, entry(), 64);
         let panicked = std::thread::scope(|s| {
             s.spawn(|| {

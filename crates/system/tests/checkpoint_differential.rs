@@ -135,7 +135,7 @@ const GOLDEN_WARM: &str = "golden_warm_digests.txt";
 
 /// FNV-1a-128 of the encoded warmed state that `server::warm` returns.
 fn warm_digest(func: &FunctionalConfig, sources: &TraceSources) -> String {
-    let state = server::warm(func, sources, None).0;
+    let state = server::warm(func, sources);
     let mut encoded = Vec::new();
     state.encode(&mut encoded);
     let mut h = KeyHasher::new("golden-warm");

@@ -101,10 +101,10 @@ fn harvested_metrics_match_report_and_cover_all_layers() {
     let ch_reads: u64 =
         (0..4).map(|i| metrics.counter(&format!("mem.ch{i}.ddr.reads")).unwrap()).sum();
     assert_eq!(ch_reads, report.ddr.reads);
-    // Checkpoint stores surface process-wide counters, and each run
+    // The prefill store surfaces process-wide counters, and each run
     // reports its prefill wall time and restore outcome.
     assert!(metrics.counter("server.checkpoint.state.mem_hits").is_some());
-    assert!(metrics.counter("server.checkpoint.streams.misses").is_some());
+    assert!(metrics.counter("server.checkpoint.state.misses").is_some());
     assert!(
         metrics.counter("server.checkpoint.state.mem_hits").unwrap()
             + metrics.counter("server.checkpoint.state.disk_hits").unwrap()

@@ -206,57 +206,6 @@ impl TraceSource for GraphTrace {
         let (line, is_store, _, _) = self.next_body();
         (line, is_store)
     }
-
-    fn save_state(&self) -> Option<Vec<u64>> {
-        let (step_tag, remaining) = match self.step {
-            Step::Offsets => (0u64, 0u32),
-            Step::Edges { remaining } => (1, remaining),
-            Step::Update => (2, 0),
-        };
-        Some(vec![
-            crate::snapshot_tag::GRAPH,
-            self.rng.state(),
-            self.vertex,
-            u64::from(self.degree),
-            step_tag,
-            u64::from(remaining),
-            self.edge_phase,
-            self.edge_line,
-            u64::from(self.pending_scatter.is_some()),
-            self.pending_scatter.unwrap_or(0),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        let [family, rng, vertex, degree, step_tag, remaining, edge_phase, edge_line, has_scatter, scatter] =
-            *state
-        else {
-            return false;
-        };
-        if family != crate::snapshot_tag::GRAPH
-            || vertex >= self.p.vertices
-            || edge_phase >= ENTRIES_PER_LINE
-            || edge_line >= self.edges_span
-        {
-            return false;
-        }
-        let (Ok(degree), Ok(remaining)) = (u32::try_from(degree), u32::try_from(remaining)) else {
-            return false;
-        };
-        self.step = match step_tag {
-            0 => Step::Offsets,
-            1 => Step::Edges { remaining },
-            2 => Step::Update,
-            _ => return false,
-        };
-        self.rng = SplitMix64::from_state(rng);
-        self.vertex = vertex;
-        self.degree = degree;
-        self.edge_phase = edge_phase;
-        self.edge_line = edge_line;
-        self.pending_scatter = (has_scatter != 0).then_some(scatter);
-        true
-    }
 }
 
 #[cfg(test)]
@@ -318,28 +267,5 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(a.next_op(), b.next_op());
         }
-    }
-
-    #[test]
-    fn snapshot_resumes_mid_stream() {
-        let mut a = GraphTrace::new(params(), 4, 23);
-        // Land in the middle of an edge scan (odd offset) so the snapshot
-        // carries a non-trivial Step and possibly a pending scatter.
-        for _ in 0..1234 {
-            let _ = a.next_access();
-        }
-        let snap = a.save_state().expect("graph supports snapshots");
-        let mut b = GraphTrace::new(params(), 4, 23);
-        assert!(b.restore_state(&snap));
-        for i in 0..800 {
-            if i % 3 == 0 {
-                assert_eq!(a.next_op(), b.next_op());
-            } else {
-                assert_eq!(a.next_access(), b.next_access());
-            }
-        }
-        let mut bad = snap.clone();
-        bad[2] = params().vertices; // vertex out of range
-        assert!(!b.restore_state(&bad), "out-of-range cursor rejected");
     }
 }

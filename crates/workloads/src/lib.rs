@@ -50,12 +50,3 @@ pub const CORE_REGION_BITS: u32 = 34;
 pub fn core_base(core: u32) -> u64 {
     (core as u64) << CORE_REGION_BITS
 }
-
-/// Family discriminants leading every generator cursor snapshot
-/// (`TraceSource::save_state`), so a snapshot restored onto the wrong
-/// generator family is rejected instead of silently misinterpreted.
-pub mod snapshot_tag {
-    pub const SYNTHETIC: u64 = 1;
-    pub const GRAPH: u64 = 2;
-    pub const TREE: u64 = 3;
-}

@@ -157,42 +157,6 @@ impl TraceSource for SyntheticTrace {
         self.pc_seq = (self.pc_seq + 1) & 0x3F;
         (line_addr, is_store)
     }
-
-    fn save_state(&self) -> Option<Vec<u64>> {
-        let (tag, n) = match self.phase {
-            Phase::Steady => (0u64, 0u32),
-            Phase::Burst(n) => (1, n),
-            Phase::Quiet(n) => (2, n),
-        };
-        Some(vec![
-            crate::snapshot_tag::SYNTHETIC,
-            self.rng.state(),
-            self.cursor,
-            tag,
-            u64::from(n),
-            u64::from(self.pc_seq),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        let [family, rng, cursor, tag, n, pc_seq] = *state else { return false };
-        if family != crate::snapshot_tag::SYNTHETIC || cursor >= self.p.footprint_lines {
-            return false;
-        }
-        let (Ok(n), Ok(pc_seq)) = (u32::try_from(n), u32::try_from(pc_seq)) else {
-            return false;
-        };
-        self.phase = match tag {
-            0 => Phase::Steady,
-            1 => Phase::Burst(n),
-            2 => Phase::Quiet(n),
-            _ => return false,
-        };
-        self.rng = SplitMix64::from_state(rng);
-        self.cursor = cursor;
-        self.pc_seq = pc_seq;
-        true
-    }
 }
 
 #[cfg(test)]
@@ -275,30 +239,6 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(a.next_op(), b.next_op());
         }
-    }
-
-    #[test]
-    fn snapshot_resumes_mid_stream() {
-        let mut a = SyntheticTrace::new(params(), 2, 19);
-        for _ in 0..777 {
-            let _ = a.next_access();
-        }
-        let snap = a.save_state().expect("synthetic supports snapshots");
-        // Fresh generator, same constructor args, restored cursors: the
-        // continuation must match op-for-op (both next_op and next_access).
-        let mut b = SyntheticTrace::new(params(), 2, 19);
-        assert!(b.restore_state(&snap));
-        for i in 0..500 {
-            if i % 3 == 0 {
-                assert_eq!(a.next_op(), b.next_op());
-            } else {
-                assert_eq!(a.next_access(), b.next_access());
-            }
-        }
-        assert!(!b.restore_state(&snap[1..]), "wrong shape rejected");
-        let mut alien = snap.clone();
-        alien[0] = crate::snapshot_tag::TREE;
-        assert!(!b.restore_state(&alien), "wrong family rejected");
     }
 
     #[test]

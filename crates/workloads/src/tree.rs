@@ -106,27 +106,6 @@ impl TraceSource for TreeTrace {
         let (line, is_store, _) = self.next_body();
         (line, is_store)
     }
-
-    fn save_state(&self) -> Option<Vec<u64>> {
-        Some(vec![
-            crate::snapshot_tag::TREE,
-            self.rng.state(),
-            u64::from(self.level),
-            u64::from(self.updating),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> bool {
-        let [family, rng, level, updating] = *state else { return false };
-        if family != crate::snapshot_tag::TREE || level >= u64::from(self.p.depth) || updating > 1 {
-            return false;
-        }
-        let Ok(level) = u32::try_from(level) else { return false };
-        self.rng = SplitMix64::from_state(rng);
-        self.level = level;
-        self.updating = updating != 0;
-        true
-    }
 }
 
 #[cfg(test)]
@@ -193,27 +172,6 @@ mod tests {
         let stores = (0..n).filter(|_| t.next_op().kind == MemKind::Store).count();
         let per_lookup = stores as f64 / (n as f64 / 6.0);
         assert!((per_lookup - 0.1).abs() < 0.02, "update fraction = {per_lookup}");
-    }
-
-    #[test]
-    fn snapshot_resumes_mid_stream() {
-        let mut a = TreeTrace::new(params(), 1, 29);
-        for _ in 0..100 {
-            let _ = a.next_access();
-        }
-        let snap = a.save_state().expect("tree supports snapshots");
-        let mut b = TreeTrace::new(params(), 1, 29);
-        assert!(b.restore_state(&snap));
-        for i in 0..300 {
-            if i % 2 == 0 {
-                assert_eq!(a.next_op(), b.next_op());
-            } else {
-                assert_eq!(a.next_access(), b.next_access());
-            }
-        }
-        let mut bad = snap.clone();
-        bad[2] = u64::from(params().depth); // level out of range
-        assert!(!b.restore_state(&bad), "out-of-range level rejected");
     }
 
     #[test]

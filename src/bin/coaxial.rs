@@ -446,26 +446,23 @@ fn main() {
                     m.counter("server.prefill.restored").unwrap_or(0)
                 );
             }
-            for store in ["state", "streams"] {
-                let c = |name: &str| {
-                    warm.counter(&format!("server.checkpoint.{store}.{name}")).unwrap_or(0)
-                };
-                let (mem, disk, miss) = (c("mem_hits"), c("disk_hits"), c("misses"));
-                let lookups = mem + disk + miss;
-                println!(
-                    "{store:<7} store: {lookups} lookups — {mem} mem / {disk} disk hits, \
-                     {miss} misses ({:.0}% hit), {} inserts, {} evictions, {} disk errors",
-                    if lookups == 0 { 0.0 } else { (mem + disk) as f64 * 100.0 / lookups as f64 },
-                    c("inserts"),
-                    c("evictions"),
-                    c("disk_errors")
-                );
-                println!(
-                    "               {:.0} entries resident, {:.1} MB",
-                    warm.gauge(&format!("server.checkpoint.{store}.entries")).unwrap_or(0.0),
-                    warm.gauge(&format!("server.checkpoint.{store}.bytes")).unwrap_or(0.0) / 1e6
-                );
-            }
+            let c =
+                |name: &str| warm.counter(&format!("server.checkpoint.state.{name}")).unwrap_or(0);
+            let (mem, disk, miss) = (c("mem_hits"), c("disk_hits"), c("misses"));
+            let lookups = mem + disk + miss;
+            println!(
+                "state   store: {lookups} lookups — {mem} mem / {disk} disk hits, \
+                 {miss} misses ({:.0}% hit), {} inserts, {} evictions, {} disk errors",
+                if lookups == 0 { 0.0 } else { (mem + disk) as f64 * 100.0 / lookups as f64 },
+                c("inserts"),
+                c("evictions"),
+                c("disk_errors")
+            );
+            println!(
+                "               {:.0} entries resident, {:.1} MB",
+                warm.gauge("server.checkpoint.state.entries").unwrap_or(0.0),
+                warm.gauge("server.checkpoint.state.bytes").unwrap_or(0.0) / 1e6
+            );
             if warm.counter("server.prefill.restored") != Some(1) {
                 eprintln!("checkpoint-stats: second run did not restore from the store");
                 exit(1);
