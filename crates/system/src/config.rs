@@ -34,23 +34,18 @@ use coaxial_dram::DramConfig;
 
 /// A structurally invalid configuration request.
 ///
-/// The `try_with_*` builders (and [`SystemConfig::by_name`]) return this
-/// instead of panicking so service front-ends (the gateway's HTTP 400
-/// mapping) and the CLI can report the same message without killing a
-/// worker thread. The panicking `with_*` builders delegate to these and
-/// keep their assert semantics for experiment code.
+/// [`SystemConfig::configure`] (through [`SystemConfig::by_name`] and
+/// [`SystemConfig::try_with_active_cores`]) returns this instead of
+/// panicking so service front-ends (the gateway's HTTP 400 mapping) and
+/// the CLI can report the same message without killing a worker thread.
+/// The panicking `with_*` builders keep their assert semantics for
+/// experiment code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// No canned configuration under that name (see [`SystemConfig::by_name`]).
     UnknownConfig(String),
-    /// `cores == 0`.
-    InvalidCores { n: usize },
     /// `active_cores` outside `1..=cores`.
     InvalidActiveCores { n: usize, cores: usize },
-    /// `calm_epoch == 0`.
-    InvalidCalmEpoch,
-    /// A workload mix that does not name exactly one workload per core.
-    WorkloadMixLength { got: usize, want: usize },
     /// No run-loop engine under that name (see `EngineKind::parse`).
     UnknownEngine(String),
 }
@@ -61,15 +56,8 @@ impl std::fmt::Display for ConfigError {
             Self::UnknownConfig(name) => {
                 write!(f, "unknown config `{name}`: expected ddr|baseline|2x|4x|5x|asym")
             }
-            Self::InvalidCores { n } => {
-                write!(f, "invalid core count {n}: a server needs at least one core")
-            }
             Self::InvalidActiveCores { n, cores } => {
                 write!(f, "invalid active core count {n}: must be in 1..={cores}")
-            }
-            Self::InvalidCalmEpoch => write!(f, "calm epoch must be at least one cycle"),
-            Self::WorkloadMixLength { got, want } => {
-                write!(f, "workload mix names {got} workloads for {want} cores")
             }
             Self::UnknownEngine(name) => {
                 write!(f, "unknown engine `{name}`: expected event|lockstep")
@@ -273,21 +261,11 @@ impl SystemConfig {
     /// studies beyond the paper's fixed 12-core slice; the mesh and LLC
     /// banking rebuild around the new count). Use [`Self::with_active_cores`]
     /// to idle cores without shrinking the slice.
-    pub fn with_cores(self, n: usize) -> Self {
-        match self.try_with_cores(n) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible twin of [`Self::with_cores`] for service front-ends.
-    pub fn try_with_cores(mut self, n: usize) -> Result<Self, ConfigError> {
-        if n < 1 {
-            return Err(ConfigError::InvalidCores { n });
-        }
+    pub fn with_cores(mut self, n: usize) -> Self {
+        assert!(n >= 1, "invalid core count {n}: a server needs at least one core");
         self.functional.cores = n;
         self.functional.active_cores = n;
-        Ok(self)
+        self
     }
 
     /// Run the workload on only the first `n` cores (Fig. 11).
@@ -322,20 +300,10 @@ impl SystemConfig {
     }
 
     /// Override the CALM_R monitoring epoch (ablation experiments).
-    pub fn with_calm_epoch(self, cycles: u64) -> Self {
-        match self.try_with_calm_epoch(cycles) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible twin of [`Self::with_calm_epoch`] for service front-ends.
-    pub fn try_with_calm_epoch(mut self, cycles: u64) -> Result<Self, ConfigError> {
-        if cycles == 0 {
-            return Err(ConfigError::InvalidCalmEpoch);
-        }
+    pub fn with_calm_epoch(mut self, cycles: u64) -> Self {
+        assert!(cycles >= 1, "calm epoch must be at least one cycle");
         self.timing.calm_epoch = cycles;
-        Ok(self)
+        self
     }
 
     /// Override the L2 MSHR count per core (ablation experiments).
@@ -443,18 +411,9 @@ mod tests {
     #[test]
     fn try_builders_return_structured_errors() {
         assert_eq!(
-            SystemConfig::ddr_baseline().try_with_cores(0).unwrap_err(),
-            ConfigError::InvalidCores { n: 0 }
-        );
-        assert_eq!(
             SystemConfig::ddr_baseline().try_with_active_cores(13).unwrap_err(),
             ConfigError::InvalidActiveCores { n: 13, cores: 12 }
         );
-        assert_eq!(
-            SystemConfig::ddr_baseline().try_with_calm_epoch(0).unwrap_err(),
-            ConfigError::InvalidCalmEpoch
-        );
-        assert_eq!(SystemConfig::ddr_baseline().try_with_cores(4).unwrap().functional.cores, 4);
     }
 
     #[test]

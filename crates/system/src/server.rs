@@ -302,26 +302,13 @@ impl Simulation {
 
     /// Heterogeneous run (Fig. 6 mixes): one workload per core.
     pub fn new_mix(config: SystemConfig, mix: &[&'static Workload]) -> Self {
-        match Self::try_new_mix(config, mix) {
-            Ok(sim) => sim,
-            Err(e) => panic!("mix must name one workload per core: {e}"),
-        }
-    }
-
-    /// Fallible twin of [`Self::new_mix`]: a mix that does not name
-    /// exactly one workload per core is a [`ConfigError`] instead of a
-    /// panic, so service front-ends can answer HTTP 400.
-    pub fn try_new_mix(
-        config: SystemConfig,
-        mix: &[&'static Workload],
-    ) -> Result<Self, crate::config::ConfigError> {
-        if mix.len() != config.functional.cores {
-            return Err(crate::config::ConfigError::WorkloadMixLength {
-                got: mix.len(),
-                want: config.functional.cores,
-            });
-        }
-        Ok(Self::with_sources(config, TraceSources::Registry(mix.to_vec())))
+        let cores = config.functional.cores;
+        assert!(
+            mix.len() == cores,
+            "mix must name one workload per core: {} workloads for {cores} cores",
+            mix.len()
+        );
+        Self::with_sources(config, TraceSources::Registry(mix.to_vec()))
     }
 
     fn with_sources(config: SystemConfig, sources: TraceSources) -> Self {
