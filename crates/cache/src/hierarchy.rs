@@ -49,9 +49,6 @@ pub mod trace_pid {
     pub const MEM_CHANNEL_BASE: u32 = 200;
     /// Aggregate bandwidth-over-time counter track (Perfetto "C" events).
     pub const MEM_BW: u32 = 300;
-    /// Interval-sampling phase lane: one span per detailed measurement
-    /// interval of a SMARTS-style sampled run (`tid` = interval index).
-    pub const SAMPLING: u32 = 400;
 }
 
 /// Outcome of [`Hierarchy::access`].
@@ -581,10 +578,6 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
 
     pub fn telemetry(&self) -> &T {
         &self.tel
-    }
-
-    pub fn telemetry_mut(&mut self) -> &mut T {
-        &mut self.tel
     }
 
     /// Tear the hierarchy down, handing back the telemetry sink.

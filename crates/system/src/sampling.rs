@@ -61,16 +61,15 @@
 //! calibration; shrink `COAXIAL_SAMPLING_WARM`/`_MEASURE` only when a
 //! fast biased estimate is acceptable.
 
-use coaxial_cache::hierarchy::trace_pid;
 use coaxial_cache::HierStats;
 use coaxial_cpu::{functional_advance, Core};
 use coaxial_cxl::CxlMemory;
 use coaxial_dram::{ChannelStats, MemoryBackend, MultiChannel};
 use coaxial_sim::SampleSeries;
-use coaxial_telemetry::{MetricsRegistry, NullTelemetry, TelemetrySink, TraceEvent};
+use coaxial_telemetry::NullTelemetry;
 
 use crate::config::MemorySystemKind;
-use crate::server::{checkpoint_metrics, RunReport, Simulation, Window};
+use crate::server::{RunReport, Simulation, Window};
 
 /// Shape of one sampled run: how many intervals, and how the per-core
 /// instruction stride splits into fast-forward / detailed warm-up /
@@ -158,25 +157,13 @@ impl Simulation {
     /// (`scfg.warm`) replaces it, and the functional prefill still runs
     /// once up front.
     pub fn run_sampled(self, scfg: &SamplingConfig) -> SampledReport {
-        self.run_sampled_with_telemetry(scfg, NullTelemetry).0
-    }
-
-    /// [`Simulation::run_sampled`] with a telemetry sink attached. Each
-    /// measurement interval additionally emits one `sampling`-lane span
-    /// (`trace_pid::SAMPLING`, `tid` = interval index) so Perfetto shows
-    /// the measured windows on the stitched cycle axis.
-    pub fn run_sampled_with_telemetry<T: TelemetrySink>(
-        self,
-        scfg: &SamplingConfig,
-        tel: T,
-    ) -> (SampledReport, T, MetricsRegistry) {
         let dram = &self.config.timing.dram;
         match &self.config.timing.memory {
             MemorySystemKind::DirectDdr { channels } => {
-                drive(&self, scfg, tel, &mut || MultiChannel::new(dram, *channels))
+                drive(&self, scfg, &mut || MultiChannel::new(dram, *channels))
             }
             MemorySystemKind::Cxl { link, channels } => {
-                drive(&self, scfg, tel, &mut || CxlMemory::new(link, dram, *channels))
+                drive(&self, scfg, &mut || CxlMemory::new(link, dram, *channels))
             }
         }
     }
@@ -249,12 +236,11 @@ fn fold_ddr(agg: &mut ChannelStats, s: &ChannelStats) {
 /// The sampling state machine. The shared setup's one prefill, then per
 /// interval: rebuild timing state → fast-forward → detailed span (warm-up,
 /// measure) → harvest → park the generators for the next span.
-fn drive<B: MemoryBackend, T: TelemetrySink>(
+fn drive<B: MemoryBackend>(
     sim: &Simulation,
     scfg: &SamplingConfig,
-    tel: T,
     make_backend: &mut dyn FnMut() -> B,
-) -> (SampledReport, T, MetricsRegistry) {
+) -> SampledReport {
     // The builder's instruction budget is the total per-core horizon. Each
     // interval owns one stride of it: fast-forward across the gap, then run
     // warm + measure in detail. A stride shorter than the detail span
@@ -274,60 +260,47 @@ fn drive<B: MemoryBackend, T: TelemetrySink>(
     let mut total_instr = 0u64;
     let mut ff_instructions = 0u64;
 
-    let (hier, log) = sim.with_warmed_hierarchy(make_backend(), tel, |mut hier, mut gens, log| {
-        for j in 0..scfg.intervals {
-            if j > 0 {
-                // Keep the warmed arrays, restart every piece of timing
-                // state at cycle 0 on a fresh backend.
-                hier = hier.into_interval(make_backend());
-            }
-            // The first fast-forward continues the prefill's stream.
-            for (i, g) in gens.iter_mut().enumerate() {
-                ff_instructions +=
-                    functional_advance(g.as_mut(), ff_per_interval, |line, store| {
-                        hier.prefill_access(coaxial_sim::small_u32(i), line, store);
-                    });
-            }
-            let (cores, outcome, per_core) =
-                sim.detailed_span(&mut hier, gens, (scfg.warm, scfg.measure), log);
+    let ((), log) =
+        sim.with_warmed_hierarchy(make_backend(), NullTelemetry, |mut hier, mut gens, log| {
+            for j in 0..scfg.intervals {
+                if j > 0 {
+                    // Keep the warmed arrays, restart every piece of timing
+                    // state at cycle 0 on a fresh backend.
+                    hier = hier.into_interval(make_backend());
+                }
+                // The first fast-forward continues the prefill's stream.
+                for (i, g) in gens.iter_mut().enumerate() {
+                    ff_instructions +=
+                        functional_advance(g.as_mut(), ff_per_interval, |line, store| {
+                            hier.prefill_access(coaxial_sim::small_u32(i), line, store);
+                        });
+                }
+                let (cores, outcome, per_core) =
+                    sim.detailed_span(&mut hier, gens, (scfg.warm, scfg.measure), log);
 
-            for (sum, v) in per_core_sum.iter_mut().zip(&per_core) {
-                *sum += v;
-            }
-            series.push(per_core.iter().sum::<f64>() / per_core.len() as f64);
-            fold_hier(&mut agg_hier, &hier.stats());
-            fold_ddr(&mut agg_ddr, &hier.backend().ddr_stats());
-            if let Some((tx, rx)) = hier.backend().link_utilization() {
-                // TX and RX utilization weighted by cycles, and the weight.
-                let (w, (a, b, n)) = (outcome.now as f64, link_sums.unwrap_or_default());
-                link_sums = Some((a + tx * w, b + rx * w, n + w));
-            }
-            total_instr += cores.iter().map(|c| c.retired.min(scfg.measure)).sum::<u64>();
-            if T::ENABLED {
-                // One span per measured interval on the stitched cycle
-                // axis, after the intervals before it (each starts at 0).
-                hier.telemetry_mut().on_span(TraceEvent {
-                    name: "measure",
-                    cat: "sampling",
-                    pid: trace_pid::SAMPLING,
-                    tid: coaxial_sim::small_u32_u64(j),
-                    start: log.cycles - outcome.now,
-                    dur: outcome.now,
-                    line: 0,
-                });
-            }
-            gens = cores.into_iter().map(Core::into_trace).collect();
+                for (sum, v) in per_core_sum.iter_mut().zip(&per_core) {
+                    *sum += v;
+                }
+                series.push(per_core.iter().sum::<f64>() / per_core.len() as f64);
+                fold_hier(&mut agg_hier, &hier.stats());
+                fold_ddr(&mut agg_ddr, &hier.backend().ddr_stats());
+                if let Some((tx, rx)) = hier.backend().link_utilization() {
+                    // TX and RX utilization weighted by cycles, and the weight.
+                    let (w, (a, b, n)) = (outcome.now as f64, link_sums.unwrap_or_default());
+                    link_sums = Some((a + tx * w, b + rx * w, n + w));
+                }
+                total_instr += cores.iter().map(|c| c.retired.min(scfg.measure)).sum::<u64>();
+                gens = cores.into_iter().map(Core::into_trace).collect();
 
-            if scfg.ci_target > 0.0
-                && j + 1 < scfg.intervals
-                && series.len() >= 3
-                && series.relative_half_width() <= scfg.ci_target
-            {
-                break;
+                if scfg.ci_target > 0.0
+                    && j + 1 < scfg.intervals
+                    && series.len() >= 3
+                    && series.relative_half_width() <= scfg.ci_target
+                {
+                    break;
+                }
             }
-        }
-        hier
-    });
+        });
 
     let intervals_run = series.len() as u64;
     let nrun = intervals_run.max(1) as f64;
@@ -362,24 +335,5 @@ fn drive<B: MemoryBackend, T: TelemetrySink>(
         ipc_samples: series.samples().to_vec(),
     };
 
-    // Harvest-time metrics. `hier.*` carries the cross-interval aggregate;
-    // per-channel `mem.*` counters are per-interval (each interval runs a
-    // fresh backend) and are deliberately not exported — the aggregated
-    // ChannelStats lives in `report.ddr`. `server.prefill.*`/`engine.*`
-    // constant paths belong to the full-detail driver (lint M01), so the
-    // sampled twins live under `sampling.*`.
-    let mut metrics = MetricsRegistry::new();
-    report.hier.export_metrics(&mut metrics, "hier");
-    metrics.set_counter("sampling.intervals.planned", scfg.intervals);
-    metrics.set_counter("sampling.intervals.run", intervals_run);
-    metrics.set_counter("sampling.early_stopped", u64::from(sampling.early_stopped));
-    metrics.set_counter("sampling.instructions.detail", sampling.detail_instructions);
-    metrics.set_counter("sampling.instructions.fast_forward", ff_instructions);
-    metrics.set_counter("sampling.prefill.restored", u64::from(log.restored));
-    metrics.set_counter("sampling.engine.skipped_cycles", log.stats.skipped_cycles);
-    metrics.set_counter("sampling.engine.blocked_iters", log.stats.blocked_iters);
-    metrics.set_gauge("sampling.ipc.mean", sampling.ipc_mean);
-    metrics.set_gauge("sampling.ipc.ci_half", sampling.ipc_ci_half);
-    checkpoint_metrics(&mut metrics);
-    (SampledReport { report, sampling }, hier.into_telemetry(), metrics)
+    SampledReport { report, sampling }
 }
