@@ -1,32 +1,39 @@
 //! `coaxial` — command-line front end to the COAXIAL reproduction.
 //!
 //! ```text
-//! coaxial list                            # the 36 workloads
-//! coaxial configs                         # Table II / III configurations
-//! coaxial run <workload> [opts]           # one simulation, full report
-//! coaxial compare <workload> [opts]       # baseline vs every COAXIAL variant
-//! coaxial sweep-latency <workload> [opts] # CXL latency premium sweep
-//! coaxial breakdown <workload> [opts]     # per-component L2-miss latency
-//! coaxial trace <workload> <out.json> [opts] # Perfetto/Chrome event trace
+//! coaxial list                               # the 36 workloads
+//! coaxial configs                            # Table II / III configurations
+//! coaxial run <workload> [config opts] [--json] [--sampled] # one simulation, full report
+//! coaxial compare <workload> [budget opts]   # baseline vs every COAXIAL variant
+//! coaxial sweep-latency <workload> [budget opts] # CXL latency premium sweep
+//! coaxial breakdown <workload> [config opts] # per-component L2-miss latency
+//! coaxial trace <workload> <out.json> [config opts] [trace opts] # Perfetto/Chrome event trace
 //! coaxial profile <workload> [--ops N]       # characterize a generator
 //! coaxial capture <workload> <file> [--ops N]
-//! coaxial replay <file> [opts]            # run a captured .cxtr trace
-//! coaxial checkpoint-stats [workload] [opts] # prefill checkpoint hit rate over two runs
-//! coaxial exp <id> [opts]                 # one paper table/figure: fig5, table4, ablations…
-//! coaxial serve [serve options]           # HTTP gateway: POST /v1/run etc.
-//! coaxial http <METHOD> <url> [body]      # tiny HTTP client for scripts
+//! coaxial replay <file> [config opts]        # run a captured .cxtr trace
+//! coaxial checkpoint-stats [workload] [config opts] # prefill checkpoint hit rate over two runs
+//! coaxial exp <id> [--instr N] [--warmup N]  # one paper table/figure: fig5, table4, ablations…
+//! coaxial serve [serve options]              # HTTP gateway: POST /v1/run etc.
+//! coaxial http <METHOD> <url> [body]         # tiny HTTP client for scripts
 //!
-//! common options:
-//!   --config <name>   ddr | 2x | 4x | 5x | asym        (default: 4x)
+//! A subcommand takes only the options its line names; any other exits 2.
+//!
+//! budget opts:
 //!   --instr <n>       measured instructions per core    (default: 120000)
 //!   --warmup <n>      warmup instructions per core      (default: 20000)
 //!   --cores <n>       active cores (1..12)              (default: 12)
+//! config opts: the budget opts and
+//!   --config <name>   ddr | 2x | 4x | 5x | asym        (default: 4x)
 //!   --cxl-ns <f>      CXL latency premium override in ns
-//!   --json            run only: emit the report as one JSON line
-//!   --sampled         run only: SMARTS interval sampling; --instr is the
+//! run only:
+//!   --json            emit the report as one JSON line
+//!   --sampled         SMARTS interval sampling; --instr is the
 //!                     total horizon, COAXIAL_SAMPLING* shape the intervals
+//! trace opts:
 //!   --trace-start <c> --trace-end <c>     trace window in cycles
 //!   --trace-cap <n>   trace ring capacity in events     (default: 65536)
+//! profile and capture:
+//!   --ops <n>         generator ops to read             (default: 100000)
 //!
 //! serve options (defaults from COAXIAL_GATEWAY_* env, see coaxial-gateway):
 //!   --addr <host:port>   listen address (":0" picks an ephemeral port)
@@ -80,17 +87,12 @@ impl Default for Opts {
     }
 }
 
+/// Print the leading `//!` block above as the usage text and exit 2.
 fn usage() -> ! {
-    eprintln!(
-        "{}",
-        include_str!("coaxial.rs")
-            .lines()
-            .skip(2)
-            .take(37)
-            .map(|l| l.trim_start_matches("//! "))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    let header = include_str!("coaxial.rs").lines().map_while(|l| l.strip_prefix("//!"));
+    for line in header {
+        eprintln!("{}", line.strip_prefix(' ').unwrap_or(line));
+    }
     exit(2)
 }
 
@@ -102,10 +104,50 @@ fn number<T: std::str::FromStr>(flag: &str, value: &str) -> T {
     })
 }
 
-fn parse_opts(args: &[String]) -> Opts {
+const BUDGET: &[&str] = &["--instr", "--warmup", "--cores"];
+const CONFIG: &[&str] = &["--config", "--instr", "--warmup", "--cores", "--cxl-ns"];
+
+/// The options each subcommand reads, as its usage line names them.
+const READS: &[(&str, &[&str])] = &[
+    ("run", &["--config", "--instr", "--warmup", "--cores", "--cxl-ns", "--json", "--sampled"]),
+    ("compare", BUDGET),
+    ("sweep-latency", BUDGET),
+    ("breakdown", CONFIG),
+    ("checkpoint-stats", CONFIG),
+    ("replay", CONFIG),
+    (
+        "trace",
+        &[
+            "--config",
+            "--instr",
+            "--warmup",
+            "--cores",
+            "--cxl-ns",
+            "--trace-start",
+            "--trace-end",
+            "--trace-cap",
+        ],
+    ),
+    ("profile", &["--ops"]),
+    ("capture", &["--ops"]),
+    ("exp", &["--instr", "--warmup"]),
+];
+
+/// Parse subcommand `cmd`'s options. An option `cmd` does not read exits 2
+/// naming both, so a flag can never be silently dropped.
+fn parse_opts(cmd: &str, args: &[String]) -> Opts {
+    let reads = READS.iter().find(|(c, _)| *c == cmd).map_or(&[][..], |(_, r)| *r);
     let mut o = Opts::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if !reads.contains(&a.as_str()) {
+            if READS.iter().any(|(_, r)| r.contains(&a.as_str())) {
+                eprintln!("coaxial {cmd} does not take {a}");
+            } else {
+                eprintln!("unknown option {a}");
+            }
+            exit(2)
+        }
         let mut next = || {
             it.next().unwrap_or_else(|| {
                 eprintln!("missing value for {a}");
@@ -124,10 +166,7 @@ fn parse_opts(args: &[String]) -> Opts {
             "--trace-start" => o.trace_start = number(a, next()),
             "--trace-end" => o.trace_end = number(a, next()),
             "--trace-cap" => o.trace_cap = number(a, next()),
-            other => {
-                eprintln!("unknown option {other}");
-                exit(2)
-            }
+            other => unreachable!("READS names {other}, which has no arm"),
         }
     }
     o
@@ -254,7 +293,7 @@ fn main() {
         }
         "run" => {
             let Some(wl) = args.get(1) else { usage() };
-            let o = parse_opts(&args[2..]);
+            let o = parse_opts(cmd, &args[2..]);
             let sim = Simulation::new(build_config(&o), workload(wl))
                 .instructions_per_core(o.instr)
                 .warmup(o.warmup);
@@ -276,7 +315,7 @@ fn main() {
         }
         "compare" => {
             let Some(wl) = args.get(1) else { usage() };
-            let o = parse_opts(&args[2..]);
+            let o = parse_opts(cmd, &args[2..]);
             let w = workload(wl);
             // One batch across the job pool; reports come back in config order.
             let specs: Vec<RunSpec> = ["ddr", "2x", "4x", "5x", "asym"]
@@ -302,7 +341,7 @@ fn main() {
         }
         "sweep-latency" => {
             let Some(wl) = args.get(1) else { usage() };
-            let o = parse_opts(&args[2..]);
+            let o = parse_opts(cmd, &args[2..]);
             let w = workload(wl);
             let latencies = [10.0, 30.0, 50.0, 70.0, 90.0, 120.0];
             // Fig. 10's grid for one workload: the baseline, then 4x at
@@ -324,7 +363,7 @@ fn main() {
         }
         "breakdown" => {
             let Some(wl) = args.get(1) else { usage() };
-            let o = parse_opts(&args[2..]);
+            let o = parse_opts(cmd, &args[2..]);
             let budget = Budget { instructions: o.instr, warmup: o.warmup };
             let configs = [config("ddr", &o, None), build_config(&o)];
             let rows = latency_breakdown(&configs, wl, budget);
@@ -364,7 +403,7 @@ fn main() {
         }
         "trace" => {
             let (Some(wl), Some(out)) = (args.get(1), args.get(2)) else { usage() };
-            let o = parse_opts(&args[3..]);
+            let o = parse_opts(cmd, &args[3..]);
             let rec =
                 TelemetryRecorder::new().with_trace_window(o.trace_cap, o.trace_start, o.trace_end);
             let (r, rec, _metrics) = Simulation::new(build_config(&o), workload(wl))
@@ -384,7 +423,7 @@ fn main() {
         }
         "profile" => {
             let Some(wl) = args.get(1) else { usage() };
-            let o = parse_opts(&args[2..]);
+            let o = parse_opts(cmd, &args[2..]);
             let p = coaxial::workloads::characterize(workload(wl), 0, 42, o.ops as u64);
             println!("workload:        {}", p.workload);
             println!("ops sampled:     {}", p.ops);
@@ -401,7 +440,7 @@ fn main() {
         }
         "capture" => {
             let (Some(wl), Some(path)) = (args.get(1), args.get(2)) else { usage() };
-            let o = parse_opts(&args[3..]);
+            let o = parse_opts(cmd, &args[3..]);
             let mut src = workload(wl).trace(0, 0xCAB);
             tracefile::capture(std::path::Path::new(path), src.as_mut(), o.ops).unwrap_or_else(
                 |e| {
@@ -413,14 +452,14 @@ fn main() {
         }
         "checkpoint-stats" => {
             // Same config + workload twice: the first run populates the
-            // prefill checkpoint stores, the second must restore. Exits
+            // prefill store, the second must restore. Exits
             // non-zero if it does not, so check.sh doubles as a smoke test
             // of the content-addressed store.
             let (wl, rest) = match args.get(1) {
                 Some(a) if !a.starts_with("--") => (a.as_str(), &args[2..]),
                 _ => ("mcf", &args[1..]),
             };
-            let o = parse_opts(rest);
+            let o = parse_opts(cmd, rest);
             let w = workload(wl);
             let run = || {
                 #[expect(clippy::disallowed_types, reason = "reports each run's host wall time")]
@@ -470,7 +509,7 @@ fn main() {
         }
         "replay" => {
             let Some(path) = args.get(1) else { usage() };
-            let o = parse_opts(&args[2..]);
+            let o = parse_opts(cmd, &args[2..]);
             let sim = Simulation::from_trace_file(build_config(&o), path).unwrap_or_else(|e| {
                 eprintln!("cannot read trace {path}: {e}");
                 exit(1)
@@ -481,7 +520,7 @@ fn main() {
             // The same function the paper's bench target runs, so the two
             // print the same bytes at the same budget.
             let Some(id) = args.get(1) else { usage() };
-            let o = parse_opts(&args[2..]);
+            let o = parse_opts(cmd, &args[2..]);
             let budget = Budget { instructions: o.instr, warmup: o.warmup };
             if let Err(e) = coaxial_bench::paper::run(id, budget) {
                 eprintln!("{e}");

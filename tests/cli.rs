@@ -1,10 +1,10 @@
 //! The `coaxial` binary end to end.
 //!
 //! On bad input: every numeric option and every numeric `COAXIAL_*` knob
-//! that does not parse, an unknown `COAXIAL_ENGINE` and an active-core
-//! count the config cannot take each answer one line on stderr and exit
-//! status 2, like every other bad command line, instead of a panic or a
-//! silent default.
+//! that does not parse, an option the subcommand does not read, an
+//! unknown `COAXIAL_ENGINE` and an active-core count the config cannot
+//! take each answer one line on stderr and exit status 2, like every other
+//! bad command line, instead of a panic or a silent default.
 //!
 //! On output: the `run --sampled --json` stdout of two workloads on the
 //! DDR baseline and COAXIAL-4x is pinned to the digests in
@@ -47,18 +47,38 @@ fn coaxial(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn malformed_numbers_exit_2_with_one_line() {
-    let run_flags =
-        ["--instr", "--warmup", "--cores", "--cxl-ns", "--ops", "--trace-start", "--trace-end"];
+    let run_flags = ["--instr", "--warmup", "--cores", "--cxl-ns"];
+    let trace_flags = ["--trace-start", "--trace-end", "--trace-cap"];
     let cases = run_flags
         .iter()
         .map(|&flag| vec!["run", "mcf", flag, "12k"])
-        .chain([vec!["trace", "mcf", "out.json", "--trace-cap", "12k"]])
+        .chain(trace_flags.iter().map(|&flag| vec!["trace", "mcf", "out.json", flag, "12k"]))
+        .chain([vec!["profile", "mcf", "--ops", "12k"]])
         .chain([vec!["serve", "--workers", "12k"]]);
     for args in cases {
         let flag = args[args.len() - 2];
         assert_eq!(
             coaxial(&args),
             (Some(2), format!("{flag} wants a number, got \"12k\"\n")),
+            "coaxial {}",
+            args.join(" ")
+        );
+    }
+}
+
+/// An option another subcommand reads is refused, not silently dropped.
+#[test]
+fn options_a_subcommand_does_not_read_exit_2_with_one_line() {
+    let cases: [&[&str]; 3] = [
+        &["compare", "mcf", "--instr", "2000", "--warmup", "500", "--cxl-ns", "120"],
+        &["sweep-latency", "mcf", "--instr", "2000", "--warmup", "500", "--config", "5x"],
+        &["profile", "mcf", "--instr", "10"],
+    ];
+    for args in cases {
+        let (sub, flag) = (args[0], args[args.len() - 2]);
+        assert_eq!(
+            coaxial(args),
+            (Some(2), format!("coaxial {sub} does not take {flag}\n")),
             "coaxial {}",
             args.join(" ")
         );
