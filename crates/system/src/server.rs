@@ -117,7 +117,8 @@ fn lock_store(
 /// from 32–128 MB and ~40% slower at 256 MB (see `env::prefill_cache_mb`).
 /// Those figures were measured when a cache way cost 17 B (tag, LRU stamp,
 /// dirty flag) and a second store of the same budget parked access
-/// streams; the one store now holds about twice as many states per MB.
+/// streams; at 8 B a way, the one store now holds about twice as many
+/// states.
 const PREFILL_BUDGET_CLIFF_MB: u64 = 128;
 
 static BUDGET_WARNING: Once = Once::new();
