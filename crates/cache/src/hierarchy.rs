@@ -394,9 +394,9 @@ impl PrefillState {
     }
 
     /// Fill a line into a core's L1; a dirty victim merges into the L2
-    /// (write-back, on-chip only). Returns the dirty LLC victim this
-    /// displaced, whose writeback is the caller's to issue or drop.
-    fn fill_l1(&mut self, core: usize, line: u64, dirty: bool) -> Option<u64> {
+    /// (write-back, on-chip only). Returns what that spilled into the LLC,
+    /// as [`PrefillState::fill_l2`].
+    fn fill_l1(&mut self, core: usize, line: u64, dirty: bool) -> Option<Spill> {
         match self.l1[core].fill(line, dirty) {
             Some(ev) if ev.dirty => self.fill_l2(core, ev.line_addr, true),
             _ => None,
@@ -404,10 +404,11 @@ impl PrefillState {
     }
 
     /// Fill a line into a core's L2, spilling a dirty victim into the LLC.
-    /// Returns the dirty LLC victim, as [`PrefillState::fill_l1`].
-    fn fill_l2(&mut self, core: usize, line: u64, dirty: bool) -> Option<u64> {
+    /// Returns the spilled line with the dirty LLC victim it displaced,
+    /// whose writeback is the caller's to issue or drop.
+    fn fill_l2(&mut self, core: usize, line: u64, dirty: bool) -> Option<Spill> {
         match self.l2[core].fill(line, dirty) {
-            Some(ev) if ev.dirty => self.fill_llc(ev.line_addr, true),
+            Some(ev) if ev.dirty => Some((ev.line_addr, self.fill_llc(ev.line_addr, true))),
             _ => None,
         }
     }
@@ -427,6 +428,10 @@ impl PrefillState {
             .for_each(CacheArray::reset_stats);
     }
 }
+
+/// A dirty line an L1 or L2 fill pushed down into the LLC, and the dirty
+/// LLC victim that displaced in turn.
+type Spill = (u64, Option<u64>);
 
 /// Disk-tier codec for warmed prefill state: three level counts followed by
 /// each array's [`CacheArray::encode_into`] payload. Decoding validates
@@ -495,6 +500,12 @@ pub struct Hierarchy<B: MemoryBackend, T: TelemetrySink = NullTelemetry> {
     writeback_queue: VecDeque<u64>,
     completed: VecDeque<(u32, AccessId)>,
 
+    /// Per core, the line of its parked, refused access
+    /// ([`Hierarchy::watch_refused`]), and whether that refusal may have
+    /// ended since.
+    refusal_watch: Vec<Option<u64>>,
+    refusal_ended: Vec<bool>,
+
     stats: HierStats,
     now: Cycle,
     tel: T,
@@ -552,6 +563,8 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             finish_events: BinaryHeap::new(),
             writeback_queue: VecDeque::new(),
             completed: VecDeque::new(),
+            refusal_watch: vec![None; cores],
+            refusal_ended: vec![false; cores],
             stats: HierStats::default(),
             now: 0,
             tel,
@@ -648,7 +661,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         // access that will need an MSHR but cannot get one must retry
         // WITHOUT perturbing LRU state, hit/miss counters, or the CALM
         // engine (it will be re-presented next cycle).
-        if self.mshr[c].is_full() && !self.probe_on_chip(c, line) {
+        if self.lacks_mshr(c, line) {
             return AccessResult::Retry;
         }
 
@@ -817,17 +830,85 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
 
     /// Fill a line into a core's L1; a dirty LLC victim goes to memory.
     fn fill_l1(&mut self, core: usize, line: u64, dirty: bool) {
-        self.writeback_queue.extend(self.arrays.fill_l1(core, line, dirty));
+        let spill = self.arrays.fill_l1(core, line, dirty);
+        self.spilled(spill);
     }
 
     /// Fill a line into a core's L2; a dirty LLC victim goes to memory.
     fn fill_l2(&mut self, core: usize, line: u64, dirty: bool) {
-        self.writeback_queue.extend(self.arrays.fill_l2(core, line, dirty));
+        let spill = self.arrays.fill_l2(core, line, dirty);
+        self.spilled(spill);
+    }
+
+    /// A dirty line spilled into the LLC; its dirty victim goes to memory.
+    fn spilled(&mut self, spill: Option<Spill>) {
+        if let Some((line, victim)) = spill {
+            self.entered_llc(line);
+            self.writeback_queue.extend(victim);
+        }
     }
 
     /// Fill the LLC with a clean memory line; a dirty victim goes to memory.
     fn fill_llc_clean(&mut self, line: u64) {
+        self.entered_llc(line);
         self.writeback_queue.extend(self.arrays.fill_llc(line, false));
+    }
+
+    /// The back-pressure verdict: every MSHR of core `c` is taken and the
+    /// access would need one, its line being on chip nowhere `c` looks.
+    fn lacks_mshr(&self, c: usize, line: u64) -> bool {
+        self.mshr[c].is_full() && !self.probe_on_chip(c, line)
+    }
+
+    /// Whether `core`'s access to `line` would answer
+    /// [`AccessResult::Retry`] and change nothing: no MSHR of `core` holds
+    /// the line to merge with, no untouched prefetch brought it in (a
+    /// demand touch would count that prefetch useful), and the core lacks
+    /// the MSHR it would need.
+    pub fn refuses(&self, core: usize, line: u64) -> bool {
+        self.mshr[core].lookup(line).is_none()
+            && !(self.cfg.prefetch != PrefetchPolicy::None && self.prefetched_lines.contains(&line))
+            && self.lacks_mshr(core, line)
+    }
+
+    /// Watch a parked core whose access to `line` [`Hierarchy::refuses`]:
+    /// [`Hierarchy::refusal_ended`] turns true once an MSHR of `core` is
+    /// released or `line` enters the LLC. While the core issues nothing
+    /// those are the only ways the refusal can end: its L1 and L2 change
+    /// only through its own completions, each of which releases an MSHR,
+    /// and a prefetched line is recorded only as it fills the LLC.
+    pub fn watch_refused(&mut self, core: usize, line: u64) {
+        self.refusal_watch[core] = Some(line);
+        self.refusal_ended[core] = false;
+    }
+
+    /// Whether the refusal watched for `core` may have ended.
+    pub fn refusal_ended(&self, core: usize) -> bool {
+        self.refusal_ended[core]
+    }
+
+    /// Stop watching `core`.
+    pub fn unwatch(&mut self, core: usize) {
+        self.refusal_watch[core] = None;
+        self.refusal_ended[core] = false;
+    }
+
+    /// `line` entered the LLC: every refusal watched on it has ended.
+    fn entered_llc(&mut self, line: u64) {
+        for (watch, ended) in self.refusal_watch.iter().zip(&mut self.refusal_ended) {
+            if *watch == Some(line) {
+                *ended = true;
+            }
+        }
+    }
+
+    /// Release `core`'s MSHR for `line`: a refusal watched for `core` may
+    /// have ended.
+    fn release_mshr(&mut self, core: usize, line: u64) {
+        self.mshr[core].release(line);
+        if self.refusal_watch[core].is_some() {
+            self.refusal_ended[core] = true;
+        }
     }
 
     /// Functionally warm the arrays with one access; see
@@ -1003,7 +1084,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             // from the demand latency breakdown.
             self.fill_llc_clean(txn.line);
             self.fill_l2(c, txn.line, false);
-            self.mshr[c].release(txn.line);
+            self.release_mshr(c, txn.line);
             self.prefetched_lines.insert(txn.line);
             if self.prefetched_lines.len() > 1 << 20 {
                 self.prefetched_lines.clear(); // bound the tracking set
@@ -1016,7 +1097,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         self.fill_l2(c, txn.line, txn.wants_dirty);
         self.fill_l1(c, txn.line, txn.wants_dirty);
 
-        self.mshr[c].release(txn.line);
+        self.release_mshr(c, txn.line);
         for w in &txn.waiters {
             self.completed.push_back((txn.core, *w));
         }
@@ -1467,6 +1548,74 @@ mod tests {
         d.h.reset_stats(now);
         assert_eq!(d.h.stats().l2_misses, 0);
         assert!(d.h.probe_on_chip(0, 9), "contents preserved across reset");
+    }
+
+    /// The watch on a parked core's refused access ends on each event that
+    /// can end the refusal, and on no other. With one L2 MSHR, core 0's
+    /// fetch of line A leaves its access to line B refused; the watch on B
+    /// must end while A is still outstanding when B enters the LLC, (i) as
+    /// core 1's fetch of B fills it or (ii) as core 1's dirty copy of B
+    /// spills from its L2, and (iii) it must end on a release of core 0's
+    /// MSHR but not of core 1's.
+    #[test]
+    fn refusal_watch_ends_on_a_release_or_an_llc_insert() {
+        const A: u64 = 0x1000;
+        const B: u64 = 0x2000;
+        let one_mshr = || Driver { h: hier(2, |c| c.l2_mshrs = 1), now: 0, next_token: 0 };
+        // Core 0's one MSHR holds A; its access to B is refused and watched.
+        let refuse_b = |d: &mut Driver| {
+            assert_eq!(d.h.access(0, A, false, 1, d.now, 100), AccessResult::Pending);
+            assert_eq!(d.h.access(0, B, false, 1, d.now, 101), AccessResult::Retry);
+            assert!(d.h.refuses(0, B));
+            d.h.watch_refused(0, B);
+        };
+        // Step until the next completions; each with the flag seen then.
+        let next_done = |d: &mut Driver| {
+            for _ in 0..100_000 {
+                d.step(1);
+                let done: Vec<_> = std::iter::from_fn(|| d.h.pop_completion()).collect();
+                if !done.is_empty() {
+                    return (done, d.h.refusal_ended(0));
+                }
+                assert!(!d.h.refusal_ended(0), "cycle {}: nothing ended the refusal", d.now);
+            }
+            panic!("no completion within 100k cycles");
+        };
+
+        // (i) Core 1 fetches B, issued well ahead of A.
+        let mut d = one_mshr();
+        let (AccessResult::Pending, b) = d.access(1, B, false, 1) else { panic!("B misses") };
+        d.step(50);
+        refuse_b(&mut d);
+        assert_eq!(next_done(&mut d), (vec![(1, b)], true), "core 1's fill of B");
+        assert!(d.h.mshr[0].lookup(A).is_some(), "A is still outstanding");
+        assert!(!d.h.refuses(0, B), "B is in the LLC");
+
+        // (ii) Core 1 holds B dirty as the LRU line of its L2 set, and an
+        // LLC hit on X, which maps to that set, pushes B down.
+        let mut d = one_mshr();
+        let sets = d.h.arrays.l2[1].num_sets();
+        d.h.arrays.l2[1].fill(B, true);
+        for k in 1..8 {
+            d.h.arrays.l2[1].fill(B + k * sets, false);
+        }
+        let x = B + 8 * sets;
+        d.h.arrays.fill_llc(x, false);
+        refuse_b(&mut d);
+        assert!(matches!(d.h.access(1, x, false, 1, d.now, 102), AccessResult::Done(_)));
+        assert!(d.h.refusal_ended(0), "core 1's spill of B");
+        assert!(d.h.mshr[0].lookup(A).is_some(), "A is still outstanding");
+        assert!(!d.h.refuses(0, B), "B is in the LLC");
+
+        // (iii) Core 1's fetch of another line completes first: its
+        // release and its fill leave the watch standing; A's release ends it.
+        let mut d = one_mshr();
+        let (AccessResult::Pending, c) = d.access(1, 0x3000, false, 1) else { panic!("misses") };
+        d.step(50);
+        refuse_b(&mut d);
+        assert_eq!(next_done(&mut d), (vec![(1, c)], false), "core 1's release");
+        assert!(d.h.refuses(0, B));
+        assert_eq!(next_done(&mut d), (vec![(0, 100)], true), "core 0's release of A");
     }
 
     #[test]

@@ -86,6 +86,9 @@ pub struct Core {
     /// Hierarchy accesses still pending; each carries its entry seq (or
     /// `u64::MAX` for a store) as its token.
     outstanding: usize,
+    /// Entry seq of the op on which the last tick's issue stage stopped
+    /// with [`AccessResult::Retry`], if it did.
+    refused: Option<u64>,
 
     /// Retired instructions since the last stats reset.
     pub retired: u64,
@@ -119,6 +122,7 @@ impl Core {
             waiting: VecDeque::new(),
             scheduled: BinaryHeap::new(),
             outstanding: 0,
+            refused: None,
             retired: 0,
             cycles: 0,
             loads_issued: 0,
@@ -298,6 +302,7 @@ impl Core {
         // 3. Issue ready memory ops (out of order, within the window).
         let mut issued = 0;
         let mut i = 0;
+        self.refused = None;
         while issued < self.params.issue_width
             && i < self.waiting.len().min(self.params.issue_window)
         {
@@ -324,7 +329,11 @@ impl Core {
                     self.waiting.remove(i);
                     issued += 1;
                 }
-                AccessResult::Retry => break, // back-pressure: stop issuing
+                AccessResult::Retry => {
+                    // Back-pressure: stop issuing.
+                    self.refused = Some(op.seq);
+                    break;
+                }
             }
         }
         if issued == 0 && !self.waiting.is_empty() {
@@ -370,28 +379,60 @@ impl Core {
     /// (`cycles`, `stall_cycles`, `rob_occupancy_cum`, and — when ops are
     /// waiting — `issue_stall_cycles`), which is exactly what
     /// [`Core::fast_forward`] replays; the pair is what lets both run-loop
-    /// engines skip quiescent cycles with bit-identical statistics.
+    /// engines skip quiescent cycles with bit-identical statistics. A core
+    /// whose only issuable op the hierarchy refuses is not blocked here;
+    /// see [`Core::refused_wait`].
     pub fn next_event(&self) -> Option<Cycle> {
-        match self.rob.front() {
-            Some(Entry::Mem { done: false }) => {}
-            _ => return None, // retirable head or empty ROB
-        }
-        if self.rob_instrs < self.params.rob_size {
-            return None; // dispatch would make progress
-        }
-        let window = self.waiting.len().min(self.params.issue_window);
-        for op in self.waiting.iter().take(window) {
-            if op.dep.is_none_or(|d| self.entry_done(d)) {
-                return None; // a ready op would issue
-            }
-        }
-        Some(self.scheduled.peek().map_or(Cycle::MAX, |&Reverse((at, _))| at))
+        (self.stalled() && self.first_ready().is_none()).then(|| self.next_scheduled())
     }
 
-    /// Account `skipped` fully-blocked cycles (see [`Core::next_event`]).
-    /// Exact replay of the skipped ticks: a fully-blocked tick touches
-    /// nothing but the stall/occupancy counters — the ROB is full and
-    /// constant, nothing issues, and `waiting` cannot change.
+    /// If the next tick would be a blocked one (see [`Core::next_event`])
+    /// but for one access the hierarchy refused — retirement and dispatch
+    /// stalled, and the first ready op in the issue window is the op the
+    /// last tick's issue stage stopped on with [`AccessResult::Retry`] —
+    /// return that op's line and the same own-state bound `next_event`
+    /// gives.
+    ///
+    /// While [`Hierarchy::refuses`] that line, a tick is exactly a blocked
+    /// tick plus a refused `access` that changes nothing, so
+    /// [`Core::fast_forward`] replays it too. The event engine parks such a
+    /// core until the bound or until the hierarchy reports that the
+    /// refusal may have ended ([`Hierarchy::refusal_ended`]); ops ahead of
+    /// the refused one in the window become ready only at the bound or on a
+    /// delivered completion, and a completion releases one of the core's
+    /// MSHRs, which ends the watch.
+    pub fn refused_wait(&self) -> Option<(u64, Cycle)> {
+        let seq = self.refused?;
+        if !self.stalled() {
+            return None;
+        }
+        let op = self.first_ready()?;
+        (op.seq == seq).then(|| (op.line, self.next_scheduled()))
+    }
+
+    /// Whether the next tick can neither retire (the ROB head is an
+    /// unfinished memory op) nor dispatch (the ROB is full).
+    fn stalled(&self) -> bool {
+        matches!(self.rob.front(), Some(Entry::Mem { done: false }))
+            && self.rob_instrs >= self.params.rob_size
+    }
+
+    /// The first op in the issue window whose dependence is satisfied.
+    fn first_ready(&self) -> Option<&WaitingOp> {
+        let window = self.waiting.len().min(self.params.issue_window);
+        self.waiting.iter().take(window).find(|op| op.dep.is_none_or(|d| self.entry_done(d)))
+    }
+
+    /// The next scheduled cache-hit completion; `Cycle::MAX` if none.
+    fn next_scheduled(&self) -> Cycle {
+        self.scheduled.peek().map_or(Cycle::MAX, |&Reverse((at, _))| at)
+    }
+
+    /// Account `skipped` fully-blocked or refused cycles (see
+    /// [`Core::next_event`] and [`Core::refused_wait`]). Exact replay of
+    /// the skipped ticks: such a tick touches nothing but the
+    /// stall/occupancy counters — the ROB is full and constant, nothing
+    /// issues, and `waiting` cannot change.
     pub fn fast_forward(&mut self, skipped: u64) {
         self.cycles += skipped;
         self.stall_cycles += skipped;

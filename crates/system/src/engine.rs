@@ -30,6 +30,16 @@
 //! debug-asserts the bound half of that contract on every bound-triggered
 //! wakeup, so a stale bound fails loudly in tests instead of silently
 //! degrading skipping.
+//!
+//! A core whose only issuable op the hierarchy refuses for want of an MSHR
+//! ([`Core::refused_wait`]) parks too, without a queue slot: the hierarchy
+//! watches the refused line ([`Hierarchy::watch_refused`]) and the core
+//! stays out of the tick order until its own bound or until a release of
+//! one of its MSHRs or the line's arrival in the LLC may have ended the
+//! refusal. It still counts as runnable, so the visited cycles are
+//! lockstep's, and it wakes at its own slot, so it sees the hierarchy in
+//! lockstep's order within the cycle. Debug builds assert
+//! [`Hierarchy::refuses`] on every slot such a core sits out.
 
 use coaxial_cache::Hierarchy;
 use coaxial_cpu::Core;
@@ -85,17 +95,24 @@ impl EngineKind {
     }
 }
 
-/// Engine counters, exported by the driver as `engine.*` registry metrics.
+/// Engine counters. The driver exports the first two as `engine.*`
+/// registry metrics.
 ///
-/// Both engines report identical values for identical runs: globally
-/// quiescent spans are a property of the simulated machine, not of the
-/// engine walking it — the differential test relies on this.
+/// Both engines report identical skip counters for identical runs:
+/// globally quiescent spans are a property of the simulated machine, not
+/// of the engine walking it — the differential test relies on this.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct EngineStats {
     /// Cycles jumped over in globally-quiescent spans.
     pub skipped_cycles: u64,
     /// Cycle boundaries at which every core was simultaneously blocked.
     pub blocked_iters: u64,
+    /// `Core::tick` calls summed over cores, the host work the engine
+    /// spent on cores. It differs between engines by design, so it is a
+    /// `COAXIAL_DEBUG` diagnostic and never a registry metric. Only
+    /// [`run_event`] counts it; [`run_lockstep`] ticks every core on each
+    /// visited cycle, and its caller derives the count from that.
+    pub core_ticks: u64,
 }
 
 /// Inputs the run loop needs beyond the components themselves.
@@ -236,6 +253,11 @@ enum CoreState {
     /// Fully blocked; `idle_from` is its first un-ticked cycle. The parked
     /// span is replayed via `fast_forward` when the core wakes.
     Blocked { idle_from: Cycle },
+    /// Blocked but for an access the hierarchy refuses on `line`
+    /// ([`Core::refused_wait`]); sits out its slot until `until` or until
+    /// the hierarchy's watch reports the refusal may have ended. Counts as
+    /// runnable, so it keeps every cycle visited.
+    Refused { idle_from: Cycle, until: Cycle, line: u64 },
 }
 
 /// Bring a parked core's counters up to cycle boundary `upto` (exclusive):
@@ -244,7 +266,7 @@ enum CoreState {
 /// (warmup flip, IPC freeze, loop exit).
 fn materialize(cores: &mut [Core], state: &mut [CoreState], upto: Cycle) {
     for (c, s) in cores.iter_mut().zip(state.iter_mut()) {
-        if let CoreState::Blocked { idle_from } = s {
+        if let CoreState::Blocked { idle_from } | CoreState::Refused { idle_from, .. } = s {
             if upto > *idle_from {
                 c.fast_forward(upto - *idle_from);
                 *idle_from = upto;
@@ -259,8 +281,10 @@ fn materialize(cores: &mut [Core], state: &mut [CoreState], upto: Cycle) {
 /// memory hierarchy at `n`. Cores are parked on their exact
 /// [`Core::next_event`] bound; the hierarchy's slot is (re)scheduled from
 /// `Hierarchy::next_event` whenever a globally-quiescent jump is
-/// considered. Visited cycles — and therefore every hierarchy tick and
-/// completion delivery — are identical to the lockstep engine's.
+/// considered. Refused cores take no slot: their wake-up is checked at
+/// their own place in the tick order. Visited cycles — and therefore every
+/// hierarchy tick and completion delivery — are identical to the lockstep
+/// engine's.
 pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
     p: &RunParams,
     cores: &mut [Core],
@@ -270,6 +294,7 @@ pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
     let hier_slot = n;
     let mut queue = EventQueue::new(n + 1);
     let mut state = vec![CoreState::Runnable; n];
+    // Cores not `Blocked`: refused ones keep every cycle visited.
     let mut runnable = n;
     let mut now: Cycle = 0;
     let mut warm = p.warmup == 0;
@@ -323,10 +348,29 @@ pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
             }
         }
         // Tick runnable cores in fixed core order (identical to lockstep's
-        // iteration order); park the ones that come out fully blocked.
+        // iteration order); park the ones that come out fully blocked or
+        // refused. A refused core wakes here, at its own slot, so a fill by
+        // an earlier core reaches it this cycle and one by a later core the
+        // next, as in lockstep.
         for i in 0..n {
-            if state[i] != CoreState::Runnable {
-                continue;
+            match state[i] {
+                CoreState::Runnable => {}
+                CoreState::Blocked { .. } => continue,
+                CoreState::Refused { idle_from, until, line } => {
+                    if now < until && !hierarchy.refusal_ended(i) {
+                        debug_assert!(
+                            hierarchy.refuses(i, line),
+                            "core {i}: parked on a refused access to line {line:#x} \
+                             (cycle {now}) that the hierarchy no longer refuses"
+                        );
+                        continue;
+                    }
+                    hierarchy.unwatch(i);
+                    if now > idle_from {
+                        cores[i].fast_forward(now - idle_from);
+                    }
+                    state[i] = CoreState::Runnable;
+                }
             }
             let fp_before = if cfg!(debug_assertions) && woke_at_bound.contains(&i) {
                 Some(cores[i].progress_fingerprint())
@@ -334,6 +378,7 @@ pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
                 None
             };
             cores[i].tick(now, hierarchy);
+            stats.core_ticks += 1;
             if let Some(before) = fp_before {
                 // Stale-bound tripwire: `next_event` promised the core's
                 // own state changes at this cycle (a due `scheduled` entry
@@ -354,6 +399,9 @@ pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
                 } else {
                     queue.cancel(i);
                 }
+            } else if let Some((line, until)) = cores[i].refused_wait() {
+                hierarchy.watch_refused(i, line);
+                state[i] = CoreState::Refused { idle_from: now + 1, until, line };
             }
         }
         now += 1;

@@ -495,13 +495,14 @@ impl Simulation {
         log.loop_wall = t0.elapsed().saturating_sub(log.prefill_wall);
         if coaxial_sim::env::debug() {
             let RunLog { engine, cycles, stats, .. } = log;
-            let (skipped, blocked) = (stats.skipped_cycles, stats.blocked_iters);
+            let (skipped, blocked, ticks) =
+                (stats.skipped_cycles, stats.blocked_iters, stats.core_ticks);
             let pct = 100.0 * skipped as f64 / cycles.max(1) as f64;
             let (prefill_s, loop_s) = (log.prefill_wall.as_secs_f64(), log.loop_wall.as_secs_f64());
             eprintln!(
                 "engine-debug: engine={engine} now={cycles} skipped={skipped} ({pct:.1}%) \
-                 blocked_iters={blocked} prefill={prefill_s:.3}s (restored={restored}) \
-                 loop={loop_s:.3}s"
+                 blocked_iters={blocked} core_ticks={ticks} prefill={prefill_s:.3}s \
+                 (restored={restored}) loop={loop_s:.3}s"
             );
         }
         (out, log)
@@ -535,12 +536,19 @@ impl Simulation {
         let kind = self.engine.unwrap_or_else(EngineKind::from_env);
         let outcome = match kind {
             EngineKind::Event => engine::run_event(&params, &mut cores, hierarchy),
-            EngineKind::Lockstep => engine::run_lockstep(&params, &mut cores, hierarchy),
+            EngineKind::Lockstep => {
+                let mut o = engine::run_lockstep(&params, &mut cores, hierarchy);
+                // Every core ticks on each visited cycle, and each cycle
+                // before the exit was either visited or skipped.
+                o.stats.core_ticks = cores.len() as u64 * (o.now - o.stats.skipped_cycles);
+                o
+            }
         };
         log.engine = kind.name();
         log.cycles += outcome.now;
         log.stats.skipped_cycles += outcome.stats.skipped_cycles;
         log.stats.blocked_iters += outcome.stats.blocked_iters;
+        log.stats.core_ticks += outcome.stats.core_ticks;
         let per_core_ipc = cores
             .iter()
             .zip(&outcome.finish_ipc)

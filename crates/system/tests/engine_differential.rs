@@ -23,6 +23,11 @@
 //! count, and budget so the sweep covers DDR and CXL backends, partial
 //! core occupancy, and warmup-boundary placement.
 //!
+//! A second sweep covers the back-pressure shapes the registry draw never
+//! reaches — NextLine prefetch, two or four L2 MSHRs, and one captured
+//! trace replayed on several cores — where the event engine parks cores
+//! whose accesses the hierarchy refuses.
+//!
 //! Both engines share the backends, so a change that moves both the same
 //! way passes the comparison. The event run of each workload is therefore
 //! also pinned across commits: its FNV-1a-128 digest must equal the line
@@ -31,6 +36,7 @@
 
 mod golden;
 
+use coaxial_cache::PrefetchPolicy;
 use coaxial_sim::SplitMix64;
 use coaxial_system::{ConfigError, EngineKind, Simulation, SystemConfig};
 use coaxial_telemetry::TelemetryRecorder;
@@ -45,14 +51,9 @@ struct Observed {
     requests: String,
 }
 
-fn observe(
-    kind: EngineKind,
-    cfg: SystemConfig,
-    w: &'static Workload,
-    budget: (u64, u64),
-) -> Observed {
+fn observe(kind: EngineKind, sim: Simulation, budget: (u64, u64)) -> Observed {
     let (instr, warmup) = budget;
-    let (report, rec, metrics) = Simulation::new(cfg, w)
+    let (report, rec, metrics) = sim
         .instructions_per_core(instr)
         .warmup(warmup)
         .engine(kind)
@@ -125,8 +126,8 @@ fn event_engine_matches_lockstep_oracle_on_every_workload() {
         golden::Golden::load(GOLDEN, "engine_differential", "regenerate_golden_digests");
     for (w, cfg, budget) in runs() {
         let label = format!("{} on {} (instr={}, warmup={})", w.name, cfg.name, budget.0, budget.1);
-        let oracle = observe(EngineKind::Lockstep, cfg.clone(), w, budget);
-        let event = observe(EngineKind::Event, cfg, w, budget);
+        let oracle = observe(EngineKind::Lockstep, Simulation::new(cfg.clone(), w), budget);
+        let event = observe(EngineKind::Event, Simulation::new(cfg, w), budget);
         assert_eq!(event.report, oracle.report, "{label}: RunReport diverged");
         assert_eq!(event.metrics, oracle.metrics, "{label}: metrics registry diverged");
         assert_eq!(event.requests, oracle.requests, "{label}: telemetry ledgers diverged");
@@ -135,13 +136,59 @@ fn event_engine_matches_lockstep_oracle_on_every_workload() {
     pinned.assert_clean();
 }
 
+/// Event against lockstep where cores back up behind the hierarchy: on
+/// the DDR baseline and COAXIAL-4x, lbm under NextLine prefetch (a refused
+/// access must not touch `prefetched_lines`), stream-copy with two L2
+/// MSHRs, and one captured lbm trace replayed on six cores with two MSHRs
+/// and with prefetch. The six cores miss on the same lines, so one core's
+/// fill of a line can end another's refusal of it. The trace outruns the
+/// prefill (about 524k ops per core on the DDR baseline at six cores), so
+/// its first lines have left the LLC when the timed run replays them.
+#[test]
+fn event_engine_matches_lockstep_under_back_pressure() {
+    let dir = std::env::temp_dir().join(format!("coaxial-backpressure-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the trace directory");
+    let trace = dir.join("lbm.cxtr");
+    let mut source = Workload::by_name("lbm").expect("workload exists").trace(0, 0xB4C);
+    coaxial_cpu::tracefile::capture(&trace, &mut source, 540_000).expect("capture the trace");
+    let next_line = PrefetchPolicy::NextLine { degree: 2 };
+    for base in [SystemConfig::ddr_baseline(), SystemConfig::coaxial_4x()] {
+        let six = base.clone().with_active_cores(6);
+        // A registry workload, or the trace (`None`) on every active core.
+        let cases = [
+            ("lbm + NextLine 2", base.clone().with_prefetch(next_line), Some("lbm")),
+            ("stream-copy + 2 MSHRs", base.clone().with_l2_mshrs(2), Some("stream-copy")),
+            ("lbm trace on 6 cores + 2 MSHRs", six.clone().with_l2_mshrs(2), None),
+            ("lbm trace on 6 cores + NextLine 2", six.with_prefetch(next_line), None),
+        ];
+        for (shape, cfg, workload) in cases {
+            let label = format!("{shape} on {}", base.name);
+            let sim = || match workload {
+                Some(name) => {
+                    Simulation::new(cfg.clone(), Workload::by_name(name).expect("workload exists"))
+                }
+                None => Simulation::from_trace_file(cfg.clone(), &trace).expect("read the trace"),
+            };
+            let oracle = observe(EngineKind::Lockstep, sim(), (1500, 300));
+            let event = observe(EngineKind::Event, sim(), (1500, 300));
+            assert_eq!(event.report, oracle.report, "{label}: RunReport diverged");
+            assert_eq!(event.metrics, oracle.metrics, "{label}: metrics registry diverged");
+            assert_eq!(event.requests, oracle.requests, "{label}: telemetry ledgers diverged");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 #[ignore = "rewrites tests/golden_digests.txt"]
 fn regenerate_golden_digests() {
     golden::write(
         GOLDEN,
         runs().map(|(w, cfg, budget)| {
-            (w.name.to_string(), observe(EngineKind::Event, cfg, w, budget).digest())
+            (
+                w.name.to_string(),
+                observe(EngineKind::Event, Simulation::new(cfg, w), budget).digest(),
+            )
         }),
     );
 }

@@ -86,11 +86,18 @@ echo "gateway stops cleanly on SIGTERM"
 echo "== engine oracle =="
 # The lockstep engine with cycle skipping off is the oracle every faster
 # path must equal, byte for byte. Re-run the CLI report from the gateway
-# smoke under it, and one small sampled run each on ddr and 4x, so the
-# COAXIAL_ENGINE/COAXIAL_SKIP handling is gated end to end.
+# smoke under it, lbm on ddr (where nearly every access is refused for
+# want of an MSHR, so the event engine parks refused cores, whose debug
+# tripwire a release build compiles out), and one small sampled run each
+# on ddr and 4x, so the COAXIAL_ENGINE/COAXIAL_SKIP handling is gated end
+# to end.
 ORACLE=(env COAXIAL_ENGINE=lockstep COAXIAL_SKIP=0)
 "${ORACLE[@]}" "$BIN" run mcf --config 4x --instr 4000 --warmup 1000 --json > "$GWDIR/oracle.json"
 cmp "$GWDIR/cli.json" "$GWDIR/oracle.json"
+LBM=(run lbm --config ddr --instr 4000 --warmup 1000 --json)
+"$BIN" "${LBM[@]}" > "$GWDIR/lbm.json"
+"${ORACLE[@]}" "$BIN" "${LBM[@]}" > "$GWDIR/lbm-oracle.json"
+cmp "$GWDIR/lbm.json" "$GWDIR/lbm-oracle.json"
 SHAPE=(env COAXIAL_SAMPLING_INTERVALS=3 COAXIAL_SAMPLING_WARM=1000 COAXIAL_SAMPLING_MEASURE=1000)
 for cfg in ddr 4x; do
   SAMPLED=(run mcf --config "$cfg" --instr 30000 --sampled --json)
