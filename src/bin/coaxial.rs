@@ -169,6 +169,15 @@ fn parse_opts(cmd: &str, args: &[String]) -> Opts {
             other => unreachable!("READS names {other}, which has no arm"),
         }
     }
+    // Values that could only give an empty result.
+    if o.ops == 0 {
+        eprintln!("--ops must be at least 1");
+        exit(2)
+    }
+    if o.trace_end <= o.trace_start {
+        eprintln!("--trace-end must be greater than --trace-start: the window is [start, end)");
+        exit(2)
+    }
     o
 }
 

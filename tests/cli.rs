@@ -1,10 +1,11 @@
 //! The `coaxial` binary end to end.
 //!
 //! On bad input: every numeric option and every numeric `COAXIAL_*` knob
-//! that does not parse, an option the subcommand does not read, an
-//! unknown `COAXIAL_ENGINE` and an active-core count the config cannot
-//! take each answer one line on stderr and exit status 2, like every other
-//! bad command line, instead of a panic or a silent default.
+//! that does not parse, an option the subcommand does not read, a value
+//! that could only give an empty result, an unknown `COAXIAL_ENGINE` and
+//! an active-core count the config cannot take each answer one line on
+//! stderr and exit status 2, like every other bad command line, instead
+//! of a panic, an empty output or a silent default.
 //!
 //! On output: the `run --sampled --json` stdout of two workloads on the
 //! DDR baseline and COAXIAL-4x is pinned to the digests in
@@ -82,6 +83,39 @@ fn options_a_subcommand_does_not_read_exit_2_with_one_line() {
             "coaxial {}",
             args.join(" ")
         );
+    }
+}
+
+/// Zero generator ops and an empty trace window are refused before any
+/// file is written: `profile` used to panic, and `capture` and `trace` to
+/// write an empty trace or event file and exit 0.
+#[test]
+fn values_that_give_an_empty_result_exit_2_with_one_line() {
+    let file =
+        |ext| std::env::temp_dir().join(format!("coaxial-empty-{}.{ext}", std::process::id()));
+    let (cxtr, json) = (file("cxtr"), file("json"));
+    let (cxtr, json) = (cxtr.to_str().unwrap(), json.to_str().unwrap());
+    for path in [cxtr, json] {
+        let _ = std::fs::remove_file(path);
+    }
+    let ops = "--ops must be at least 1\n";
+    let window = "--trace-end must be greater than --trace-start: the window is [start, end)\n";
+    let budget = ["--instr", "2000", "--warmup", "500"];
+    let trace = |start, end| {
+        let window = ["--trace-start", start, "--trace-end", end];
+        [&["trace", "mcf", json][..], &budget, &window].concat()
+    };
+    let cases = [
+        (vec!["profile", "mcf", "--ops", "0"], ops),
+        (vec!["capture", "mcf", cxtr, "--ops", "0"], ops),
+        (trace("50", "10"), window),
+        (trace("50", "50"), window),
+    ];
+    for (args, want) in cases {
+        assert_eq!(coaxial(&args), (Some(2), want.to_string()), "coaxial {}", args.join(" "));
+    }
+    for path in [cxtr, json] {
+        assert!(!std::path::Path::new(path).exists(), "{path} was written");
     }
 }
 
