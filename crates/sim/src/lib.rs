@@ -17,8 +17,7 @@
 //! * [`lru`] — a byte-bounded keyed LRU (prefill-state memoization),
 //! * [`checkpoint`] — the content-addressed snapshot store (memory LRU +
 //!   optional disk tier) behind post-prefill state restore,
-//! * [`queue`] — bounded FIFO queues that record occupancy statistics, and
-//!   the deterministic event min-queue behind the event-driven run loop,
+//! * [`queue`] — the bounded FIFO queue behind every buffering point,
 //! * [`sample`] — interval-sample aggregation (mean ± Student-t confidence
 //!   interval) behind the SMARTS-style sampled execution mode, and
 //! * [`env`] — the shared `COAXIAL_*` environment knobs (budgets, job count,
@@ -39,7 +38,7 @@ pub use coaxial_telemetry::{narrow, time, Histogram};
 pub use checkpoint::{CheckpointCounters, CheckpointStore, KeyHasher, Snapshot};
 pub use lru::ByteBoundedLru;
 pub use narrow::{idx, small_u32, small_u32_u64, trunc_u32, trunc_u64, trunc_usize};
-pub use queue::{BoundedQueue, EventQueue};
+pub use queue::BoundedQueue;
 pub use rng::SplitMix64;
 pub use sample::SampleSeries;
 pub use time::{

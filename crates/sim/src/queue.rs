@@ -1,22 +1,12 @@
-//! Bounded FIFO queue with occupancy accounting, and the deterministic
-//! event min-queue that drives the per-core event-driven engine.
+//! Bounded FIFO queue.
 //!
 //! Every buffering point in the memory system (DDR read/write queues, CXL
 //! controller message queues, MSHR overflow paths) is a [`BoundedQueue`].
 //! Back-pressure — a full queue refusing a new entry — is how queuing delay
 //! propagates upstream, which is the central mechanism of the paper's
 //! load-latency analysis (Fig. 2a).
-//!
-//! [`EventQueue`] is the scheduling heart of the event-driven run loop in
-//! `coaxial-system`: every component (each core, plus the memory hierarchy)
-//! owns one slot, reports the cycle of its next self-wakeup, and the engine
-//! advances directly to the earliest reported event instead of probing all
-//! components every cycle.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-use crate::time::Cycle;
+use std::collections::VecDeque;
 
 /// Fixed-capacity FIFO. Rejects pushes beyond capacity rather than growing,
 /// so producers observe back-pressure.
@@ -24,15 +14,12 @@ use crate::time::Cycle;
 pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
-    /// Σ occupancy over all `tick_stats` calls, for mean-occupancy reporting.
-    occupancy_sum: u64,
-    ticks: u64,
 }
 
 impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
-        Self { items: VecDeque::with_capacity(capacity), capacity, occupancy_sum: 0, ticks: 0 }
+        Self { items: VecDeque::with_capacity(capacity), capacity }
     }
 
     pub fn capacity(&self) -> usize {
@@ -82,109 +69,6 @@ impl<T> BoundedQueue<T> {
     pub fn remove(&mut self, index: usize) -> Option<T> {
         self.items.remove(index)
     }
-
-    /// Record current occupancy; call once per simulated cycle.
-    #[inline]
-    pub fn tick_stats(&mut self) {
-        self.occupancy_sum += self.items.len() as u64;
-        self.ticks += 1;
-    }
-
-    /// Mean occupancy across all `tick_stats` calls.
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.ticks == 0 {
-            0.0
-        } else {
-            self.occupancy_sum as f64 / self.ticks as f64
-        }
-    }
-}
-
-/// Deterministic min-queue of per-component wakeup times.
-///
-/// Each component registered at construction owns exactly one slot: calling
-/// [`EventQueue::schedule`] replaces the component's previous event rather
-/// than accumulating entries. [`EventQueue::peek`]/[`EventQueue::pop`]
-/// return the earliest scheduled `(cycle, component)` pair, breaking cycle
-/// ties by the **fixed component index** (lowest first) — never by
-/// insertion order or heap internals — so an engine driven by this queue
-/// visits components in a reproducible order and sweep outputs stay
-/// bit-identical at any parallelism width.
-///
-/// Implementation: a binary heap of `Reverse((cycle, component))` pairs
-/// with lazy invalidation. `schedule` pushes a fresh pair and records it as
-/// the component's single live event; superseded heap residue is discarded
-/// when it surfaces at the top. `Cycle::MAX` is reserved to mean "no event"
-/// and is not a schedulable time.
-#[derive(Debug, Clone, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(Cycle, u32)>>,
-    /// `live[c]` = component `c`'s single live event time (`MAX` = none).
-    live: Vec<Cycle>,
-}
-
-impl EventQueue {
-    /// A queue for components indexed `0..components`.
-    pub fn new(components: usize) -> Self {
-        Self { heap: BinaryHeap::with_capacity(components + 1), live: vec![Cycle::MAX; components] }
-    }
-
-    /// Number of component slots.
-    pub fn components(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Schedule (or move) `component`'s next event to cycle `at`,
-    /// replacing any previously scheduled event.
-    pub fn schedule(&mut self, component: usize, at: Cycle) {
-        assert!(at != Cycle::MAX, "Cycle::MAX means 'no scheduled event'");
-        if self.live[component] != at {
-            self.live[component] = at;
-            self.heap.push(Reverse((at, crate::narrow::small_u32(component))));
-        }
-    }
-
-    /// Drop `component`'s scheduled event, if any.
-    pub fn cancel(&mut self, component: usize) {
-        self.live[component] = Cycle::MAX;
-    }
-
-    /// The cycle `component` is currently scheduled for, if any.
-    pub fn scheduled_at(&self, component: usize) -> Option<Cycle> {
-        let at = self.live[component];
-        (at != Cycle::MAX).then_some(at)
-    }
-
-    /// Earliest scheduled `(cycle, component)`; ties broken by lowest
-    /// component index. Takes `&mut self` to garbage-collect superseded
-    /// heap residue as it surfaces.
-    pub fn peek(&mut self) -> Option<(Cycle, usize)> {
-        while let Some(&Reverse((at, c))) = self.heap.peek() {
-            let c = c as usize;
-            if self.live[c] == at {
-                return Some((at, c));
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Remove and return the earliest scheduled `(cycle, component)`.
-    pub fn pop(&mut self) -> Option<(Cycle, usize)> {
-        let (at, c) = self.peek()?;
-        self.heap.pop();
-        self.live[c] = Cycle::MAX;
-        Some((at, c))
-    }
-
-    /// Remove and return the earliest event if it is due at or before
-    /// `now`; leave the queue untouched otherwise.
-    pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, usize)> {
-        match self.peek() {
-            Some((at, _)) if at <= now => self.pop(),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -230,106 +114,5 @@ mod tests {
         assert_eq!(q.len(), 4);
         let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(rest, vec![0, 1, 3, 4]);
-    }
-
-    #[test]
-    fn occupancy_stats() {
-        let mut q = BoundedQueue::new(4);
-        q.tick_stats(); // 0
-        q.try_push(1).unwrap();
-        q.tick_stats(); // 1
-        q.try_push(2).unwrap();
-        q.tick_stats(); // 2
-        assert!((q.mean_occupancy() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn event_queue_pops_in_time_order() {
-        let mut q = EventQueue::new(4);
-        q.schedule(2, 30);
-        q.schedule(0, 10);
-        q.schedule(1, 20);
-        assert_eq!(q.pop(), Some((10, 0)));
-        assert_eq!(q.pop(), Some((20, 1)));
-        assert_eq!(q.pop(), Some((30, 2)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn event_queue_breaks_ties_by_component_index() {
-        // Schedule in descending-index order so heap insertion order would
-        // disagree with the contract if ties were broken structurally.
-        let mut q = EventQueue::new(5);
-        for c in (0..5).rev() {
-            q.schedule(c, 7);
-        }
-        for c in 0..5 {
-            assert_eq!(q.pop(), Some((7, c)), "ties must pop lowest index first");
-        }
-    }
-
-    #[test]
-    fn event_queue_reschedule_replaces_previous_event() {
-        let mut q = EventQueue::new(2);
-        q.schedule(0, 50);
-        q.schedule(1, 40);
-        q.schedule(0, 10); // move earlier
-        assert_eq!(q.scheduled_at(0), Some(10));
-        assert_eq!(q.pop(), Some((10, 0)));
-        // The superseded (50, 0) residue must not resurface.
-        assert_eq!(q.pop(), Some((40, 1)));
-        assert_eq!(q.pop(), None);
-
-        q.schedule(0, 10);
-        q.schedule(0, 90); // move later
-        assert_eq!(q.peek(), Some((90, 0)));
-    }
-
-    #[test]
-    fn event_queue_cancel_removes_component() {
-        let mut q = EventQueue::new(2);
-        q.schedule(0, 5);
-        q.schedule(1, 6);
-        q.cancel(0);
-        assert_eq!(q.scheduled_at(0), None);
-        assert_eq!(q.pop(), Some((6, 1)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn event_queue_pop_due_respects_now() {
-        let mut q = EventQueue::new(3);
-        q.schedule(0, 12);
-        q.schedule(1, 10);
-        q.schedule(2, 11);
-        assert_eq!(q.pop_due(9), None);
-        assert_eq!(q.pop_due(11), Some((10, 1)));
-        assert_eq!(q.pop_due(11), Some((11, 2)));
-        assert_eq!(q.pop_due(11), None, "event at 12 is not yet due");
-        assert_eq!(q.pop_due(12), Some((12, 0)));
-    }
-
-    #[test]
-    fn event_queue_is_deterministic_under_churn() {
-        // The same final schedule reached through different reschedule
-        // histories drains identically: the drain order is a function of
-        // the live schedule alone, not of heap residue.
-        let mut a = EventQueue::new(4);
-        a.schedule(3, 9);
-        a.schedule(1, 9);
-        a.schedule(0, 4);
-        a.schedule(1, 2); // moved earlier
-        a.schedule(2, 9);
-        let mut b = EventQueue::new(4);
-        b.schedule(2, 9);
-        b.schedule(1, 2);
-        b.schedule(0, 7);
-        b.schedule(0, 4); // moved earlier
-        b.schedule(3, 3);
-        b.schedule(3, 9); // moved later
-        let drain = |q: &mut EventQueue| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
-        let want = vec![(2, 1), (4, 0), (9, 2), (9, 3)];
-        assert_eq!(drain(&mut a), want);
-        assert_eq!(drain(&mut b), want);
     }
 }

@@ -12,16 +12,14 @@
 //!   span when *all* cores are simultaneously blocked — which the ROADMAP
 //!   measured at <2 % of cycles on Table IV workloads, because twelve cores
 //!   rarely stall in unison.
-//! * **Event** parks each blocked core individually in a deterministic
-//!   [`EventQueue`] (one slot per component, cycle ties broken by fixed
-//!   component index) keyed on the exact wakeup bound from
-//!   [`Core::next_event`], and replays the parked span in O(1) via
-//!   [`Core::fast_forward`] when the core wakes — either at its own bound
-//!   or when the hierarchy delivers it a completion. Globally-quiescent
-//!   spans are jumped over exactly as in lockstep, with the hierarchy's
-//!   `next_event` bound (which aggregates MSHR/NoC completion times, CXL
-//!   credit returns, and DRAM refresh/tFAW windows) entering the same
-//!   queue as one more component.
+//! * **Event** parks each blocked core individually on the exact wakeup
+//!   bound from [`Core::next_event`] and replays the parked span in O(1)
+//!   via [`Core::fast_forward`] when the core wakes — either at its own
+//!   bound or when the hierarchy delivers it a completion. When every core
+//!   is parked, the loop jumps exactly as lockstep does, to the least of
+//!   the cores' bounds and the hierarchy's `next_event` bound (which
+//!   aggregates MSHR/NoC completion times, CXL credit returns, and DRAM
+//!   refresh/tFAW windows).
 //!
 //! The safety of parking a core rests on the [`Core::next_event`] contract:
 //! a fully-blocked tick is exactly `cycles += 1; stall_cycles += 1`, it
@@ -32,19 +30,24 @@
 //! degrading skipping.
 //!
 //! A core whose only issuable op the hierarchy refuses for want of an MSHR
-//! ([`Core::refused_wait`]) parks too, without a queue slot: the hierarchy
-//! watches the refused line ([`Hierarchy::watch_refused`]) and the core
-//! stays out of the tick order until its own bound or until a release of
-//! one of its MSHRs or the line's arrival in the LLC may have ended the
-//! refusal. It still counts as runnable, so the visited cycles are
-//! lockstep's, and it wakes at its own slot, so it sees the hierarchy in
-//! lockstep's order within the cycle. Debug builds assert
+//! ([`Core::refused_wait`]) parks too: the hierarchy watches the refused
+//! line ([`Hierarchy::watch_refused`]) and the core stays out of the tick
+//! order until its own bound or until a release of one of its MSHRs or the
+//! line's arrival in the LLC may have ended the refusal. It still counts
+//! as runnable, so the visited cycles are lockstep's. Debug builds assert
 //! [`Hierarchy::refuses`] on every slot such a core sits out.
+//!
+//! Both kinds follow one wake rule: a core whose bound is due, or whose
+//! refusal the hierarchy flags as ended, wakes at its own slot in the tick
+//! order, so it sees the hierarchy in lockstep's order within the cycle.
+//! Waking replays only the core's own parked span, which reads no shared
+//! state, and no bound is ever jumped past: while any core is runnable
+//! every cycle is visited, and a jump stops at the least bound.
 
 use coaxial_cache::Hierarchy;
 use coaxial_cpu::Core;
 use coaxial_dram::MemoryBackend;
-use coaxial_sim::{Cycle, EventQueue};
+use coaxial_sim::Cycle;
 use coaxial_telemetry::TelemetrySink;
 
 use crate::config::ConfigError;
@@ -245,18 +248,22 @@ pub fn run_lockstep<B: MemoryBackend, T: TelemetrySink>(
     RunOutcome { now, finish_ipc, stats }
 }
 
-/// Per-core scheduling state for the event engine.
+/// Per-core scheduling state for the event engine. A parked core sits out
+/// its slot in the tick order until it wakes there; `idle_from` is its
+/// first un-ticked cycle, and the span from there is replayed via
+/// `fast_forward` at wake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CoreState {
     /// Ticks every visited cycle.
     Runnable,
-    /// Fully blocked; `idle_from` is its first un-ticked cycle. The parked
-    /// span is replayed via `fast_forward` when the core wakes.
-    Blocked { idle_from: Cycle },
+    /// Fully blocked ([`Core::next_event`]); wakes at `until`, its own
+    /// bound (`Cycle::MAX` = none), or earlier when a delivered completion
+    /// makes it runnable.
+    Blocked { idle_from: Cycle, until: Cycle },
     /// Blocked but for an access the hierarchy refuses on `line`
-    /// ([`Core::refused_wait`]); sits out its slot until `until` or until
-    /// the hierarchy's watch reports the refusal may have ended. Counts as
-    /// runnable, so it keeps every cycle visited.
+    /// ([`Core::refused_wait`]); wakes at `until` or once the hierarchy's
+    /// watch reports the refusal may have ended. Counts as runnable, so it
+    /// keeps every cycle visited.
     Refused { idle_from: Cycle, until: Cycle, line: u64 },
 }
 
@@ -266,7 +273,7 @@ enum CoreState {
 /// (warmup flip, IPC freeze, loop exit).
 fn materialize(cores: &mut [Core], state: &mut [CoreState], upto: Cycle) {
     for (c, s) in cores.iter_mut().zip(state.iter_mut()) {
-        if let CoreState::Blocked { idle_from } | CoreState::Refused { idle_from, .. } = s {
+        if let CoreState::Blocked { idle_from, .. } | CoreState::Refused { idle_from, .. } = s {
             if upto > *idle_from {
                 c.fast_forward(upto - *idle_from);
                 *idle_from = upto;
@@ -277,22 +284,20 @@ fn materialize(cores: &mut [Core], state: &mut [CoreState], upto: Cycle) {
 
 /// The per-core event-driven scheduler.
 ///
-/// Component indices in the [`EventQueue`]: cores `0..n` by core index, the
-/// memory hierarchy at `n`. Cores are parked on their exact
-/// [`Core::next_event`] bound; the hierarchy's slot is (re)scheduled from
-/// `Hierarchy::next_event` whenever a globally-quiescent jump is
-/// considered. Refused cores take no slot: their wake-up is checked at
-/// their own place in the tick order. Visited cycles — and therefore every
-/// hierarchy tick and completion delivery — are identical to the lockstep
-/// engine's.
+/// Every parked core wakes by one rule: at its own slot in the tick order,
+/// once the cycle reaches its bound or, for a refused core, the hierarchy
+/// flags the refusal as ended. A completion delivered to a blocked core
+/// can make it runnable earlier. While any core is runnable every cycle is
+/// visited; when all are blocked the loop jumps to the least bound among
+/// them or the hierarchy's `next_event`, whichever comes first. Visited
+/// cycles — and therefore every hierarchy tick and completion delivery —
+/// are identical to the lockstep engine's.
 pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
     p: &RunParams,
     cores: &mut [Core],
     hierarchy: &mut Hierarchy<B, T>,
 ) -> RunOutcome {
     let n = cores.len();
-    let hier_slot = n;
-    let mut queue = EventQueue::new(n + 1);
     let mut state = vec![CoreState::Runnable; n];
     // Cores not `Blocked`: refused ones keep every cycle visited.
     let mut runnable = n;
@@ -300,9 +305,6 @@ pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
     let mut warm = p.warmup == 0;
     let mut finish_ipc: Vec<Option<f64>> = vec![None; cores.len()];
     let mut stats = EngineStats::default();
-    // Cores woken this cycle by their own queue bound (not by a delivered
-    // completion); their wake-up tick must make progress (see below).
-    let mut woke_at_bound: Vec<usize> = Vec::new();
 
     while now < p.max_cycles {
         // --- simulate visited cycle `now` ---
@@ -313,49 +315,37 @@ pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
                 continue;
             }
             cores[i].on_memory_complete(id);
-            if let CoreState::Blocked { idle_from } = state[i] {
-                // The completion may have unblocked the core. Re-probe: its
-                // scheduled heap is frozen while blocked, so the bound can
-                // only stay put or collapse to "runnable".
-                match cores[i].next_event() {
-                    None => {
-                        if now > idle_from {
-                            cores[i].fast_forward(now - idle_from);
-                        }
-                        state[i] = CoreState::Runnable;
-                        runnable += 1;
-                        queue.cancel(i);
-                    }
-                    Some(at) if at != Cycle::MAX => queue.schedule(i, at),
-                    Some(_) => queue.cancel(i),
+            // The completion may have unblocked the core. Re-probe: its
+            // scheduled heap is frozen while blocked, so the bound can only
+            // stay put or collapse to "runnable".
+            if let CoreState::Blocked { idle_from, .. } = state[i] {
+                if cores[i].next_event().is_none() {
+                    cores[i].fast_forward(now - idle_from);
+                    state[i] = CoreState::Runnable;
+                    runnable += 1;
                 }
             }
         }
-        // Wake cores whose own bound is due this cycle.
-        woke_at_bound.clear();
-        while let Some((at, slot)) = queue.pop_due(now) {
-            if slot == hier_slot {
-                continue; // the hierarchy ticked above; its slot just expires
-            }
-            debug_assert_eq!(at, now, "core {slot}: bound in the past means a missed wake-up");
-            if let CoreState::Blocked { idle_from } = state[slot] {
-                if now > idle_from {
-                    cores[slot].fast_forward(now - idle_from);
-                }
-                state[slot] = CoreState::Runnable;
-                runnable += 1;
-                woke_at_bound.push(slot);
-            }
-        }
-        // Tick runnable cores in fixed core order (identical to lockstep's
-        // iteration order); park the ones that come out fully blocked or
-        // refused. A refused core wakes here, at its own slot, so a fill by
-        // an earlier core reaches it this cycle and one by a later core the
+        // Tick cores in fixed core order (identical to lockstep's iteration
+        // order); park the ones that come out fully blocked or refused. A
+        // parked core wakes here, at its own slot, so a fill by an earlier
+        // core reaches a refused one this cycle and one by a later core the
         // next, as in lockstep.
         for i in 0..n {
-            match state[i] {
-                CoreState::Runnable => {}
-                CoreState::Blocked { .. } => continue,
+            let woke_at_bound = match state[i] {
+                CoreState::Runnable => false,
+                CoreState::Blocked { idle_from, until } => {
+                    if now < until {
+                        continue;
+                    }
+                    debug_assert_eq!(
+                        until, now,
+                        "core {i}: bound in the past means a missed wake-up"
+                    );
+                    cores[i].fast_forward(now - idle_from);
+                    runnable += 1;
+                    true
+                }
                 CoreState::Refused { idle_from, until, line } => {
                     if now < until && !hierarchy.refusal_ended(i) {
                         debug_assert!(
@@ -366,17 +356,13 @@ pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
                         continue;
                     }
                     hierarchy.unwatch(i);
-                    if now > idle_from {
-                        cores[i].fast_forward(now - idle_from);
-                    }
-                    state[i] = CoreState::Runnable;
+                    cores[i].fast_forward(now - idle_from);
+                    false
                 }
-            }
-            let fp_before = if cfg!(debug_assertions) && woke_at_bound.contains(&i) {
-                Some(cores[i].progress_fingerprint())
-            } else {
-                None
             };
+            state[i] = CoreState::Runnable;
+            let fp_before =
+                (cfg!(debug_assertions) && woke_at_bound).then(|| cores[i].progress_fingerprint());
             cores[i].tick(now, hierarchy);
             stats.core_ticks += 1;
             if let Some(before) = fp_before {
@@ -391,14 +377,9 @@ pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
                      but the tick made no progress — stale bound"
                 );
             }
-            if let Some(at) = cores[i].next_event() {
-                state[i] = CoreState::Blocked { idle_from: now + 1 };
+            if let Some(until) = cores[i].next_event() {
+                state[i] = CoreState::Blocked { idle_from: now + 1, until };
                 runnable -= 1;
-                if at != Cycle::MAX {
-                    queue.schedule(i, at);
-                } else {
-                    queue.cancel(i);
-                }
             } else if let Some((line, until)) = cores[i].refused_wait() {
                 hierarchy.watch_refused(i, line);
                 state[i] = CoreState::Refused { idle_from: now + 1, until, line };
@@ -421,18 +402,18 @@ pub fn run_event<B: MemoryBackend, T: TelemetrySink>(
 
         // --- choose the next visited cycle ---
         // While any core is runnable the next cycle is visited (lockstep
-        // semantics); when all cores are parked, jump to the earliest event
-        // in the queue — core wakeups and the hierarchy bound alike.
+        // semantics); when every core is blocked, jump to the least of
+        // their bounds and the hierarchy's, which the hierarchy probes
+        // from its last ticked cycle. No bound is ever jumped past.
         if runnable == 0 && p.skip {
             stats.blocked_iters += 1;
-            let hier_at = hierarchy.next_event(now.saturating_sub(1));
-            if hier_at != Cycle::MAX {
-                queue.schedule(hier_slot, hier_at);
-            } else {
-                queue.cancel(hier_slot);
+            let mut target = hierarchy.next_event(now.saturating_sub(1));
+            for s in &state {
+                if let CoreState::Blocked { until, .. } = *s {
+                    target = target.min(until);
+                }
             }
-            let at = queue.peek().map_or(Cycle::MAX, |(at, _)| at);
-            let target = at.min(p.max_cycles - 1);
+            let target = target.min(p.max_cycles - 1);
             if target > now {
                 stats.skipped_cycles += target - now;
                 now = target;
