@@ -82,36 +82,3 @@ pub trait MemoryBackend {
     /// path, at harvest time only. Default: nothing.
     fn export_metrics(&self, _reg: &mut coaxial_telemetry::MetricsRegistry, _prefix: &str) {}
 }
-
-impl<T: MemoryBackend + ?Sized> MemoryBackend for Box<T> {
-    fn try_enqueue(&mut self, req: MemRequest) -> Result<(), MemRequest> {
-        (**self).try_enqueue(req)
-    }
-    fn tick(&mut self, now: Cycle) {
-        (**self).tick(now)
-    }
-    fn pop_response(&mut self, now: Cycle) -> Option<MemResponse> {
-        (**self).pop_response(now)
-    }
-    fn ddr_channel_count(&self) -> usize {
-        (**self).ddr_channel_count()
-    }
-    fn ddr_stats(&self) -> ChannelStats {
-        (**self).ddr_stats()
-    }
-    fn reset_stats(&mut self, now: Cycle) {
-        (**self).reset_stats(now)
-    }
-    fn peak_bandwidth_gbs(&self) -> f64 {
-        (**self).peak_bandwidth_gbs()
-    }
-    fn link_utilization(&self) -> Option<(f64, f64)> {
-        (**self).link_utilization()
-    }
-    fn next_event(&self, now: Cycle) -> Cycle {
-        (**self).next_event(now)
-    }
-    fn export_metrics(&self, reg: &mut coaxial_telemetry::MetricsRegistry, prefix: &str) {
-        (**self).export_metrics(reg, prefix)
-    }
-}

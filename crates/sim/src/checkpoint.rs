@@ -115,12 +115,6 @@ pub mod codec {
         }
     }
 
-    /// Append a count-prefixed byte slice (no padding; reader re-aligns).
-    pub fn put_bytes(out: &mut Vec<u8>, bs: &[u8]) {
-        put_u64(out, bs.len() as u64);
-        out.extend_from_slice(bs);
-    }
-
     /// Sequential reader over an encoded payload. Every accessor returns
     /// `None` past the end, so truncated input surfaces as a decode miss
     /// rather than a panic.
@@ -155,15 +149,6 @@ pub mod codec {
                     .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
             );
             Some(out)
-        }
-
-        /// Count-prefixed byte array (see [`put_bytes`]).
-        pub fn bytes(&mut self) -> Option<&'a [u8]> {
-            let n = usize::try_from(self.u64()?).ok()?;
-            let end = self.pos.checked_add(n)?;
-            let raw = self.buf.get(self.pos..end)?;
-            self.pos = end;
-            Some(raw)
         }
 
         /// True once the whole payload has been consumed; decoders check

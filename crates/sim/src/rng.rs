@@ -68,12 +68,6 @@ impl SplitMix64 {
         -mean * u.ln()
     }
 
-    /// Fork an independent generator, e.g. one per core, from this stream.
-    #[inline]
-    pub fn fork(&mut self) -> Self {
-        Self::new(self.next_u64())
-    }
-
     /// A seeded corruption of `bytes` for decoder fuzz tests: one to three
     /// edits, each a truncation, a bit flip, an inserted random word, or an
     /// overwrite with a length-like word (0, 3, 2^40, `u64::MAX`).
@@ -169,14 +163,5 @@ mod tests {
         let hits = (0..n).filter(|_| rng.chance(0.3)).count() as f64;
         let freq = hits / n as f64;
         assert!((freq - 0.3).abs() < 0.01, "freq = {freq}");
-    }
-
-    #[test]
-    fn forked_streams_are_independent() {
-        let mut parent = SplitMix64::new(21);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let same = (0..100).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert_eq!(same, 0);
     }
 }
