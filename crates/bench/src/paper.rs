@@ -390,7 +390,7 @@ pub fn fig5(budget: Budget) {
 /// `COAXIAL_F6_WEIGHTED` adds the weighted-speedup column.
 pub fn fig6(budget: Budget) {
     banner("Figure 6", "Workload-mix speedups (COAXIAL-4x over DDR baseline)");
-    let weighted = std::env::var("COAXIAL_F6_WEIGHTED").is_ok();
+    let weighted = coaxial_sim::env::env_flag("COAXIAL_F6_WEIGHTED", false);
     let rows = fig6_mixes_full(10, budget, weighted);
     let mut t = Table::new(&["mix", "speedup", "weighted-speedup", "workloads"]);
     for r in &rows {
@@ -443,7 +443,7 @@ pub fn fig7(budget: Budget) {
     ];
     banner("Figure 7", "CALM mechanism sensitivity (speedup vs serial; decision quality)");
 
-    let avg_set: Vec<&str> = if std::env::var("COAXIAL_F7_ALL").is_ok() {
+    let avg_set: Vec<&str> = if coaxial_sim::env::env_flag("COAXIAL_F7_ALL", false) {
         Workload::all().iter().map(|w| w.name).collect()
     } else {
         SAMPLE.to_vec()

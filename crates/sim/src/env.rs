@@ -19,7 +19,6 @@
 //! | `COAXIAL_F2A_CYCLES` | fig2a bench: simulated cycles per load-latency point |
 //! | `COAXIAL_F6_WEIGHTED` | fig6 bench: also emit the weighted-speedup column |
 //! | `COAXIAL_F7_ALL` | fig7 bench: average over all workloads, not the subset |
-//! | `COAXIAL_SAMPLING` | enable SMARTS-style interval sampling for `coaxial run` |
 //! | `COAXIAL_SAMPLING_INTERVALS` | measurement intervals per sampled run (default 10) |
 //! | `COAXIAL_SAMPLING_MEASURE` | measured instructions per core per interval (default 2000) |
 //! | `COAXIAL_SAMPLING_WARM` | detailed warm-up instructions per core per interval (default 2000) |
@@ -107,15 +106,6 @@ pub fn env_f64(name: &str, default: f64) -> f64 {
         .and_then(|v| v.parse::<f64>().ok())
         .filter(|v| v.is_finite())
         .unwrap_or(default)
-}
-
-/// Whether `coaxial run` executes in SMARTS-style interval-sampling mode
-/// (`COAXIAL_SAMPLING`, off by default). Sampling is an explicit opt-in —
-/// never inferred — because sampled and full-detail reports are different
-/// estimators of the same workload and must not be served interchangeably
-/// from result caches.
-pub fn sampling() -> bool {
-    env_flag("COAXIAL_SAMPLING", false)
 }
 
 /// Number of measurement intervals a sampled run is planned to take
@@ -289,6 +279,31 @@ mod tests {
         }
         let listed: BTreeSet<_> = NUMERIC_KNOBS.iter().map(|&(name, _)| name.to_owned()).collect();
         assert_eq!(called, listed, "NUMERIC_KNOBS lists a knob nothing reads");
+    }
+
+    /// Only this module and the gateway's `crates/gateway/src/lib.rs` (the
+    /// two files lint E04 reads as env docs) read `COAXIAL_*` variables
+    /// with `std::env`; everything else goes through the helpers here, so a
+    /// flag set to `0` means off everywhere.
+    #[test]
+    fn knobs_are_read_only_through_the_env_doc_files() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        rust_sources(&root, &mut files);
+        let allowed = [Path::new("crates/sim/src/env.rs"), Path::new("crates/gateway/src/lib.rs")];
+        for file in &files {
+            if allowed.contains(&file.strip_prefix(&root).expect("under the workspace root")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(file).expect("utf-8 source");
+            for call in ["env::var(\"COAXIAL_", "env::var_os(\"COAXIAL_"] {
+                assert!(
+                    !text.contains(call),
+                    "{}: reads a knob with {call}…\"); use coaxial_sim::env instead",
+                    file.display()
+                );
+            }
+        }
     }
 
     #[test]

@@ -43,10 +43,10 @@
 //! deterministic.
 //!
 //! Sampled and full-detail reports are different estimators of the same
-//! workload, so sampling is an explicit opt-in (`COAXIAL_SAMPLING`, the
-//! `--sampled` CLI flag, or these APIs) — `Simulation::run` never reroutes
-//! on its own, which keeps result caches keyed by config from serving one
-//! mode's numbers to the other.
+//! workload, so sampling is an explicit opt-in (the `--sampled` CLI flag
+//! or these APIs) — `Simulation::run` never reroutes on its own, which
+//! keeps result caches keyed by config from serving one mode's numbers to
+//! the other.
 //!
 //! # Cold-start bias and the warm-up knob
 //!
@@ -268,7 +268,9 @@ fn drive<B: MemoryBackend>(
                     // state at cycle 0 on a fresh backend.
                     hier = hier.into_interval(make_backend());
                 }
-                // The first fast-forward continues the prefill's stream.
+                // The generators are the timed run's own, seeded with the
+                // config seed (the prefill's use `seed ^ 0xF111`): the first
+                // fast-forward starts each stream, later ones continue it.
                 for (i, g) in gens.iter_mut().enumerate() {
                     ff_instructions +=
                         functional_advance(g.as_mut(), ff_per_interval, |line, store| {

@@ -77,8 +77,7 @@ impl Default for Opts {
             cores: 12,
             cxl_ns: None,
             json: false,
-            // `--sampled` and COAXIAL_SAMPLING are equivalent opt-ins.
-            sampled: coaxial::sim::env::sampling(),
+            sampled: false,
             ops: 100_000,
             trace_start: 0,
             trace_end: u64::MAX,

@@ -7,6 +7,9 @@
 //! stderr and exit status 2, like every other bad command line, instead
 //! of a panic, an empty output or a silent default.
 //!
+//! On docs: every option a README.md or EXPERIMENTS.md command line passes
+//! to `coaxial` is one its usage text lists.
+//!
 //! On output: the `run --sampled --json` stdout of two workloads on the
 //! DDR baseline and COAXIAL-4x is pinned to the digests in
 //! `tests/golden_cli_sampled_digests.txt`, through the golden helper the
@@ -15,6 +18,8 @@
 #[path = "../crates/system/tests/golden/mod.rs"]
 mod golden;
 
+use std::collections::BTreeSet;
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
@@ -164,6 +169,46 @@ fn unknown_engine_exits_2_with_one_line() {
             args.join(" ")
         );
     }
+}
+
+/// The `--option` words in `text`.
+fn options_in(text: &str) -> BTreeSet<&str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|w| {
+            w.strip_prefix("--").is_some_and(|o| o.starts_with(|c: char| c.is_ascii_lowercase()))
+        })
+        .collect()
+}
+
+/// Every option a documented `coaxial` command line passes — after
+/// `--bin coaxial --`, or on a line starting `coaxial <subcommand>` — is
+/// one the usage text lists.
+#[test]
+fn documented_options_exist() {
+    let (code, usage) = coaxial(&[]);
+    assert_eq!(code, Some(2), "coaxial with no arguments prints the usage text");
+    let known = options_in(&usage);
+    let mut checked = 0;
+    for doc in ["README.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(doc))
+            .expect("readable doc");
+        for (n, line) in text.lines().enumerate() {
+            for cmd in line.split(['&', '|', ';']).map(str::trim) {
+                let args = cmd.split_once("--bin coaxial -- ").map(|(_, a)| a);
+                let Some(args) = args.or_else(|| cmd.strip_prefix("coaxial ")) else { continue };
+                let args = args.split(" #").next().unwrap_or_default().trim();
+                checked += 1;
+                for opt in options_in(args) {
+                    assert!(
+                        known.contains(opt),
+                        "{doc}:{}: `coaxial {args}` passes {opt}, which the usage text lacks",
+                        n + 1
+                    );
+                }
+            }
+        }
+    }
+    assert!(checked >= 10, "found only {checked} documented coaxial command lines");
 }
 
 /// `coaxial <args>`'s stdout, with `env` added; the run must exit 0.
