@@ -20,6 +20,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 
 use coaxial_dram::{MemRequest, MemoryBackend};
 use coaxial_sim::{Cycle, Histogram};
@@ -324,52 +325,59 @@ impl PrefillState {
         self.l1.iter().chain(&self.l2).chain(&self.llc).map(CacheArray::approx_heap_bytes).sum()
     }
 
-    /// LLC bank for a line (address-hashed across core tiles).
-    #[inline]
-    fn llc_bank(&self, line: u64) -> usize {
-        // Mix the bits so strided streams spread over banks.
-        let mut x = line;
-        x = (x ^ (x >> 17)).wrapping_mul(0xED5A_D4BB_AC4C_1B51);
-        coaxial_sim::idx(x % self.llc.len() as u64)
-    }
-
     /// Functionally warm the arrays with one access (no timing, no memory
-    /// traffic). A prefill stands in for the paper's 50 M-instruction
-    /// warmup, so short runs begin at a realistic steady state: dirty lines
-    /// resident and ready to spill. A dirty LLC victim's writeback is
-    /// dropped, since no memory system is in reach.
-    ///
-    /// This is the hottest function of a short run by far (the prefill
-    /// streams a multiple of the LLC capacity through the arrays), so every
-    /// level is probed exactly once: `prefill_touch` merges the presence
-    /// check with the dirty-bit update, and the `*_absent` fills skip the
-    /// presence scan a failed probe already paid for. State transitions are
-    /// identical to the naive peek/mark_dirty/fill sequence.
+    /// traffic): [`l1_stage`] on the core's L1, then [`lower_stage`] on
+    /// the L2 and LLC for each operation that logs. A prefill stands in for
+    /// the paper's 50 M-instruction warmup, so short runs begin at a
+    /// realistic steady state: dirty lines resident and ready to spill. A
+    /// dirty LLC victim's writeback is dropped, since no memory system is
+    /// in reach. A long stream goes through [`PrefillState::walk`], which
+    /// runs the same two stages on two threads.
     #[inline]
     pub fn prefill_access(&mut self, core: u32, line: u64, is_write: bool) {
-        let c = core as usize;
-        if self.l1[c].prefill_touch(line, is_write) {
-            return;
-        }
-        if !self.l2[c].prefill_touch(line, is_write) {
-            let bank = self.llc_bank(line);
-            if !self.llc[bank].peek(line) {
-                // Clean fill of a line absent from the LLC bank.
-                self.llc[bank].fill_absent(line, false);
-            }
-            // Absent from the L2 (probe above); victims spill as usual.
-            if let Some(ev) = self.l2[c].fill_absent(line, is_write) {
-                if ev.dirty {
-                    self.fill_llc(ev.line_addr, true);
-                }
-            }
-        }
-        // Absent from the L1 (first probe).
-        if let Some(ev) = self.l1[c].fill_absent(line, is_write) {
-            if ev.dirty {
-                self.fill_l2(c, ev.line_addr, true);
-            }
-        }
+        let Self { l1, l2, llc } = self;
+        l1_stage(&mut l1[core as usize], core, line, is_write, |op| lower_stage(l2, llc, op));
+    }
+
+    /// Functionally warm the arrays with the accesses `feed` gives the
+    /// [`PrefillWalk`] it is handed, exactly as
+    /// [`PrefillState::prefill_access`] on each in turn would, in two
+    /// stages on two threads. The calling thread runs `feed` (so the
+    /// generators stay where they are), walks each access through its
+    /// core's L1 and logs what reaches the L2, a chunk at a time. One
+    /// scoped helper thread applies the chunks to the L2s and the LLC banks
+    /// in FIFO order. The L1 never reads the state of the levels below it,
+    /// so the split changes no array. If the helper cannot be spawned, the
+    /// caller runs both stages.
+    pub fn walk<R>(&mut self, feed: impl FnOnce(&mut PrefillWalk<'_>) -> R) -> R {
+        self.walk_on(true, feed)
+    }
+
+    /// [`PrefillState::walk`], with the lower stage on a helper thread
+    /// only if `helper` is set and the spawn succeeds.
+    fn walk_on<R>(&mut self, helper: bool, feed: impl FnOnce(&mut PrefillWalk<'_>) -> R) -> R {
+        let Self { l1, l2, llc } = self;
+        std::thread::scope(|s| {
+            let (to_helper, chunks) = mpsc::sync_channel(CHUNKS_AHEAD);
+            let (to_caller, counts) = mpsc::channel();
+            let spawned = helper
+                && std::thread::Builder::new()
+                    .name("prefill-lower".into())
+                    .spawn_scoped(s, move || lower_helper(&chunks, &to_caller))
+                    .is_ok();
+            let lower = if spawned {
+                // The arrays go to the helper only once it runs, so a
+                // failed spawn leaves them here for the inline stage.
+                to_helper.send(ToLower::Arrays(l2, llc)).expect("the lower helper is running");
+                Lower::Helper { to_helper, counts }
+            } else {
+                Lower::Inline(l2, llc)
+            };
+            let mut walk = PrefillWalk { l1, taken: 0, log: Vec::new(), lower };
+            let out = feed(&mut walk);
+            walk.pass_on();
+            out
+        })
     }
 
     /// Host-prefetch the tag sets [`PrefillState::prefill_access`] would
@@ -381,7 +389,7 @@ impl PrefillState {
         let c = core as usize;
         self.l1[c].prefetch_set(line);
         self.l2[c].prefetch_set(line);
-        self.llc[self.llc_bank(line)].prefetch_set(line);
+        self.llc[llc_bank(self.llc.len(), line)].prefetch_set(line);
     }
 
     /// (valid, dirty) line counts per level summed over cores/banks
@@ -408,15 +416,11 @@ impl PrefillState {
     /// whose writeback is the caller's to issue or drop.
     fn fill_l2(&mut self, core: usize, line: u64, dirty: bool) -> Option<Spill> {
         match self.l2[core].fill(line, dirty) {
-            Some(ev) if ev.dirty => Some((ev.line_addr, self.fill_llc(ev.line_addr, true))),
+            Some(ev) if ev.dirty => {
+                Some((ev.line_addr, fill_llc(&mut self.llc, ev.line_addr, true)))
+            }
             _ => None,
         }
-    }
-
-    /// Fill a line into its LLC bank; returns a dirty victim's line.
-    fn fill_llc(&mut self, line: u64, dirty: bool) -> Option<u64> {
-        let bank = self.llc_bank(line);
-        self.llc[bank].fill(line, dirty).filter(|ev| ev.dirty).map(|ev| ev.line_addr)
     }
 
     /// Zero every array's demand hit/miss counters; contents stay.
@@ -432,6 +436,216 @@ impl PrefillState {
 /// A dirty line an L1 or L2 fill pushed down into the LLC, and the dirty
 /// LLC victim that displaced in turn.
 type Spill = (u64, Option<u64>);
+
+/// LLC bank for a line among `banks` (address-hashed across core tiles).
+#[inline]
+fn llc_bank(banks: usize, line: u64) -> usize {
+    // Mix the bits so strided streams spread over banks.
+    let mut x = line;
+    x = (x ^ (x >> 17)).wrapping_mul(0xED5A_D4BB_AC4C_1B51);
+    coaxial_sim::idx(x % banks as u64)
+}
+
+/// Fill a line into its bank among the LLC `banks`; returns a dirty
+/// victim's line.
+#[inline]
+fn fill_llc(banks: &mut [CacheArray], line: u64, dirty: bool) -> Option<u64> {
+    let bank = &mut banks[llc_bank(banks.len(), line)];
+    bank.fill(line, dirty).filter(|ev| ev.dirty).map(|ev| ev.line_addr)
+}
+
+/// Accesses a [`PrefillWalk`] takes between two hand-overs of its log.
+const WALK_CHUNK: usize = 4096;
+
+/// How many operations ahead of the one it applies the lower stage of a
+/// walk host-prefetches the tag sets.
+const PREFETCH_AHEAD: usize = 8;
+
+/// Logged chunks the calling thread of a walk may send ahead of the
+/// helper, which bounds the log's memory.
+const CHUNKS_AHEAD: usize = 4;
+
+/// What a prefill access needs from the L2 and the LLC, as the L1 stage
+/// logs it for the lower stage.
+#[derive(Clone, Copy)]
+enum LowerOp {
+    /// The access missed the core's L1.
+    Access { core: u32, line: u64, is_write: bool },
+    /// A dirty L1 victim merges into the core's L2.
+    Spill { core: u32, line: u64 },
+}
+
+impl LowerOp {
+    /// The core and line whose L2 and LLC sets the operation probes.
+    fn target(self) -> (u32, u64) {
+        match self {
+            Self::Access { core, line, .. } | Self::Spill { core, line } => (core, line),
+        }
+    }
+}
+
+/// The L1 stage of a prefill access: probe and fill the core's L1 and
+/// hand what reaches the L2 to `lower`, in the order [`lower_stage`] must
+/// apply it. The L1 reads nothing below it, so this stage may run ahead.
+///
+/// The two stages are the hottest code of a short run by far (the prefill
+/// streams a multiple of the LLC capacity through the arrays), so every
+/// level is probed exactly once: `prefill_touch` merges the presence check
+/// with the dirty-bit update, and the `fill_absent` calls skip the
+/// presence scan a failed probe already paid for. State transitions are
+/// identical to the naive peek/mark_dirty/fill sequence.
+#[inline]
+fn l1_stage(
+    l1: &mut CacheArray,
+    core: u32,
+    line: u64,
+    is_write: bool,
+    mut lower: impl FnMut(LowerOp),
+) {
+    if l1.prefill_touch(line, is_write) {
+        return;
+    }
+    lower(LowerOp::Access { core, line, is_write });
+    // Absent from the L1 (first probe).
+    if let Some(ev) = l1.fill_absent(line, is_write).filter(|ev| ev.dirty) {
+        lower(LowerOp::Spill { core, line: ev.line_addr });
+    }
+}
+
+/// The lower stage of a prefill access: apply one operation [`l1_stage`]
+/// logged to the core's L2 and, for what that pushes down, the LLC `banks`.
+#[inline]
+fn lower_stage(l2: &mut [CacheArray], banks: &mut [CacheArray], op: LowerOp) {
+    let spill = match op {
+        LowerOp::Access { core, line, is_write } => {
+            let l2 = &mut l2[core as usize];
+            if l2.prefill_touch(line, is_write) {
+                return;
+            }
+            let bank = &mut banks[llc_bank(banks.len(), line)];
+            if !bank.peek(line) {
+                // Clean fill of a line absent from the LLC bank.
+                bank.fill_absent(line, false);
+            }
+            // Absent from the L2 (probe above); victims spill as usual.
+            l2.fill_absent(line, is_write)
+        }
+        LowerOp::Spill { core, line } => l2[core as usize].fill(line, true),
+    };
+    if let Some(ev) = spill.filter(|ev| ev.dirty) {
+        fill_llc(banks, ev.line_addr, true);
+    }
+}
+
+/// [`lower_stage`] on a chunk of operations in order, the L2 and LLC tag
+/// sets host-prefetched a few operations ahead.
+fn lower_stage_chunk(l2: &mut [CacheArray], banks: &mut [CacheArray], ops: &[LowerOp]) {
+    for (j, &op) in ops.iter().enumerate() {
+        if let Some(&ahead) = ops.get(j + PREFETCH_AHEAD) {
+            let (core, line) = ahead.target();
+            l2[core as usize].prefetch_set(line);
+            banks[llc_bank(banks.len(), line)].prefetch_set(line);
+        }
+        lower_stage(l2, banks, op);
+    }
+}
+
+/// Valid lines summed over the LLC banks.
+fn llc_valid(banks: &[CacheArray]) -> usize {
+    banks.iter().map(CacheArray::valid_count).sum()
+}
+
+/// What the calling thread of a [`PrefillState::walk`] sends its helper,
+/// in order.
+enum ToLower<'a> {
+    /// The L2s and the LLC banks, first and once.
+    Arrays(&'a mut [CacheArray], &'a mut [CacheArray]),
+    /// A chunk of logged operations to apply.
+    Ops(Vec<LowerOp>),
+    /// A request for the LLC's valid line count, once every chunk sent
+    /// before it is applied.
+    Count,
+}
+
+/// The helper thread of a [`PrefillState::walk`]: applies what the caller
+/// sends in FIFO order and answers each count, until the caller hangs up.
+fn lower_helper(chunks: &Receiver<ToLower<'_>>, to_caller: &Sender<usize>) {
+    let (mut l2, mut banks): (&mut [CacheArray], &mut [CacheArray]) = (&mut [], &mut []);
+    for msg in chunks {
+        match msg {
+            ToLower::Arrays(l2s, llc) => (l2, banks) = (l2s, llc),
+            ToLower::Ops(ops) => lower_stage_chunk(l2, banks, &ops),
+            ToLower::Count => {
+                if to_caller.send(llc_valid(banks)).is_err() {
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// Where a walk's lower stage runs.
+enum Lower<'a> {
+    /// On the calling thread, chunk by chunk.
+    Inline(&'a mut [CacheArray], &'a mut [CacheArray]),
+    /// On the helper thread, fed through a bounded channel.
+    Helper { to_helper: SyncSender<ToLower<'a>>, counts: Receiver<usize> },
+}
+
+/// The calling thread's side of a [`PrefillState::walk`]: it takes each
+/// access, walks it through its core's L1, and hands what that logs for
+/// the L2s and the LLC on a chunk at a time.
+pub struct PrefillWalk<'a> {
+    l1: &'a mut [CacheArray],
+    /// Accesses taken since the log was last handed on.
+    taken: usize,
+    /// What those accesses logged for the lower stage, in order.
+    log: Vec<LowerOp>,
+    lower: Lower<'a>,
+}
+
+impl PrefillWalk<'_> {
+    /// Warm with one access of `core`; accesses apply in the order taken.
+    #[inline]
+    pub fn access(&mut self, core: u32, line: u64, is_write: bool) {
+        let log = &mut self.log;
+        l1_stage(&mut self.l1[core as usize], core, line, is_write, |op| log.push(op));
+        self.taken += 1;
+        if self.taken == WALK_CHUNK {
+            self.pass_on();
+        }
+    }
+
+    /// Valid lines in the LLC once every access taken so far is applied.
+    pub fn llc_valid(&mut self) -> usize {
+        self.pass_on();
+        match &mut self.lower {
+            Lower::Inline(_, banks) => llc_valid(banks),
+            Lower::Helper { to_helper, counts } => {
+                to_helper.send(ToLower::Count).expect("the lower helper is running");
+                counts.recv().expect("the lower helper answers")
+            }
+        }
+    }
+
+    /// Hand the log on to the lower stage.
+    fn pass_on(&mut self) {
+        self.taken = 0;
+        if self.log.is_empty() {
+            return;
+        }
+        match &mut self.lower {
+            Lower::Inline(l2, banks) => {
+                lower_stage_chunk(l2, banks, &self.log);
+                self.log.clear();
+            }
+            Lower::Helper { to_helper, .. } => {
+                let ops = std::mem::replace(&mut self.log, Vec::with_capacity(2 * WALK_CHUNK));
+                to_helper.send(ToLower::Ops(ops)).expect("the lower helper is running");
+            }
+        }
+    }
+}
 
 /// Disk-tier codec for warmed prefill state: three level counts followed by
 /// each array's [`CacheArray::encode_into`] payload. Decoding validates
@@ -507,7 +721,6 @@ pub struct Hierarchy<B: MemoryBackend, T: TelemetrySink = NullTelemetry> {
     refusal_ended: Vec<bool>,
 
     stats: HierStats,
-    now: Cycle,
     tel: T,
 
     /// Bandwidth-over-time sampling (telemetry builds only): bytes of
@@ -566,7 +779,6 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
             refusal_watch: vec![None; cores],
             refusal_ended: vec![false; cores],
             stats: HierStats::default(),
-            now: 0,
             tel,
             bw_epoch_start: 0,
             bw_read_bytes: 0,
@@ -605,7 +817,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
     /// LLC bank for a line (the arrays' address hash across core tiles).
     #[inline]
     fn llc_bank(&self, line: u64) -> usize {
-        self.arrays.llc_bank(line)
+        llc_bank(self.arrays.llc.len(), line)
     }
 
     /// Memory-controller tile serving a line (matches backend interleave).
@@ -851,7 +1063,7 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
     /// Fill the LLC with a clean memory line; a dirty victim goes to memory.
     fn fill_llc_clean(&mut self, line: u64) {
         self.entered_llc(line);
-        self.writeback_queue.extend(self.arrays.fill_llc(line, false));
+        self.writeback_queue.extend(fill_llc(&mut self.arrays.llc, line, false));
     }
 
     /// The back-pressure verdict: every MSHR of core `c` is taken and the
@@ -919,6 +1131,12 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
         self.arrays.prefill_access(core, line, is_write);
     }
 
+    /// Functionally warm the arrays with a stream of accesses; see
+    /// [`PrefillState::walk`]. Call [`Hierarchy::finish_prefill`] when done.
+    pub fn prefill_walk<R>(&mut self, feed: impl FnOnce(&mut PrefillWalk<'_>) -> R) -> R {
+        self.arrays.walk(feed)
+    }
+
     /// A copy of the cache arrays.
     ///
     /// The arrays' contents depend only on the access streams and the
@@ -958,8 +1176,6 @@ impl<B: MemoryBackend, T: TelemetrySink> Hierarchy<B, T> {
 
     /// Advance one cycle. Call once per cycle *before* the cores issue.
     pub fn tick(&mut self, now: Cycle) {
-        self.now = now;
-
         if T::ENABLED {
             // Flush completed bandwidth epochs. Epochs are absolute (the
             // sample timestamp is the epoch *start*, not `now`), so an
@@ -1322,6 +1538,134 @@ mod tests {
         assert!(decoded > 0 && imported > 0, "the fuzzer must reach decode and import");
     }
 
+    /// Seeded random accesses of `core`: half to lines every core shares,
+    /// half to the core's own, each from a `span`-line footprint scattered
+    /// over 2^24 lines (so it spreads over every LLC bank's sets), and a
+    /// third of them stores.
+    fn stream(core: u32, span: u64) -> impl FnMut() -> (u64, bool) {
+        let mut rng = coaxial_sim::SplitMix64::new(0x5EED ^ u64::from(core) << 8);
+        move || {
+            let region = if rng.chance(0.5) { 0 } else { u64::from(core + 1) << 32 };
+            let line = rng.next_below(span).wrapping_mul(0x2545_F491) & 0xFF_FFFF;
+            (region | line, rng.next_below(3) == 0)
+        }
+    }
+
+    /// The two ways to warm arrays: one access at a time, or a walk.
+    trait Warm {
+        fn access(&mut self, core: u32, line: u64, is_write: bool);
+        fn llc_valid(&mut self) -> usize;
+    }
+
+    impl Warm for PrefillState {
+        fn access(&mut self, core: u32, line: u64, is_write: bool) {
+            self.prefill_access(core, line, is_write);
+        }
+        fn llc_valid(&mut self) -> usize {
+            self.occupancy()[2].0
+        }
+    }
+
+    impl Warm for PrefillWalk<'_> {
+        fn access(&mut self, core: u32, line: u64, is_write: bool) {
+            PrefillWalk::access(self, core, line, is_write);
+        }
+        fn llc_valid(&mut self) -> usize {
+            PrefillWalk::llc_valid(self)
+        }
+    }
+
+    /// Warm with each core's stream in rounds of `round` accesses per core
+    /// until `full` LLC lines are valid or eight rounds ran, as
+    /// `server::warm` does, then with 1000 more accesses per core and no
+    /// count after them, as a sampled fast-forward ends. Returns the LLC's
+    /// valid count at each round's end.
+    fn drive(
+        warm: &mut impl Warm,
+        streams: &mut [impl FnMut() -> (u64, bool)],
+        round: usize,
+        full: usize,
+    ) -> Vec<usize> {
+        let mut counts = Vec::new();
+        for tail in [false, true] {
+            while tail || counts.len() < 8 {
+                for (core, next) in (0..).zip(streams.iter_mut()) {
+                    for _ in 0..if tail { 1000 } else { round } {
+                        let (line, is_write) = next();
+                        warm.access(core, line, is_write);
+                    }
+                }
+                if tail {
+                    break;
+                }
+                counts.push(warm.llc_valid());
+                if counts.last() >= Some(&full) {
+                    break;
+                }
+            }
+        }
+        counts
+    }
+
+    /// [`drive`] on arrays of geometry `g` with `active` cores'
+    /// [`stream`]s: through `prefill_access` alone (`walk` is `None`), or
+    /// through the two-stage walk with or without its helper thread.
+    /// Returns the encoded arrays and the round-end counts.
+    fn warmed(
+        g: &CacheGeometry,
+        active: u32,
+        (round, span): (usize, u64),
+        walk: Option<bool>,
+    ) -> (Vec<u8>, Vec<usize>) {
+        use coaxial_sim::Snapshot;
+        let mut state = PrefillState::new(g);
+        let mut streams: Vec<_> = (0..active).map(|c| stream(c, span)).collect();
+        let full = coaxial_sim::idx(g.llc_bytes_per_core / 64) * g.cores * 9 / 10;
+        let counts = match walk {
+            None => drive(&mut state, &mut streams, round, full),
+            Some(helper) => state.walk_on(helper, |w| drive(w, &mut streams, round, full)),
+        };
+        let mut encoded = Vec::new();
+        state.encode(&mut encoded);
+        (encoded, counts)
+    }
+
+    /// The two-stage walk leaves the arrays `prefill_access` leaves, byte
+    /// for byte, and counts the same LLC lines at every round's end, on
+    /// its helper thread and inline: one core and twelve, fewer active
+    /// cores than cores, rounds that stop early and rounds that never fill
+    /// the LLC, and rounds of 5000 accesses per core, so a chunk of 4096
+    /// ends inside a core's round.
+    #[test]
+    fn the_two_stage_walk_equals_prefill_access() {
+        let small = |cores| CacheGeometry {
+            cores,
+            l1_bytes: 4096,
+            l1_assoc: 4,
+            l2_bytes: 16384,
+            l2_assoc: 8,
+            llc_bytes_per_core: 32768,
+            llc_assoc: 16,
+        };
+        // (cores, active cores, accesses per core and round, footprint in
+        // lines, whether the LLC fills before the eighth round)
+        for (cores, active, round, span, stops) in [
+            (1, 1, 5000, 4096, true),
+            (12, 12, 3000, 16384, true),
+            (12, 5, 5000, 16384, true),
+            (12, 12, 1000, 64, false),
+        ] {
+            let g = small(cores);
+            let (want, counts) = warmed(&g, active, (round, span), None);
+            assert_eq!(counts.len() < 8, stops, "{cores} cores, {active} active: {counts:?}");
+            for helper in [true, false] {
+                let (got, got_counts) = warmed(&g, active, (round, span), Some(helper));
+                assert_eq!(got_counts, counts, "{cores}/{active} cores, helper {helper}");
+                assert!(got == want, "{cores}/{active} cores, helper {helper}: arrays differ");
+            }
+        }
+    }
+
     /// Test driver keeping simulation time monotonic across operations.
     struct Driver {
         h: Hierarchy<MultiChannel>,
@@ -1600,7 +1944,7 @@ mod tests {
             d.h.arrays.l2[1].fill(B + k * sets, false);
         }
         let x = B + 8 * sets;
-        d.h.arrays.fill_llc(x, false);
+        fill_llc(&mut d.h.arrays.llc, x, false);
         refuse_b(&mut d);
         assert!(matches!(d.h.access(1, x, false, 1, d.now, 102), AccessResult::Done(_)));
         assert!(d.h.refusal_ended(0), "core 1's spill of B");

@@ -11,7 +11,6 @@ use crate::config::CxlLinkConfig;
 /// N CXL channels with line-granularity interleaving across them.
 pub struct CxlMemory {
     channels: Vec<CxlChannel>,
-    now: Cycle,
 }
 
 impl CxlMemory {
@@ -19,7 +18,6 @@ impl CxlMemory {
         assert!(channels > 0);
         Self {
             channels: (0..channels).map(|_| CxlChannel::new(link_cfg.clone(), dram_cfg)).collect(),
-            now: 0,
         }
     }
 
@@ -102,7 +100,6 @@ impl MemoryBackend for CxlMemory {
     }
 
     fn tick(&mut self, now: Cycle) {
-        self.now = now;
         for c in &mut self.channels {
             c.tick(now);
         }

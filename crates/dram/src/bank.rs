@@ -12,8 +12,6 @@ use coaxial_sim::Cycle;
 pub struct Bank {
     /// Currently open row, if any.
     pub open_row: Option<u64>,
-    /// Cycle of the most recent ACT (for tRAS / tRC).
-    act_at: Cycle,
     /// Earliest cycle a CAS may issue (tRCD after ACT).
     earliest_cas: Cycle,
     /// Earliest cycle a PRE may issue (tRAS, tRTP, write recovery).
@@ -36,7 +34,6 @@ impl Bank {
     pub fn new() -> Self {
         Self {
             open_row: None,
-            act_at: 0,
             earliest_cas: 0,
             earliest_pre: 0,
             earliest_act: 0,
@@ -69,7 +66,6 @@ impl Bank {
     pub fn activate(&mut self, row: u64, now: Cycle, t: &DramTimings) {
         debug_assert!(self.can_activate(now), "illegal ACT at {now}");
         self.open_row = Some(row);
-        self.act_at = now;
         self.earliest_cas = now + t.t_rcd;
         self.earliest_pre = now + t.t_ras;
         self.earliest_act = now + t.t_rc;

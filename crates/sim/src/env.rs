@@ -10,7 +10,7 @@
 //! |-------------------|----------------------------------------------------|
 //! | `COAXIAL_INSTR`   | instructions per core in the measured region       |
 //! | `COAXIAL_WARMUP`  | instructions per core of cache/DRAM warmup         |
-//! | `COAXIAL_JOBS`    | worker threads for the parallel experiment runner  |
+//! | `COAXIAL_JOBS`    | worker threads for the parallel experiment runner; a cold warm and a sampled fast-forward each add one helper thread |
 //! | `COAXIAL_SKIP`    | `off`/`0`/`false` disables hot-loop cycle skipping |
 //! | `COAXIAL_ENGINE`  | run-loop engine: `event` (default) or `lockstep`   |
 //! | `COAXIAL_DEBUG`   | end-of-run engine diagnostics on stderr            |
@@ -149,7 +149,9 @@ pub fn warmup(default: u64) -> u64 {
 }
 
 /// Worker-thread count for the parallel experiment runner (`COAXIAL_JOBS`);
-/// defaults to the host's available parallelism.
+/// defaults to the host's available parallelism. A cold warm and a sampled
+/// fast-forward each run one more thread of their own while they last,
+/// whatever this says.
 pub fn jobs() -> usize {
     let default = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     crate::narrow::idx(env_u64("COAXIAL_JOBS", default as u64).max(1))

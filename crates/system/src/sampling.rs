@@ -10,10 +10,11 @@
 //!
 //! 1. **Fast-forward** — the per-core trace generators advance
 //!    functionally through [`coaxial_cpu::functional_advance`], streaming
-//!    every access through `Hierarchy::prefill_access`. Cache contents
-//!    (the slow-to-warm state) stay architecturally exact; no timing model
-//!    ticks, so this span costs host time proportional to accesses, not
-//!    simulated cycles.
+//!    every access through `Hierarchy::prefill_walk`, the cold warm's
+//!    two-stage walk (the L2s and the LLC on one helper thread). Cache
+//!    contents (the slow-to-warm state) stay architecturally exact; no
+//!    timing model ticks, so this span costs host time proportional to
+//!    accesses, not simulated cycles.
 //! 2. **Detailed interval** — the hierarchy is rebuilt around the warmed
 //!    arrays with fresh timing state (`Hierarchy::into_interval`), and
 //!    the detailed span a full-detail run takes once runs here per
@@ -271,12 +272,15 @@ fn drive<B: MemoryBackend>(
                 // The generators are the timed run's own, seeded with the
                 // config seed (the prefill's use `seed ^ 0xF111`): the first
                 // fast-forward starts each stream, later ones continue it.
-                for (i, g) in gens.iter_mut().enumerate() {
-                    ff_instructions +=
-                        functional_advance(g.as_mut(), ff_per_interval, |line, store| {
-                            hier.prefill_access(coaxial_sim::small_u32(i), line, store);
-                        });
-                }
+                hier.prefill_walk(|walk| {
+                    for (i, g) in gens.iter_mut().enumerate() {
+                        let core = coaxial_sim::small_u32(i);
+                        ff_instructions +=
+                            functional_advance(g.as_mut(), ff_per_interval, |line, store| {
+                                walk.access(core, line, store);
+                            });
+                    }
+                });
                 let (cores, outcome, per_core) =
                     sim.detailed_span(&mut hier, gens, (scfg.warm, scfg.measure), log);
 

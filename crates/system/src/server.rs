@@ -230,16 +230,15 @@ impl TraceSources {
     }
 }
 
-/// How many accesses ahead of the one it applies [`warm`] host-prefetches
-/// the tag sets.
-const PREFETCH_AHEAD: usize = 8;
-
 /// Warm the cache arrays cold: the functional prefill that stands in for
 /// the paper's 50 M-instruction warmup. Each active core streams its own
 /// accesses through the arrays, one round of an LLC's worth at a time,
 /// until the LLC is effectively full or the working set is exhausted, so
 /// the measured window starts at dirty steady state — evictions, and
-/// therefore memory write traffic, flow from the first cycle.
+/// therefore memory write traffic, flow from the first cycle. The
+/// generators run here, and the arrays warm in the two stages of
+/// [`PrefillState::walk`]: the L1s on this thread, the L2s and the LLC on
+/// one helper.
 ///
 /// The warmed state is keyed by the functional half alone and restored by
 /// every timing sibling; this signature is what makes that sound, since
@@ -251,31 +250,22 @@ pub fn warm(func: &FunctionalConfig, sources: &TraceSources) -> PrefillState {
     let round_ops = (llc_lines_total / func.active_cores.max(1)).max(4096);
     let mut traces: Vec<_> =
         (0..func.active_cores).map(|i| sources.trace_for(i, func.seed ^ 0xF111)).collect();
-    // The prefill streams multiples of the LLC capacity through arrays far
-    // larger than the host's caches, so each probe is a host memory miss.
-    // Generating a core's round into one reused buffer and walking it with
-    // the tag sets prefetched a few accesses ahead overlaps those misses;
-    // a prefetch touches only host caches, so the warmed state is the same.
-    let mut round = Vec::with_capacity(round_ops);
-    for _round in 0..8 {
-        for (i, trace) in traces.iter_mut().enumerate() {
-            let core = coaxial_sim::small_u32(i);
-            // next_access advances the generator exactly like next_op but
-            // skips the gap math the prefill discards.
-            round.clear();
-            round.extend((0..round_ops).map(|_| trace.next_access()));
-            for (j, &(line, is_store)) in round.iter().enumerate() {
-                if let Some(&(ahead, _)) = round.get(j + PREFETCH_AHEAD) {
-                    state.prefill_prefetch(core, ahead);
+    state.walk(|walk| {
+        for _round in 0..8 {
+            for (i, trace) in traces.iter_mut().enumerate() {
+                let core = coaxial_sim::small_u32(i);
+                for _ in 0..round_ops {
+                    // next_access advances the generator exactly like
+                    // next_op but skips the gap math the prefill discards.
+                    let (line, is_store) = trace.next_access();
+                    walk.access(core, line, is_store);
                 }
-                state.prefill_access(core, line, is_store);
+            }
+            if walk.llc_valid() >= llc_lines_total * 9 / 10 {
+                break;
             }
         }
-        let [_, _, (llc_valid, _)] = state.occupancy();
-        if llc_valid >= llc_lines_total * 9 / 10 {
-            break;
-        }
-    }
+    });
     state
 }
 
@@ -621,6 +611,37 @@ mod tests {
     fn quick(config: SystemConfig, wl: &str) -> RunReport {
         let w = Workload::by_name(wl).expect("workload exists");
         Simulation::new(config, w).instructions_per_core(4_000).warmup(1_000).run()
+    }
+
+    /// Cold warms running side by side on the job pool, each walking its
+    /// L2s and LLC on its own helper thread, leave the arrays the same
+    /// warms leave one after another.
+    #[test]
+    fn concurrent_cold_warms_equal_serial_ones() {
+        use coaxial_sim::Snapshot;
+        // Four-core slices keep the warms small: (config, workload, active).
+        let inputs: Vec<(FunctionalConfig, &'static Workload)> = [
+            (SystemConfig::ddr_baseline(), "mcf", 4),
+            (SystemConfig::ddr_baseline(), "lbm", 4),
+            (SystemConfig::coaxial_4x(), "PageRank", 3),
+            (SystemConfig::coaxial_4x(), "stream-copy", 4),
+        ]
+        .into_iter()
+        .map(|(config, wl, active)| {
+            let func = config.with_cores(4).with_active_cores(active).functional;
+            (func, Workload::by_name(wl).expect("workload exists"))
+        })
+        .collect();
+        let encoded = |(func, w): &(FunctionalConfig, &'static Workload)| {
+            let mut out = Vec::new();
+            warm(func, &TraceSources::Registry(vec![w; func.cores])).encode(&mut out);
+            out
+        };
+        let serial: Vec<Vec<u8>> = inputs.iter().map(encoded).collect();
+        let concurrent = crate::runner::parallel_map_jobs(&inputs, inputs.len(), encoded);
+        for ((func, w), (one, other)) in inputs.iter().zip(serial.iter().zip(&concurrent)) {
+            assert!(one == other, "{} on {} cores: concurrent warm differs", w.name, func.cores);
+        }
     }
 
     #[test]

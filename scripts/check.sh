@@ -88,9 +88,10 @@ echo "== engine oracle =="
 # path must equal, byte for byte. Re-run the CLI report from the gateway
 # smoke under it, lbm on ddr (where nearly every access is refused for
 # want of an MSHR, so the event engine parks refused cores, whose debug
-# tripwire a release build compiles out), and one small sampled run each
-# on ddr and 4x, so the COAXIAL_ENGINE/COAXIAL_SKIP handling is gated end
-# to end.
+# tripwire a release build compiles out), a captured lbm trace replayed
+# on every core (a trace-file run always warms cold, as it takes nothing
+# from the prefill store), and one small sampled run each on ddr and 4x,
+# so the COAXIAL_ENGINE/COAXIAL_SKIP handling is gated end to end.
 ORACLE=(env COAXIAL_ENGINE=lockstep COAXIAL_SKIP=0)
 "${ORACLE[@]}" "$BIN" run mcf --config 4x --instr 4000 --warmup 1000 --json > "$GWDIR/oracle.json"
 cmp "$GWDIR/cli.json" "$GWDIR/oracle.json"
@@ -98,6 +99,11 @@ LBM=(run lbm --config ddr --instr 4000 --warmup 1000 --json)
 "$BIN" "${LBM[@]}" > "$GWDIR/lbm.json"
 "${ORACLE[@]}" "$BIN" "${LBM[@]}" > "$GWDIR/lbm-oracle.json"
 cmp "$GWDIR/lbm.json" "$GWDIR/lbm-oracle.json"
+"$BIN" capture lbm "$GWDIR/lbm.cxtr" --ops 20000 > /dev/null
+REPLAY=(replay "$GWDIR/lbm.cxtr" --config ddr --instr 4000 --warmup 1000)
+"$BIN" "${REPLAY[@]}" > "$GWDIR/replay.txt"
+"${ORACLE[@]}" "$BIN" "${REPLAY[@]}" > "$GWDIR/replay-oracle.txt"
+cmp "$GWDIR/replay.txt" "$GWDIR/replay-oracle.txt"
 SHAPE=(env COAXIAL_SAMPLING_INTERVALS=3 COAXIAL_SAMPLING_WARM=1000 COAXIAL_SAMPLING_MEASURE=1000)
 for cfg in ddr 4x; do
   SAMPLED=(run mcf --config "$cfg" --instr 30000 --sampled --json)
@@ -113,9 +119,10 @@ echo "== sampling smoke =="
 # of the full-detail run it stands in for over the same horizon, report a
 # 95% confidence interval in the JSON, and stay run-to-run deterministic
 # (byte-identical reports). Both runs pay the same cold prefill, so a
-# faster prefill raises the ratio. Each side runs three times,
-# interleaved, and the bound compares the minima: one slow run on a busy
-# host says nothing about sampling.
+# faster prefill raises the ratio, and the sampled run's fast-forward
+# walks the arrays the way the prefill does, so it gains as well. Each
+# side runs three times, interleaved, and the bound compares the minima:
+# one slow run on a busy host says nothing about sampling.
 full_ms=0
 sampled_ms=0
 for i in 1 2 3; do
