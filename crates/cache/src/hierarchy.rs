@@ -569,7 +569,9 @@ enum ToLower<'a> {
 
 /// The helper thread of a [`PrefillState::walk`]: applies what the caller
 /// sends in FIFO order and answers each count, until the caller hangs up.
+/// It runs in the idle scheduling class ([`yield_to_every_other_thread`]).
 fn lower_helper(chunks: &Receiver<ToLower<'_>>, to_caller: &Sender<usize>) {
+    yield_to_every_other_thread();
     let (mut l2, mut banks): (&mut [CacheArray], &mut [CacheArray]) = (&mut [], &mut []);
     for msg in chunks {
         match msg {
@@ -583,6 +585,38 @@ fn lower_helper(chunks: &Receiver<ToLower<'_>>, to_caller: &Sender<usize>) {
         }
     }
 }
+
+/// Put the calling thread in Linux's `SCHED_IDLE` class, so it runs only
+/// on a CPU no other thread of the host wants. A walk's helper speeds a
+/// warm up with a CPU that would sit idle; where every CPU is busy (a job
+/// pool as wide as the host, a gateway serving hits, another process's
+/// timed run), it must not take one. The caller then fills the bounded
+/// channel and blocks, and the helper runs on the first CPU that frees,
+/// so the warm goes at about the one-thread pace. Elsewhere, or if the
+/// kernel refuses, the thread keeps its class.
+#[cfg(target_os = "linux")]
+fn yield_to_every_other_thread() {
+    #[repr(C)]
+    struct SchedParam {
+        sched_priority: i32,
+    }
+    extern "C" {
+        fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
+    }
+    const SCHED_IDLE: i32 = 5;
+    let param = SchedParam { sched_priority: 0 };
+    // SAFETY: `sched_setscheduler(2)` with pid 0 changes only the calling
+    // thread's policy and reads one `struct sched_param` (a single int)
+    // through a pointer to a live local; libc provides the symbol on
+    // every Linux target. Moving to SCHED_IDLE needs no privilege, and a
+    // refusal leaves the thread as it was, so the result is not needed.
+    unsafe {
+        sched_setscheduler(0, SCHED_IDLE, &param);
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn yield_to_every_other_thread() {}
 
 /// Where a walk's lower stage runs.
 enum Lower<'a> {

@@ -10,7 +10,7 @@
 //! |-------------------|----------------------------------------------------|
 //! | `COAXIAL_INSTR`   | instructions per core in the measured region       |
 //! | `COAXIAL_WARMUP`  | instructions per core of cache/DRAM warmup         |
-//! | `COAXIAL_JOBS`    | worker threads for the parallel experiment runner; a cold warm and a sampled fast-forward each add one helper thread |
+//! | `COAXIAL_JOBS`    | worker threads for the parallel experiment runner; a cold warm and a sampled fast-forward each add one helper thread, which on Linux runs only on an otherwise idle CPU (`SCHED_IDLE`) |
 //! | `COAXIAL_SKIP`    | `off`/`0`/`false` disables hot-loop cycle skipping |
 //! | `COAXIAL_ENGINE`  | run-loop engine: `event` (default) or `lockstep`   |
 //! | `COAXIAL_DEBUG`   | end-of-run engine diagnostics on stderr            |
